@@ -3,7 +3,8 @@
 
 For two randomly placed inputs of sizes S (small) and R·S (large) on m nodes,
 repartitioning moves S+R·S tuples while broadcasting the small side moves
-(m-1)·S, so broadcast wins exactly when m exceeds R+2. The sweep prints one
+(m-1)·S, so repartitioning wins exactly when m >= R+2 (ties included) and
+broadcasting wins below that. The sweep prints one
 row per size ratio with a P/B cell per node count; with --execute each grid
 point is also run through the adaptive planner on synthesized relations and
 the executed choice is checked against the analytic rule.
@@ -81,7 +82,7 @@ def main() -> int:
             cells.append(analytic.rjust(5))
         print(str(ratio).rjust(6) + "  " + "  ".join(cells))
     print("\nP = repartition both inputs, B = broadcast the small input")
-    print("boundary: broadcast wins once m > ratio + 2 "
+    print("boundary: repartition wins once m >= ratio + 2 "
           "(ties keep the repartition plan)")
     if args.execute:
         print(f"executed plans matched the analytic rule in all cells"

@@ -10,7 +10,8 @@ Subcommands:
 * ``bench``   run a workload suite (or one dataset/query pair) over a grid
               of node counts and strategies; JSON or CSV report
 
-Exit codes: 0 success; 2 missing input or parse error; 3 query uses an
+Exit codes: 0 success; 2 bad input (missing file, file that is not UTF-8,
+parse error, or an invalid option such as ``-m 0``); 3 query uses an
 unsupported feature; 4 the pattern is a cross product and
 ``--allow-cross-product`` was not given.
 """
@@ -29,6 +30,7 @@ from .engine import STRATEGIES, result_cell, run_query, sorted_result_rows
 from .errors import CartesianProductError, ParseError, UnsupportedFeatureError
 from .executor import trace_cost
 from .explain import explain_text
+from .hybrid import MERGE_MODES
 from .logical import classify_shape
 from .ntriples import parse_ntriples
 from .oracle import as_multiset
@@ -41,12 +43,21 @@ EXIT_UNSUPPORTED = 3
 EXIT_CROSS_PRODUCT = 4
 
 _PARTITION_KEYS = tuple(b.value for b in BasePartition)
-_MERGE_MODES = ("on", "off", "auto")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_cluster_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-m", "--partitions", type=int, default=4, metavar="N",
-                   help="number of simulated nodes (default 4)")
+    p.add_argument("-m", "--partitions", type=_positive_int, default=4,
+                   metavar="N", help="number of simulated nodes (default 4)")
     p.add_argument("--partition-key", choices=_PARTITION_KEYS, default="subject",
                    help="how the triple store is distributed (default subject)")
 
@@ -56,7 +67,7 @@ def _add_planning_options(p: argparse.ArgumentParser, *,
     p.add_argument("--strategy", choices=STRATEGIES + ("all",),
                    default=default_strategy,
                    help=f"join strategy (default {default_strategy})")
-    p.add_argument("--merge-scan", choices=_MERGE_MODES, default="auto",
+    p.add_argument("--merge-scan", choices=MERGE_MODES, default="auto",
                    help="share one store pass across selections in the "
                         "adaptive strategy (default auto)")
     p.add_argument("--allow-cross-product", action="store_true",
@@ -102,16 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="single dataset file (pair with --query)")
     p_bench.add_argument("--query", metavar="QUERY.rq",
                          help="query file for --data")
-    p_bench.add_argument("-m", "--partitions", type=int, nargs="+", default=None,
-                         metavar="N", help="node-count grid (default: suite "
-                         "setting, else 4)")
+    p_bench.add_argument("-m", "--partitions", type=_positive_int, nargs="+",
+                         default=None, metavar="N", help="node-count grid "
+                         "(default: suite setting, else 4)")
     p_bench.add_argument("--partition-key", choices=_PARTITION_KEYS, default=None,
                          help="store distribution (default: suite setting, "
                          "else subject)")
     p_bench.add_argument("--strategy", choices=STRATEGIES + ("all",),
                          default=None, help="strategy or 'all' (default: suite "
                          "setting, else all)")
-    p_bench.add_argument("--merge-scan", choices=_MERGE_MODES, default=None,
+    p_bench.add_argument("--merge-scan", choices=MERGE_MODES, default=None,
                          help="shared-scan mode (default: suite setting, else auto)")
     p_bench.add_argument("--allow-cross-product", action="store_true",
                          help="permit disconnected patterns")
@@ -268,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

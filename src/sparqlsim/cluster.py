@@ -15,7 +15,7 @@ the actual count only rows that really change nodes, so co-location savings
 stay visible. ``actual <= modeled`` always holds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -93,9 +93,6 @@ class PartitionKind(Enum):
 class PartitionState:
     kind: PartitionKind
     key: frozenset[Term] = frozenset()
-    # For replicated relations: the layout the rows had before replication.
-    # Kept for diagnostics; replication already dominates any keyed layout.
-    origin: "PartitionState | None" = None
 
     def __post_init__(self):
         if self.kind is PartitionKind.KEYED:
@@ -127,8 +124,8 @@ def keyed(key: Iterable[Term]) -> PartitionState:
     return PartitionState(PartitionKind.KEYED, frozenset(key))
 
 
-def replicated(origin: PartitionState | None = None) -> PartitionState:
-    return PartitionState(PartitionKind.REPLICATED, frozenset(), origin)
+def replicated() -> PartitionState:
+    return PartitionState(PartitionKind.REPLICATED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,11 +260,6 @@ class Relation:
         return out
 
 
-def local_relation(schema: Iterable[Term], rows: Iterable[BindingRow]) -> Relation:
-    """A single-node relation, used by the oracle and small tests."""
-    return Relation(frozenset(schema), (tuple(rows),), RANDOM_STATE)
-
-
 def distribute_keyed(schema: Iterable[Term], rows: Iterable[BindingRow],
                      key: Iterable[Term], cluster: Cluster) -> Relation:
     key_set = frozenset(key)
@@ -296,10 +288,10 @@ def distribute_random(schema: Iterable[Term], rows: Iterable[BindingRow],
 
 
 def replicate_rows(schema: Iterable[Term], rows: Sequence[BindingRow],
-                   cluster: Cluster, origin: PartitionState | None = None) -> Relation:
+                   cluster: Cluster) -> Relation:
     chunk = tuple(rows)
     return Relation(frozenset(schema), tuple(chunk for _ in cluster.nodes),
-                    replicated(origin))
+                    replicated())
 
 
 def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
@@ -356,8 +348,7 @@ def broadcast(rel: Relation, ledger: TransferLedger,
     full = tuple(rel.rows())
     m = rel.m
     ledger.tally(operator, broadcast=(m - 1) * len(full))
-    return Relation(rel.schema, tuple(full for _ in range(m)),
-                    replicated(rel.partition))
+    return Relation(rel.schema, tuple(full for _ in range(m)), replicated())
 
 
 class PlacementError(AssertionError):

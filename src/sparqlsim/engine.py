@@ -2,8 +2,9 @@
 
 Static strategies (``pjoin``, ``mono-br``, ``multi-br``) first evaluate and
 measure every selection once, build their plan from the logical tree and the
-measured sizes, then execute the joins reusing the measured selections. The
-adaptive strategy plans while executing; see :mod:`sparqlsim.hybrid`.
+measured sizes (:func:`plan_static`), then execute the joins reusing the
+measured selections. The adaptive strategy plans while executing; see
+:mod:`sparqlsim.hybrid`.
 """
 
 import time
@@ -11,10 +12,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cluster import Cluster, Dataset, Relation, TransferLedger
-from .executor import ExecutionTrace, execute_plan, run_selection
+from .executor import ExecutionTrace, Executor, execute_plan
 from .hybrid import plan_and_execute_hybrid
-from .logical import ShapeInfo, build_logical
-from .ops import SelectionSpec
+from .logical import LogicalNode, ShapeInfo, build_logical
+from .ops import compile_specs
 from .physical import (
     PhysicalPlan, plan_mono_brjoin, plan_multi_brjoin, plan_pjoin_strategy,
     render_plan,
@@ -40,6 +41,19 @@ class RunResult:
         return self.relation.count
 
 
+def plan_static(strategy: str, logical_tree: LogicalNode,
+                sizes: dict[int, int]) -> PhysicalPlan:
+    """The plan of a static strategy, from the logical tree and the measured
+    selection sizes by pattern index."""
+    if strategy == "pjoin":
+        return plan_pjoin_strategy(logical_tree)
+    if strategy == "mono-br":
+        return plan_mono_brjoin(logical_tree, sizes)
+    if strategy == "multi-br":
+        return plan_multi_brjoin(logical_tree, sizes)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster,
                  *, merge_scan: str = "auto", allow_cross: bool = False,
                  validate: bool = False) -> RunResult:
@@ -60,23 +74,12 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
                          evaluations=run.evaluations)
 
     logical_tree = build_logical(query.patterns, allow_cross)
-    cache: dict[int, Relation] = {}
-    sizes: dict[int, int] = {}
-    for i, pattern in enumerate(query.patterns):
-        rel = run_selection(SelectionSpec.compile(i, pattern), dataset, cluster,
-                            ledger, trace, validate)
-        cache[i] = rel
-        sizes[i] = rel.count
-
-    if strategy == "pjoin":
-        plan = plan_pjoin_strategy(logical_tree)
-    elif strategy == "mono-br":
-        plan = plan_mono_brjoin(logical_tree, sizes)
-    else:
-        plan = plan_multi_brjoin(logical_tree, sizes)
-
+    executor = Executor(dataset, cluster, ledger, trace, validate)
+    rels = executor.run_selections(compile_specs(query.patterns))
+    plan = plan_static(strategy, logical_tree, {i: r.count for i, r in enumerate(rels)})
     relation = execute_plan(plan, dataset, cluster, ledger, select=query.select,
-                            trace=trace, validate=validate, leaf_cache=cache)
+                            trace=trace, validate=validate,
+                            leaf_cache=executor.leaf_cache)
     wall = time.perf_counter() - started
     return RunResult(strategy, plan, relation, ledger, trace, wall)
 

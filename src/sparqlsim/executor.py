@@ -1,10 +1,12 @@
-"""Physical plan execution and the execution trace.
+"""The one execution path for selections and joins, and the execution trace.
 
-The executor walks a :class:`PhysicalPlan` bottom-up over a distributed
-dataset, charging every scan and transfer to a :class:`TransferLedger`. It
-also appends one entry per operator to an :class:`ExecutionTrace`; the trace
-carries exactly the quantities the cost model prices (input sizes, layouts,
-store and shared-subset sizes), so :func:`trace_cost` can recompute a run's
+Every strategy, static or adaptive, runs its selections and joins through an
+:class:`Executor`. A static plan is walked bottom-up in one call; the
+adaptive planner hands the executor one step at a time. The executor
+charges every scan and transfer to a :class:`TransferLedger` and appends
+one entry per operator to an :class:`ExecutionTrace`; the trace carries
+exactly the quantities the cost model prices (input sizes, layouts, store
+and shared-subset sizes), so :func:`trace_cost` can recompute a run's
 modeled cost from the trace alone and be checked against the ledger.
 
 Selections can be served from a ``leaf_cache`` so that a strategy that
@@ -25,7 +27,9 @@ from .cost import (
 from .ops import (
     SelectionSpec, brjoin, merged_selection, pjoin, project, triple_selection,
 )
-from .physical import BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, SelectionNode
+from .physical import (
+    BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, SelectionNode, plan_leaves,
+)
 from .terms import Term
 
 
@@ -52,12 +56,6 @@ class ExecutionTrace:
     def add(self, entry: TraceEntry) -> None:
         self.entries.append(entry)
 
-    def selection_entries(self) -> list[TraceEntry]:
-        return [e for e in self.entries if e.kind in ("selection", "merged-selection")]
-
-    def join_entries(self) -> list[TraceEntry]:
-        return [e for e in self.entries if e.kind in ("pjoin", "brjoin")]
-
 
 def trace_cost(trace: ExecutionTrace, m: int,
                params: CostParams = DEFAULT_PARAMS) -> CostEstimate:
@@ -83,41 +81,14 @@ def trace_cost(trace: ExecutionTrace, m: int,
                         transfer=params.theta_comm * transfer)
 
 
-def run_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
-                  ledger: TransferLedger, trace: ExecutionTrace | None = None,
-                  validate: bool = False) -> Relation:
-    """One pattern selection with ledger and trace entries."""
-    rel = triple_selection(spec, dataset, cluster, ledger)
-    if trace is not None:
-        trace.add(TraceEntry(
-            kind="selection", operator=f"sel[{spec.label}]", inputs=(),
-            output_size=rel.count, output_state=rel.partition,
-            dataset_size=dataset.size))
-    if validate:
-        check_placement(rel)
-    return rel
-
-
-def run_merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
-                         cluster: Cluster, ledger: TransferLedger,
-                         trace: ExecutionTrace | None = None,
-                         validate: bool = False) -> list[Relation]:
-    """One shared-pass selection group with ledger and trace entries."""
-    rels, subset = merged_selection(specs, dataset, cluster, ledger)
-    if trace is not None:
-        labels = ",".join(s.label for s in specs)
-        trace.add(TraceEntry(
-            kind="merged-selection", operator=f"merged-sel[{labels}]", inputs=(),
-            output_size=sum(r.count for r in rels), output_state=rels[0].partition,
-            dataset_size=dataset.size, pattern_count=len(specs), subset_size=subset))
-    if validate:
-        for rel in rels:
-            check_placement(rel)
-    return rels
-
-
 class Executor:
-    """Runs one physical plan over one dataset."""
+    """The only code that runs distributed operators.
+
+    Each selection or join step stages its operator, numbers it, appends its
+    trace entry and, with ``validate``, checks its placement. Static plans
+    run whole through :meth:`run`; the adaptive planner calls
+    :meth:`run_selections` and :meth:`run_join` one step at a time.
+    """
 
     def __init__(self, dataset: Dataset, cluster: Cluster, ledger: TransferLedger,
                  trace: ExecutionTrace | None = None, validate: bool = False,
@@ -134,74 +105,94 @@ class Executor:
         self._run_merged_groups(plan)
         result = self._execute(plan.root)
         if select is not None:
-            result = project(result, select)
-            if self.validate:
-                check_placement(result)
+            result = self.run_projection(result, select)
         return result
 
+    def run_selections(self, specs: Sequence[SelectionSpec],
+                       merged: bool = False) -> list[Relation]:
+        """Selection step: one store scan per pattern, or with ``merged`` one
+        shared pass over the store for all of them. Fills the leaf cache."""
+        if merged:
+            rels, subset = merged_selection(specs, self.dataset, self.cluster, self.ledger)
+            labels = ",".join(s.label for s in specs)
+            self._record(TraceEntry(
+                kind="merged-selection", operator=f"merged-sel[{labels}]", inputs=(),
+                output_size=sum(r.count for r in rels), output_state=rels[0].partition,
+                dataset_size=self.dataset.size, pattern_count=len(specs),
+                subset_size=subset), rels)
+        else:
+            rels = []
+            for spec in specs:
+                rel = triple_selection(spec, self.dataset, self.cluster, self.ledger)
+                self._record(TraceEntry(
+                    kind="selection", operator=f"sel[{spec.label}]", inputs=(),
+                    output_size=rel.count, output_state=rel.partition,
+                    dataset_size=self.dataset.size), [rel])
+                rels.append(rel)
+        for spec, rel in zip(specs, rels):
+            self.leaf_cache[spec.index] = rel
+        return rels
+
+    def run_join(self, node: PjoinNode | BrjoinNode,
+                 inputs: Sequence[Relation]) -> Relation:
+        """Join step: join ``inputs`` with the algorithm, key and target of
+        ``node``; the node's children are not read."""
+        if isinstance(node, PjoinNode):
+            kind, target = "pjoin", None
+        elif isinstance(node, BrjoinNode):
+            kind, target = "brjoin", node.target
+        else:
+            raise TypeError(f"unknown plan node: {node!r}")
+        self._join_seq += 1
+        op = f"{kind}#{self._join_seq}"
+        if target is None:
+            out = pjoin(node.on, inputs, self.cluster, self.ledger, op)
+        else:
+            out = brjoin(node.on, inputs, target, self.cluster, self.ledger, op,
+                         allow_empty_on=node.cross)
+        self._record(TraceEntry(
+            kind=kind, operator=op, inputs=tuple((r.count, r.partition) for r in inputs),
+            output_size=out.count, output_state=out.partition, on=node.on,
+            target=target), [out])
+        return out
+
+    def run_projection(self, rel: Relation, select: Sequence[Term]) -> Relation:
+        """Final projection onto the select list; not a traced operator."""
+        out = project(rel, select)
+        if self.validate:
+            check_placement(out)
+        return out
+
+    def _record(self, entry: TraceEntry, outputs: Sequence[Relation]) -> None:
+        if self.trace is not None:
+            self.trace.add(entry)
+        if self.validate:
+            for rel in outputs:
+                check_placement(rel)
+
     def _run_merged_groups(self, plan: PhysicalPlan) -> None:
+        leaves = {leaf.index: leaf for leaf in plan_leaves(plan.root)}
         for group in plan.merged_groups:
             cached = [idx in self.leaf_cache for idx in group]
             if all(cached):
                 continue
             if any(cached):
                 raise AssertionError("merged scan group partially cached")
-            specs = [SelectionSpec.compile(idx, self._pattern_of(plan.root, idx))
-                     for idx in group]
-            rels = run_merged_selection(specs, self.dataset, self.cluster,
-                                        self.ledger, self.trace, self.validate)
-            for spec, rel in zip(specs, rels):
-                self.leaf_cache[spec.index] = rel
-
-    @staticmethod
-    def _pattern_of(root: PhysNode, index: int):
-        for leaf in _iter_leaves(root):
-            if leaf.index == index:
-                return leaf.pattern
-        raise KeyError(f"merged scan group references t{index + 1}, "
-                       "which is not a leaf of the plan")
+            for idx in group:
+                if idx not in leaves:
+                    raise KeyError(f"merged scan group references t{idx + 1}, "
+                                   "which is not a leaf of the plan")
+            self.run_selections([SelectionSpec.compile(idx, leaves[idx].pattern)
+                                 for idx in group], merged=True)
 
     def _execute(self, node: PhysNode) -> Relation:
         if isinstance(node, SelectionNode):
             rel = self.leaf_cache.get(node.index)
             if rel is None:
                 spec = SelectionSpec.compile(node.index, node.pattern)
-                rel = run_selection(spec, self.dataset, self.cluster, self.ledger,
-                                    self.trace, self.validate)
-                self.leaf_cache[node.index] = rel
+                [rel] = self.run_selections([spec])
             return rel
-
-        inputs = [self._execute(child) for child in node.children]
-        shapes = tuple((r.count, r.partition) for r in inputs)
-        self._join_seq += 1
-        if isinstance(node, PjoinNode):
-            op = f"pjoin#{self._join_seq}"
-            out = pjoin(node.on, inputs, self.cluster, self.ledger, op)
-            entry = TraceEntry(kind="pjoin", operator=op, inputs=shapes,
-                               output_size=out.count, output_state=out.partition,
-                               on=node.on)
-        elif isinstance(node, BrjoinNode):
-            op = f"brjoin#{self._join_seq}"
-            out = brjoin(node.on, inputs, node.target, self.cluster, self.ledger,
-                         op, allow_empty_on=node.cross)
-            entry = TraceEntry(kind="brjoin", operator=op, inputs=shapes,
-                               output_size=out.count, output_state=out.partition,
-                               on=node.on, target=node.target)
-        else:
-            raise TypeError(f"unknown plan node: {node!r}")
-        if self.trace is not None:
-            self.trace.add(entry)
-        if self.validate:
-            check_placement(out)
-        return out
-
-
-def _iter_leaves(node: PhysNode):
-    if isinstance(node, SelectionNode):
-        yield node
-    else:
-        for child in node.children:
-            yield from _iter_leaves(child)
+        return self.run_join(node, [self._execute(child) for child in node.children])
 
 
 def execute_plan(plan: PhysicalPlan, dataset: Dataset, cluster: Cluster,

@@ -6,45 +6,39 @@ execution (post-) order with their transfer formulas; intermediate sizes
 are left symbolic as ``|#k|`` because they are only known once the join
 runs. For the adaptive strategy only the opening step is shown: every later
 decision depends on measured intermediate sizes.
+
+Selections run through the shared executor, static plans come from the
+engine's :func:`~sparqlsim.engine.plan_static`, and the adaptive opening
+step from :func:`~sparqlsim.hybrid.hybrid_opening`, so what is explained is
+what a run executes.
 """
 
-from typing import Sequence
-
-from .cluster import (
-    Cluster, Dataset, PartitionState, TransferLedger, keyed,
-)
-from .errors import CartesianProductError
-from .hybrid import MERGE_MODES, _HybridPlanner
-from .logical import build_logical, classify_shape, connected_components
-from .ops import SelectionSpec, selection_state, triple_selection
+from .cluster import Cluster, Dataset, PartitionState, Relation, TransferLedger, keyed
+from .engine import plan_static
+from .executor import Executor
+from .hybrid import hybrid_opening
+from .logical import build_logical, classify_shape
+from .ops import compile_specs
 from .physical import (
-    BrjoinNode, PhysNode, PjoinNode, SelectionNode, plan_mono_brjoin,
-    plan_multi_brjoin, plan_pjoin_strategy, render_plan,
+    BrjoinNode, PhysNode, PjoinNode, SelectionNode, join_key, render_plan,
 )
 from .sparql import Query
 
-_STATIC_PLANNERS = {
-    "pjoin": lambda tree, sizes: plan_pjoin_strategy(tree),
-    "mono-br": plan_mono_brjoin,
-    "multi-br": plan_multi_brjoin,
-}
+
+def _join_text(node: PjoinNode | BrjoinNode) -> str:
+    name = "Pjoin" if isinstance(node, PjoinNode) else "Brjoin"
+    return f"{name} on {{{join_key(node)}}}"
 
 
-def _key_text(on, cross: bool = False) -> str:
-    if cross or not on:
-        return "{cross}"
-    return "{" + ",".join(v.lexical for v in sorted(on)) + "}"
-
-
-def _render_joins(root: PhysNode, sizes: dict[int, int],
-                  states: dict[int, PartitionState], m: int) -> list[str]:
+def _render_joins(root: PhysNode, selections: list[Relation], m: int) -> list[str]:
     lines: list[str] = []
     counter = 0
 
     def walk(node: PhysNode) -> tuple[str, str, PartitionState]:
         nonlocal counter
         if isinstance(node, SelectionNode):
-            return node.label, str(sizes[node.index]), states[node.index]
+            rel = selections[node.index]
+            return node.label, str(rel.count), rel.partition
         info = [walk(child) for child in node.children]
         counter += 1
         ref = f"#{counter}"
@@ -55,7 +49,6 @@ def _render_joins(root: PhysNode, sizes: dict[int, int],
                      if not (st.is_keyed_on(node.on) or st.is_replicated)]
             detail = ("repartition: " + " + ".join(moved) + " tuples") if moved \
                 else "repartition: none (inputs co-located)"
-            op = f"Pjoin on {_key_text(node.on)}"
         else:
             target_ref, _, state = info[node.target]
             moving = [term for k, (_, term, st) in enumerate(info)
@@ -64,21 +57,17 @@ def _render_joins(root: PhysNode, sizes: dict[int, int],
                 detail = f"broadcast: {m - 1} x ({' + '.join(moving)}), target {target_ref}"
             else:
                 detail = f"broadcast: none (already replicated), target {target_ref}"
-            op = f"Brjoin on {_key_text(node.on, node.cross)}"
-        lines.append(f"  {ref} {op} ({refs}) -> {state.render()} | {detail}")
+        lines.append(f"  {ref} {_join_text(node)} ({refs}) -> {state.render()} | {detail}")
         return ref, f"|{ref}|", state
 
     walk(root)
     return lines
 
 
-def _selection_lines(query: Query, sizes: dict[int, int],
-                     states: dict[int, PartitionState]) -> list[str]:
-    lines = []
-    for i, pattern in enumerate(query.patterns):
-        lines.append(f"  t{i + 1}: {pattern.text()} | rows={sizes[i]} "
-                     f"| {states[i].render()}")
-    return lines
+def _selection_lines(query: Query, selections: list[Relation]) -> list[str]:
+    return [f"  t{i + 1}: {pattern.text()} | rows={rel.count} "
+            f"| {rel.partition.render()}"
+            for i, (pattern, rel) in enumerate(zip(query.patterns, selections))]
 
 
 def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
@@ -98,68 +87,40 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
         return "\n".join(header + _explain_hybrid(query, dataset, cluster,
                                                   merge_scan, allow_cross)) + "\n"
 
-    if strategy not in _STATIC_PLANNERS:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    ledger = TransferLedger()
-    sizes: dict[int, int] = {}
-    states: dict[int, PartitionState] = {}
-    for i, pattern in enumerate(query.patterns):
-        spec = SelectionSpec.compile(i, pattern)
-        rel = triple_selection(spec, dataset, cluster, ledger)
-        sizes[i] = rel.count
-        states[i] = rel.partition
-
-    tree = build_logical(query.patterns, allow_cross)
-    plan = _STATIC_PLANNERS[strategy](tree, sizes)
+    selections = Executor(dataset, cluster, TransferLedger()).run_selections(
+        compile_specs(query.patterns))
+    sizes = {i: rel.count for i, rel in enumerate(selections)}
+    plan = plan_static(strategy, build_logical(query.patterns, allow_cross), sizes)
     lines = header
     lines.append(f"plan: {render_plan(plan.root)}")
     lines.append("selections (one store scan each):")
-    lines.extend(_selection_lines(query, sizes, states))
+    lines.extend(_selection_lines(query, selections))
     if not isinstance(plan.root, SelectionNode):
         lines.append("join steps (|#k| = measured size of step k at run time):")
-        lines.extend(_render_joins(plan.root, sizes, states, cluster.m))
+        lines.extend(_render_joins(plan.root, selections, cluster.m))
     return "\n".join(lines) + "\n"
 
 
 def _explain_hybrid(query: Query, dataset: Dataset, cluster: Cluster,
                     merge_scan: str, allow_cross: bool) -> list[str]:
-    if merge_scan not in MERGE_MODES:
-        raise ValueError(f"merge_scan must be one of {MERGE_MODES}, got {merge_scan!r}")
-    components = connected_components(query.patterns)
-    if len(components) > 1 and not allow_cross:
-        raise CartesianProductError(len(components))
-
-    planner = _HybridPlanner(query.patterns, dataset, cluster, TransferLedger(),
+    opening = hybrid_opening(query.patterns, dataset, cluster,
                              merge_scan=merge_scan, allow_cross=allow_cross)
-    slots, groups = planner._run_selections()
-    sizes = {i: slot.size for i, slot in enumerate(slots)}
-    states = {i: slot.rel.partition for i, slot in enumerate(slots)}
-
     lines = []
-    if groups:
-        labels = ", ".join(f"t{i + 1}" for i in groups[0])
+    if opening.merged_groups:
+        labels = ", ".join(f"t{i + 1}" for i in opening.merged_groups[0])
         lines.append(f"selections (one shared store pass over {labels}):")
     else:
         lines.append("selections (one store scan each):")
-    lines.extend(_selection_lines(query, sizes, states))
+    lines.extend(_selection_lines(query, opening.selections))
 
-    for members in components:
-        if len(members) < 2:
-            continue
-        comp_slots = [slots[i] for i in members]
-        i, j, opt = planner._best_start(comp_slots)
-        first, second = sorted((comp_slots[i], comp_slots[j]),
-                               key=lambda s: (s.size, s.first_index))
-        if opt.kind == "pjoin":
-            step = (f"Pjoin on {_key_text(opt.on)} ({first.node.label}, "
-                    f"{second.node.label}) | repartition: {opt.cost} tuples")
+    for node, cost in opening.steps:
+        first, second = (child.label for child in node.children)
+        if isinstance(node, PjoinNode):
+            detail = f"repartition: {cost} tuples"
         else:
-            target = (first, second)[opt.target]
-            step = (f"Brjoin on {_key_text(opt.on, opt.cross)} ({first.node.label}, "
-                    f"{second.node.label}) | broadcast: {opt.cost} tuples, "
-                    f"target {target.node.label}")
-        lines.append(f"opening step: {step}")
+            detail = (f"broadcast: {cost} tuples, "
+                      f"target {node.children[node.target].label}")
+        lines.append(f"opening step: {_join_text(node)} ({first}, {second}) | {detail}")
     lines.append("remaining steps are chosen at run time from measured "
                  "intermediate sizes.")
     return lines

@@ -26,20 +26,20 @@ Consecutive partitioned joins on the same key collapse into one n-ary node
 in the reported plan. The collapsed form moves exactly the same tuples: the
 running input is already keyed on the join variables, so only the newcomer
 is repartitioned, stepwise or not.
+
+The planner only decides; every selection and join step runs through one
+:class:`~sparqlsim.executor.Executor`, the same code that runs static plans.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cluster import (
-    Cluster, Dataset, Relation, TransferLedger, check_placement,
-)
-from .errors import CartesianProductError
-from .executor import (
-    ExecutionTrace, TraceEntry, run_merged_selection, run_selection,
-)
-from .logical import connected_components
-from .ops import SelectionSpec, brjoin, pjoin, project
+from .cluster import Cluster, Dataset, Relation, TransferLedger
+from .executor import ExecutionTrace, Executor
+from .logical import joinable_components
+from .ops import compile_specs
+# Not called here: kept importable because perfbench/tracer.py wraps these names.
+from .ops import brjoin, pjoin, project  # noqa: F401
 from .physical import BrjoinNode, PhysNode, PhysicalPlan, PjoinNode, SelectionNode
 from .terms import Term, TriplePattern
 
@@ -115,63 +115,57 @@ def _step_options(first: _Slot, second: _Slot, m: int) -> list[_Option]:
     return opts
 
 
+def _step_node(first: _Slot, second: _Slot, opt: _Option) -> PjoinNode | BrjoinNode:
+    """The join node that executes ``opt`` over (first, second)."""
+    children = (first.node, second.node)
+    if opt.kind == "pjoin":
+        return PjoinNode(opt.on, children)
+    return BrjoinNode(opt.on, children, opt.target, cross=opt.cross)
+
+
 class _HybridPlanner:
-    def __init__(self, patterns: Sequence[TriplePattern], dataset: Dataset,
-                 cluster: Cluster, ledger: TransferLedger, *,
-                 merge_scan: str = "auto", allow_cross: bool = False,
-                 trace: ExecutionTrace | None = None, validate: bool = False):
+    """The adaptive strategy's decisions; ``executor`` runs every step."""
+
+    def __init__(self, patterns: Sequence[TriplePattern], executor: Executor, *,
+                 merge_scan: str = "auto", allow_cross: bool = False):
         if merge_scan not in MERGE_MODES:
             raise ValueError(f"merge_scan must be one of {MERGE_MODES}, got {merge_scan!r}")
+        self.components = joinable_components(patterns, allow_cross)
         self.patterns = list(patterns)
-        self.dataset = dataset
-        self.cluster = cluster
-        self.ledger = ledger
+        self.executor = executor
         self.merge_scan = merge_scan
-        self.allow_cross = allow_cross
-        self.trace = trace
-        self.validate = validate
         self.evaluations = 0
-        self._join_seq = 0
 
     def run(self) -> tuple[PhysNode, Relation, tuple[tuple[int, ...], ...]]:
-        components = connected_components(self.patterns)
-        if len(components) > 1 and not self.allow_cross:
-            raise CartesianProductError(len(components))
-
-        slots, merged_groups = self._run_selections()
+        slots, merged_groups = self.select()
         results = [self._greedy_component([slots[i] for i in members])
-                   for members in components]
+                   for members in self.components]
         final = results[0]
         for nxt in results[1:]:
-            final = self._execute_step(final, nxt, self._best_option(final, nxt))
+            final = self._step(final, nxt, self._best_option(final, nxt))
         return final.node, final.rel, merged_groups
 
-    def _run_selections(self) -> tuple[list[_Slot], tuple[tuple[int, ...], ...]]:
-        specs = [SelectionSpec.compile(i, p) for i, p in enumerate(self.patterns)]
-        merge = self.merge_scan in ("on", "auto") and len(specs) >= 2
-        if merge:
-            rels = run_merged_selection(specs, self.dataset, self.cluster,
-                                        self.ledger, self.trace, self.validate)
-            groups: tuple[tuple[int, ...], ...] = (tuple(s.index for s in specs),)
-        else:
-            rels = [run_selection(s, self.dataset, self.cluster, self.ledger,
-                                  self.trace, self.validate) for s in specs]
-            groups = ()
+    def select(self) -> tuple[list[_Slot], tuple[tuple[int, ...], ...]]:
+        """Measure every selection, sharing one store pass unless it is off."""
+        specs = compile_specs(self.patterns)
+        merged = self.merge_scan in ("on", "auto") and len(specs) >= 2
+        rels = self.executor.run_selections(specs, merged)
+        groups = (tuple(s.index for s in specs),) if merged else ()
         slots = [_Slot(rel, SelectionNode(spec.index, spec.pattern), spec.index)
                  for spec, rel in zip(specs, rels)]
         return slots, groups
 
     def _best_option(self, first: _Slot, second: _Slot) -> _Option:
-        opts = _step_options(first, second, self.cluster.m)
+        opts = _step_options(first, second, self.executor.cluster.m)
         self.evaluations += len(opts)
         return min(opts, key=lambda o: o.sort_key)
 
-    def _best_start(self, remaining: list[_Slot]) -> tuple[int, int, _Option]:
-        """The cheapest opening pair over all connected pairs."""
-        best_pair: tuple[tuple, int, int, _Option] | None = None
-        for i in range(len(remaining)):
-            for j in range(i + 1, len(remaining)):
-                a, b = remaining[i], remaining[j]
+    def opening(self, slots: list[_Slot]) -> tuple[_Slot, _Slot, _Option]:
+        """The cheapest opening pair over all connected pairs, in step order."""
+        best_pair: tuple[tuple, _Slot, _Slot, _Option] | None = None
+        for i in range(len(slots)):
+            for j in range(i + 1, len(slots)):
+                a, b = slots[i], slots[j]
                 if not (a.schema & b.schema):
                     continue
                 first, second = sorted((a, b), key=lambda s: (s.size, s.first_index))
@@ -179,21 +173,18 @@ class _HybridPlanner:
                 key = (opt.cost, opt.rank, a.size + b.size,
                        (a.first_index, b.first_index))
                 if best_pair is None or key < best_pair[0]:
-                    best_pair = (key, i, j, opt)
+                    best_pair = (key, first, second, opt)
         if best_pair is None:
             raise AssertionError("connected component has no joinable pair")
-        return best_pair[1], best_pair[2], best_pair[3]
+        return best_pair[1:]
 
     def _greedy_component(self, slots: list[_Slot]) -> _Slot:
         if len(slots) == 1:
             return slots[0]
 
-        remaining = list(slots)
-        i, j, opt = self._best_start(remaining)
-        first, second = sorted((remaining[i], remaining[j]),
-                               key=lambda s: (s.size, s.first_index))
-        acc = self._execute_step(first, second, opt)
-        del remaining[j], remaining[i]
+        first, second, opt = self.opening(slots)
+        acc = self._step(first, second, opt)
+        remaining = [s for s in slots if s is not first and s is not second]
 
         while remaining:
             best_ext: tuple[tuple, int, _Option] | None = None
@@ -207,39 +198,45 @@ class _HybridPlanner:
             if best_ext is None:
                 raise AssertionError("connected component stalled mid-join")
             _, k, opt = best_ext
-            acc = self._execute_step(acc, remaining[k], opt)
+            acc = self._step(acc, remaining[k], opt)
             del remaining[k]
         return acc
 
-    def _execute_step(self, first: _Slot, second: _Slot, opt: _Option) -> _Slot:
-        rels = [first.rel, second.rel]
-        shapes = tuple((r.count, r.partition) for r in rels)
-        self._join_seq += 1
-        if opt.kind == "pjoin":
-            op = f"pjoin#{self._join_seq}"
-            rel = pjoin(opt.on, rels, self.cluster, self.ledger, op)
-            if isinstance(first.node, PjoinNode) and first.node.on == opt.on:
-                children = first.node.children + (second.node,)
-            else:
-                children = (first.node, second.node)
-            node: PhysNode = PjoinNode(opt.on, children)
-            entry = TraceEntry(kind="pjoin", operator=op, inputs=shapes,
-                               output_size=rel.count, output_state=rel.partition,
-                               on=opt.on)
-        else:
-            op = f"brjoin#{self._join_seq}"
-            rel = brjoin(opt.on, rels, opt.target, self.cluster, self.ledger, op,
-                         allow_empty_on=opt.cross)
-            node = BrjoinNode(opt.on, (first.node, second.node), opt.target,
-                              cross=opt.cross)
-            entry = TraceEntry(kind="brjoin", operator=op, inputs=shapes,
-                               output_size=rel.count, output_state=rel.partition,
-                               on=opt.on, target=opt.target)
-        if self.trace is not None:
-            self.trace.add(entry)
-        if self.validate:
-            check_placement(rel)
+    def _step(self, first: _Slot, second: _Slot, opt: _Option) -> _Slot:
+        node: PhysNode = _step_node(first, second, opt)
+        rel = self.executor.run_join(node, [first.rel, second.rel])
+        if (isinstance(node, PjoinNode) and isinstance(first.node, PjoinNode)
+                and first.node.on == node.on):
+            node = PjoinNode(node.on, first.node.children + (second.node,))
         return _Slot(rel, node, min(first.first_index, second.first_index))
+
+
+@dataclass(frozen=True, slots=True)
+class HybridOpening:
+    """What the adaptive strategy knows before its first join: the measured
+    selections (by pattern index), the merged scan groups, and for each
+    connected component with a join, the opening step and its modeled
+    transfer tuples."""
+
+    selections: list[Relation]
+    merged_groups: tuple[tuple[int, ...], ...]
+    steps: list[tuple[PjoinNode | BrjoinNode, int]]
+
+
+def hybrid_opening(patterns: Sequence[TriplePattern], dataset: Dataset,
+                   cluster: Cluster, *, merge_scan: str = "auto",
+                   allow_cross: bool = False) -> HybridOpening:
+    """Measure the selections as the adaptive strategy does and pick each
+    component's opening step, without joining anything."""
+    planner = _HybridPlanner(patterns, Executor(dataset, cluster, TransferLedger()),
+                             merge_scan=merge_scan, allow_cross=allow_cross)
+    slots, merged_groups = planner.select()
+    steps = []
+    for members in planner.components:
+        if len(members) > 1:
+            first, second, opt = planner.opening([slots[i] for i in members])
+            steps.append((_step_node(first, second, opt), opt.cost))
+    return HybridOpening([s.rel for s in slots], merged_groups, steps)
 
 
 def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], dataset: Dataset,
@@ -253,13 +250,11 @@ def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], dataset: Dataset,
     Returns the executed plan (as a replayable :class:`PhysicalPlan`), the
     result relation, and the number of candidate costings performed.
     """
-    planner = _HybridPlanner(patterns, dataset, cluster, ledger,
-                             merge_scan=merge_scan, allow_cross=allow_cross,
-                             trace=trace, validate=validate)
+    executor = Executor(dataset, cluster, ledger, trace, validate)
+    planner = _HybridPlanner(patterns, executor, merge_scan=merge_scan,
+                             allow_cross=allow_cross)
     root, rel, merged_groups = planner.run()
     if select is not None:
-        rel = project(rel, select)
-        if validate:
-            check_placement(rel)
+        rel = executor.run_projection(rel, select)
     plan = PhysicalPlan("hybrid", root, merged_groups)
     return HybridRun(plan=plan, relation=rel, evaluations=planner.evaluations)

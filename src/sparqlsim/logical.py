@@ -158,6 +158,16 @@ def _build_component(patterns: Sequence[TriplePattern], members: list[int]) -> L
     return pending[0]
 
 
+def joinable_components(patterns: Sequence[TriplePattern],
+                        allow_cross: bool = False) -> list[list[int]]:
+    """:func:`connected_components`, raising :class:`CartesianProductError`
+    when there is more than one and cross products are not allowed."""
+    components = connected_components(patterns)
+    if len(components) > 1 and not allow_cross:
+        raise CartesianProductError(len(components))
+    return components
+
+
 def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) -> LogicalNode:
     """Build the canonical logical join tree for a pattern list.
 
@@ -167,9 +177,7 @@ def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) 
     """
     if not patterns:
         raise ValueError("cannot plan an empty pattern list")
-    components = connected_components(patterns)
-    if len(components) > 1 and not allow_cross:
-        raise CartesianProductError(len(components))
+    components = joinable_components(patterns, allow_cross)
     trees = [_build_component(patterns, members) for members in components]
     if len(trees) == 1:
         return trees[0]

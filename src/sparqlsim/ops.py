@@ -19,14 +19,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cluster import (
-    BasePartition, Cluster, Dataset, PartitionKind, PartitionState,
-    RANDOM_STATE, Relation, TransferLedger, broadcast, for_each_node, keyed,
-    node_of, shuffle,
+    Cluster, Dataset, PartitionKind, PartitionState, RANDOM_STATE, Relation,
+    TransferLedger, broadcast, for_each_node, keyed, node_of, shuffle,
 )
-from .terms import (
-    BindingRow, EMPTY_ROW, Term, Triple, TriplePattern, merge_rows,
-    pattern_vars,
-)
+from .terms import BindingRow, EMPTY_ROW, Term, Triple, TriplePattern, merge_rows
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ from the logical tree and measured selection sizes; the adaptive strategy in
 """
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
-from .logical import JoinNode, Leaf, LogicalNode
+from .logical import Leaf, LogicalNode
 from .terms import Term, TriplePattern, pattern_vars
 
 
@@ -118,10 +118,11 @@ def plan_leaves(node: PhysNode) -> list[SelectionNode]:
     return out
 
 
-def _subscript(on: frozenset[Term], cross: bool = False) -> str:
-    if cross:
+def join_key(node: PjoinNode | BrjoinNode) -> str:
+    """A join's key as plans show it: ``x,y``, or ``cross``."""
+    if isinstance(node, BrjoinNode) and node.cross:
         return "cross"
-    return ",".join(v.lexical for v in sorted(on))
+    return ",".join(v.lexical for v in sorted(node.on))
 
 
 def render_plan(node: PhysNode) -> str:
@@ -129,9 +130,8 @@ def render_plan(node: PhysNode) -> str:
     if isinstance(node, SelectionNode):
         return node.label
     inner = ",".join(render_plan(c) for c in node.children)
-    if isinstance(node, PjoinNode):
-        return f"Pjoin_{_subscript(node.on)}({inner})"
-    return f"Brjoin_{_subscript(node.on, node.cross)}({inner})"
+    name = "Pjoin" if isinstance(node, PjoinNode) else "Brjoin"
+    return f"{name}_{join_key(node)}({inner})"
 
 
 def _leaf(leaf: Leaf) -> SelectionNode:

@@ -200,6 +200,25 @@ def test_exit_2_malformed_data(capsys, tmp_path):
     assert code == 2 and "bad.nt:1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["load", "{data}"], ["query", "{data}", Q8], ["explain", "{data}", Q8],
+    ["bench", "--data", "{data}", "--query", Q8]])
+def test_exit_2_zero_partitions(capsys, university_nt, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(data=university_nt) for a in argv] + ["-m", "0"])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_exit_2_non_utf8_data(capsys, tmp_path):
+    bad = tmp_path / "latin1.nt"
+    bad.write_bytes('<http://a> <http://b> "caf\u00e9" .\n'.encode("latin-1"))
+    for argv in (["load", str(bad)], ["query", str(bad), Q8],
+                 ["bench", "--data", str(bad), "--query", Q8]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "not UTF-8" in err
+
+
 def test_exit_2_malformed_query(capsys, university_nt, tmp_path):
     bad = tmp_path / "bad.rq"
     bad.write_text("SELECT ?x WHERE { ?x <http://p> }", encoding="utf-8")

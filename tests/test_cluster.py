@@ -81,7 +81,7 @@ def test_partition_states():
     assert st_keyed.render() == "keyed{x,y}"
     assert RANDOM_STATE.render() == "random"
     assert replicated().is_replicated
-    assert "replicated" in replicated(keyed([X])).render()
+    assert "replicated" in replicated().render()
 
 
 def test_cluster_validation():

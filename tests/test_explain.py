@@ -2,11 +2,13 @@
 after selections) and the partial text for the adaptive one (only the
 opening step is decidable before execution)."""
 
+import re
+
 import pytest
 
 from sparqlsim import (
     BasePartition, Cluster, explain_text, generate, load_partitioned,
-    parse_query, WorkloadSpec,
+    parse_query, run_strategy, WorkloadSpec,
 )
 
 from conftest import make_dataset
@@ -89,3 +91,40 @@ def test_unknown_strategy_rejected(university):
     query, dataset, cluster = university
     with pytest.raises(ValueError, match="unknown strategy"):
         explain_text(query, dataset, cluster, "zigzag")
+
+
+_OPENING = re.compile(
+    r"opening step: (Pjoin|Brjoin) on \{([^}]*)\} \((t\d+), (t\d+)\) "
+    r"\| (?:repartition|broadcast): (\d+) tuples(?:, target (t\d+))?$")
+_ALTERNATING_CHAIN = WorkloadSpec(
+    name="afr", shape="chain", pattern_count=4, subject_count=40,
+    profile="alternating-frequent-rare", noise_factor=100)
+
+
+@pytest.mark.parametrize("workload, merge_scan, base", [
+    ("q8", "on", BasePartition.SUBJECT),
+    ("q8", "off", BasePartition.SUBJECT),
+    ("chain", "auto", BasePartition.SUBJECT),      # opens with a Pjoin
+    ("chain", "auto", BasePartition.PREDICATE)])   # opens with a Brjoin
+def test_hybrid_opening_step_is_the_first_executed_join(q8_workload, workload,
+                                                         merge_scan, base):
+    """The opening step explain prints is the first join a hybrid run executes:
+    same algorithm, key, inputs, target and transfer."""
+    wl = q8_workload if workload == "q8" else generate(_ALTERNATING_CHAIN)
+    dataset, cluster = make_dataset(wl.triples, m=4, base=base)
+    text = explain_text(wl.query, dataset, cluster, "hybrid", merge_scan=merge_scan)
+    [step] = [m for m in map(_OPENING.match, text.splitlines()) if m]
+    kind, on, first, second, transfer, target = step.groups()
+    rows = {f"t{i + 1}": int(n) for i, n in
+            enumerate(re.findall(r"^  t\d+: .* \| rows=(\d+) \|", text, re.M))}
+
+    run = run_strategy("hybrid", wl.query, dataset, cluster, merge_scan=merge_scan)
+    entry = next(e for e in run.trace.entries if e.kind in ("pjoin", "brjoin"))
+    # an operator that moved nothing has no ledger line
+    counters = run.ledger.per_operator.get(entry.operator)
+    moved = counters.shuffled_modeled + counters.broadcast if counters else 0
+    assert entry.kind == kind.lower()
+    assert ",".join(v.lexical for v in sorted(entry.on)) == on
+    assert [size for size, _ in entry.inputs] == [rows[first], rows[second]]
+    assert entry.target == (None if target is None else (first, second).index(target))
+    assert moved == int(transfer)
