@@ -17,6 +17,7 @@ stay visible. ``actual <= modeled`` always holds.
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .terms import BindingRow, Term, Triple
@@ -81,6 +82,40 @@ def node_of(row: BindingRow, key: Iterable[Term], m: int) -> int:
             raise UnboundKeyError(f"row {row!r} does not bind partition key {v!r}")
         terms.append(t)
     return key_hash64(terms) % m
+
+
+def placement(schema: Iterable[Term], key: Iterable[Term],
+              m: int) -> Callable[[BindingRow], int]:
+    """Node index function for the rows of one relation under hash
+    partitioning on ``key``; it agrees with :func:`node_of`.
+
+    Every row of a relation binds exactly its schema, in sorted variable
+    order, so the key terms are read by position; destinations are memoized
+    per key. A row whose key positions hold other variables is rejected.
+    """
+    order = sorted(schema)
+    key_vars = tuple(sorted(key))
+    if not key_vars:
+        raise ValueError("partition key must be nonempty")
+    missing = [v for v in key_vars if v not in order]
+    if missing:
+        raise UnboundKeyError(f"schema {order} does not bind partition key {missing}")
+    pick = itemgetter(*(order.index(v) for v in key_vars))
+    single = len(key_vars) == 1
+    memo: dict = {}
+
+    def dest_of(row: BindingRow) -> int:
+        found = pick(row.items)
+        dest = memo.get(found)
+        if dest is None:
+            pairs = (found,) if single else found
+            if tuple(v for v, _ in pairs) != key_vars:
+                raise UnboundKeyError(f"row {row!r} does not bind key {list(key_vars)} "
+                                      "at its schema positions")
+            dest = memo[found] = key_hash64([t for _, t in pairs]) % m
+        return dest
+
+    return dest_of
 
 
 class PartitionKind(Enum):
@@ -262,19 +297,13 @@ class Relation:
 
 def distribute_keyed(schema: Iterable[Term], rows: Iterable[BindingRow],
                      key: Iterable[Term], cluster: Cluster) -> Relation:
+    schema = frozenset(schema)
     key_set = frozenset(key)
+    dest_of = placement(schema, key_set, cluster.m)
     buckets: list[list[BindingRow]] = [[] for _ in cluster.nodes]
-    key_sorted = sorted(key_set)
-    memo: dict[tuple, int] = {}
     for row in rows:
-        terms = tuple(row.get(v) for v in key_sorted)
-        if any(t is None for t in terms):
-            raise UnboundKeyError(f"row {row!r} does not bind key {key_set}")
-        dest = memo.get(terms)
-        if dest is None:
-            dest = memo[terms] = key_hash64(terms) % cluster.m
-        buckets[dest].append(row)
-    return Relation(frozenset(schema), tuple(tuple(b) for b in buckets), keyed(key_set))
+        buckets[dest_of(row)].append(row)
+    return Relation(schema, tuple(tuple(b) for b in buckets), keyed(key_set))
 
 
 def distribute_random(schema: Iterable[Term], rows: Iterable[BindingRow],
@@ -309,19 +338,9 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
         missing = ", ".join(v.nt() for v in sorted(key_set - rel.schema))
         raise ValueError(f"shuffle key not in relation schema: {missing}")
     m = rel.m
-    key_sorted = sorted(key_set)
+    dest_of = placement(rel.schema, key_set, m)
     buckets: list[list[BindingRow]] = [[] for _ in range(m)]
     moved = 0
-    memo: dict[tuple, int] = {}
-
-    def dest_of(row: BindingRow) -> int:
-        terms = tuple(row.get(v) for v in key_sorted)
-        if any(t is None for t in terms):
-            raise UnboundKeyError(f"row {row!r} does not bind key {key_set}")
-        dest = memo.get(terms)
-        if dest is None:
-            dest = memo[terms] = key_hash64(terms) % m
-        return dest
 
     if rel.partition.is_replicated:
         # Every node already holds every row; collapsing to a keyed layout
@@ -356,14 +375,17 @@ class PlacementError(AssertionError):
 
 
 def check_placement(rel: Relation) -> None:
-    """Verify the partition-state invariant by full scan. Test-build helper;
-    operators do not pay for this in normal runs."""
+    """Verify the partition-state invariant by full scan, and that every row
+    binds exactly the schema in sorted variable order, which the operators
+    rely on to read rows by position. Test-build helper; operators do not
+    pay for this in normal runs."""
     m = rel.m
-    for j, chunk in enumerate(rel.chunks):
+    order = tuple(sorted(rel.schema))
+    for chunk in rel.chunks:
         for row in chunk:
-            if row.domain != rel.schema:
+            if tuple(v for v, _ in row.items) != order:
                 raise PlacementError(
-                    f"row domain {sorted(row.domain)} != schema {sorted(rel.schema)}")
+                    f"row {row!r} does not bind schema {list(order)} in variable order")
     if rel.partition.kind is PartitionKind.KEYED:
         for j, chunk in enumerate(rel.chunks):
             for row in chunk:

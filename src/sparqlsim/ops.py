@@ -9,20 +9,22 @@ Accounting conventions (charged to the :class:`TransferLedger`):
   exactly on the join variables (replicated inputs are never shuffled);
 * a broadcast join replicates every non-target input at ``(m-1)`` copies.
 
-Join results use bag semantics. The hash key of the local join is the join
-variable set restricted to the schemas at each fold step; residual shared
-variables are enforced by row-merge compatibility, so the result is always
-the natural join of the inputs.
+Join results use bag semantics: the natural join of the inputs. The local
+join folds from a driver input (the broadcast target, or the first
+partitioned pjoin input) through the inputs connected to it, and hashes each
+step on every variable the step's input shares with the rows folded so far,
+so a bucket hit is always a compatible pair of rows.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .cluster import (
     Cluster, Dataset, PartitionKind, PartitionState, RANDOM_STATE, Relation,
-    TransferLedger, broadcast, for_each_node, keyed, node_of, shuffle,
+    TransferLedger, broadcast, for_each_node, keyed, placement, shuffle,
 )
-from .terms import BindingRow, EMPTY_ROW, Term, Triple, TriplePattern, merge_rows
+from .terms import BindingRow, EMPTY_ROW, Term, Triple, TriplePattern
 
 
 @dataclass(frozen=True)
@@ -170,40 +172,135 @@ def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
     return relations, subset_size
 
 
-def local_nary_join(parts: Sequence[tuple[Sequence[BindingRow], frozenset[Term]]],
-                    on: frozenset[Term]) -> list[BindingRow]:
-    """Node-local n-ary hash join.
+def fold_order(schemas: Sequence[frozenset[Term]], counts: Sequence[int],
+               driver: int) -> list[int]:
+    """Input indices in the order the local join folds them.
 
-    Inputs are folded left to right. Each step hashes the next input on the
-    join variables present in both sides' schemas and merges candidate rows,
-    which also enforces any residual shared variables. With ``on`` empty this
-    degenerates to a filtered cross product (the planner only requests that
-    when cross products are explicitly allowed).
+    The fold starts at ``driver``, then repeatedly takes the input that
+    shares a variable with the schema folded so far and has the smallest
+    logical row count, ties to the lower index. A disconnected input is
+    taken only when no connected one remains, which happens only for a
+    requested cross product. The order depends on schemas and logical counts
+    alone, so every node folds alike.
     """
-    if not parts:
-        return []
-    acc_rows = list(parts[0][0])
-    acc_schema = set(parts[0][1])
-    for rows, schema in parts[1:]:
-        if not acc_rows:
-            return []
-        step_key = sorted(on & acc_schema & schema)
-        index: dict[tuple, list[BindingRow]] = {}
-        for row in rows:
-            key = tuple(row.get(v) for v in step_key)
-            index.setdefault(key, []).append(row)
-        out: list[BindingRow] = []
-        for left in acc_rows:
-            bucket = index.get(tuple(left.get(v) for v in step_key))
+    order = [driver]
+    acc = set(schemas[driver])
+    rest = [i for i in range(len(schemas)) if i != driver]
+    while rest:
+        candidates = [i for i in rest if acc & schemas[i]] or rest
+        nxt = min(candidates, key=lambda i: (counts[i], i))
+        order.append(nxt)
+        rest.remove(nxt)
+        acc |= schemas[nxt]
+    return order
+
+
+def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Like ``itemgetter(*positions)``, but always returns a tuple."""
+    if len(positions) == 1:
+        pos = positions[0]
+        return lambda seq: (seq[pos],)
+    if not positions:
+        return lambda seq: ()
+    return itemgetter(*positions)
+
+
+class _FoldStep:
+    """One step of a node-local join, planned once per operator.
+
+    The step hashes one input on every variable it shares with the rows
+    folded so far and probes with those rows. Rows travel as their
+    ``items`` tuples: every row of a relation binds exactly its schema, in
+    sorted variable order, so each variable sits at a fixed position and
+    key and output tuples are cut by position.
+    """
+
+    __slots__ = ("rel", "probe_key", "build_key", "pick", "out_vars", "_table")
+
+    def __init__(self, rel: Relation, acc_vars: list[Term]):
+        in_vars = sorted(rel.schema)
+        shared = [v for v in acc_vars if v in rel.schema]
+        added = [v for v in in_vars if v not in shared]
+        self.rel = rel
+        self.probe_key = _tuple_getter([acc_vars.index(v) for v in shared])
+        self.build_key = _tuple_getter([in_vars.index(v) for v in shared])
+        self.out_vars = sorted(acc_vars + added)
+        # An output row is picked from the probe row's items followed by the
+        # build row's items; None when the input adds no variable.
+        both = acc_vars + in_vars
+        self.pick = (_tuple_getter([both.index(v) for v in self.out_vars])
+                     if added else None)
+        self._table: dict[tuple, list[tuple]] | None = None
+
+    def table(self, j: int) -> dict[tuple, list[tuple]]:
+        """Node ``j``'s share of the input, hashed on the shared variables.
+        A replicated input's chunk is the same on every node, so its table
+        is built once and reused."""
+        if self._table is not None:
+            return self._table
+        table: dict[tuple, list[tuple]] = {}
+        key = self.build_key
+        for row in self.rel.chunks[j]:
+            items = row.items
+            k = key(items)
+            bucket = table.get(k)
+            if bucket is None:
+                table[k] = [items]
+            else:
+                bucket.append(items)
+        if self.rel.partition.is_replicated:
+            self._table = table
+        return table
+
+    def probe(self, acc: list[tuple], table: dict[tuple, list[tuple]]) -> list[tuple]:
+        key, pick, lookup = self.probe_key, self.pick, table.get
+        out: list[tuple] = []
+        for items in acc:
+            bucket = lookup(key(items))
             if bucket is None:
                 continue
-            for right in bucket:
-                merged = merge_rows(left, right)
-                if merged is not None:
-                    out.append(merged)
-        acc_rows = out
-        acc_schema |= schema
-    return acc_rows
+            if pick is None:
+                out.extend([items] * len(bucket))
+            else:
+                for right in bucket:
+                    out.append(pick(items + right))
+        return out
+
+
+def local_nary_join(rows: Sequence[BindingRow], steps: Sequence[_FoldStep],
+                    j: int) -> list[BindingRow]:
+    """Node-local n-ary hash join of node ``j``'s driver ``rows`` with its
+    share of every other input, folded in the order of ``steps``.
+
+    With no shared variable a step degenerates to a cross product (the
+    planner only requests one when cross products are explicitly allowed).
+    """
+    acc = [row.items for row in rows]
+    for step in steps:
+        if not acc:
+            return []
+        acc = step.probe(acc, step.table(j))
+    return [BindingRow(items) for items in acc]
+
+
+def _join_nodes(staged: Sequence[Relation], driver: int,
+                cluster: Cluster) -> tuple[tuple[BindingRow, ...], ...]:
+    """Run the local join on every node, driven by ``staged[driver]``'s
+    chunks; the fold order and the step layouts are planned once."""
+    steps: list[_FoldStep] = []
+    acc_vars = sorted(staged[driver].schema)
+    order = fold_order([rel.schema for rel in staged],
+                       [rel.count for rel in staged], driver)
+    for i in order[1:]:
+        step = _FoldStep(staged[i], acc_vars)
+        steps.append(step)
+        acc_vars = step.out_vars
+    driver_chunks = staged[driver].chunks
+
+    def join_node(j: int) -> tuple[BindingRow, ...]:
+        return tuple(local_nary_join(driver_chunks[j], steps, j))
+
+    return tuple(for_each_node(cluster, join_node))
 
 
 def _union_schema(inputs: Sequence[Relation]) -> frozenset[Term]:
@@ -246,18 +343,14 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation], cluster: Cluster,
         # All inputs replicated: restrict the first input to each node's hash
         # share so every result row is produced exactly once, at no cost.
         first = staged[0]
-        key_sorted = sorted(on)
-        sliced = tuple(
-            tuple(r for r in first.chunks[j] if node_of(r, key_sorted, cluster.m) == j)
-            for j in cluster.nodes)
-        staged[0] = Relation(first.schema, sliced, keyed(on))
+        dest_of = placement(first.schema, on, cluster.m)
+        sliced: list[list[BindingRow]] = [[] for _ in cluster.nodes]
+        for row in first.chunks[0]:
+            sliced[dest_of(row)].append(row)
+        staged[0] = Relation(first.schema, tuple(tuple(c) for c in sliced), keyed(on))
 
-    def join_node(j: int) -> tuple[BindingRow, ...]:
-        parts = [(rel.chunks[j], rel.schema) for rel in staged]
-        return tuple(local_nary_join(parts, on))
-
-    chunks = tuple(for_each_node(cluster, join_node))
-    return Relation(_union_schema(inputs), chunks, keyed(on))
+    driver = next(i for i, rel in enumerate(staged) if not rel.partition.is_replicated)
+    return Relation(_union_schema(inputs), _join_nodes(staged, driver, cluster), keyed(on))
 
 
 def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
@@ -267,9 +360,10 @@ def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
     all nodes and the join runs against the target's local chunks, so the
     result inherits the target's partition state.
 
-    ``on`` acts as the hash-key hint for the local join; it does not need to
-    be contained in every schema (a whole-query broadcast join uses the union
-    of all join variables).
+    ``on`` names the join variables; it does not need to be contained in
+    every schema (a whole-query broadcast join uses the union of all join
+    variables). The local join hashes on the variables the inputs actually
+    share, so ``on`` only guards against an unrequested cross product.
     """
     if len(inputs) < 2:
         raise ValueError("brjoin needs at least two inputs")
@@ -281,14 +375,8 @@ def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
 
     staged = [rel if i == target_index else broadcast(rel, ledger, operator)
               for i, rel in enumerate(inputs)]
-    target = inputs[target_index]
-
-    def join_node(j: int) -> tuple[BindingRow, ...]:
-        parts = [(rel.chunks[j], rel.schema) for rel in staged]
-        return tuple(local_nary_join(parts, on))
-
-    chunks = tuple(for_each_node(cluster, join_node))
-    return Relation(_union_schema(inputs), chunks, target.partition)
+    chunks = _join_nodes(staged, target_index, cluster)
+    return Relation(_union_schema(inputs), chunks, inputs[target_index].partition)
 
 
 def project(rel: Relation, select: Sequence[Term]) -> Relation:

@@ -166,8 +166,10 @@ def plan_pjoin_strategy(logical: LogicalNode) -> PhysicalPlan:
 def plan_mono_brjoin(logical: LogicalNode, leaf_sizes: dict[int, int]) -> PhysicalPlan:
     """One broadcast join over all selections: every input except the largest
     is replicated everywhere. The target is the largest selection (ties to
-    the smallest pattern index); input order beyond that does not affect
-    what is transferred, so non-targets keep textual order."""
+    the smallest pattern index). Input order beyond that affects neither
+    what is transferred nor the local join, which folds from the target
+    through connected inputs (:func:`sparqlsim.ops.fold_order`), so
+    non-targets keep textual order."""
     leaves = sorted(_collect_leaves(logical), key=lambda lf: lf.index)
     if len(leaves) == 1:
         return PhysicalPlan("mono-br", _leaf(leaves[0]))

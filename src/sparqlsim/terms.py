@@ -278,23 +278,3 @@ class BindingRow:
 
 
 EMPTY_ROW = BindingRow(())
-
-
-def merge_rows(a: BindingRow, b: BindingRow) -> BindingRow | None:
-    """Merge two rows if they agree on every shared variable, else None.
-
-    This is the compatibility check used for residual shared variables that
-    are not part of a join's hash key.
-    """
-    if not a.items:
-        return b
-    if not b.items:
-        return a
-    merged = dict(a.items)
-    for v, t in b.items:
-        existing = merged.get(v)
-        if existing is None:
-            merged[v] = t
-        elif existing != t:
-            return None
-    return BindingRow(tuple(sorted(merged.items())))

@@ -247,8 +247,8 @@ def _grid_rows(count: int, side: str, value_var) -> tuple[BindingRow, ...]:
     # ledger count rows, not distinct terms, and the two sides stay disjoint
     keys = tuple(iri(f"{_GRID}{side}/x{i}") for i in range(min(count, 256)))
     return tuple(
-        BindingRow(((_GX, keys[i % len(keys)]),
-                    (value_var, iri(f"{_GRID}{side}/v{i}"))))
+        BindingRow.from_mapping({_GX: keys[i % len(keys)],
+                                 value_var: iri(f"{_GRID}{side}/v{i}")})
         for i in range(count))
 
 

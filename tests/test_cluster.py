@@ -185,6 +185,16 @@ def test_check_placement_rejects_misplaced_rows():
         check_placement(broken)
 
 
+def test_rows_must_bind_the_schema_in_variable_order():
+    # Operators read key and output terms by position, so a row built with
+    # unsorted items is rejected rather than silently misplaced.
+    bad = BindingRow(((Y, iri("http://e/1")), (X, iri("http://e/2"))))
+    with pytest.raises(PlacementError):
+        check_placement(distribute_random([X, Y], [bad], Cluster(2)))
+    with pytest.raises(UnboundKeyError):
+        distribute_keyed([X, Y], [bad], [X], Cluster(2))
+
+
 def test_ledger_totals_and_dict():
     ledger = TransferLedger()
     ledger.tally("op1", scanned=10, shuffled_modeled=4, shuffled_actual=2)

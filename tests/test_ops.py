@@ -1,18 +1,27 @@
 """Physical operators on hand-checked data: selection, merged selection,
 partitioned join, broadcast join, projection."""
 
+import itertools
+
 import pytest
 from collections import Counter
+from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
     BasePartition, BindingRow, Cluster, TransferLedger, iri, keyed, lit, var,
 )
-from sparqlsim.cluster import RANDOM_STATE, broadcast, check_placement
-from sparqlsim.ops import (
-    SelectionSpec, brjoin, compile_specs, merged_selection, pjoin, project,
-    selection_state, triple_selection,
+from sparqlsim.cluster import (
+    RANDOM_STATE, broadcast, check_placement, distribute_keyed, distribute_random,
+    replicate_rows,
 )
-from sparqlsim.terms import Triple, TriplePattern
+from sparqlsim.logical import build_logical
+from sparqlsim.ops import (
+    SelectionSpec, brjoin, compile_specs, fold_order, merged_selection, pjoin,
+    project, selection_state, triple_selection,
+)
+from sparqlsim.physical import plan_mono_brjoin
+from sparqlsim.terms import EMPTY_ROW, Triple, TriplePattern
+from sparqlsim.workloads import snowflake_query, snowflake_selection_sizes
 
 from conftest import A, AGE, B, C, D0, EX, KNOWS, NAME, make_dataset
 
@@ -240,3 +249,112 @@ def test_project_is_bag_semantics_and_tracks_key():
     onto_y = project(knows, [Y])
     assert onto_y.partition == RANDOM_STATE  # key projected away
     assert onto_y.count == 3
+
+
+def test_fold_order_on_q8_mono_brjoin_starts_at_target_and_stays_connected():
+    # Inputs t1(x), t2(y), t3(x,y), t4(y) with target t5(x,z): folding in
+    # plan order would join t1 with t2 as a cross product on every node.
+    query = snowflake_query()
+    sizes = snowflake_selection_sizes(1500)
+    root = plan_mono_brjoin(build_logical(query.patterns), sizes).root
+    schemas = [child.vars for child in root.children]
+    counts = [sizes[child.index] for child in root.children]
+    order = fold_order(schemas, counts, root.target)
+
+    assert sorted(order) == list(range(len(schemas)))
+    assert order[0] == root.target
+    folded = set(schemas[order[0]])
+    for i in order[1:]:
+        assert folded & schemas[i], f"t{root.children[i].index + 1} folded disconnected"
+        folded |= schemas[i]
+    assert [root.children[i].label for i in order] == ["t5", "t1", "t3", "t4", "t2"]
+
+
+def test_fold_order_takes_a_disconnected_input_only_when_nothing_else_joins():
+    schemas = [frozenset({X}), frozenset(), frozenset({Y}), frozenset({X, Y})]
+    assert fold_order(schemas, [5, 1, 1, 9], 0) == [0, 3, 2, 1]
+    assert fold_order(schemas, [5, 1, 1, 9], 1) == [1, 2, 3, 0]
+
+
+_JOIN_VARS = (X, Y, N, G)
+_JOIN_TERMS = tuple(iri(EX + f"v{i}") for i in range(3))
+
+
+@st.composite
+def _join_case(draw, kind):
+    """A pjoin or brjoin over 2-4 small random relations on m nodes."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    subsets = st.frozensets(st.sampled_from(_JOIN_VARS), max_size=3)
+    if kind == "pjoin":
+        on = draw(subsets.filter(bool))
+        schemas = [on | draw(subsets) for _ in range(k)]
+    else:
+        schemas = [draw(subsets) for _ in range(k)]
+        shared = [a & b for a, b in itertools.combinations(schemas, 2)]
+        on = frozenset().union(*shared)
+    all_replicated = draw(st.booleans())
+    cluster = Cluster(m)
+    inputs = []
+    for schema in schemas:
+        order = sorted(schema)
+        values = st.tuples(*[st.sampled_from(_JOIN_TERMS) for _ in order])
+        rows = [BindingRow(tuple(zip(order, vals)))
+                for vals in draw(st.lists(values, max_size=5))]
+        layout = "replicated" if all_replicated else draw(
+            st.sampled_from(["random", "keyed", "replicated"] if schema
+                            else ["random", "replicated"]))
+        if layout == "replicated":
+            inputs.append(replicate_rows(schema, rows, cluster))
+        elif layout == "keyed":
+            key = draw(st.frozensets(st.sampled_from(order), min_size=1))
+            inputs.append(distribute_keyed(schema, rows, key, cluster))
+        else:
+            inputs.append(distribute_random(schema, rows, cluster,
+                                            start=draw(st.integers(0, 4))))
+    return on, inputs, cluster
+
+
+def _nested_loop_join(inputs) -> Counter:
+    acc = [{}]
+    for rel in inputs:
+        acc = [{**left, **right.as_dict()} for left in acc for right in rel.rows()
+               if all(left.get(v, t) == t for v, t in right.as_dict().items())]
+    return Counter(BindingRow.from_mapping(d) for d in acc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_join_case("pjoin"))
+def test_pjoin_is_the_natural_join_in_any_input_order(case):
+    on, inputs, cluster = case
+    expected = _nested_loop_join(inputs)
+    for perm in itertools.permutations(inputs):
+        out = pjoin(on, list(perm), cluster, TransferLedger())
+        check_placement(out)
+        assert rows(out) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_join_case("brjoin"))
+def test_brjoin_is_the_natural_join_for_any_target_and_input_order(case):
+    on, inputs, cluster = case
+    expected = _nested_loop_join(inputs)
+    for perm in itertools.permutations(inputs):
+        for target in range(len(perm)):
+            out = brjoin(on, list(perm), target, cluster, TransferLedger(),
+                         allow_empty_on=True)
+            check_placement(out)
+            assert rows(out) == expected
+
+
+def test_brjoin_cross_product_with_an_all_ground_pattern():
+    # An all-ground pattern selects rows with an empty schema; joining it is
+    # a cross product that repeats every row once per match.
+    cluster, ledger, (knows, _, _) = _selections()
+    ground = distribute_random(frozenset(), [EMPTY_ROW, EMPTY_ROW], cluster)
+    for inputs, target in (([ground, knows], 1), ([knows, ground], 0),
+                           ([knows, ground], 1)):
+        out = brjoin(frozenset(), inputs, target, cluster, ledger,
+                     allow_empty_on=True)
+        check_placement(out)
+        assert rows(out) == Counter({row: 2 for row in expected_knows()})

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import BindingRow, Term, TermKind, Triple, TriplePattern, blank, iri, lit, var
-from sparqlsim.terms import (
-    EMPTY_ROW, escape_literal_text, literal_token, merge_rows, pattern_vars,
-)
+from sparqlsim.terms import EMPTY_ROW, escape_literal_text, literal_token, pattern_vars
 
 
 def test_interning_returns_identical_objects():
@@ -76,46 +74,6 @@ def test_binding_row_is_order_insensitive_and_hashable():
     assert a.get(var("missing")) is None
     assert a.domain == frozenset({var("x"), var("y")})
     assert len(EMPTY_ROW) == 0
-
-
-def test_merge_rows_compatible_and_conflicting():
-    left = BindingRow.from_mapping({var("x"): iri("http://e/1"), var("y"): lit("v")})
-    right_ok = BindingRow.from_mapping({var("y"): lit("v"), var("z"): lit("w")})
-    right_bad = BindingRow.from_mapping({var("y"): lit("other")})
-    merged = merge_rows(left, right_ok)
-    assert merged is not None
-    assert merged.domain == frozenset({var("x"), var("y"), var("z")})
-    assert merge_rows(left, right_bad) is None
-    assert merge_rows(left, EMPTY_ROW) == left
-
-
-_term_strategy = st.one_of(
-    st.integers(0, 30).map(lambda i: iri(f"http://e/r{i}")),
-    st.integers(0, 10).map(lambda i: lit(f"v{i}")),
-)
-_var_strategy = st.sampled_from([var("x"), var("y"), var("z"), var("w")])
-
-
-def _rows(max_vars=4):
-    return st.dictionaries(_var_strategy, _term_strategy, max_size=max_vars).map(
-        BindingRow.from_mapping)
-
-
-@given(_rows(), _rows())
-def test_merge_rows_agrees_with_dict_semantics(a, b):
-    merged = merge_rows(a, b)
-    da, db = a.as_dict(), b.as_dict()
-    compatible = all(db[k] == v for k, v in da.items() if k in db)
-    if compatible:
-        assert merged is not None
-        assert merged.as_dict() == {**da, **db}
-    else:
-        assert merged is None
-
-
-@given(_rows(), _rows())
-def test_merge_rows_is_symmetric(a, b):
-    assert merge_rows(a, b) == merge_rows(b, a)
 
 
 @given(st.text(max_size=40))
