@@ -15,12 +15,12 @@ the actual count only rows that really change nodes, so co-location savings
 stay visible. ``actual <= modeled`` always holds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .terms import BindingRow, Term, Triple
+from .terms import BindingRow, Term, TermKind, Triple
 
 T = TypeVar("T")
 
@@ -29,20 +29,41 @@ _FNV_PRIME = 0x100000001B3
 _FNV_MASK = (1 << 64) - 1
 
 
-def fnv1a_64(data: bytes) -> int:
+def fnv1a_64(data: bytes, state: int = _FNV_OFFSET) -> int:
     """FNV-1a 64-bit hash. Deterministic across processes and platforms,
-    unlike Python's seeded str hash."""
-    h = _FNV_OFFSET
+    unlike Python's seeded str hash.
+
+    The hash folds bytes in order, so ``fnv1a_64(b, fnv1a_64(a))`` equals
+    ``fnv1a_64(a + b)``: passing the state reached after a prefix resumes
+    the hash there."""
+    h = state
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _FNV_MASK
     return h
 
 
+# FNV state after "<" plus an IRI's namespace (everything up to and
+# including its last "/"); one entry per namespace, so IRIs that share one
+# hash only their local names.
+_namespace_state: dict[str, int] = {}
+
+
 def term_hash64(term: Term) -> int:
-    """Placement hash of a single term, cached on the term object."""
+    """Placement hash of a single term: the FNV-1a hash of its canonical
+    serialization, cached on the term object."""
     h = term._h64
     if h is None:
-        h = fnv1a_64(term.nt().encode("utf-8"))
+        if term.kind is TermKind.IRI:
+            lexical = term.lexical
+            cut = lexical.rfind("/") + 1
+            namespace = lexical[:cut]
+            state = _namespace_state.get(namespace)
+            if state is None:
+                state = _namespace_state[namespace] = fnv1a_64(
+                    ("<" + namespace).encode("utf-8"))
+            h = fnv1a_64((lexical[cut:] + ">").encode("utf-8"), state)
+        else:
+            h = fnv1a_64(term.nt().encode("utf-8"))
         object.__setattr__(term, "_h64", h)
     return h
 
@@ -420,13 +441,40 @@ class BasePartition(Enum):
         return None
 
 
+def _predicate_groups(chunk: Iterable[Triple]) -> dict[Term, tuple[Triple, ...]]:
+    """One node's predicate index: each predicate of ``chunk`` maps to its
+    triples, in chunk order."""
+    groups: dict[Term, list[Triple]] = {}
+    for t in chunk:
+        group = groups.get(t.p)
+        if group is None:
+            groups[t.p] = [t]
+        else:
+            group.append(t)
+    return {p: tuple(group) for p, group in groups.items()}
+
+
 @dataclass(frozen=True, slots=True)
 class Dataset:
     """A distributed triple store: per-node triple chunks plus the base
-    partitioning they satisfy."""
+    partitioning they satisfy.
+
+    ``index`` is a per-node predicate index, built from the chunks: for
+    node ``j``, ``index[j]`` maps each predicate to that node's triples of
+    the predicate, in chunk order, predicates in order of first appearance.
+    It holds references to the chunk triples only, and lets a selection
+    with a ground predicate read just its own triples (vertical
+    partitioning). The cost model does not see it: a selection is still
+    charged a full pass over the store."""
 
     chunks: tuple[tuple[Triple, ...], ...]
     base: BasePartition
+    index: tuple[dict[Term, tuple[Triple, ...]], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index",
+                           tuple(_predicate_groups(c) for c in self.chunks))
 
     @property
     def m(self) -> int:

@@ -14,11 +14,17 @@ join folds from a driver input (the broadcast target, or the first
 partitioned pjoin input) through the inputs connected to it, and hashes each
 step on every variable the step's input shares with the rows folded so far,
 so a bucket hit is always a compatible pair of rows.
+
+The scan charges are modeled, not the simulator's work: the host reads a
+selection with a ground predicate from the store's per-node predicate index
+(:attr:`Dataset.index`), so it touches only that predicate's triples, and
+only a variable predicate makes it read whole chunks.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cluster import (
     Cluster, Dataset, PartitionKind, PartitionState, RANDOM_STATE, Relation,
@@ -31,15 +37,18 @@ from .terms import BindingRow, EMPTY_ROW, Term, Triple, TriplePattern
 class SelectionSpec:
     """A triple pattern compiled for scanning.
 
-    ``conditions`` holds one (position, term) equality per ground position;
-    ``same_positions`` holds position pairs that a repeated variable forces
-    to be equal; ``template`` lists (variable, source position) pairs in
-    variable order, ready to stamp out binding rows.
+    ``predicate`` is the ground predicate, or None when the predicate is a
+    variable; ``conditions`` holds one (position, term) equality per other
+    ground position; ``same_positions`` holds position pairs that a
+    repeated variable forces to be equal; ``template`` lists (variable,
+    source position) pairs in variable order, ready to stamp out binding
+    rows.
     """
 
     index: int
     pattern: TriplePattern
     projection: frozenset[Term]
+    predicate: Term | None
     conditions: tuple[tuple[int, Term], ...]
     same_positions: tuple[tuple[int, int], ...]
     template: tuple[tuple[Term, int], ...]
@@ -56,12 +65,13 @@ class SelectionSpec:
                     first_pos[term] = pos
                 else:
                     same.append((seen, pos))
-            else:
+            elif pos != 1:
                 conditions.append((pos, term))
         template = tuple(sorted(((v, pos) for v, pos in first_pos.items()),
                                 key=lambda item: item[0]))
         return cls(index=index, pattern=pattern,
                    projection=frozenset(first_pos),
+                   predicate=None if pattern.p.is_variable else pattern.p,
                    conditions=tuple(conditions),
                    same_positions=tuple(same),
                    template=template)
@@ -72,6 +82,14 @@ class SelectionSpec:
         return f"t{self.index + 1}"
 
     def matches(self, triple: Triple) -> bool:
+        if self.predicate is not None and triple.p != self.predicate:
+            return False
+        return self.matches_in_group(triple)
+
+    def matches_in_group(self, triple: Triple) -> bool:
+        """:meth:`matches` for a triple that carries the pattern's ground
+        predicate, as every triple of its predicate group does: the
+        predicate is not tested again."""
         for pos, term in self.conditions:
             if triple[pos] != term:
                 return False
@@ -80,10 +98,24 @@ class SelectionSpec:
                 return False
         return True
 
+    @property
+    def matches_whole_group(self) -> bool:
+        """Whether the pattern matches every triple of its predicate group,
+        or, with a variable predicate, every triple of the store."""
+        return not self.conditions and not self.same_positions
+
     def row_for(self, triple: Triple) -> BindingRow:
         if not self.template:
             return EMPTY_ROW
         return BindingRow(tuple((v, triple[pos]) for v, pos in self.template))
+
+    def rows_of(self, triples: Iterable[Triple]) -> tuple[BindingRow, ...]:
+        """One row per matching triple, in order. With a ground predicate,
+        ``triples`` must be triples of that predicate (a predicate group)."""
+        if self.matches_whole_group:
+            return tuple(map(self.row_for, triples))
+        row_for, test = self.row_for, self.matches_in_group
+        return tuple(row_for(t) for t in triples if test(t))
 
 
 def selection_state(spec: SelectionSpec, dataset: Dataset) -> PartitionState:
@@ -104,15 +136,19 @@ def compile_specs(patterns: Sequence[TriplePattern]) -> list[SelectionSpec]:
 
 def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
                      ledger: TransferLedger, operator: str | None = None) -> Relation:
-    """Scan the store once and emit one row per matching triple. Purely
-    node-local; charges one full scan and no transfer."""
+    """Scan the store once and emit one row per matching triple, in chunk
+    order. Purely node-local; charges one full scan and no transfer. A
+    ground predicate reads only that predicate's group of each node's
+    index."""
     if cluster.m != dataset.m:
         raise ValueError(f"dataset is distributed over {dataset.m} nodes, cluster has {cluster.m}")
     op = operator if operator is not None else f"sel[{spec.label}]"
+    pred = spec.predicate
 
     def scan(j: int) -> tuple[BindingRow, ...]:
-        chunk = dataset.chunks[j]
-        return tuple(spec.row_for(t) for t in chunk if spec.matches(t))
+        if pred is None:
+            return spec.rows_of(dataset.chunks[j])
+        return spec.rows_of(dataset.index[j].get(pred, ()))
 
     chunks = tuple(for_each_node(cluster, scan))
     ledger.tally(op, scanned=dataset.size)
@@ -125,9 +161,17 @@ def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
     """Evaluate several selections with one shared pass over the store.
 
     Each node first materializes S, the triples matching at least one
-    pattern, then every pattern is extracted by scanning S. Output rows and
-    partition states are identical to independent selections; only the scan
-    accounting differs. Returns the per-pattern relations and the size of S.
+    pattern, then every pattern is extracted by scanning S. Output row
+    multisets and partition states are identical to independent
+    selections; only the scan accounting differs. Returns the per-pattern
+    relations and the size of S.
+
+    The host pass walks each node's predicate index: a predicate group is
+    tested against the patterns naming that predicate plus the
+    variable-predicate patterns, and skipped when there are none. S stays
+    grouped by predicate, so a ground-predicate pattern is extracted from
+    its own group, with its rows in chunk order; a variable-predicate
+    pattern reads every group, and its rows come out grouped by predicate.
     """
     if not specs:
         raise ValueError("merged selection needs at least one pattern")
@@ -136,34 +180,41 @@ def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
     op = operator if operator is not None else (
         "merged-sel[" + ",".join(s.label for s in specs) + "]")
 
-    # Dispatch on a ground predicate where possible; correctness does not
-    # depend on it, the union pass just avoids testing every pattern.
-    by_predicate: dict[Term, list[SelectionSpec]] = {}
-    general: list[SelectionSpec] = []
+    # The patterns each predicate group is tested against: those naming the
+    # predicate, then the variable-predicate ones, which every group gets.
+    general = [s for s in specs if s.predicate is None]
+    candidates: dict[Term, list[SelectionSpec]] = {}
     for spec in specs:
-        pred = spec.pattern.p
-        if pred.is_variable:
-            general.append(spec)
-        else:
-            by_predicate.setdefault(pred, []).append(spec)
+        if spec.predicate is not None:
+            candidates.setdefault(spec.predicate, []).append(spec)
+    for group_specs in candidates.values():
+        group_specs.extend(general)
 
-    def union_pass(j: int) -> tuple[Triple, ...]:
-        keep = []
-        for t in dataset.chunks[j]:
-            candidates = by_predicate.get(t.p)
-            if candidates is not None and any(s.matches(t) for s in candidates):
-                keep.append(t)
-            elif general and any(s.matches(t) for s in general):
-                keep.append(t)
-        return tuple(keep)
+    def union_pass(j: int) -> dict[Term, tuple[Triple, ...]]:
+        kept: dict[Term, tuple[Triple, ...]] = {}
+        for pred, group in dataset.index[j].items():
+            tests = candidates.get(pred, general)
+            if not tests:
+                continue
+            if any(s.matches_whole_group for s in tests):
+                kept[pred] = group
+                continue
+            keep = tuple(t for t in group if any(s.matches_in_group(t) for s in tests))
+            if keep:
+                kept[pred] = keep
+        return kept
 
-    subset_chunks = for_each_node(cluster, union_pass)
-    subset_size = sum(len(c) for c in subset_chunks)
+    # A node's S is a dict of predicate groups rather than a chunk of rows,
+    # so it is built outside for_each_node, which returns row chunks.
+    subsets = [union_pass(j) for j in cluster.nodes]
+    subset_size = sum(len(group) for kept in subsets for group in kept.values())
 
     relations = []
     for spec in specs:
         def extract(j: int, spec=spec) -> tuple[BindingRow, ...]:
-            return tuple(spec.row_for(t) for t in subset_chunks[j] if spec.matches(t))
+            if spec.predicate is None:
+                return spec.rows_of(chain.from_iterable(subsets[j].values()))
+            return spec.rows_of(subsets[j].get(spec.predicate, ()))
 
         chunks = tuple(for_each_node(cluster, extract))
         relations.append(Relation(spec.projection, chunks, selection_state(spec, dataset)))

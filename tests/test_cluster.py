@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import (
-    BasePartition, BindingRow, Cluster, PlacementError, TransferLedger, iri,
-    keyed, lit, load_partitioned, node_of, replicated, var,
+    BasePartition, BindingRow, Cluster, PlacementError, Term, TermKind,
+    TransferLedger, Triple, iri, keyed, lit, load_partitioned, node_of,
+    replicated, var,
 )
 from sparqlsim.cluster import (
     RANDOM_STATE, UnboundKeyError, broadcast, check_placement, distribute_keyed,
@@ -235,6 +236,46 @@ def test_load_partitioned_other_bases():
     random_ds, _ = make_dataset(D0, m=4, base=BasePartition.RANDOM)
     assert random_ds.size == len(D0)
     assert max(random_ds.node_counts()) - min(random_ds.node_counts()) <= 1
+
+
+# IRI text over an alphabet with slashes and non-ASCII characters, so the
+# namespace split covers no slash, a trailing slash, empty local names and
+# multi-byte UTF-8 on either side of the split.
+_IRI_TEXT = st.text(alphabet=st.sampled_from("ab:#./é€中"), max_size=12)
+
+
+@given(st.one_of(_IRI_TEXT, st.builds("{}/{}".format, _IRI_TEXT, _IRI_TEXT),
+                 st.builds("{}/".format, _IRI_TEXT)))
+def test_iri_hash_resumed_from_its_namespace_equals_the_full_hash(text):
+    # Fresh, uninterned terms carry no cached hash. The second one finds
+    # its namespace state cached by the first.
+    for _ in range(2):
+        term = Term(TermKind.IRI, text)
+        assert term_hash64(term) == fnv1a_64(term.nt().encode("utf-8"))
+
+
+def test_fnv1a_64_resumes_from_a_prefix_state():
+    for data in FNV_GOLDEN:
+        for cut in range(len(data) + 1):
+            assert fnv1a_64(data[cut:], fnv1a_64(data[:cut])) == fnv1a_64(data)
+
+
+_STORE_TERMS = [iri(f"http://example.org/n{i}") for i in range(4)] + [lit("v")]
+_STORE_PREDICATES = [iri(f"http://example.org/p{i}") for i in range(4)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_STORE_TERMS[:4]),
+                          st.sampled_from(_STORE_PREDICATES),
+                          st.sampled_from(_STORE_TERMS)), max_size=40),
+       st.integers(1, 5), st.sampled_from(list(BasePartition)))
+def test_predicate_index_partitions_each_chunk_in_chunk_order(parts, m, base):
+    dataset = load_partitioned([Triple(*t) for t in parts], Cluster(m), base)
+    assert len(dataset.index) == m
+    for chunk, groups in zip(dataset.chunks, dataset.index):
+        assert list(groups) == list(dict.fromkeys(t.p for t in chunk))
+        for p, group in groups.items():
+            assert group == tuple(t for t in chunk if t.p == p)
+        assert sum(len(group) for group in groups.values()) == len(chunk)
 
 
 @given(st.integers(1, 16), st.integers(0, 200))

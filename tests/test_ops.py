@@ -115,6 +115,94 @@ def test_merged_selection_matches_individual_selections():
         assert got.partition == want.partition
 
 
+_P = var("p")
+_SEL_PREDICATES = [iri(EX + f"sp{i}") for i in range(5)]
+_SEL_ABSENT = iri(EX + "absent")                 # never in a store
+_SEL_NODES = [iri(EX + f"sn{i}") for i in range(3)] + _SEL_PREDICATES[:2]
+_SEL_OBJECTS = _SEL_NODES + [lit("v")]
+
+
+def _brute_row(pattern, triple):
+    """The binding of ``pattern`` against ``triple``, or None: a direct
+    reading of the pattern, independent of :class:`SelectionSpec`."""
+    binding = {}
+    for term, value in zip(pattern.positions(), (triple.s, triple.p, triple.o)):
+        if term.is_variable:
+            if binding.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return BindingRow.from_mapping(binding)
+
+
+@st.composite
+def _store(draw):
+    """A random store over 3-5 predicates (subjects include predicates, so
+    ``?x ?x ?o`` can match), loaded under any base partition on 1-5 nodes."""
+    preds = draw(st.lists(st.sampled_from(_SEL_PREDICATES), min_size=3,
+                          max_size=5, unique=True))
+    triples = [Triple(*t) for t in draw(st.lists(
+        st.tuples(st.sampled_from(_SEL_NODES), st.sampled_from(preds),
+                  st.sampled_from(_SEL_OBJECTS)), max_size=40))]
+    base = draw(st.sampled_from(list(BasePartition)))
+    return make_dataset(triples, m=draw(st.integers(1, 5)), base=base)
+
+
+def _pattern(ground_predicate):
+    """Patterns with a ground or variable predicate, ground subjects and
+    objects, and repeated variables (``?x p ?x``, ``?x ?x ?o``)."""
+    if ground_predicate:
+        predicate = st.sampled_from(_SEL_PREDICATES + [_SEL_ABSENT])
+    else:
+        predicate = st.sampled_from([X, _P])
+    return st.builds(TriplePattern,
+                     st.sampled_from([X, Y] + _SEL_NODES[:3] + _SEL_PREDICATES[:1]),
+                     predicate,
+                     st.sampled_from([X, Y, N] + _SEL_OBJECTS[:1] + _SEL_OBJECTS[-1:]))
+
+
+_ANY_PATTERN = st.booleans().flatmap(_pattern)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_store(), _ANY_PATTERN)
+def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
+    dataset, cluster = store
+    spec = SelectionSpec.compile(0, pattern)
+    ledger = TransferLedger()
+    rel = triple_selection(spec, dataset, cluster, ledger)
+    for j, chunk in enumerate(dataset.chunks):
+        want = tuple(spec.row_for(t) for t in chunk if spec.matches(t))
+        assert rel.chunks[j] == want                 # chunk order, every node
+        brute = (_brute_row(pattern, t) for t in chunk)
+        assert want == tuple(row for row in brute if row is not None)
+    assert rel.partition == selection_state(spec, dataset)
+    check_placement(rel)
+    assert ledger.totals()["scanned"] == dataset.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(_store(), _pattern(True), _pattern(False),
+       st.lists(_ANY_PATTERN, max_size=3))
+def test_merged_selection_equals_independent_selections(store, ground, general, more):
+    dataset, cluster = store
+    specs = compile_specs([ground, general] + more)
+    ledger = TransferLedger()
+    merged, subset = merged_selection(specs, dataset, cluster, ledger)
+    for spec, got in zip(specs, merged):
+        want = triple_selection(spec, dataset, cluster, TransferLedger())
+        for j in range(dataset.m):
+            if spec.predicate is None:
+                assert Counter(got.chunks[j]) == Counter(want.chunks[j])
+            else:
+                assert got.chunks[j] == want.chunks[j]
+        assert got.partition == want.partition
+        check_placement(got)
+    assert subset == sum(1 for chunk in dataset.chunks for t in chunk
+                         if any(_brute_row(s.pattern, t) is not None for s in specs))
+    assert ledger.totals()["scanned"] == dataset.size + len(specs) * subset
+
+
 def test_merged_selection_single_pattern_degenerates_to_plain_scan():
     dataset, cluster = make_dataset(D0, m=2)
     ledger = TransferLedger()
