@@ -45,14 +45,12 @@ class BenchCase:
 class BenchReport:
     suite: str
     partitioning: str
-    merge_scan: str
     cells: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
         payload = {
             "suite": self.suite,
             "partitioning": self.partitioning,
-            "merge_scan": self.merge_scan,
             "cells": self.cells,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -83,14 +81,12 @@ def cases_from_suite(suite: Suite) -> list[BenchCase]:
 
 
 def run_bench(cases: Sequence[BenchCase], *, ms: Sequence[int] = (4,),
-              strategies: Sequence[str] = STRATEGIES,
-              partitioning: str = "subject", merge_scan: str = "auto",
+              strategies: Sequence[str] = STRATEGIES, partitioning: str = "subject",
               include_wall: bool = True, allow_cross: bool = False,
               validate: bool = False, verify_limit: int = DEFAULT_VERIFY_LIMIT,
               suite_name: str = "adhoc") -> BenchReport:
     base = BasePartition(partitioning)
-    report = BenchReport(suite=suite_name, partitioning=partitioning,
-                         merge_scan=merge_scan)
+    report = BenchReport(suite=suite_name, partitioning=partitioning)
     for case in cases:
         shape = classify_shape(case.query.patterns)
         expected = None
@@ -102,7 +98,6 @@ def run_bench(cases: Sequence[BenchCase], *, ms: Sequence[int] = (4,),
             dataset = load_partitioned(case.triples, cluster, base)
             for strategy in strategies:
                 result = run_strategy(strategy, case.query, dataset, cluster,
-                                      merge_scan=merge_scan,
                                       allow_cross=allow_cross, validate=validate)
                 status = "ok"
                 if expected is not None:
@@ -127,6 +122,5 @@ def run_suite(suite: Suite, *, include_wall: bool = True,
               verify_limit: int = DEFAULT_VERIFY_LIMIT) -> BenchReport:
     return run_bench(
         cases_from_suite(suite), ms=suite.m, strategies=suite.strategies,
-        partitioning=suite.partitioning, merge_scan=suite.merge_scan,
-        include_wall=include_wall, validate=validate,
-        verify_limit=verify_limit, suite_name=suite.name)
+        partitioning=suite.partitioning, include_wall=include_wall,
+        validate=validate, verify_limit=verify_limit, suite_name=suite.name)

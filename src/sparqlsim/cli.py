@@ -30,7 +30,6 @@ from .engine import STRATEGIES, result_cell, run_query, sorted_result_rows
 from .errors import CartesianProductError, ParseError, UnsupportedFeatureError
 from .executor import trace_cost
 from .explain import explain_text
-from .hybrid import MERGE_MODES
 from .logical import classify_shape
 from .ntriples import parse_ntriples
 from .oracle import as_multiset
@@ -67,9 +66,6 @@ def _add_planning_options(p: argparse.ArgumentParser, *,
     p.add_argument("--strategy", choices=STRATEGIES + ("all",),
                    default=default_strategy,
                    help=f"join strategy (default {default_strategy})")
-    p.add_argument("--merge-scan", choices=MERGE_MODES, default="auto",
-                   help="share one store pass across selections in the "
-                        "adaptive strategy (default auto)")
     p.add_argument("--allow-cross-product", action="store_true",
                    help="permit patterns whose variable graph is disconnected")
 
@@ -122,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--strategy", choices=STRATEGIES + ("all",),
                          default=None, help="strategy or 'all' (default: suite "
                          "setting, else all)")
-    p_bench.add_argument("--merge-scan", choices=MERGE_MODES, default=None,
-                         help="shared-scan mode (default: suite setting, else auto)")
     p_bench.add_argument("--allow-cross-product", action="store_true",
                          help="permit disconnected patterns")
     p_bench.add_argument("--validate", action="store_true",
@@ -167,7 +161,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     params = CostParams(args.theta_acc, args.theta_comm)
 
     results = run_query(query, dataset, cluster, args.strategy,
-                        merge_scan=args.merge_scan,
                         allow_cross=args.allow_cross_product,
                         validate=args.validate)
     baseline = as_multiset(results[0].relation.rows())
@@ -207,7 +200,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     query, _ = parse_query_file(args.query)
     names = STRATEGIES if args.strategy == "all" else (args.strategy,)
     blocks = [explain_text(query, dataset, cluster, name,
-                           merge_scan=args.merge_scan,
                            allow_cross=args.allow_cross_product)
               for name in names]
     print(("=" * 64 + "\n").join(blocks), end="")
@@ -220,15 +212,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.suite:
         suite = load_suite(args.suite)
         overridden = (args.partitions is not None or strategies is not None
-                      or args.partition_key is not None
-                      or args.merge_scan is not None)
+                      or args.partition_key is not None)
         if overridden:
             report = run_bench(
                 cases_from_suite(suite),
                 ms=tuple(args.partitions) if args.partitions else suite.m,
                 strategies=strategies or suite.strategies,
                 partitioning=args.partition_key or suite.partitioning,
-                merge_scan=args.merge_scan or suite.merge_scan,
                 include_wall=not args.no_wall_time,
                 allow_cross=args.allow_cross_product, validate=args.validate,
                 verify_limit=args.verify_limit, suite_name=suite.name)
@@ -249,7 +239,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             [case], ms=tuple(args.partitions) if args.partitions else (4,),
             strategies=strategies or STRATEGIES,
             partitioning=args.partition_key or "subject",
-            merge_scan=args.merge_scan or "auto",
             include_wall=not args.no_wall_time,
             allow_cross=args.allow_cross_product, validate=args.validate,
             verify_limit=args.verify_limit, suite_name="adhoc")

@@ -11,7 +11,9 @@ Conventions:
 * selection over store D: ``theta_acc * size(D)``;
 * merged selection of n patterns with shared subset S:
   ``theta_acc * (size(D) + n * size(S))``, beneficial against n independent
-  scans iff ``size(D) + n*size(S) < n*size(D)``;
+  scans iff ``size(D) + n*size(S) < n*size(D)``
+  (:func:`merged_scan_beneficial`); the adaptive strategy applies this rule
+  to decide whether its selections share one store pass;
 * partitioned join on V: shuffle charge ``theta_comm * size(R)`` for every
   input R not already keyed exactly on V and not replicated;
 * broadcast join: charge ``theta_comm * (m-1) * size(R)`` for every

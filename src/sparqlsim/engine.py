@@ -55,7 +55,7 @@ def plan_static(strategy: str, logical_tree: LogicalNode,
 
 
 def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster,
-                 *, merge_scan: str = "auto", allow_cross: bool = False,
+                 *, allow_cross: bool = False,
                  validate: bool = False) -> RunResult:
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} "
@@ -66,9 +66,8 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
 
     if strategy == "hybrid":
         run = plan_and_execute_hybrid(
-            query.patterns, dataset, cluster, ledger, merge_scan=merge_scan,
-            allow_cross=allow_cross, select=query.select, trace=trace,
-            validate=validate)
+            query.patterns, dataset, cluster, ledger, allow_cross=allow_cross,
+            select=query.select, trace=trace, validate=validate)
         wall = time.perf_counter() - started
         return RunResult("hybrid", run.plan, run.relation, ledger, trace, wall,
                          evaluations=run.evaluations)

@@ -25,7 +25,8 @@ from .cost import (
     pjoin_shuffle_size,
 )
 from .ops import (
-    SelectionSpec, brjoin, merged_selection, pjoin, project, triple_selection,
+    SelectionSpec, SharedSubset, brjoin, merged_selection, pjoin, project,
+    shared_subset, triple_selection,
 )
 from .physical import (
     BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, SelectionNode, plan_leaves,
@@ -109,17 +110,19 @@ class Executor:
         return result
 
     def run_selections(self, specs: Sequence[SelectionSpec],
-                       merged: bool = False) -> list[Relation]:
-        """Selection step: one store scan per pattern, or with ``merged`` one
-        shared pass over the store for all of them. Fills the leaf cache."""
-        if merged:
-            rels, subset = merged_selection(specs, self.dataset, self.cluster, self.ledger)
+                       subset: SharedSubset | None = None) -> list[Relation]:
+        """Selection step: one store scan per pattern, or, given the shared
+        subset S of ``specs``, one shared pass over the store for all of them
+        with every pattern extracted from S. Fills the leaf cache."""
+        if subset is not None:
+            rels, size = merged_selection(specs, self.dataset, self.cluster,
+                                          self.ledger, subset)
             labels = ",".join(s.label for s in specs)
             self._record(TraceEntry(
                 kind="merged-selection", operator=f"merged-sel[{labels}]", inputs=(),
                 output_size=sum(r.count for r in rels), output_state=rels[0].partition,
                 dataset_size=self.dataset.size, pattern_count=len(specs),
-                subset_size=subset), rels)
+                subset_size=size), rels)
         else:
             rels = []
             for spec in specs:
@@ -182,8 +185,8 @@ class Executor:
                 if idx not in leaves:
                     raise KeyError(f"merged scan group references t{idx + 1}, "
                                    "which is not a leaf of the plan")
-            self.run_selections([SelectionSpec.compile(idx, leaves[idx].pattern)
-                                 for idx in group], merged=True)
+            specs = [SelectionSpec.compile(idx, leaves[idx].pattern) for idx in group]
+            self.run_selections(specs, shared_subset(specs, self.dataset, self.cluster))
 
     def _execute(self, node: PhysNode) -> Relation:
         if isinstance(node, SelectionNode):

@@ -71,8 +71,7 @@ def _selection_lines(query: Query, selections: list[Relation]) -> list[str]:
 
 
 def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
-                 strategy: str, *, merge_scan: str = "auto",
-                 allow_cross: bool = False) -> str:
+                 strategy: str, *, allow_cross: bool = False) -> str:
     shape = classify_shape(query.patterns)
     header = [
         f"strategy: {strategy}",
@@ -85,7 +84,7 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
 
     if strategy == "hybrid":
         return "\n".join(header + _explain_hybrid(query, dataset, cluster,
-                                                  merge_scan, allow_cross)) + "\n"
+                                                  allow_cross)) + "\n"
 
     selections = Executor(dataset, cluster, TransferLedger()).run_selections(
         compile_specs(query.patterns))
@@ -102,15 +101,18 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
 
 
 def _explain_hybrid(query: Query, dataset: Dataset, cluster: Cluster,
-                    merge_scan: str, allow_cross: bool) -> list[str]:
+                    allow_cross: bool) -> list[str]:
     opening = hybrid_opening(query.patterns, dataset, cluster,
-                             merge_scan=merge_scan, allow_cross=allow_cross)
-    lines = []
+                             allow_cross=allow_cross)
+    d, n, s = dataset.size, len(query.patterns), opening.subset_size
+    shared = f"{d} + {n} x {s} = {d + n * s}"
     if opening.merged_groups:
         labels = ", ".join(f"t{i + 1}" for i in opening.merged_groups[0])
-        lines.append(f"selections (one shared store pass over {labels}):")
+        lines = [f"selections (one shared store pass over {labels}: "
+                 f"{shared} < {n} x {d} tuples):"]
     else:
-        lines.append("selections (one store scan each):")
+        lines = [f"selections (one store scan each: a shared pass would read "
+                 f"{shared} >= {n} x {d} tuples):"]
     lines.extend(_selection_lines(query, opening.selections))
 
     for node, cost in opening.steps:

@@ -1,8 +1,12 @@
 """Adaptive strategy: plan each join step from measured sizes, then run it.
 
-The strategy evaluates all selections first (optionally sharing one store
-pass), so every planning decision works with exact input sizes rather than
-estimates. Joins are then chosen greedily, two inputs at a time:
+The strategy evaluates all selections first, so every planning decision
+works with exact input sizes rather than estimates. One union pass over the
+store finds S, the triples that match any pattern; the selections then share
+that pass (charged ``size(D) + n*size(S)``) exactly when the cost model's
+rule says it reads fewer tuples than n independent scans (``n*size(D)``),
+and otherwise scan the store once each. Joins are then chosen greedily, two
+inputs at a time:
 
 * the opening pair is the connected pair with the cheapest join step,
   breaking ties toward the partitioned algorithm, then the smaller combined
@@ -35,15 +39,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cluster import Cluster, Dataset, Relation, TransferLedger
+from .cost import merged_scan_beneficial
 from .executor import ExecutionTrace, Executor
 from .logical import joinable_components
-from .ops import compile_specs
+from .ops import compile_specs, shared_subset
 # Not called here: kept importable because perfbench/tracer.py wraps these names.
 from .ops import brjoin, pjoin, project  # noqa: F401
 from .physical import BrjoinNode, PhysNode, PhysicalPlan, PjoinNode, SelectionNode
 from .terms import Term, TriplePattern
-
-MERGE_MODES = ("on", "off", "auto")
 
 
 @dataclass(slots=True)
@@ -127,17 +130,14 @@ class _HybridPlanner:
     """The adaptive strategy's decisions; ``executor`` runs every step."""
 
     def __init__(self, patterns: Sequence[TriplePattern], executor: Executor, *,
-                 merge_scan: str = "auto", allow_cross: bool = False):
-        if merge_scan not in MERGE_MODES:
-            raise ValueError(f"merge_scan must be one of {MERGE_MODES}, got {merge_scan!r}")
+                 allow_cross: bool = False):
         self.components = joinable_components(patterns, allow_cross)
         self.patterns = list(patterns)
         self.executor = executor
-        self.merge_scan = merge_scan
         self.evaluations = 0
 
     def run(self) -> tuple[PhysNode, Relation, tuple[tuple[int, ...], ...]]:
-        slots, merged_groups = self.select()
+        slots, merged_groups, _ = self.select()
         results = [self._greedy_component([slots[i] for i in members])
                    for members in self.components]
         final = results[0]
@@ -145,15 +145,19 @@ class _HybridPlanner:
             final = self._step(final, nxt, self._best_option(final, nxt))
         return final.node, final.rel, merged_groups
 
-    def select(self) -> tuple[list[_Slot], tuple[tuple[int, ...], ...]]:
-        """Measure every selection, sharing one store pass unless it is off."""
+    def select(self) -> tuple[list[_Slot], tuple[tuple[int, ...], ...], int]:
+        """Measure every selection. Build the shared subset S once and share
+        its store pass exactly when the merged-scan rule holds; return the
+        slots, the merged scan groups and |S|."""
         specs = compile_specs(self.patterns)
-        merged = self.merge_scan in ("on", "auto") and len(specs) >= 2
-        rels = self.executor.run_selections(specs, merged)
+        dataset = self.executor.dataset
+        subset = shared_subset(specs, dataset, self.executor.cluster)
+        merged = merged_scan_beneficial(dataset.size, len(specs), subset.size)
+        rels = self.executor.run_selections(specs, subset if merged else None)
         groups = (tuple(s.index for s in specs),) if merged else ()
         slots = [_Slot(rel, SelectionNode(spec.index, spec.pattern), spec.index)
                  for spec, rel in zip(specs, rels)]
-        return slots, groups
+        return slots, groups, subset.size
 
     def _best_option(self, first: _Slot, second: _Slot) -> _Option:
         opts = _step_options(first, second, self.executor.cluster.m)
@@ -214,34 +218,34 @@ class _HybridPlanner:
 @dataclass(frozen=True, slots=True)
 class HybridOpening:
     """What the adaptive strategy knows before its first join: the measured
-    selections (by pattern index), the merged scan groups, and for each
-    connected component with a join, the opening step and its modeled
-    transfer tuples."""
+    selections (by pattern index), the merged scan groups, the size of the
+    shared subset S, and for each connected component with a join, the
+    opening step and its modeled transfer tuples."""
 
     selections: list[Relation]
     merged_groups: tuple[tuple[int, ...], ...]
+    subset_size: int
     steps: list[tuple[PjoinNode | BrjoinNode, int]]
 
 
 def hybrid_opening(patterns: Sequence[TriplePattern], dataset: Dataset,
-                   cluster: Cluster, *, merge_scan: str = "auto",
-                   allow_cross: bool = False) -> HybridOpening:
+                   cluster: Cluster, *, allow_cross: bool = False) -> HybridOpening:
     """Measure the selections as the adaptive strategy does and pick each
     component's opening step, without joining anything."""
     planner = _HybridPlanner(patterns, Executor(dataset, cluster, TransferLedger()),
-                             merge_scan=merge_scan, allow_cross=allow_cross)
-    slots, merged_groups = planner.select()
+                             allow_cross=allow_cross)
+    slots, merged_groups, subset_size = planner.select()
     steps = []
     for members in planner.components:
         if len(members) > 1:
             first, second, opt = planner.opening([slots[i] for i in members])
             steps.append((_step_node(first, second, opt), opt.cost))
-    return HybridOpening([s.rel for s in slots], merged_groups, steps)
+    return HybridOpening([s.rel for s in slots], merged_groups, subset_size, steps)
 
 
 def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], dataset: Dataset,
                             cluster: Cluster, ledger: TransferLedger, *,
-                            merge_scan: str = "auto", allow_cross: bool = False,
+                            allow_cross: bool = False,
                             select: Sequence[Term] | None = None,
                             trace: ExecutionTrace | None = None,
                             validate: bool = False) -> HybridRun:
@@ -251,8 +255,7 @@ def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], dataset: Dataset,
     result relation, and the number of candidate costings performed.
     """
     executor = Executor(dataset, cluster, ledger, trace, validate)
-    planner = _HybridPlanner(patterns, executor, merge_scan=merge_scan,
-                             allow_cross=allow_cross)
+    planner = _HybridPlanner(patterns, executor, allow_cross=allow_cross)
     root, rel, merged_groups = planner.run()
     if select is not None:
         rel = executor.run_projection(rel, select)

@@ -155,31 +155,28 @@ def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
     return Relation(spec.projection, chunks, selection_state(spec, dataset))
 
 
-def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
-                     cluster: Cluster, ledger: TransferLedger,
-                     operator: str | None = None) -> tuple[list[Relation], int]:
-    """Evaluate several selections with one shared pass over the store.
+@dataclass(frozen=True, slots=True)
+class SharedSubset:
+    """S of a merged scan: on each node, the triples that match at least one
+    of the patterns, grouped by predicate in chunk order; ``size`` is |S|
+    over all nodes."""
 
-    Each node first materializes S, the triples matching at least one
-    pattern, then every pattern is extracted by scanning S. Output row
-    multisets and partition states are identical to independent
-    selections; only the scan accounting differs. Returns the per-pattern
-    relations and the size of S.
+    nodes: tuple[dict[Term, tuple[Triple, ...]], ...]
+    size: int
 
-    The host pass walks each node's predicate index: a predicate group is
-    tested against the patterns naming that predicate plus the
-    variable-predicate patterns, and skipped when there are none. S stays
-    grouped by predicate, so a ground-predicate pattern is extracted from
-    its own group, with its rows in chunk order; a variable-predicate
-    pattern reads every group, and its rows come out grouped by predicate.
+
+def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
+                  cluster: Cluster) -> SharedSubset:
+    """The union pass of a merged scan: S for ``specs``, charging nothing.
+
+    The pass walks each node's predicate index: a predicate group is tested
+    against the patterns naming that predicate plus the variable-predicate
+    patterns, and skipped when there are none.
     """
     if not specs:
         raise ValueError("merged selection needs at least one pattern")
     if cluster.m != dataset.m:
         raise ValueError(f"dataset is distributed over {dataset.m} nodes, cluster has {cluster.m}")
-    op = operator if operator is not None else (
-        "merged-sel[" + ",".join(s.label for s in specs) + "]")
-
     # The patterns each predicate group is tested against: those naming the
     # predicate, then the variable-predicate ones, which every group gets.
     general = [s for s in specs if s.predicate is None]
@@ -206,21 +203,41 @@ def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
 
     # A node's S is a dict of predicate groups rather than a chunk of rows,
     # so it is built outside for_each_node, which returns row chunks.
-    subsets = [union_pass(j) for j in cluster.nodes]
-    subset_size = sum(len(group) for kept in subsets for group in kept.values())
+    nodes = tuple(union_pass(j) for j in cluster.nodes)
+    return SharedSubset(nodes, sum(len(g) for kept in nodes for g in kept.values()))
 
+
+def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
+                     cluster: Cluster, ledger: TransferLedger,
+                     subset: SharedSubset | None = None) -> tuple[list[Relation], int]:
+    """Evaluate several selections with one shared pass over the store.
+
+    Each node first materializes S, the triples matching at least one
+    pattern (:func:`shared_subset`, or ``subset`` when the caller already
+    built it for the same ``specs``), then every pattern is extracted by
+    scanning S. Output row multisets and partition states are identical to
+    independent selections; only the scan accounting differs. Returns the
+    per-pattern relations and the size of S.
+
+    S stays grouped by predicate, so a ground-predicate pattern is extracted
+    from its own group, with its rows in chunk order; a variable-predicate
+    pattern reads every group, and its rows come out grouped by predicate.
+    """
+    if subset is None:
+        subset = shared_subset(specs, dataset, cluster)
     relations = []
     for spec in specs:
         def extract(j: int, spec=spec) -> tuple[BindingRow, ...]:
             if spec.predicate is None:
-                return spec.rows_of(chain.from_iterable(subsets[j].values()))
-            return spec.rows_of(subsets[j].get(spec.predicate, ()))
+                return spec.rows_of(chain.from_iterable(subset.nodes[j].values()))
+            return spec.rows_of(subset.nodes[j].get(spec.predicate, ()))
 
         chunks = tuple(for_each_node(cluster, extract))
         relations.append(Relation(spec.projection, chunks, selection_state(spec, dataset)))
 
-    ledger.tally(op, scanned=dataset.size + len(specs) * subset_size)
-    return relations, subset_size
+    op = "merged-sel[" + ",".join(s.label for s in specs) + "]"
+    ledger.tally(op, scanned=dataset.size + len(specs) * subset.size)
+    return relations, subset.size
 
 
 def fold_order(schemas: Sequence[frozenset[Term]], counts: Sequence[int],

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .cluster import BasePartition
+from .engine import STRATEGIES
 from .errors import ParseError
 from .sparql import RDF_TYPE, Query
 from .terms import Term, Triple, TriplePattern, iri, lit, pattern_vars, var
@@ -277,10 +279,10 @@ class Suite:
     workloads: tuple[WorkloadSpec, ...]
     m: tuple[int, ...] = (4,)
     partitioning: str = "subject"
-    strategies: tuple[str, ...] = ("pjoin", "mono-br", "multi-br", "hybrid")
-    merge_scan: str = "auto"
+    strategies: tuple[str, ...] = STRATEGIES
 
 
+_SUITE_KEYS = {"name", "workloads", "m", "partitioning", "strategies"}
 _SPEC_KEYS = {"name", "shape", "pattern_count", "subject_count", "profile",
               "noise_factor", "parallel", "large_noise", "filler", "seed"}
 
@@ -309,20 +311,34 @@ def load_suite(path: str | Path) -> Suite:
                          source=str(path)) from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: suite file must hold a JSON object")
+    unknown = set(data) - _SUITE_KEYS
+    if unknown:
+        raise ParseError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
     raw_workloads = data.get("workloads")
     if not isinstance(raw_workloads, list) or not raw_workloads:
         raise ParseError(f"{path}: suite needs a nonempty 'workloads' list")
     specs = tuple(_spec_from_dict(raw, f"{path}: workloads[{i}]")
                   for i, raw in enumerate(raw_workloads))
     try:
-        return Suite(
+        suite = Suite(
             name=str(data.get("name", path.stem)),
             workloads=specs,
             m=tuple(int(v) for v in data.get("m", [4])),
             partitioning=str(data.get("partitioning", "subject")),
-            strategies=tuple(str(s) for s in data.get("strategies",
-                             ("pjoin", "mono-br", "multi-br", "hybrid"))),
-            merge_scan=str(data.get("merge_scan", "auto")),
+            strategies=tuple(str(s) for s in data.get("strategies", STRATEGIES)),
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    bad_m = [m for m in suite.m if m < 1]
+    if bad_m:
+        raise ParseError(f"{path}: node counts in 'm' must be at least 1, "
+                         f"got {', '.join(map(str, bad_m))}")
+    bases = tuple(b.value for b in BasePartition)
+    if suite.partitioning not in bases:
+        raise ParseError(f"{path}: unknown partitioning {suite.partitioning!r} "
+                         f"(expected one of {', '.join(bases)})")
+    unknown = [s for s in suite.strategies if s not in STRATEGIES]
+    if unknown:
+        raise ParseError(f"{path}: unknown strategies: {', '.join(unknown)} "
+                         f"(expected some of {', '.join(STRATEGIES)})")
+    return suite

@@ -70,7 +70,7 @@ def test_reports_reproduce_byte_identically(star_report):
 
 def test_json_report_shape(star_report):
     payload = json.loads(star_report.to_json())
-    assert set(payload) == {"suite", "partitioning", "merge_scan", "cells"}
+    assert set(payload) == {"suite", "partitioning", "cells"}
     assert payload["suite"] == "star-suite"
     assert payload["partitioning"] == "subject"
     cell = payload["cells"][0]

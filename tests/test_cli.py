@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sparqlsim import generate, serialize_ntriples, WorkloadSpec
+from sparqlsim import generate, serialize_ntriples, serialize_query, WorkloadSpec
 from sparqlsim.cli import main
 
 from conftest import QUERY_DIR, REPO_ROOT
@@ -107,13 +107,31 @@ def test_query_theta_scales_cost_not_counts(capsys, university_nt):
     assert run["cost_transfer"] == 0.5 * 757
 
 
-def test_query_merge_scan_flag(capsys, university_nt):
+def test_query_merge_scan_flag(capsys, university_nt, tmp_path):
+    # the flag is gone: the merged-scan rule decides
+    with pytest.raises(SystemExit) as exc:
+        main(["query", university_nt, Q8, "--merge-scan", "off"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # q8: the shared pass reads 2458 + 5 x 1843 = 11673 < 5 x 2458 tuples
     code, out, _ = run_cli(capsys, "query", university_nt, Q8,
-                           "--strategy", "hybrid", "--no-header",
-                           "--merge-scan", "off")
+                           "--strategy", "hybrid", "--no-header")
     assert code == 0
     run = json.loads(out.splitlines()[-1])["runs"][0]
-    assert run["scanned"] == 5 * 2458
+    assert run["scanned"] == 2458 + 5 * 1843
+    assert run["merged_scan_groups"] == [["t1", "t2", "t3", "t4", "t5"]]
+    # a star whose every triple matches a pattern: S is the whole store, so
+    # sharing would read 6 x 150 > 5 x 150 tuples and each pattern scans once
+    star = generate(WorkloadSpec(name="star", shape="star", pattern_count=5,
+                                 subject_count=30))
+    data, query = tmp_path / "star.nt", tmp_path / "star.rq"
+    data.write_text(serialize_ntriples(star.triples), encoding="utf-8")
+    query.write_text(serialize_query(star.query), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "query", str(data), str(query),
+                           "--strategy", "hybrid", "--no-header")
+    assert code == 0
+    run = json.loads(out.splitlines()[-1])["runs"][0]
+    assert run["scanned"] == 5 * 150
     assert "merged_scan_groups" not in run
 
 
@@ -217,6 +235,22 @@ def test_exit_2_non_utf8_data(capsys, tmp_path):
                  ["bench", "--data", str(bad), "--query", Q8]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ('"merge_scan": "auto"', "unknown keys: merge_scan"),
+    ('"partitioning": "diagonal"', "unknown partitioning 'diagonal'"),
+    ('"strategies": ["pjoin", "zigzag"]', "unknown strategies: zigzag"),
+    ('"m": [2, 0]', "must be at least 1, got 0")],
+    ids=["unknown-key", "partitioning", "strategy", "m"])
+def test_exit_2_bad_suite_settings(capsys, tmp_path, setting, message):
+    suite = tmp_path / "suite.json"
+    suite.write_text('{"workloads": [{"name": "s", "shape": "star", '
+                     '"pattern_count": 2, "subject_count": 3}], ' + setting + "}",
+                     encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--suite", str(suite))
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_exit_2_malformed_query(capsys, university_nt, tmp_path):

@@ -62,7 +62,8 @@ def test_multi_broadcast_explanation(university):
 def test_hybrid_explanation_shows_only_the_opening_step(university):
     query, dataset, cluster = university
     text = explain_text(query, dataset, cluster, "hybrid")
-    assert "selections (one shared store pass over t1, t2, t3, t4, t5):" in text
+    assert ("selections (one shared store pass over t1, t2, t3, t4, t5: "
+            "2458 + 5 x 1843 = 11673 < 5 x 2458 tuples):") in text
     # t4 and t2 are both keyed on y already: joining them in place is free
     assert "opening step: Pjoin on {y} (t4, t2) | repartition: 0 tuples" in text
     assert text.rstrip().endswith("remaining steps are chosen at run time "
@@ -70,10 +71,13 @@ def test_hybrid_explanation_shows_only_the_opening_step(university):
     assert "plan:" not in text
 
 
-def test_hybrid_explanation_without_merged_scan(university):
-    query, dataset, cluster = university
-    text = explain_text(query, dataset, cluster, "hybrid", merge_scan="off")
-    assert "selections (one store scan each):" in text
+def test_hybrid_explanation_without_merged_scan():
+    # every triple matches a pattern, so the shared subset is the whole store
+    wl = generate(_FULL_STAR)
+    dataset, cluster = make_dataset(wl.triples, m=4)
+    text = explain_text(wl.query, dataset, cluster, "hybrid")
+    assert ("selections (one store scan each: a shared pass would read "
+            "150 + 5 x 150 = 900 >= 5 x 150 tuples):") in text
 
 
 def test_co_located_join_renders_no_movement():
@@ -96,29 +100,31 @@ def test_unknown_strategy_rejected(university):
 _OPENING = re.compile(
     r"opening step: (Pjoin|Brjoin) on \{([^}]*)\} \((t\d+), (t\d+)\) "
     r"\| (?:repartition|broadcast): (\d+) tuples(?:, target (t\d+))?$")
+_FULL_STAR = WorkloadSpec(name="star", shape="star", pattern_count=5,
+                          subject_count=30)
 _ALTERNATING_CHAIN = WorkloadSpec(
     name="afr", shape="chain", pattern_count=4, subject_count=40,
     profile="alternating-frequent-rare", noise_factor=100)
 
 
-@pytest.mark.parametrize("workload, merge_scan, base", [
-    ("q8", "on", BasePartition.SUBJECT),
-    ("q8", "off", BasePartition.SUBJECT),
-    ("chain", "auto", BasePartition.SUBJECT),      # opens with a Pjoin
-    ("chain", "auto", BasePartition.PREDICATE)])   # opens with a Brjoin
-def test_hybrid_opening_step_is_the_first_executed_join(q8_workload, workload,
-                                                         merge_scan, base):
+@pytest.mark.parametrize("workload, base", [
+    ("q8", BasePartition.SUBJECT),         # shares one store pass
+    ("star", BasePartition.OBJECT),        # scans once per pattern
+    ("chain", BasePartition.SUBJECT),      # opens with a Pjoin
+    ("chain", BasePartition.PREDICATE)])   # opens with a Brjoin
+def test_hybrid_opening_step_is_the_first_executed_join(q8_workload, workload, base):
     """The opening step explain prints is the first join a hybrid run executes:
     same algorithm, key, inputs, target and transfer."""
-    wl = q8_workload if workload == "q8" else generate(_ALTERNATING_CHAIN)
+    wl = {"q8": q8_workload, "star": generate(_FULL_STAR),
+          "chain": generate(_ALTERNATING_CHAIN)}[workload]
     dataset, cluster = make_dataset(wl.triples, m=4, base=base)
-    text = explain_text(wl.query, dataset, cluster, "hybrid", merge_scan=merge_scan)
+    text = explain_text(wl.query, dataset, cluster, "hybrid")
     [step] = [m for m in map(_OPENING.match, text.splitlines()) if m]
     kind, on, first, second, transfer, target = step.groups()
     rows = {f"t{i + 1}": int(n) for i, n in
             enumerate(re.findall(r"^  t\d+: .* \| rows=(\d+) \|", text, re.M))}
 
-    run = run_strategy("hybrid", wl.query, dataset, cluster, merge_scan=merge_scan)
+    run = run_strategy("hybrid", wl.query, dataset, cluster)
     entry = next(e for e in run.trace.entries if e.kind in ("pjoin", "brjoin"))
     # an operator that moved nothing has no ledger line
     counters = run.ledger.per_operator.get(entry.operator)
@@ -128,3 +134,4 @@ def test_hybrid_opening_step_is_the_first_executed_join(q8_workload, workload,
     assert [size for size, _ in entry.inputs] == [rows[first], rows[second]]
     assert entry.target == (None if target is None else (first, second).index(target))
     assert moved == int(transfer)
+    assert ("one shared store pass" in text) == bool(run.plan.merged_groups)

@@ -1,12 +1,11 @@
-"""Adaptive strategy: greedy planning from measured sizes, merged-scan
-modes, replayability of the produced plan, and the chain fixtures where
+"""Adaptive strategy: greedy planning from measured sizes, the merged-scan
+rule, replayability of the produced plan, and the chain fixtures where
 greediness wins and loses."""
 
-import pytest
-
 from sparqlsim import (
-    STRATEGIES, TransferLedger, WorkloadSpec, as_multiset, execute_plan,
-    generate, oracle_eval, plan_and_execute_hybrid, render_plan, run_strategy,
+    STRATEGIES, TransferLedger, Triple, WorkloadSpec, as_multiset, execute_plan,
+    generate, iri, lit, merged_scan_beneficial, oracle_eval, parse_query,
+    plan_and_execute_hybrid, render_plan, run_strategy,
 )
 from sparqlsim.executor import ExecutionTrace
 
@@ -35,36 +34,63 @@ def test_candidate_evaluation_count_is_frozen(q8_workload):
     assert run.evaluations == 30
 
 
+# Every triple of this star matches one of its five patterns, so the shared
+# subset S is the whole store and a shared pass cannot pay off.
+_FULL_STAR = WorkloadSpec(name="star", shape="star", pattern_count=5,
+                          subject_count=40)
+
+
 def test_merge_scan_modes(q8_workload):
-    _, auto_ledger, _, _ = _hybrid(q8_workload, merge_scan="auto")
-    _, on_ledger, _, _ = _hybrid(q8_workload, merge_scan="on")
-    _, off_ledger, _, _ = _hybrid(q8_workload, merge_scan="off")
+    """The cost rule picks the scan mode: one shared pass for q8, one scan
+    per pattern where the shared subset is the whole store."""
+    _, ledger, _, _ = _hybrid(q8_workload)
     store, subset = 2458, 600 + 20 + 606 + 5 + 612
-    assert auto_ledger.totals()["scanned"] == store + 5 * subset
-    assert on_ledger.totals() == auto_ledger.totals()
-    assert off_ledger.totals()["scanned"] == 5 * store
-    # movement decisions are unaffected by how selections were scanned
-    assert off_ledger.total_transfer == auto_ledger.total_transfer == 15
-    with pytest.raises(ValueError):
-        _hybrid(q8_workload, merge_scan="sometimes")
+    assert merged_scan_beneficial(store, 5, subset)
+    assert ledger.totals()["scanned"] == store + 5 * subset
+    assert list(ledger.per_operator)[:1] == ["merged-sel[t1,t2,t3,t4,t5]"]
+
+    _, star_ledger, dataset, _ = _hybrid(generate(_FULL_STAR))
+    assert dataset.size == 5 * 40
+    assert not merged_scan_beneficial(dataset.size, 5, dataset.size)
+    assert star_ledger.totals()["scanned"] == 5 * dataset.size
+    assert [op for op in star_ledger.per_operator if op.startswith("sel[")] == [
+        f"sel[t{i}]" for i in range(1, 6)]
+
+
+def test_merged_scan_tie_goes_to_independent_scans():
+    """20 of 40 triples match one of two patterns: a shared pass would read
+    40 + 2 x 20 = 80 tuples, as many as two scans, and the rule's strict
+    inequality keeps one scan per pattern."""
+    ex = "http://example.org/"
+    query = parse_query(f"SELECT ?x ?a ?b WHERE {{ ?x <{ex}p> ?a . ?x <{ex}q> ?b . }}")
+    triples = [Triple(iri(f"{ex}s{i % 10}"), iri(ex + pred), lit(str(i)))
+               for pred in ("p", "q", "f1", "f2") for i in range(10)]
+    dataset, cluster = make_dataset(triples, m=2)
+    run = run_strategy("hybrid", query, dataset, cluster)
+    assert run.ledger.totals()["scanned"] == 80
+    assert [e.kind for e in run.trace.entries[:2]] == ["selection", "selection"]
+    assert run.plan.merged_groups == ()
+    assert run.result_count == 10
 
 
 def test_merged_groups_recorded_in_the_plan(q8_workload):
-    run, _, _, _ = _hybrid(q8_workload, merge_scan="auto")
+    run, _, _, _ = _hybrid(q8_workload)
     assert run.plan.merged_groups == ((0, 1, 2, 3, 4),)
-    run_off, _, _, _ = _hybrid(q8_workload, merge_scan="off")
-    assert run_off.plan.merged_groups == ()
+    run_star, _, _, _ = _hybrid(generate(_FULL_STAR))
+    assert run_star.plan.merged_groups == ()
 
 
 def test_hybrid_plan_replays_identically(q8_workload):
     """Re-executing the adaptive plan statically must reproduce the exact
-    ledger: the plan is a complete record of the movement decisions."""
-    run, ledger, dataset, cluster = _hybrid(q8_workload, merge_scan="auto")
-    replay_ledger = TransferLedger()
-    relation = execute_plan(run.plan, dataset, cluster, replay_ledger,
-                            select=q8_workload.query.select)
-    assert replay_ledger.totals() == ledger.totals()
-    assert as_multiset(relation.rows()) == as_multiset(run.relation.rows())
+    ledger, with and without a shared scan: the plan is a complete record
+    of the scan and movement decisions."""
+    for workload in (q8_workload, generate(_FULL_STAR)):
+        run, ledger, dataset, cluster = _hybrid(workload)
+        replay_ledger = TransferLedger()
+        relation = execute_plan(run.plan, dataset, cluster, replay_ledger,
+                                select=workload.query.select)
+        assert replay_ledger.totals() == ledger.totals()
+        assert as_multiset(relation.rows()) == as_multiset(run.relation.rows())
 
 
 def test_trace_records_every_operator(q8_workload):

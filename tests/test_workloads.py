@@ -209,4 +209,4 @@ def test_suite_validation(tmp_path):
     assert defaults.name == "suite"          # falls back to the file stem
     assert defaults.m == (4,)
     assert defaults.strategies == ("pjoin", "mono-br", "multi-br", "hybrid")
-    assert defaults.merge_scan == "auto"
+    assert defaults.partitioning == "subject"
