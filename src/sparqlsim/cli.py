@@ -11,13 +11,16 @@ Subcommands:
               of node counts and strategies; JSON or CSV report
 
 Exit codes: 0 success; 2 bad input (missing file, file that is not UTF-8,
-parse error, or an invalid option such as ``-m 0``); 3 query uses an
-unsupported feature; 4 the pattern is a cross product and
-``--allow-cross-product`` was not given.
+parse error, or an invalid option such as ``-m 0`` or a negative cost
+weight); 3 query uses an unsupported feature; 4 the pattern is a cross
+product and ``--allow-cross-product`` was not given; 5 ``bench`` verification
+stopped because the reference evaluation exceeded its row budget (lower
+``--verify-limit`` to skip verifying that dataset).
 """
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,7 +30,9 @@ from .bench import (
 from .cluster import BasePartition, Cluster, Dataset, load_partitioned
 from .cost import CostParams
 from .engine import STRATEGIES, result_cell, run_query, sorted_result_rows
-from .errors import CartesianProductError, ParseError, UnsupportedFeatureError
+from .errors import (
+    CartesianProductError, ParseError, ResultSizeLimitError, UnsupportedFeatureError,
+)
 from .executor import trace_cost
 from .explain import explain_text
 from .logical import classify_shape
@@ -40,6 +45,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CROSS_PRODUCT = 4
+EXIT_RESULT_LIMIT = 5
 
 _PARTITION_KEYS = tuple(b.value for b in BasePartition)
 
@@ -51,6 +57,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _weight(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite nonnegative number, got {text!r}")
     return value
 
 
@@ -86,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("query", help="query (.rq) file")
     _add_cluster_options(p_query)
     _add_planning_options(p_query, default_strategy="hybrid")
-    p_query.add_argument("--theta-acc", type=float, default=1.0, metavar="W",
+    p_query.add_argument("--theta-acc", type=_weight, default=1.0, metavar="W",
                          help="cost weight per tuple access (default 1)")
-    p_query.add_argument("--theta-comm", type=float, default=1.0, metavar="W",
+    p_query.add_argument("--theta-comm", type=_weight, default=1.0, metavar="W",
                          help="cost weight per tuple transferred (default 1)")
     p_query.add_argument("--validate", action="store_true",
                          help="check partitioning invariants after every operator")
@@ -281,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     except CartesianProductError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSS_PRODUCT
+    except ResultSizeLimitError as exc:
+        print(f"error: {exc}; lower --verify-limit to skip verification",
+              file=sys.stderr)
+        return EXIT_RESULT_LIMIT
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Simulated m-node cluster: placement, shuffles, broadcasts, accounting.
 
-A relation here is a logical multiset of binding rows plus a physical layout:
-one chunk per node and a partition state describing what the layout
+A relation here is a logical multiset of positional rows plus a physical
+layout: one chunk per node and a partition state describing what the layout
 guarantees. The state is one of
 
 * ``Keyed(V)``: every row lives on ``node_of(row, V, m)``;
@@ -23,6 +23,10 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from .terms import BindingRow, Term, TermKind, Triple
 
 T = TypeVar("T")
+
+# A relation's row: one ground term per schema variable, in sorted variable
+# order, so operators read and cut rows by position.
+Row = tuple[Term, ...]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -106,16 +110,13 @@ def node_of(row: BindingRow, key: Iterable[Term], m: int) -> int:
 
 
 def placement(schema: Iterable[Term], key: Iterable[Term],
-              m: int) -> Callable[[BindingRow], int]:
+              m: int) -> Callable[[Row], int]:
     """Node index function for the rows of one relation under hash
-    partitioning on ``key``; it agrees with :func:`node_of`.
-
-    Every row of a relation binds exactly its schema, in sorted variable
-    order, so the key terms are read by position; destinations are memoized
-    per key. A row whose key positions hold other variables is rejected.
-    """
+    partitioning on ``key``; it agrees with :func:`node_of` on the decoded
+    row. Key terms are read by position and destinations are memoized per
+    key term (or tuple of key terms)."""
     order = sorted(schema)
-    key_vars = tuple(sorted(key))
+    key_vars = sorted(key)
     if not key_vars:
         raise ValueError("partition key must be nonempty")
     missing = [v for v in key_vars if v not in order]
@@ -125,15 +126,11 @@ def placement(schema: Iterable[Term], key: Iterable[Term],
     single = len(key_vars) == 1
     memo: dict = {}
 
-    def dest_of(row: BindingRow) -> int:
-        found = pick(row.items)
+    def dest_of(row: Row) -> int:
+        found = pick(row)
         dest = memo.get(found)
         if dest is None:
-            pairs = (found,) if single else found
-            if tuple(v for v, _ in pairs) != key_vars:
-                raise UnboundKeyError(f"row {row!r} does not bind key {list(key_vars)} "
-                                      "at its schema positions")
-            dest = memo[found] = key_hash64([t for _, t in pairs]) % m
+            dest = memo[found] = key_hash64((found,) if single else found) % m
         return dest
 
     return dest_of
@@ -283,12 +280,14 @@ class TransferLedger:
 
 @dataclass(frozen=True, slots=True)
 class Relation:
-    """A distributed bag of binding rows: per-node chunks plus the partition
-    state the layout satisfies. For replicated relations every chunk holds the
-    full multiset and :meth:`rows` returns a single copy."""
+    """A distributed bag of :data:`Row` tuples: per-node chunks plus the
+    partition state the layout satisfies. For replicated relations every
+    chunk holds the full multiset and :meth:`tuples` returns a single copy;
+    :meth:`rows` decodes it to :class:`BindingRow` for results and
+    verification."""
 
     schema: frozenset[Term]
-    chunks: tuple[tuple[BindingRow, ...], ...]
+    chunks: tuple[tuple[Row, ...], ...]
     partition: PartitionState
 
     def __post_init__(self):
@@ -306,42 +305,21 @@ class Relation:
             return len(self.chunks[0])
         return sum(len(c) for c in self.chunks)
 
-    def rows(self) -> list[BindingRow]:
-        """The logical multiset, in deterministic node-then-chunk order."""
+    def tuples(self) -> list[Row]:
+        """The logical multiset of positional rows, in deterministic
+        node-then-chunk order."""
         if self.partition.is_replicated:
             return list(self.chunks[0])
-        out: list[BindingRow] = []
+        out: list[Row] = []
         for chunk in self.chunks:
             out.extend(chunk)
         return out
 
-
-def distribute_keyed(schema: Iterable[Term], rows: Iterable[BindingRow],
-                     key: Iterable[Term], cluster: Cluster) -> Relation:
-    schema = frozenset(schema)
-    key_set = frozenset(key)
-    dest_of = placement(schema, key_set, cluster.m)
-    buckets: list[list[BindingRow]] = [[] for _ in cluster.nodes]
-    for row in rows:
-        buckets[dest_of(row)].append(row)
-    return Relation(schema, tuple(tuple(b) for b in buckets), keyed(key_set))
-
-
-def distribute_random(schema: Iterable[Term], rows: Iterable[BindingRow],
-                      cluster: Cluster, start: int = 0) -> Relation:
-    buckets: list[list[BindingRow]] = [[] for _ in cluster.nodes]
-    j = start % cluster.m
-    for row in rows:
-        buckets[j].append(row)
-        j = (j + 1) % cluster.m
-    return Relation(frozenset(schema), tuple(tuple(b) for b in buckets), RANDOM_STATE)
-
-
-def replicate_rows(schema: Iterable[Term], rows: Sequence[BindingRow],
-                   cluster: Cluster) -> Relation:
-    chunk = tuple(rows)
-    return Relation(frozenset(schema), tuple(chunk for _ in cluster.nodes),
-                    replicated())
+    def rows(self) -> list[BindingRow]:
+        """The logical multiset decoded to binding rows, in the order of
+        :meth:`tuples`."""
+        order = sorted(self.schema)
+        return [BindingRow(tuple(zip(order, row))) for row in self.tuples()]
 
 
 def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
@@ -360,7 +338,7 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
         raise ValueError(f"shuffle key not in relation schema: {missing}")
     m = rel.m
     dest_of = placement(rel.schema, key_set, m)
-    buckets: list[list[BindingRow]] = [[] for _ in range(m)]
+    buckets: list[list[Row]] = [[] for _ in range(m)]
     moved = 0
 
     if rel.partition.is_replicated:
@@ -385,7 +363,7 @@ def broadcast(rel: Relation, ledger: TransferLedger,
     Broadcasting an already replicated relation is a free no-op."""
     if rel.partition.is_replicated:
         return rel
-    full = tuple(rel.rows())
+    full = tuple(rel.tuples())
     m = rel.m
     ledger.tally(operator, broadcast=(m - 1) * len(full))
     return Relation(rel.schema, tuple(full for _ in range(m)), replicated())
@@ -397,20 +375,21 @@ class PlacementError(AssertionError):
 
 def check_placement(rel: Relation) -> None:
     """Verify the partition-state invariant by full scan, and that every row
-    binds exactly the schema in sorted variable order, which the operators
-    rely on to read rows by position. Test-build helper; operators do not
-    pay for this in normal runs."""
+    has one term per schema variable. Keyed placement is checked with
+    :func:`node_of` on the decoded row, independently of :func:`placement`.
+    Test-build helper; operators do not pay for this in normal runs."""
     m = rel.m
-    order = tuple(sorted(rel.schema))
+    order = sorted(rel.schema)
     for chunk in rel.chunks:
         for row in chunk:
-            if tuple(v for v, _ in row.items) != order:
+            if len(row) != len(order):
                 raise PlacementError(
-                    f"row {row!r} does not bind schema {list(order)} in variable order")
+                    f"row {row!r} has {len(row)} terms for schema {order}")
     if rel.partition.kind is PartitionKind.KEYED:
         for j, chunk in enumerate(rel.chunks):
             for row in chunk:
-                expect = node_of(row, rel.partition.key, m)
+                expect = node_of(BindingRow(tuple(zip(order, row))),
+                                 rel.partition.key, m)
                 if expect != j:
                     raise PlacementError(
                         f"row {row!r} on node {j}, expected node {expect} "

@@ -23,7 +23,7 @@ Conventions:
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cluster import PartitionState, RANDOM_STATE
+from .cluster import PartitionState
 
 # (size, layout) pairs: everything the model needs to know about an input.
 SizedInput = tuple[int, PartitionState]
@@ -134,8 +134,3 @@ def crossover_prefers_pjoin(size_a: int, size_b: int, m: int) -> bool:
     if small == 0:
         return False
     return large + 2 * small <= m * small
-
-
-def random_inputs(*sizes: int) -> list[SizedInput]:
-    """Convenience for model-level comparisons: all inputs random-partitioned."""
-    return [(s, RANDOM_STATE) for s in sizes]

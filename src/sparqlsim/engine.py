@@ -92,7 +92,9 @@ def run_query(query: Query, dataset: Dataset, cluster: Cluster,
 
 def sorted_result_rows(relation: Relation, select: Sequence[Term]) -> list[tuple[Term, ...]]:
     """Result tuples in select-list column order, sorted canonically."""
-    out = [tuple(row.get(v) for v in select) for row in relation.rows()]
+    order = sorted(relation.schema)
+    positions = [order.index(v) for v in select]
+    out = [tuple(row[i] for i in positions) for row in relation.tuples()]
     out.sort(key=lambda row: tuple(t.nt() for t in row))
     return out
 

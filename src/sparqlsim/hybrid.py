@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cluster import Cluster, Dataset, Relation, TransferLedger
-from .cost import merged_scan_beneficial
+from .cost import brjoin_broadcast_size, merged_scan_beneficial, pjoin_shuffle_size
 from .executor import ExecutionTrace, Executor
 from .logical import joinable_components
 from .ops import compile_specs, shared_subset
@@ -96,25 +96,15 @@ class HybridRun:
 def _step_options(first: _Slot, second: _Slot, m: int) -> list[_Option]:
     """All algorithm candidates for joining this ordered pair."""
     shared = frozenset(first.schema & second.schema)
+    inputs = [(first.size, first.rel.partition), (second.size, second.rel.partition)]
     opts: list[_Option] = []
-    seq = 0
     if shared:
-        cost = 0
-        for slot in (first, second):
-            state = slot.rel.partition
-            if state.is_keyed_on(shared) or state.is_replicated:
-                continue
-            cost += slot.size
-        opts.append(_Option("pjoin", cost, 0, seq, shared))
-        seq += 1
-    cross = not shared
+        opts.append(_Option("pjoin", pjoin_shuffle_size(inputs, shared), 0, 0, shared))
     for moving, target in ((first, 1), (second, 0)):
         other = second if target == 1 else first
-        cost = 0 if moving.rel.partition.is_replicated else (m - 1) * moving.size
         rank = 1 if moving.size <= other.size else 2
-        opts.append(_Option("brjoin", cost, rank, seq, shared,
-                            target=target, cross=cross))
-        seq += 1
+        opts.append(_Option("brjoin", brjoin_broadcast_size(inputs, target, m), rank,
+                            len(opts), shared, target=target, cross=not shared))
     return opts
 
 

@@ -184,20 +184,6 @@ def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) 
     return JoinNode(var=None, on=frozenset(), children=tuple(trees), cross=True)
 
 
-def iter_joins(node: LogicalNode) -> list[JoinNode]:
-    """All join nodes of a tree, children before parents."""
-    out: list[JoinNode] = []
-
-    def walk(n: LogicalNode) -> None:
-        if isinstance(n, JoinNode):
-            for child in n.children:
-                walk(child)
-            out.append(n)
-
-    walk(node)
-    return out
-
-
 class Shape(Enum):
     STAR = "star"
     CHAIN = "chain"

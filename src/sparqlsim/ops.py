@@ -21,16 +21,16 @@ selection with a ground predicate from the store's per-node predicate index
 only a variable predicate makes it read whole chunks.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cluster import (
-    Cluster, Dataset, PartitionKind, PartitionState, RANDOM_STATE, Relation,
+    Cluster, Dataset, PartitionKind, PartitionState, RANDOM_STATE, Relation, Row,
     TransferLedger, broadcast, for_each_node, keyed, placement, shuffle,
 )
-from .terms import BindingRow, EMPTY_ROW, Term, Triple, TriplePattern
+from .terms import Term, Triple, TriplePattern
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ class SelectionSpec:
     ``predicate`` is the ground predicate, or None when the predicate is a
     variable; ``conditions`` holds one (position, term) equality per other
     ground position; ``same_positions`` holds position pairs that a
-    repeated variable forces to be equal; ``template`` lists (variable,
-    source position) pairs in variable order, ready to stamp out binding
-    rows.
+    repeated variable forces to be equal; ``row_for`` stamps out the row
+    of a matching triple: the term at each variable's first position, in
+    sorted variable order.
     """
 
     index: int
@@ -51,7 +51,7 @@ class SelectionSpec:
     predicate: Term | None
     conditions: tuple[tuple[int, Term], ...]
     same_positions: tuple[tuple[int, int], ...]
-    template: tuple[tuple[Term, int], ...]
+    row_for: Callable[[Triple], Row] = field(compare=False, repr=False)
 
     @classmethod
     def compile(cls, index: int, pattern: TriplePattern) -> "SelectionSpec":
@@ -67,14 +67,13 @@ class SelectionSpec:
                     same.append((seen, pos))
             elif pos != 1:
                 conditions.append((pos, term))
-        template = tuple(sorted(((v, pos) for v, pos in first_pos.items()),
-                                key=lambda item: item[0]))
+        names = [("s", "p", "o")[first_pos[v]] for v in sorted(first_pos)]
         return cls(index=index, pattern=pattern,
                    projection=frozenset(first_pos),
                    predicate=None if pattern.p.is_variable else pattern.p,
                    conditions=tuple(conditions),
                    same_positions=tuple(same),
-                   template=template)
+                   row_for=_tuple_getter(names, attrgetter))
 
     @property
     def label(self) -> str:
@@ -104,12 +103,7 @@ class SelectionSpec:
         or, with a variable predicate, every triple of the store."""
         return not self.conditions and not self.same_positions
 
-    def row_for(self, triple: Triple) -> BindingRow:
-        if not self.template:
-            return EMPTY_ROW
-        return BindingRow(tuple((v, triple[pos]) for v, pos in self.template))
-
-    def rows_of(self, triples: Iterable[Triple]) -> tuple[BindingRow, ...]:
+    def rows_of(self, triples: Iterable[Triple]) -> tuple[Row, ...]:
         """One row per matching triple, in order. With a ground predicate,
         ``triples`` must be triples of that predicate (a predicate group)."""
         if self.matches_whole_group:
@@ -145,7 +139,7 @@ def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
     op = operator if operator is not None else f"sel[{spec.label}]"
     pred = spec.predicate
 
-    def scan(j: int) -> tuple[BindingRow, ...]:
+    def scan(j: int) -> tuple[Row, ...]:
         if pred is None:
             return spec.rows_of(dataset.chunks[j])
         return spec.rows_of(dataset.index[j].get(pred, ()))
@@ -227,7 +221,7 @@ def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
         subset = shared_subset(specs, dataset, cluster)
     relations = []
     for spec in specs:
-        def extract(j: int, spec=spec) -> tuple[BindingRow, ...]:
+        def extract(j: int, spec=spec) -> tuple[Row, ...]:
             if spec.predicate is None:
                 return spec.rows_of(chain.from_iterable(subset.nodes[j].values()))
             return spec.rows_of(subset.nodes[j].get(spec.predicate, ()))
@@ -263,24 +257,24 @@ def fold_order(schemas: Sequence[frozenset[Term]], counts: Sequence[int],
     return order
 
 
-def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Like ``itemgetter(*positions)``, but always returns a tuple."""
-    if len(positions) == 1:
-        pos = positions[0]
-        return lambda seq: (seq[pos],)
-    if not positions:
-        return lambda seq: ()
-    return itemgetter(*positions)
+def _tuple_getter(keys: Sequence, getter=itemgetter) -> Callable[[object], tuple]:
+    """Like ``getter(*keys)``, but always returns a tuple: row positions
+    with ``itemgetter``, triple fields with ``attrgetter``."""
+    if len(keys) == 1:
+        get = getter(keys[0])
+        return lambda obj: (get(obj),)
+    if not keys:
+        return lambda obj: ()
+    return getter(*keys)
 
 
 class _FoldStep:
     """One step of a node-local join, planned once per operator.
 
     The step hashes one input on every variable it shares with the rows
-    folded so far and probes with those rows. Rows travel as their
-    ``items`` tuples: every row of a relation binds exactly its schema, in
-    sorted variable order, so each variable sits at a fixed position and
-    key and output tuples are cut by position.
+    folded so far and probes with those rows. Each variable sits at a fixed
+    position of a relation's rows, so key and output tuples are cut by
+    position.
     """
 
     __slots__ = ("rel", "probe_key", "build_key", "pick", "out_vars", "_table")
@@ -293,66 +287,65 @@ class _FoldStep:
         self.probe_key = _tuple_getter([acc_vars.index(v) for v in shared])
         self.build_key = _tuple_getter([in_vars.index(v) for v in shared])
         self.out_vars = sorted(acc_vars + added)
-        # An output row is picked from the probe row's items followed by the
-        # build row's items; None when the input adds no variable.
+        # An output row is picked from the probe row followed by the build
+        # row; None when the input adds no variable.
         both = acc_vars + in_vars
         self.pick = (_tuple_getter([both.index(v) for v in self.out_vars])
                      if added else None)
-        self._table: dict[tuple, list[tuple]] | None = None
+        self._table: dict[tuple, list[Row]] | None = None
 
-    def table(self, j: int) -> dict[tuple, list[tuple]]:
+    def table(self, j: int) -> dict[tuple, list[Row]]:
         """Node ``j``'s share of the input, hashed on the shared variables.
         A replicated input's chunk is the same on every node, so its table
         is built once and reused."""
         if self._table is not None:
             return self._table
-        table: dict[tuple, list[tuple]] = {}
+        table: dict[tuple, list[Row]] = {}
         key = self.build_key
         for row in self.rel.chunks[j]:
-            items = row.items
-            k = key(items)
+            k = key(row)
             bucket = table.get(k)
             if bucket is None:
-                table[k] = [items]
+                table[k] = [row]
             else:
-                bucket.append(items)
+                bucket.append(row)
         if self.rel.partition.is_replicated:
             self._table = table
         return table
 
-    def probe(self, acc: list[tuple], table: dict[tuple, list[tuple]]) -> list[tuple]:
+    def probe(self, acc: Sequence[Row], table: dict[tuple, list[Row]]) -> list[Row]:
         key, pick, lookup = self.probe_key, self.pick, table.get
-        out: list[tuple] = []
-        for items in acc:
-            bucket = lookup(key(items))
+        out: list[Row] = []
+        for row in acc:
+            bucket = lookup(key(row))
             if bucket is None:
                 continue
             if pick is None:
-                out.extend([items] * len(bucket))
+                out.extend([row] * len(bucket))
             else:
                 for right in bucket:
-                    out.append(pick(items + right))
+                    out.append(pick(row + right))
         return out
 
 
-def local_nary_join(rows: Sequence[BindingRow], steps: Sequence[_FoldStep],
-                    j: int) -> list[BindingRow]:
+def local_nary_join(rows: Sequence[Row], steps: Sequence[_FoldStep],
+                    j: int) -> Sequence[Row]:
     """Node-local n-ary hash join of node ``j``'s driver ``rows`` with its
     share of every other input, folded in the order of ``steps``.
 
     With no shared variable a step degenerates to a cross product (the
     planner only requests one when cross products are explicitly allowed).
     """
-    acc = [row.items for row in rows]
+    acc = rows
     for step in steps:
         if not acc:
             return []
         acc = step.probe(acc, step.table(j))
-    return [BindingRow(items) for items in acc]
+    return acc
 
 
 def _join_nodes(staged: Sequence[Relation], driver: int,
-                cluster: Cluster) -> tuple[tuple[BindingRow, ...], ...]:
+                cluster: Cluster) -> tuple[tuple[Row, ...], ...]:
     """Run the local join on every node, driven by ``staged[driver]``'s
     chunks; the fold order and the step layouts are planned once."""
     steps: list[_FoldStep] = []
@@ -365,7 +358,7 @@ def _join_nodes(staged: Sequence[Relation], driver: int,
         acc_vars = step.out_vars
     driver_chunks = staged[driver].chunks
 
-    def join_node(j: int) -> tuple[BindingRow, ...]:
+    def join_node(j: int) -> tuple[Row, ...]:
         return tuple(local_nary_join(driver_chunks[j], steps, j))
 
     return tuple(for_each_node(cluster, join_node))
@@ -412,7 +405,7 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation], cluster: Cluster,
         # share so every result row is produced exactly once, at no cost.
         first = staged[0]
         dest_of = placement(first.schema, on, cluster.m)
-        sliced: list[list[BindingRow]] = [[] for _ in cluster.nodes]
+        sliced: list[list[Row]] = [[] for _ in cluster.nodes]
         for row in first.chunks[0]:
             sliced[dest_of(row)].append(row)
         staged[0] = Relation(first.schema, tuple(tuple(c) for c in sliced), keyed(on))
@@ -457,10 +450,9 @@ def project(rel: Relation, select: Sequence[Term]) -> Relation:
     if select_set == rel.schema:
         return rel
 
-    def cut(row: BindingRow) -> BindingRow:
-        return BindingRow(tuple(item for item in row.items if item[0] in select_set))
-
-    chunks = tuple(tuple(cut(r) for r in chunk) for chunk in rel.chunks)
+    order = sorted(rel.schema)
+    cut = _tuple_getter([order.index(v) for v in sorted(select_set)])
+    chunks = tuple(tuple(map(cut, chunk)) for chunk in rel.chunks)
     state = rel.partition
     if state.kind is PartitionKind.KEYED and not state.key <= select_set:
         state = RANDOM_STATE

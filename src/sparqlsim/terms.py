@@ -75,10 +75,6 @@ class Term:
     def is_variable(self) -> bool:
         return self.kind is TermKind.VARIABLE
 
-    @property
-    def is_ground(self) -> bool:
-        return self.kind is not TermKind.VARIABLE
-
     def nt(self) -> str:
         """Canonical serialization, N-Triples style (variables as ``?name``)."""
         if self.kind is TermKind.IRI:
@@ -264,10 +260,6 @@ class BindingRow:
             if bound is v or bound == v:
                 return term
         return None
-
-    @property
-    def domain(self) -> frozenset[Term]:
-        return frozenset(v for v, _ in self.items)
 
     def as_dict(self) -> dict[Term, Term]:
         return dict(self.items)

@@ -1,15 +1,17 @@
 """Shared fixtures: a tiny hand-checked dataset, the bundled five-pattern
-university fixture, and helpers for running every strategy against the
-single-node reference evaluator."""
+university fixture, helpers for running every strategy against the
+single-node reference evaluator, and a builder for hand-made relations."""
 
 from pathlib import Path
 
 import pytest
 
 from sparqlsim import (
-    BasePartition, Cluster, Dataset, Query, STRATEGIES, as_multiset, iri, lit,
-    load_partitioned, oracle_eval, run_strategy, generate, WorkloadSpec,
+    BasePartition, Cluster, Dataset, Query, Relation, STRATEGIES, as_multiset,
+    iri, keyed, lit, load_partitioned, oracle_eval, replicated, run_strategy,
+    generate, WorkloadSpec,
 )
+from sparqlsim.cluster import RANDOM_STATE, placement
 from sparqlsim.terms import Triple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +48,41 @@ def make_dataset(triples, m: int = 4,
                  base: BasePartition = BasePartition.SUBJECT) -> tuple[Dataset, Cluster]:
     cluster = Cluster(m)
     return load_partitioned(triples, cluster, base), cluster
+
+
+def encode_rows(schema, rows) -> tuple[tuple, ...]:
+    """Binding rows in the engine's row format: the tuple of each row's
+    terms in sorted variable order. A row that does not bind exactly
+    ``schema`` is rejected."""
+    order = tuple(sorted(schema))
+    out = []
+    for row in rows:
+        if tuple(v for v, _ in row.items) != order:
+            raise ValueError(f"row {row!r} does not bind schema {list(order)}")
+        out.append(tuple(t for _, t in row.items))
+    return tuple(out)
+
+
+def make_relation(schema, rows, cluster: Cluster, *, key=None,
+                  replicate: bool = False, start: int = 0) -> Relation:
+    """A relation over ``schema`` holding the binding ``rows``: hashed on
+    ``key`` to the node :func:`sparqlsim.cluster.placement` picks, copied to
+    every node with ``replicate``, or else dealt round-robin from node
+    ``start``."""
+    schema = frozenset(schema)
+    encoded = encode_rows(schema, rows)
+    if replicate:
+        return Relation(schema, (encoded,) * cluster.m, replicated())
+    buckets = [[] for _ in cluster.nodes]
+    if key is not None:
+        dest_of = placement(schema, key, cluster.m)
+        for row in encoded:
+            buckets[dest_of(row)].append(row)
+    else:
+        for i, row in enumerate(encoded):
+            buckets[(start + i) % cluster.m].append(row)
+    state = RANDOM_STATE if key is None else keyed(key)
+    return Relation(schema, tuple(map(tuple, buckets)), state)
 
 
 @pytest.fixture(scope="session")

@@ -41,7 +41,7 @@ from sparqlsim.ops import (
 from sparqlsim.physical import SelectionNode
 from sparqlsim.terms import pattern_vars
 
-from conftest import ACCEPTANCE_LINES, WORKLOAD_DIR, make_dataset
+from conftest import ACCEPTANCE_LINES, WORKLOAD_DIR, encode_rows, make_dataset
 
 UNIT = CostParams(1.0, 1.0)
 
@@ -252,8 +252,10 @@ def _grid_rows(count: int, side: str, value_var) -> tuple[BindingRow, ...]:
         for i in range(count))
 
 
-def _round_robin(rows: tuple, schema: frozenset, m: int) -> Relation:
-    return Relation(schema, tuple(rows[j::m] for j in range(m)), RANDOM_STATE)
+def _round_robin(encoded: tuple, schema: frozenset, m: int) -> Relation:
+    # Dealt like conftest.make_relation, from rows encoded once for every
+    # cluster size.
+    return Relation(schema, tuple(encoded[j::m] for j in range(m)), RANDOM_STATE)
 
 
 def test_criterion_4_crossover_law():
@@ -271,10 +273,12 @@ def test_criterion_4_crossover_law():
                              for r in small_rows]
             large_triples = [Triple(r.get(_GX), pat_large.p, r.get(_GB))
                              for r in large_rows]
+            small_encoded = encode_rows((_GX, _GA), small_rows)
+            large_encoded = encode_rows((_GX, _GB), large_rows)
             for m in range(2, 33):
                 cluster = Cluster(m)
-                small = _round_robin(small_rows, frozenset((_GX, _GA)), m)
-                full_chunks = tuple(large_rows[j::m] for j in range(m))
+                small = _round_robin(small_encoded, frozenset((_GX, _GA)), m)
+                full_chunks = tuple(large_encoded[j::m] for j in range(m))
                 for ratio in range(1, 51):
                     gamma2 = ratio * gamma1
                     chunks = tuple(c[: (gamma2 - j + m - 1) // m]

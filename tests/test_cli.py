@@ -1,6 +1,6 @@
 """Command line interface: output formats, option round-trips, and the
 documented exit codes (0 ok, 2 bad input, 3 unsupported query feature,
-4 cross product)."""
+4 cross product, 5 reference evaluation over its row budget)."""
 
 import json
 
@@ -228,6 +228,15 @@ def test_exit_2_zero_partitions(capsys, university_nt, argv):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("weight", ["-1", "nan", "inf", "x"])
+def test_exit_2_bad_cost_weight(capsys, university_nt, weight):
+    for option in ("--theta-acc", "--theta-comm"):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", university_nt, Q8, option, weight])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
+
 def test_exit_2_non_utf8_data(capsys, tmp_path):
     bad = tmp_path / "latin1.nt"
     bad.write_bytes('<http://a> <http://b> "caf\u00e9" .\n'.encode("latin-1"))
@@ -266,6 +275,22 @@ def test_exit_3_unsupported_feature(capsys, university_nt, tmp_path):
                  encoding="utf-8")
     code, _, err = run_cli(capsys, "query", university_nt, str(q))
     assert code == 3 and "FILTER" in err
+
+
+def test_exit_5_reference_row_budget(capsys, tmp_path):
+    # 1,001 x 1,001 star solutions on one subject: the reference evaluator
+    # goes over its 1,000,000-row budget while verifying.
+    s = "<http://e/s>"
+    data = tmp_path / "wide.nt"
+    data.write_text("".join(f'{s} <http://e/p{p}> "{i}" .\n'
+                            for p in (1, 2) for i in range(1001)), encoding="utf-8")
+    query = tmp_path / "star.rq"
+    query.write_text("SELECT ?s WHERE { ?s <http://e/p1> ?a . ?s <http://e/p2> ?b . }",
+                     encoding="utf-8")
+    code, out, err = run_cli(capsys, "bench", "--data", str(data),
+                             "--query", str(query), "--strategy", "pjoin")
+    assert code == 5 and out == ""
+    assert "1000000 intermediate rows" in err
 
 
 def test_exit_4_cross_product(capsys, university_nt, tmp_path):

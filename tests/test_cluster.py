@@ -10,17 +10,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import (
-    BasePartition, BindingRow, Cluster, PlacementError, Term, TermKind,
-    TransferLedger, Triple, iri, keyed, lit, load_partitioned, node_of,
-    replicated, var,
+    BasePartition, BindingRow, Cluster, PlacementError, Relation, Term,
+    TermKind, TransferLedger, Triple, iri, keyed, lit, load_partitioned,
+    node_of, replicated, var,
 )
 from sparqlsim.cluster import (
-    RANDOM_STATE, UnboundKeyError, broadcast, check_placement, distribute_keyed,
-    distribute_random, fnv1a_64, key_hash64, replicate_rows, shuffle,
-    term_hash64,
+    RANDOM_STATE, UnboundKeyError, broadcast, check_placement, fnv1a_64,
+    key_hash64, shuffle, term_hash64,
 )
 
-from conftest import D0, make_dataset
+from conftest import D0, make_dataset, make_relation
 
 A = iri("http://example.org/a")
 ALICE = lit("Alice")
@@ -97,25 +96,30 @@ def _rows(count: int) -> list[BindingRow]:
             for i in range(count)]
 
 
+def _decoded(chunk) -> list[BindingRow]:
+    """A chunk of a relation over {x, y} as binding rows."""
+    return [BindingRow(((X, x), (Y, y))) for x, y in chunk]
+
+
 def test_distribute_keyed_places_rows_on_their_hash_node():
     cluster = Cluster(4)
-    rel = distribute_keyed([X, Y], _rows(50), [X], cluster)
+    rel = make_relation([X, Y], _rows(50), cluster, key=[X])
     assert rel.count == 50
     assert rel.partition == keyed([X])
     for j, chunk in enumerate(rel.chunks):
-        for row in chunk:
+        for row in _decoded(chunk):
             assert node_of(row, [X], 4) == j
     check_placement(rel)
 
 
 def test_distribute_keyed_requires_bound_key():
     with pytest.raises(UnboundKeyError):
-        distribute_keyed([X, Y], _rows(5), [var("zz")], Cluster(2))
+        make_relation([X, Y], _rows(5), Cluster(2), key=[var("zz")])
 
 
 def test_shuffle_counts_modeled_and_actual_separately():
     cluster = Cluster(4)
-    rel = distribute_random([X, Y], _rows(40), cluster)
+    rel = make_relation([X, Y], _rows(40), cluster)
     ledger = TransferLedger()
     out = shuffle(rel, [X], ledger, operator="probe")
     assert out.partition == keyed([X])
@@ -125,7 +129,7 @@ def test_shuffle_counts_modeled_and_actual_separately():
     assert totals["shuffled_modeled"] == 40
     # round-robin placement cannot already agree everywhere with the hash
     assert 0 < totals["shuffled_actual"] <= 40
-    moved = sum(1 for j, chunk in enumerate(rel.chunks) for row in chunk
+    moved = sum(1 for j, chunk in enumerate(rel.chunks) for row in _decoded(chunk)
                 if node_of(row, [X], 4) != j)
     assert totals["shuffled_actual"] == moved
     assert ledger.per_operator["probe"].shuffled_modeled == 40
@@ -133,7 +137,7 @@ def test_shuffle_counts_modeled_and_actual_separately():
 
 def test_shuffle_of_already_keyed_relation_moves_nothing():
     cluster = Cluster(4)
-    rel = distribute_keyed([X, Y], _rows(40), [X], cluster)
+    rel = make_relation([X, Y], _rows(40), cluster, key=[X])
     ledger = TransferLedger()
     shuffle(rel, [X], ledger)
     assert ledger.totals()["shuffled_modeled"] == 40   # modeled charges in full
@@ -142,7 +146,7 @@ def test_shuffle_of_already_keyed_relation_moves_nothing():
 
 def test_shuffle_replicated_input_is_collapse_only():
     cluster = Cluster(3)
-    rel = replicate_rows([X, Y], _rows(12), cluster)
+    rel = make_relation([X, Y], _rows(12), cluster, replicate=True)
     ledger = TransferLedger()
     out = shuffle(rel, [Y], ledger)
     assert out.count == 12
@@ -151,7 +155,7 @@ def test_shuffle_replicated_input_is_collapse_only():
 
 
 def test_shuffle_validates_key():
-    rel = distribute_random([X], _rows(4), Cluster(2))
+    rel = make_relation([X, Y], _rows(4), Cluster(2))
     with pytest.raises(ValueError):
         shuffle(rel, [], TransferLedger())
     with pytest.raises(ValueError):
@@ -160,7 +164,7 @@ def test_shuffle_validates_key():
 
 def test_broadcast_charges_m_minus_one_copies():
     cluster = Cluster(5)
-    rel = distribute_random([X, Y], _rows(20), cluster)
+    rel = make_relation([X, Y], _rows(20), cluster)
     ledger = TransferLedger()
     out = broadcast(rel, ledger)
     assert out.partition.is_replicated
@@ -175,7 +179,7 @@ def test_broadcast_charges_m_minus_one_copies():
 
 def test_check_placement_rejects_misplaced_rows():
     cluster = Cluster(4)
-    rel = distribute_keyed([X, Y], _rows(20), [X], cluster)
+    rel = make_relation([X, Y], _rows(20), cluster, key=[X])
     # swap two nonempty chunks to force misplacement
     chunks = list(rel.chunks)
     nonempty = [j for j, c in enumerate(chunks) if c]
@@ -187,13 +191,16 @@ def test_check_placement_rejects_misplaced_rows():
 
 
 def test_rows_must_bind_the_schema_in_variable_order():
-    # Operators read key and output terms by position, so a row built with
-    # unsorted items is rejected rather than silently misplaced.
-    bad = BindingRow(((Y, iri("http://e/1")), (X, iri("http://e/2"))))
+    # Operators read key and output terms by position: a binding row is
+    # encoded only when it binds the schema in variable order, and a row
+    # whose width differs from the schema's fails the placement check.
+    unsorted = BindingRow(((Y, iri("http://e/1")), (X, iri("http://e/2"))))
+    for bad in (unsorted, BindingRow.from_mapping({X: A})):
+        with pytest.raises(ValueError, match="does not bind schema"):
+            make_relation([X, Y], [bad], Cluster(2))
+    narrow = Relation(frozenset({X, Y}), (((A,),), ()), RANDOM_STATE)
     with pytest.raises(PlacementError):
-        check_placement(distribute_random([X, Y], [bad], Cluster(2)))
-    with pytest.raises(UnboundKeyError):
-        distribute_keyed([X, Y], [bad], [X], Cluster(2))
+        check_placement(narrow)
 
 
 def test_ledger_totals_and_dict():
@@ -289,6 +296,6 @@ def test_single_variable_key_hashes_like_the_bare_term(m, i):
 def test_distribute_keyed_satisfies_check_placement(ids, m):
     rows = [BindingRow.from_mapping({X: iri(f"http://example.org/e{i}")})
             for i in ids]
-    rel = distribute_keyed([X], rows, [X], Cluster(m))
+    rel = make_relation([X], rows, Cluster(m), key=[X])
     check_placement(rel)
     assert rel.count == len(rows)

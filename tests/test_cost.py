@@ -10,7 +10,7 @@ from sparqlsim import (
 )
 from sparqlsim.cluster import RANDOM_STATE, replicated
 from sparqlsim.cost import (
-    DEFAULT_PARAMS, brjoin_broadcast_size, pjoin_shuffle_size, random_inputs,
+    DEFAULT_PARAMS, brjoin_broadcast_size, pjoin_shuffle_size,
 )
 
 X, Y = var("x"), var("y")
@@ -68,7 +68,7 @@ def test_brjoin_broadcast_size_spares_target_and_replicated():
 
 
 def test_cost_estimate_addition():
-    total = cost_selection(10) + cost_pjoin(random_inputs(4, 6), ON)
+    total = cost_selection(10) + cost_pjoin([(4, RANDOM_STATE), (6, RANDOM_STATE)], ON)
     assert total.access == 10.0 and total.transfer == 10.0 and total.total == 20.0
 
 
@@ -92,7 +92,7 @@ def test_crossover_rule_examples():
 
 @given(st.integers(0, 10**5), st.integers(0, 10**5), st.integers(2, 64))
 def test_crossover_matches_direct_cost_comparison(a, b, m):
-    inputs = random_inputs(a, b)
+    inputs = [(a, RANDOM_STATE), (b, RANDOM_STATE)]
     shuffle_cost = cost_pjoin(inputs, ON).transfer
     broadcast_cost = min(cost_brjoin(inputs, 0, m).transfer,
                          cost_brjoin(inputs, 1, m).transfer)

@@ -7,7 +7,7 @@ from sparqlsim import (
     parse_query, snowflake_query, var,
 )
 from sparqlsim.logical import (
-    JoinNode, Leaf, connected_components, iter_joins, join_variables,
+    JoinNode, Leaf, connected_components, join_variables,
 )
 from sparqlsim.terms import TriplePattern
 
@@ -70,12 +70,6 @@ def test_build_logical_chain_is_left_deep_from_the_front():
     assert isinstance(inner, JoinNode) and inner.var == var("x2")
     assert [l.index for l in inner.children] == [0, 1]
     assert root.children[1].index == 2
-
-
-def test_iter_joins_is_post_order():
-    root = build_logical(snowflake_query().patterns)
-    joins = list(iter_joins(root))
-    assert [j.var for j in joins] == [var("y"), var("x")]
 
 
 def test_star_classification_and_orientation():

@@ -10,10 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sparqlsim import (
     BasePartition, BindingRow, Cluster, TransferLedger, iri, keyed, lit, var,
 )
-from sparqlsim.cluster import (
-    RANDOM_STATE, broadcast, check_placement, distribute_keyed, distribute_random,
-    replicate_rows,
-)
+from sparqlsim.cluster import RANDOM_STATE, broadcast, check_placement
 from sparqlsim.logical import build_logical
 from sparqlsim.ops import (
     SelectionSpec, brjoin, compile_specs, fold_order, merged_selection, pjoin,
@@ -23,7 +20,7 @@ from sparqlsim.physical import plan_mono_brjoin
 from sparqlsim.terms import EMPTY_ROW, Triple, TriplePattern
 from sparqlsim.workloads import snowflake_query, snowflake_selection_sizes
 
-from conftest import A, AGE, B, C, D0, EX, KNOWS, NAME, make_dataset
+from conftest import A, AGE, B, C, D0, EX, KNOWS, NAME, make_dataset, make_relation
 
 X, Y, N, G = var("x"), var("y"), var("n"), var("g")
 
@@ -52,7 +49,7 @@ def test_selection_spec_compile():
     assert spec.projection == frozenset({X, Y})
     assert spec.matches(Triple(A, KNOWS, B))
     assert not spec.matches(Triple(A, NAME, lit("A")))
-    assert spec.row_for(Triple(A, KNOWS, B)) == BindingRow.from_mapping({X: A, Y: B})
+    assert spec.row_for(Triple(A, KNOWS, B)) == (A, B)     # x, y: variable order
     assert [s.label for s in compile_specs([P_KNOWS, P_NAME])] == ["t1", "t2"]
 
 
@@ -61,7 +58,7 @@ def test_selection_same_variable_twice_requires_equality():
     loop = iri(EX + "loop")
     assert spec.matches(Triple(loop, KNOWS, loop))
     assert not spec.matches(Triple(A, KNOWS, B))
-    assert spec.row_for(Triple(loop, KNOWS, loop)) == BindingRow.from_mapping({X: loop})
+    assert spec.row_for(Triple(loop, KNOWS, loop)) == (loop,)
 
 
 def test_triple_selection_rows_and_accounting():
@@ -123,8 +120,9 @@ _SEL_OBJECTS = _SEL_NODES + [lit("v")]
 
 
 def _brute_row(pattern, triple):
-    """The binding of ``pattern`` against ``triple``, or None: a direct
-    reading of the pattern, independent of :class:`SelectionSpec`."""
+    """The row of ``pattern`` against ``triple`` (its terms in sorted
+    variable order), or None: a direct reading of the pattern, independent
+    of :class:`SelectionSpec`."""
     binding = {}
     for term, value in zip(pattern.positions(), (triple.s, triple.p, triple.o)):
         if term.is_variable:
@@ -132,7 +130,7 @@ def _brute_row(pattern, triple):
                 return None
         elif term != value:
             return None
-    return BindingRow.from_mapping(binding)
+    return tuple(value for _, value in sorted(binding.items()))
 
 
 @st.composite
@@ -393,13 +391,13 @@ def _join_case(draw, kind):
             st.sampled_from(["random", "keyed", "replicated"] if schema
                             else ["random", "replicated"]))
         if layout == "replicated":
-            inputs.append(replicate_rows(schema, rows, cluster))
+            inputs.append(make_relation(schema, rows, cluster, replicate=True))
         elif layout == "keyed":
             key = draw(st.frozensets(st.sampled_from(order), min_size=1))
-            inputs.append(distribute_keyed(schema, rows, key, cluster))
+            inputs.append(make_relation(schema, rows, cluster, key=key))
         else:
-            inputs.append(distribute_random(schema, rows, cluster,
-                                            start=draw(st.integers(0, 4))))
+            inputs.append(make_relation(schema, rows, cluster,
+                                        start=draw(st.integers(0, 4))))
     return on, inputs, cluster
 
 
@@ -439,7 +437,7 @@ def test_brjoin_cross_product_with_an_all_ground_pattern():
     # An all-ground pattern selects rows with an empty schema; joining it is
     # a cross product that repeats every row once per match.
     cluster, ledger, (knows, _, _) = _selections()
-    ground = distribute_random(frozenset(), [EMPTY_ROW, EMPTY_ROW], cluster)
+    ground = make_relation(frozenset(), [EMPTY_ROW, EMPTY_ROW], cluster)
     for inputs, target in (([ground, knows], 1), ([knows, ground], 0),
                            ([knows, ground], 1)):
         out = brjoin(frozenset(), inputs, target, cluster, ledger,
