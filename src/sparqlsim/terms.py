@@ -251,18 +251,12 @@ class BindingRow:
     def __hash__(self):
         return self._hash
 
-    def __len__(self):
-        return len(self.items)
-
     def get(self, v: Term) -> Term | None:
         # Rows are narrow; a linear scan beats building a dict per row.
         for bound, term in self.items:
             if bound is v or bound == v:
                 return term
         return None
-
-    def as_dict(self) -> dict[Term, Term]:
-        return dict(self.items)
 
     def __repr__(self):
         inner = ", ".join(f"{v.lexical}={t!r}" for v, t in self.items)

@@ -404,8 +404,8 @@ def _join_case(draw, kind):
 def _nested_loop_join(inputs) -> Counter:
     acc = [{}]
     for rel in inputs:
-        acc = [{**left, **right.as_dict()} for left in acc for right in rel.rows()
-               if all(left.get(v, t) == t for v, t in right.as_dict().items())]
+        acc = [{**left, **dict(right.items)} for left in acc for right in rel.rows()
+               if all(left.get(v, t) == t for v, t in right.items)]
     return Counter(BindingRow.from_mapping(d) for d in acc)
 
 
