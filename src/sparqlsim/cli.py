@@ -19,14 +19,13 @@ stopped because the reference evaluation exceeded its row budget (lower
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
-from .bench import (
-    DEFAULT_VERIFY_LIMIT, BenchCase, cases_from_suite, run_bench, run_suite,
-)
+from .bench import DEFAULT_VERIFY_LIMIT, BenchCase, run_bench, run_suite
 from .cluster import BasePartition, Cluster, Dataset, load_partitioned
 from .cost import CostParams
 from .engine import STRATEGIES, result_cell, run_query, sorted_result_rows
@@ -228,21 +227,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         STRATEGIES if args.strategy == "all" else (args.strategy,))
     if args.suite:
         suite = load_suite(args.suite)
-        overridden = (args.partitions is not None or strategies is not None
-                      or args.partition_key is not None)
-        if overridden:
-            report = run_bench(
-                cases_from_suite(suite),
-                ms=tuple(args.partitions) if args.partitions else suite.m,
-                strategies=strategies or suite.strategies,
-                partitioning=args.partition_key or suite.partitioning,
-                include_wall=not args.no_wall_time,
-                allow_cross=args.allow_cross_product, validate=args.validate,
-                verify_limit=args.verify_limit, suite_name=suite.name)
-        else:
-            report = run_suite(suite, include_wall=not args.no_wall_time,
-                               validate=args.validate,
-                               verify_limit=args.verify_limit)
+        suite = dataclasses.replace(
+            suite, m=tuple(args.partitions) if args.partitions else suite.m,
+            strategies=strategies or suite.strategies,
+            partitioning=args.partition_key or suite.partitioning)
+        report = run_suite(suite, include_wall=not args.no_wall_time,
+                           validate=args.validate, verify_limit=args.verify_limit)
     else:
         if not args.query:
             raise ParseError("--data needs --query")

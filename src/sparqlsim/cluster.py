@@ -468,19 +468,19 @@ class Dataset:
 
 
 def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
-                     base: BasePartition, seed: int = 0) -> Dataset:
+                     base: BasePartition) -> Dataset:
     """Distribute triples across the cluster.
 
     Positional partitioning hashes the canonical form of the term at that
     position, exactly like single-variable row placement, so selections over
     a position-partitioned store come out keyed on the variable bound there.
-    Random partitioning deals round-robin starting at ``seed mod m``.
+    Random partitioning deals round-robin starting at node 0.
     """
     buckets: list[list[Triple]] = [[] for _ in cluster.nodes]
     m = cluster.m
     pos = base.position
     if pos is None:
-        j = seed % m
+        j = 0
         for t in triples:
             buckets[j].append(t)
             j = (j + 1) % m

@@ -1,9 +1,10 @@
 """Top-level query runs: one strategy, one dataset, full accounting.
 
 Static strategies (``pjoin``, ``mono-br``, ``multi-br``) first evaluate and
-measure every selection once, build their plan from the logical tree and the
-measured sizes (:func:`plan_static`), then execute the joins reusing the
-measured selections. The adaptive strategy plans while executing; see
+measure every selection once, build their plan from the grouping tree of
+plan nodes (:func:`~sparqlsim.logical.build_logical`) and the measured sizes
+(:func:`plan_static`), then execute the joins reusing the measured
+selections. The adaptive strategy plans while executing; see
 :mod:`sparqlsim.hybrid`.
 """
 
@@ -14,11 +15,11 @@ from typing import Sequence
 from .cluster import Cluster, Dataset, Relation, TransferLedger
 from .executor import ExecutionTrace, Executor, execute_plan
 from .hybrid import plan_and_execute_hybrid
-from .logical import LogicalNode, ShapeInfo, build_logical
+from .logical import ShapeInfo, build_logical
 from .ops import compile_specs
 from .physical import (
-    PhysicalPlan, plan_mono_brjoin, plan_multi_brjoin, plan_pjoin_strategy,
-    render_plan,
+    PhysicalPlan, PhysNode, plan_leaves, plan_mono_brjoin, plan_multi_brjoin,
+    plan_pjoin_strategy, render_plan,
 )
 from .sparql import Query
 from .terms import Term
@@ -41,16 +42,16 @@ class RunResult:
         return self.relation.count
 
 
-def plan_static(strategy: str, logical_tree: LogicalNode,
+def plan_static(strategy: str, tree: PhysNode,
                 sizes: dict[int, int]) -> PhysicalPlan:
-    """The plan of a static strategy, from the logical tree and the measured
+    """The plan of a static strategy, from the grouping tree and the measured
     selection sizes by pattern index."""
     if strategy == "pjoin":
-        return plan_pjoin_strategy(logical_tree)
+        return plan_pjoin_strategy(tree)
     if strategy == "mono-br":
-        return plan_mono_brjoin(logical_tree, sizes)
+        return plan_mono_brjoin(tree, sizes)
     if strategy == "multi-br":
-        return plan_multi_brjoin(logical_tree, sizes)
+        return plan_multi_brjoin(tree, sizes)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -72,10 +73,10 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
         return RunResult("hybrid", run.plan, run.relation, ledger, trace, wall,
                          evaluations=run.evaluations)
 
-    logical_tree = build_logical(query.patterns, allow_cross)
+    tree = build_logical(query.patterns, allow_cross)
     executor = Executor(dataset, cluster, ledger, trace, validate)
     rels = executor.run_selections(compile_specs(query.patterns))
-    plan = plan_static(strategy, logical_tree, {i: r.count for i, r in enumerate(rels)})
+    plan = plan_static(strategy, tree, {i: r.count for i, r in enumerate(rels)})
     relation = execute_plan(plan, dataset, cluster, ledger, select=query.select,
                             trace=trace, validate=validate,
                             leaf_cache=executor.leaf_cache)
@@ -119,7 +120,7 @@ def result_cell(result: RunResult, *, m: int, partitioning: str,
         cell["wall_ms"] = round(result.wall_seconds * 1000.0, 3)
     if shape is not None:
         cell["shape"] = shape.shape.value
-    if result.plan.merged_groups:
-        cell["merged_scan_groups"] = [
-            [f"t{i + 1}" for i in group] for group in result.plan.merged_groups]
+    if result.plan.shared_scan:
+        leaves = sorted(plan_leaves(result.plan.root), key=lambda leaf: leaf.index)
+        cell["merged_scan_groups"] = [[leaf.label for leaf in leaves]]
     return cell

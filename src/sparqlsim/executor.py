@@ -103,7 +103,13 @@ class Executor:
         self._join_seq = 0
 
     def run(self, plan: PhysicalPlan, select: Sequence[Term] | None = None) -> Relation:
-        self._run_merged_groups(plan)
+        """Run a whole plan. A ``shared_scan`` plan first reads all its
+        selections in one shared pass, unless the leaf cache already holds
+        measured selections."""
+        if plan.shared_scan and not self.leaf_cache:
+            leaves = sorted(plan_leaves(plan.root), key=lambda leaf: leaf.index)
+            specs = [SelectionSpec.compile(leaf.index, leaf.pattern) for leaf in leaves]
+            self.run_selections(specs, shared_subset(specs, self.dataset, self.cluster))
         result = self._execute(plan.root)
         if select is not None:
             result = self.run_projection(result, select)
@@ -172,21 +178,6 @@ class Executor:
         if self.validate:
             for rel in outputs:
                 check_placement(rel)
-
-    def _run_merged_groups(self, plan: PhysicalPlan) -> None:
-        leaves = {leaf.index: leaf for leaf in plan_leaves(plan.root)}
-        for group in plan.merged_groups:
-            cached = [idx in self.leaf_cache for idx in group]
-            if all(cached):
-                continue
-            if any(cached):
-                raise AssertionError("merged scan group partially cached")
-            for idx in group:
-                if idx not in leaves:
-                    raise KeyError(f"merged scan group references t{idx + 1}, "
-                                   "which is not a leaf of the plan")
-            specs = [SelectionSpec.compile(idx, leaves[idx].pattern) for idx in group]
-            self.run_selections(specs, shared_subset(specs, self.dataset, self.cluster))
 
     def _execute(self, node: PhysNode) -> Relation:
         if isinstance(node, SelectionNode):

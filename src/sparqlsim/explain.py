@@ -106,8 +106,8 @@ def _explain_hybrid(query: Query, dataset: Dataset, cluster: Cluster,
                              allow_cross=allow_cross)
     d, n, s = dataset.size, len(query.patterns), opening.subset_size
     shared = f"{d} + {n} x {s} = {d + n * s}"
-    if opening.merged_groups:
-        labels = ", ".join(f"t{i + 1}" for i in opening.merged_groups[0])
+    if opening.shared_scan:
+        labels = ", ".join(f"t{i + 1}" for i in range(n))
         lines = [f"selections (one shared store pass over {labels}: "
                  f"{shared} < {n} x {d} tuples):"]
     else:

@@ -126,28 +126,27 @@ class _HybridPlanner:
         self.executor = executor
         self.evaluations = 0
 
-    def run(self) -> tuple[PhysNode, Relation, tuple[tuple[int, ...], ...]]:
-        slots, merged_groups, _ = self.select()
+    def run(self) -> tuple[PhysNode, Relation, bool]:
+        slots, shared_scan, _ = self.select()
         results = [self._greedy_component([slots[i] for i in members])
                    for members in self.components]
         final = results[0]
         for nxt in results[1:]:
             final = self._step(final, nxt, self._best_option(final, nxt))
-        return final.node, final.rel, merged_groups
+        return final.node, final.rel, shared_scan
 
-    def select(self) -> tuple[list[_Slot], tuple[tuple[int, ...], ...], int]:
+    def select(self) -> tuple[list[_Slot], bool, int]:
         """Measure every selection. Build the shared subset S once and share
         its store pass exactly when the merged-scan rule holds; return the
-        slots, the merged scan groups and |S|."""
+        slots, whether the pass was shared, and |S|."""
         specs = compile_specs(self.patterns)
         dataset = self.executor.dataset
         subset = shared_subset(specs, dataset, self.executor.cluster)
         merged = merged_scan_beneficial(dataset.size, len(specs), subset.size)
         rels = self.executor.run_selections(specs, subset if merged else None)
-        groups = (tuple(s.index for s in specs),) if merged else ()
         slots = [_Slot(rel, SelectionNode(spec.index, spec.pattern), spec.index)
                  for spec, rel in zip(specs, rels)]
-        return slots, groups, subset.size
+        return slots, merged, subset.size
 
     def _best_option(self, first: _Slot, second: _Slot) -> _Option:
         opts = _step_options(first, second, self.executor.cluster.m)
@@ -208,12 +207,12 @@ class _HybridPlanner:
 @dataclass(frozen=True, slots=True)
 class HybridOpening:
     """What the adaptive strategy knows before its first join: the measured
-    selections (by pattern index), the merged scan groups, the size of the
-    shared subset S, and for each connected component with a join, the
+    selections (by pattern index), whether they shared one store pass, the
+    size of the shared subset S, and for each connected component with a join, the
     opening step and its modeled transfer tuples."""
 
     selections: list[Relation]
-    merged_groups: tuple[tuple[int, ...], ...]
+    shared_scan: bool
     subset_size: int
     steps: list[tuple[PjoinNode | BrjoinNode, int]]
 
@@ -224,13 +223,13 @@ def hybrid_opening(patterns: Sequence[TriplePattern], dataset: Dataset,
     component's opening step, without joining anything."""
     planner = _HybridPlanner(patterns, Executor(dataset, cluster, TransferLedger()),
                              allow_cross=allow_cross)
-    slots, merged_groups, subset_size = planner.select()
+    slots, shared_scan, subset_size = planner.select()
     steps = []
     for members in planner.components:
         if len(members) > 1:
             first, second, opt = planner.opening([slots[i] for i in members])
             steps.append((_step_node(first, second, opt), opt.cost))
-    return HybridOpening([s.rel for s in slots], merged_groups, subset_size, steps)
+    return HybridOpening([s.rel for s in slots], shared_scan, subset_size, steps)
 
 
 def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], dataset: Dataset,
@@ -246,8 +245,8 @@ def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], dataset: Dataset,
     """
     executor = Executor(dataset, cluster, ledger, trace, validate)
     planner = _HybridPlanner(patterns, executor, allow_cross=allow_cross)
-    root, rel, merged_groups = planner.run()
+    root, rel, shared_scan = planner.run()
     if select is not None:
         rel = executor.run_projection(rel, select)
-    plan = PhysicalPlan("hybrid", root, merged_groups)
+    plan = PhysicalPlan(root, shared_scan)
     return HybridRun(plan=plan, relation=rel, evaluations=planner.evaluations)

@@ -1,7 +1,10 @@
-"""Logical join trees and query-shape classification.
+"""The grouping tree of a query, and query-shape classification.
 
-The logical plan fixes the grouping of triple patterns into n-ary joins;
-physical strategies then decide per join whether to partition or broadcast.
+:func:`build_logical` fixes the grouping of triple patterns into n-ary joins
+and returns it as a plan tree: :class:`~sparqlsim.physical.SelectionNode`
+leaves under :class:`~sparqlsim.physical.PjoinNode` steps, which is exactly
+the static partitioned plan. The broadcast strategies regroup or re-target
+the same tree (:mod:`sparqlsim.physical`).
 
 Grouping rule: process each join variable once they are "complete", i.e. in
 ascending order of the last (textual) pattern that mentions them, breaking
@@ -10,7 +13,9 @@ collects every pending subtree and every not-yet-consumed pattern containing
 it. Variables fully contained inside an existing subtree add no step. For a
 connected pattern set this always terminates in a single tree, and it yields
 the natural nesting for hierarchies: satellite groups close before the
-variable that links them to the center.
+variable that links them to the center. Since a step takes every subtree
+that mentions its variable, no later step has a child joined on its own
+key, so the partitioned plan never nests two joins on the same key.
 
 The hash-key set of a join step is the full intersection of its children's
 variable sets (always nonempty and containing the grouping variable), so
@@ -19,68 +24,11 @@ partitioned execution can co-locate on every shared variable at once.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import CartesianProductError
+from .physical import BrjoinNode, PhysNode, PjoinNode, SelectionNode
 from .terms import Term, TriplePattern, pattern_vars
-
-
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    """One triple pattern, by textual position in the query."""
-
-    index: int
-    pattern: TriplePattern
-
-    @property
-    def vars(self) -> frozenset[Term]:
-        return pattern_vars(self.pattern)
-
-    @property
-    def label(self) -> str:
-        return f"t{self.index + 1}"
-
-    @property
-    def first_index(self) -> int:
-        return self.index
-
-
-@dataclass(frozen=True, slots=True)
-class JoinNode:
-    """An n-ary natural join of two or more subplans.
-
-    ``var`` is the grouping variable that created the step (None for an
-    explicit cross product); ``on`` is the hash-key set, the intersection of
-    all children's variable sets (empty only for cross products).
-    """
-
-    var: Term | None
-    on: frozenset[Term]
-    children: tuple[Union[Leaf, "JoinNode"], ...]
-    cross: bool = False
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("a join needs at least two children")
-        if self.cross:
-            if self.on or self.var is not None:
-                raise ValueError("a cross product has no join variables")
-        elif not self.on:
-            raise ValueError("a non-cross join needs a nonempty variable set")
-
-    @property
-    def vars(self) -> frozenset[Term]:
-        out: set[Term] = set()
-        for child in self.children:
-            out |= child.vars
-        return frozenset(out)
-
-    @property
-    def first_index(self) -> int:
-        return min(child.first_index for child in self.children)
-
-
-LogicalNode = Union[Leaf, JoinNode]
 
 
 def join_variables(patterns: Sequence[TriplePattern]) -> dict[Term, list[int]]:
@@ -127,28 +75,28 @@ def _grouping_order(patterns: Sequence[TriplePattern]) -> list[tuple[Term, list[
     return sorted(jvars.items(), key=lambda item: (item[1][-1], item[1][0], item[0]))
 
 
-def _build_component(patterns: Sequence[TriplePattern], members: list[int]) -> LogicalNode:
+def _build_component(patterns: Sequence[TriplePattern], members: list[int]) -> PhysNode:
     if len(members) == 1:
         i = members[0]
-        return Leaf(i, patterns[i])
+        return SelectionNode(i, patterns[i])
 
     member_set = set(members)
-    pending: list[LogicalNode] = []
+    pending: list[PhysNode] = []
     unconsumed = set(members)
 
     for v, mention_idxs in _grouping_order(patterns):
         if mention_idxs[0] not in member_set:
             continue
-        children: list[LogicalNode] = [t for t in pending if v in t.vars]
+        children: list[PhysNode] = [t for t in pending if v in t.vars]
         leaf_idxs = [i for i in mention_idxs if i in unconsumed]
-        children.extend(Leaf(i, patterns[i]) for i in leaf_idxs)
+        children.extend(SelectionNode(i, patterns[i]) for i in leaf_idxs)
         if len(children) < 2:
             # Variable already closed inside a single subtree.
             continue
         on = children[0].vars
         for child in children[1:]:
             on = on & child.vars
-        node = JoinNode(var=v, on=on, children=tuple(children))
+        node = PjoinNode(on=on, children=tuple(children))
         pending = [t for t in pending if v not in t.vars]
         pending.append(node)
         unconsumed.difference_update(leaf_idxs)
@@ -168,12 +116,13 @@ def joinable_components(patterns: Sequence[TriplePattern],
     return components
 
 
-def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) -> LogicalNode:
-    """Build the canonical logical join tree for a pattern list.
+def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) -> PhysNode:
+    """Build the canonical grouping tree for a pattern list.
 
     Disconnected pattern sets raise :class:`CartesianProductError` unless
     cross products are allowed, in which case the component trees (ordered by
-    first pattern index) are combined under a single cross-product join.
+    first pattern index) are combined under a single cross-product broadcast
+    join whose target is the last component.
     """
     if not patterns:
         raise ValueError("cannot plan an empty pattern list")
@@ -181,7 +130,8 @@ def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) 
     trees = [_build_component(patterns, members) for members in components]
     if len(trees) == 1:
         return trees[0]
-    return JoinNode(var=None, on=frozenset(), children=tuple(trees), cross=True)
+    return BrjoinNode(on=frozenset(), children=tuple(trees),
+                      target=len(trees) - 1, cross=True)
 
 
 class Shape(Enum):

@@ -23,45 +23,6 @@ _TRIPLE_LINE = re.compile(
     r"\s*\.\s*$"
 )
 
-_UNESCAPES = {
-    "\\": "\\",
-    '"': '"',
-    "n": "\n",
-    "r": "\r",
-    "t": "\t",
-    "b": "\b",
-    "f": "\f",
-    "'": "'",
-}
-
-
-def unescape_literal_text(raw: str) -> str:
-    """Decode the escape sequences inside a literal's quoted span."""
-    out = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise ValueError("dangling escape at end of literal")
-        nxt = raw[i + 1]
-        if nxt in _UNESCAPES:
-            out.append(_UNESCAPES[nxt])
-            i += 2
-        elif nxt == "u" and i + 6 <= n:
-            out.append(chr(int(raw[i + 2:i + 6], 16)))
-            i += 6
-        elif nxt == "U" and i + 10 <= n:
-            out.append(chr(int(raw[i + 2:i + 10], 16)))
-            i += 10
-        else:
-            raise ValueError(f"unknown escape sequence \\{nxt}")
-    return "".join(out)
-
 
 def term_from_token(token: str):
     """Build a term from a single N-Triples token."""

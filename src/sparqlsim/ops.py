@@ -129,14 +129,13 @@ def compile_specs(patterns: Sequence[TriplePattern]) -> list[SelectionSpec]:
 
 
 def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
-                     ledger: TransferLedger, operator: str | None = None) -> Relation:
+                     ledger: TransferLedger) -> Relation:
     """Scan the store once and emit one row per matching triple, in chunk
     order. Purely node-local; charges one full scan and no transfer. A
     ground predicate reads only that predicate's group of each node's
     index."""
     if cluster.m != dataset.m:
         raise ValueError(f"dataset is distributed over {dataset.m} nodes, cluster has {cluster.m}")
-    op = operator if operator is not None else f"sel[{spec.label}]"
     pred = spec.predicate
 
     def scan(j: int) -> tuple[Row, ...]:
@@ -145,7 +144,7 @@ def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
         return spec.rows_of(dataset.index[j].get(pred, ()))
 
     chunks = tuple(for_each_node(cluster, scan))
-    ledger.tally(op, scanned=dataset.size)
+    ledger.tally(f"sel[{spec.label}]", scanned=dataset.size)
     return Relation(spec.projection, chunks, selection_state(spec, dataset))
 
 

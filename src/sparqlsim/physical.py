@@ -2,15 +2,16 @@
 
 A physical plan fixes, for every join, the algorithm (partitioned or
 broadcast), the n-ary grouping, the input order, and for broadcast joins the
-target input that stays in place. Three static strategies are built here
-from the logical tree and measured selection sizes; the adaptive strategy in
-:mod:`sparqlsim.hybrid` builds its plan during execution.
+target input that stays in place. The grouping tree that
+:func:`~sparqlsim.logical.build_logical` returns is itself a tree of these
+nodes; the three static strategies are built here from it and the measured
+selection sizes, and the adaptive strategy in :mod:`sparqlsim.hybrid` builds
+its plan during execution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
-from .logical import Leaf, LogicalNode
 from .terms import Term, TriplePattern, pattern_vars
 
 
@@ -82,25 +83,11 @@ PhysNode = Union[SelectionNode, PjoinNode, BrjoinNode]
 
 @dataclass(frozen=True, slots=True)
 class PhysicalPlan:
-    """A complete executable plan.
+    """A complete executable plan. With ``shared_scan`` the selections of
+    all leaves share one store pass instead of scanning once each."""
 
-    ``merged_groups`` lists pattern-index groups whose selections share one
-    store pass; leaves referencing those indices read from the group result.
-    """
-
-    strategy: str
     root: PhysNode
-    merged_groups: tuple[tuple[int, ...], ...] = field(default=())
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for group in self.merged_groups:
-            if len(group) < 2:
-                raise ValueError("a merged scan group covers at least two patterns")
-            for idx in group:
-                if idx in seen:
-                    raise ValueError(f"pattern t{idx + 1} in two merged scan groups")
-                seen.add(idx)
+    shared_scan: bool = False
 
 
 def plan_leaves(node: PhysNode) -> list[SelectionNode]:
@@ -134,64 +121,32 @@ def render_plan(node: PhysNode) -> str:
     return f"{name}_{join_key(node)}({inner})"
 
 
-def _leaf(leaf: Leaf) -> SelectionNode:
-    return SelectionNode(leaf.index, leaf.pattern)
+def plan_pjoin_strategy(tree: PhysNode) -> PhysicalPlan:
+    """Every join runs partitioned on its variable set, which is the
+    grouping tree as built; a cross product (only present when explicitly
+    allowed) broadcasts, since there is no key to partition on."""
+    return PhysicalPlan(tree)
 
 
-def plan_pjoin_strategy(logical: LogicalNode) -> PhysicalPlan:
-    """Every join runs partitioned on its variable set; a cross product (only
-    present when explicitly allowed) falls back to broadcasting, since there
-    is no key to partition on."""
-
-    def convert(node: LogicalNode) -> PhysNode:
-        if isinstance(node, Leaf):
-            return _leaf(node)
-        children: list[PhysNode] = []
-        for child in node.children:
-            built = convert(child)
-            # Same-key nesting adds no repartitioning step; splice it flat.
-            if (isinstance(built, PjoinNode) and not node.cross
-                    and built.on == node.on):
-                children.extend(built.children)
-            else:
-                children.append(built)
-        if node.cross:
-            return BrjoinNode(on=frozenset(), children=tuple(children),
-                              target=len(children) - 1, cross=True)
-        return PjoinNode(on=node.on, children=tuple(children))
-
-    return PhysicalPlan("pjoin", convert(logical))
-
-
-def plan_mono_brjoin(logical: LogicalNode, leaf_sizes: dict[int, int]) -> PhysicalPlan:
+def plan_mono_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPlan:
     """One broadcast join over all selections: every input except the largest
     is replicated everywhere. The target is the largest selection (ties to
     the smallest pattern index). Input order beyond that affects neither
     what is transferred nor the local join, which folds from the target
     through connected inputs (:func:`sparqlsim.ops.fold_order`), so
     non-targets keep textual order."""
-    leaves = sorted(_collect_leaves(logical), key=lambda lf: lf.index)
+    leaves = sorted(plan_leaves(tree), key=lambda leaf: leaf.index)
     if len(leaves) == 1:
-        return PhysicalPlan("mono-br", _leaf(leaves[0]))
-    target_leaf = max(leaves, key=lambda lf: (leaf_sizes[lf.index], -lf.index))
-    ordered = [lf for lf in leaves if lf.index != target_leaf.index] + [target_leaf]
-    on = _all_join_vars(logical)
-    return PhysicalPlan("mono-br", BrjoinNode(
-        on=on, children=tuple(_leaf(lf) for lf in ordered),
-        target=len(ordered) - 1, cross=not on))
+        return PhysicalPlan(leaves[0])
+    target = max(leaves, key=lambda leaf: (leaf_sizes[leaf.index], -leaf.index))
+    ordered = [leaf for leaf in leaves if leaf is not target] + [target]
+    on = _all_join_vars(tree)
+    return PhysicalPlan(BrjoinNode(on=on, children=tuple(ordered),
+                                   target=len(ordered) - 1, cross=not on))
 
 
-def _collect_leaves(node: LogicalNode) -> list[Leaf]:
-    if isinstance(node, Leaf):
-        return [node]
-    out: list[Leaf] = []
-    for child in node.children:
-        out.extend(_collect_leaves(child))
-    return out
-
-
-def _all_join_vars(node: LogicalNode) -> frozenset[Term]:
-    if isinstance(node, Leaf):
+def _all_join_vars(node: PhysNode) -> frozenset[Term]:
+    if isinstance(node, SelectionNode):
         return frozenset()
     out: set[Term] = set(node.on)
     for child in node.children:
@@ -199,23 +154,23 @@ def _all_join_vars(node: LogicalNode) -> frozenset[Term]:
     return frozenset(out)
 
 
-def plan_multi_brjoin(logical: LogicalNode, leaf_sizes: dict[int, int]) -> PhysicalPlan:
-    """Broadcast joins following the logical grouping, folded left-deep two
+def plan_multi_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPlan:
+    """Broadcast joins following the grouping tree, folded left-deep two
     at a time. Within a group, already-joined subtrees come first (in
-    logical order), then the leaf selections from small to large, so the
+    tree order), then the leaf selections from small to large, so the
     cheap sides get broadcast early. Each pair keeps the larger side as the
     target; intermediate sizes are estimated as the smaller input size,
     which is exact for key-foreign-key steps and conservative enough to keep
     broadcasting the joined side."""
 
-    def convert(node: LogicalNode) -> tuple[PhysNode, int]:
-        if isinstance(node, Leaf):
-            return _leaf(node), leaf_sizes[node.index]
+    def convert(node: PhysNode) -> tuple[PhysNode, int]:
+        if isinstance(node, SelectionNode):
+            return node, leaf_sizes[node.index]
         subtrees: list[tuple[PhysNode, int]] = []
         leaves: list[tuple[SelectionNode, int]] = []
         for child in node.children:
-            if isinstance(child, Leaf):
-                leaves.append((_leaf(child), leaf_sizes[child.index]))
+            if isinstance(child, SelectionNode):
+                leaves.append((child, leaf_sizes[child.index]))
             else:
                 subtrees.append(convert(child))
         leaves.sort(key=lambda pair: (pair[1], pair[0].index))
@@ -224,9 +179,9 @@ def plan_multi_brjoin(logical: LogicalNode, leaf_sizes: dict[int, int]) -> Physi
         for nxt, nxt_size in queue[1:]:
             target = 1 if acc_size <= nxt_size else 0
             acc = BrjoinNode(on=node.on, children=(acc, nxt), target=target,
-                             cross=node.cross)
+                             cross=not node.on)
             acc_size = min(acc_size, nxt_size)
         return acc, acc_size
 
-    root, _ = convert(logical)
-    return PhysicalPlan("multi-br", root)
+    root, _ = convert(tree)
+    return PhysicalPlan(root)

@@ -58,7 +58,6 @@ class WorkloadSpec:
     parallel: int = 50          # front-loaded-large: mid-span part-chains
     large_noise: int | None = None  # front-loaded-large: head noise (default 6x parallel)
     filler: int = 0             # triples matching no pattern
-    seed: int = 0
 
     def __post_init__(self):
         if self.shape not in SHAPES:
@@ -284,7 +283,7 @@ class Suite:
 
 _SUITE_KEYS = {"name", "workloads", "m", "partitioning", "strategies"}
 _SPEC_KEYS = {"name", "shape", "pattern_count", "subject_count", "profile",
-              "noise_factor", "parallel", "large_noise", "filler", "seed"}
+              "noise_factor", "parallel", "large_noise", "filler"}
 
 
 def _spec_from_dict(raw: dict, where: str) -> WorkloadSpec:

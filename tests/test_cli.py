@@ -185,11 +185,13 @@ def test_bench_suite_overrides(capsys):
     code, out, _ = run_cli(capsys, "bench",
                            "--suite", str(REPO_ROOT / "workloads" / "star-suite.json"),
                            "-m", "2", "--strategy", "hybrid",
-                           "--no-wall-time")
+                           "--partition-key", "object", "--no-wall-time")
     assert code == 0
     payload = json.loads(out)
+    assert payload["partitioning"] == "object"
     assert {c["m"] for c in payload["cells"]} == {2}
     assert {c["strategy"] for c in payload["cells"]} == {"hybrid"}
+    assert {c["partitioning"] for c in payload["cells"]} == {"object"}
 
 
 def test_bench_requires_exactly_one_input_mode(capsys, university_nt):
@@ -246,17 +248,19 @@ def test_exit_2_non_utf8_data(capsys, tmp_path):
         assert code == 2 and "not UTF-8" in err
 
 
-@pytest.mark.parametrize("setting, message", [
-    ('"merge_scan": "auto"', "unknown keys: merge_scan"),
-    ('"partitioning": "diagonal"', "unknown partitioning 'diagonal'"),
-    ('"strategies": ["pjoin", "zigzag"]', "unknown strategies: zigzag"),
-    ('"m": [2, 0]', "must be at least 1, got 0")],
-    ids=["unknown-key", "partitioning", "strategy", "m"])
-def test_exit_2_bad_suite_settings(capsys, tmp_path, setting, message):
+@pytest.mark.parametrize("setting, workload_setting, message", [
+    ('"merge_scan": "auto"', "", "unknown keys: merge_scan"),
+    ('"partitioning": "diagonal"', "", "unknown partitioning 'diagonal'"),
+    ('"strategies": ["pjoin", "zigzag"]', "", "unknown strategies: zigzag"),
+    ('"m": [2, 0]', "", "must be at least 1, got 0"),
+    ('"m": [2]', ', "seed": 1', "workloads[0]: unknown keys: seed")],
+    ids=["unknown-key", "partitioning", "strategy", "m", "workload-seed"])
+def test_exit_2_bad_suite_settings(capsys, tmp_path, setting, workload_setting,
+                                   message):
     suite = tmp_path / "suite.json"
     suite.write_text('{"workloads": [{"name": "s", "shape": "star", '
-                     '"pattern_count": 2, "subject_count": 3}], ' + setting + "}",
-                     encoding="utf-8")
+                     '"pattern_count": 2, "subject_count": 3' + workload_setting
+                     + "}], " + setting + "}", encoding="utf-8")
     code, out, err = run_cli(capsys, "bench", "--suite", str(suite))
     assert code == 2 and out == ""
     assert message in err

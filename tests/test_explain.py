@@ -134,4 +134,4 @@ def test_hybrid_opening_step_is_the_first_executed_join(q8_workload, workload, b
     assert [size for size, _ in entry.inputs] == [rows[first], rows[second]]
     assert entry.target == (None if target is None else (first, second).index(target))
     assert moved == int(transfer)
-    assert ("one shared store pass" in text) == bool(run.plan.merged_groups)
+    assert ("one shared store pass" in text) == run.plan.shared_scan

@@ -69,15 +69,15 @@ def test_merged_scan_tie_goes_to_independent_scans():
     run = run_strategy("hybrid", query, dataset, cluster)
     assert run.ledger.totals()["scanned"] == 80
     assert [e.kind for e in run.trace.entries[:2]] == ["selection", "selection"]
-    assert run.plan.merged_groups == ()
+    assert not run.plan.shared_scan
     assert run.result_count == 10
 
 
-def test_merged_groups_recorded_in_the_plan(q8_workload):
+def test_shared_scan_recorded_in_the_plan(q8_workload):
     run, _, _, _ = _hybrid(q8_workload)
-    assert run.plan.merged_groups == ((0, 1, 2, 3, 4),)
+    assert run.plan.shared_scan
     run_star, _, _, _ = _hybrid(generate(_FULL_STAR))
-    assert run_star.plan.merged_groups == ()
+    assert not run_star.plan.shared_scan
 
 
 def test_hybrid_plan_replays_identically(q8_workload):

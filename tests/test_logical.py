@@ -1,13 +1,16 @@
-"""Logical join trees (grouping by join variable) and shape classification."""
+"""Grouping trees (grouping by join variable) and shape classification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparqlsim import (
     CartesianProductError, Shape, build_logical, classify_shape, iri,
     parse_query, snowflake_query, var,
 )
-from sparqlsim.logical import (
-    JoinNode, Leaf, connected_components, join_variables,
+from sparqlsim.logical import connected_components, join_variables
+from sparqlsim.physical import (
+    BrjoinNode, PjoinNode, SelectionNode, plan_leaves, plan_pjoin_strategy,
 )
 from sparqlsim.terms import TriplePattern
 
@@ -43,19 +46,19 @@ def test_build_logical_rejects_cross_products_by_default():
         build_logical(patterns)
     assert err.value.components == 2
     root = build_logical(patterns, allow_cross=True)
-    assert isinstance(root, JoinNode) and root.cross
-    assert len(root.children) == 2
+    assert isinstance(root, BrjoinNode) and root.cross and not root.on
+    assert len(root.children) == 2 and root.target == 1
 
 
 def test_build_logical_snowflake_grouping():
     """The department-side variable finishes being mentioned first, so its
     group joins first and the student-side group consumes it."""
     root = build_logical(snowflake_query().patterns)
-    assert isinstance(root, JoinNode)
-    assert root.var == var("x") and root.on == frozenset({var("x")})
+    assert isinstance(root, PjoinNode)
+    assert root.on == frozenset({var("x")})
     inner, t1, t5 = root.children
-    assert isinstance(inner, JoinNode)
-    assert inner.var == var("y") and inner.on == frozenset({var("y")})
+    assert isinstance(inner, PjoinNode)
+    assert inner.on == frozenset({var("y")})
     assert [leaf.index for leaf in inner.children] == [1, 2, 3]
     assert (t1.index, t5.index) == (0, 4)
 
@@ -65,11 +68,47 @@ def test_build_logical_chain_is_left_deep_from_the_front():
                 pat("?x3", "p3", "?x4")]
     root = build_logical(patterns)
     # x2 completes first -> join(t1,t2), then x3 joins t3 onto it
-    assert root.var == var("x3")
+    assert isinstance(root, PjoinNode) and root.on == frozenset({var("x3")})
     inner = root.children[0]
-    assert isinstance(inner, JoinNode) and inner.var == var("x2")
+    assert isinstance(inner, PjoinNode) and inner.on == frozenset({var("x2")})
     assert [l.index for l in inner.children] == [0, 1]
     assert root.children[1].index == 2
+
+
+_TERMS = tuple(var(f"v{i}") for i in range(5)) + (iri(E + "c0"), iri(E + "c1"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_TERMS),
+                          st.sampled_from(_TERMS + (iri(E + "p0"), iri(E + "p1"))),
+                          st.sampled_from(_TERMS)),
+                min_size=1, max_size=8))
+def test_grouping_tree_is_a_pjoin_plan(triples):
+    """On any BGP, cross products allowed: the grouping tree holds only plan
+    nodes, each pattern is one leaf, a broadcast join appears only as the
+    cross-product root, no partitioned join has a child on its own key, and
+    the partitioned plan is the tree itself."""
+    patterns = [TriplePattern(*t) for t in triples]
+    tree = build_logical(patterns, allow_cross=True)
+    assert sorted(leaf.index for leaf in plan_leaves(tree)) == list(range(len(patterns)))
+    cross = len(connected_components(patterns)) > 1
+    assert isinstance(tree, BrjoinNode) == cross
+
+    def walk(node, is_root):
+        if isinstance(node, SelectionNode):
+            assert node.pattern == patterns[node.index]
+            return
+        if isinstance(node, BrjoinNode):
+            assert is_root and node.cross
+        else:
+            assert isinstance(node, PjoinNode)
+            assert not any(isinstance(child, PjoinNode) and child.on == node.on
+                           for child in node.children)
+        for child in node.children:
+            walk(child, False)
+
+    walk(tree, True)
+    assert plan_pjoin_strategy(tree).root is tree
 
 
 def test_star_classification_and_orientation():

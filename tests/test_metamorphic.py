@@ -112,4 +112,4 @@ def test_run_invariants(workload, strategy, base, m, order):
         assert result.ledger.totals()["scanned"] == min(d + n * subset, n * d)
         kinds = [e.kind for e in result.trace.entries[:1 if shared else n]]
         assert kinds == (["merged-selection"] if shared else ["selection"] * n)
-        assert result.plan.merged_groups == ((tuple(range(n)),) if shared else ())
+        assert result.plan.shared_scan == shared

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import ParseError, iri, lit, parse_ntriples, serialize_ntriples
-from sparqlsim.ntriples import term_from_token, unescape_literal_text
+from sparqlsim.ntriples import term_from_token
 from sparqlsim.terms import Triple, blank
 
 
@@ -50,16 +50,6 @@ def test_parse_error_carries_line_number():
 def test_malformed_lines_rejected(bad):
     with pytest.raises(ParseError):
         parse_ntriples(bad)
-
-
-def test_unescape_literal_text():
-    assert unescape_literal_text(r'say \"hi\"\n') == 'say "hi"\n'
-    assert unescape_literal_text(r'A\t') == 'A\t'
-    assert unescape_literal_text(r'\U0001F600') == '\U0001F600'
-    with pytest.raises(ValueError):
-        unescape_literal_text('dangling\\')
-    with pytest.raises(ValueError):
-        unescape_literal_text(r'\q')
 
 
 def test_term_from_token():
