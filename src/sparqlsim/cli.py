@@ -11,9 +11,10 @@ Subcommands:
               of node counts and strategies; JSON or CSV report
 
 Exit codes: 0 success; 2 bad input (missing file, file that is not UTF-8,
-parse error, or an invalid option such as ``-m 0`` or a negative cost
-weight); 3 query uses an unsupported feature; 4 the pattern is a cross
-product and ``--allow-cross-product`` was not given; 5 ``bench`` verification
+parse error, or an invalid option such as ``-m 0``, a negative cost weight
+or ``--allow-cross-product`` with ``bench --suite``); 3 query uses an
+unsupported feature; 4 the pattern is a cross product and
+``--allow-cross-product`` was not given; 5 ``bench`` verification
 stopped because the reference evaluation exceeded its row budget (lower
 ``--verify-limit`` to skip verifying that dataset).
 """
@@ -135,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None, help="strategy or 'all' (default: suite "
                          "setting, else all)")
     p_bench.add_argument("--allow-cross-product", action="store_true",
-                         help="permit disconnected patterns")
+                         help="permit disconnected patterns (--data only: "
+                         "suite queries are connected, and --suite exits 2 "
+                         "with this option)")
     p_bench.add_argument("--validate", action="store_true",
                          help="check partitioning invariants after every operator")
     p_bench.add_argument("--verify-limit", type=int, default=DEFAULT_VERIFY_LIMIT,
@@ -226,6 +229,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     strategies = None if args.strategy is None else (
         STRATEGIES if args.strategy == "all" else (args.strategy,))
     if args.suite:
+        if args.allow_cross_product:
+            raise ParseError("--allow-cross-product applies to --data only; "
+                             "suite queries are connected")
         suite = load_suite(args.suite)
         suite = dataclasses.replace(
             suite, m=tuple(args.partitions) if args.partitions else suite.m,

@@ -1,8 +1,8 @@
 """Simulated m-node cluster: placement, shuffles, broadcasts, accounting.
 
-A relation here is a logical multiset of positional rows plus a physical
-layout: one chunk per node and a partition state describing what the layout
-guarantees. The state is one of
+A relation here is a logical multiset of positional rows of term ids (see
+:mod:`sparqlsim.terms`) plus a physical layout: one chunk per node and a
+partition state describing what the layout guarantees. The state is one of
 
 * ``Keyed(V)``: every row lives on ``node_of(row, V, m)``;
 * ``Random``: rows live anywhere, each on exactly one node;
@@ -20,57 +20,18 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .terms import BindingRow, Term, TermKind, Triple
+from .terms import (
+    H64, TERMS, BindingRow, Term, Triple, fnv1a_64, id_hash64, term_hash64,
+)
 
 T = TypeVar("T")
 
-# A relation's row: one ground term per schema variable, in sorted variable
-# order, so operators read and cut rows by position.
-Row = tuple[Term, ...]
+# A relation's row: the id of one ground term per schema variable, in sorted
+# variable order, so operators read and cut rows by position.
+Row = tuple[int, ...]
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_FNV_MASK = (1 << 64) - 1
-
-
-def fnv1a_64(data: bytes, state: int = _FNV_OFFSET) -> int:
-    """FNV-1a 64-bit hash. Deterministic across processes and platforms,
-    unlike Python's seeded str hash.
-
-    The hash folds bytes in order, so ``fnv1a_64(b, fnv1a_64(a))`` equals
-    ``fnv1a_64(a + b)``: passing the state reached after a prefix resumes
-    the hash there."""
-    h = state
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _FNV_MASK
-    return h
-
-
-# FNV state after "<" plus an IRI's namespace (everything up to and
-# including its last "/"); one entry per namespace, so IRIs that share one
-# hash only their local names.
-_namespace_state: dict[str, int] = {}
-
-
-def term_hash64(term: Term) -> int:
-    """Placement hash of a single term: the FNV-1a hash of its canonical
-    serialization, cached on the term object."""
-    h = term._h64
-    if h is None:
-        if term.kind is TermKind.IRI:
-            lexical = term.lexical
-            cut = lexical.rfind("/") + 1
-            namespace = lexical[:cut]
-            state = _namespace_state.get(namespace)
-            if state is None:
-                state = _namespace_state[namespace] = fnv1a_64(
-                    ("<" + namespace).encode("utf-8"))
-            h = fnv1a_64((lexical[cut:] + ">").encode("utf-8"), state)
-        else:
-            h = fnv1a_64(term.nt().encode("utf-8"))
-        object.__setattr__(term, "_h64", h)
-    return h
-
+# A stored triple: the ids of its subject, predicate and object.
+IdTriple = tuple[int, int, int]
 
 _KEY_SEP = "\x1f"
 
@@ -113,8 +74,9 @@ def placement(schema: Iterable[Term], key: Iterable[Term],
               m: int) -> Callable[[Row], int]:
     """Node index function for the rows of one relation under hash
     partitioning on ``key``; it agrees with :func:`node_of` on the decoded
-    row. Key terms are read by position and destinations are memoized per
-    key term (or tuple of key terms)."""
+    row. A one-variable key reads the placement hash of the id at its
+    position from :data:`~sparqlsim.terms.H64`; a wider key hashes the
+    decoded terms once per distinct id tuple."""
     order = sorted(schema)
     key_vars = sorted(key)
     if not key_vars:
@@ -122,15 +84,25 @@ def placement(schema: Iterable[Term], key: Iterable[Term],
     missing = [v for v in key_vars if v not in order]
     if missing:
         raise UnboundKeyError(f"schema {order} does not bind partition key {missing}")
-    pick = itemgetter(*(order.index(v) for v in key_vars))
-    single = len(key_vars) == 1
-    memo: dict = {}
+    positions = [order.index(v) for v in key_vars]
+    if len(positions) == 1:
+        [pos] = positions
+        h64 = H64
+
+        def dest_of(row: Row) -> int:
+            i = row[pos]
+            return (h64[i] or id_hash64(i)) % m
+
+        return dest_of
+
+    pick = itemgetter(*positions)
+    memo: dict[Row, int] = {}
 
     def dest_of(row: Row) -> int:
         found = pick(row)
         dest = memo.get(found)
         if dest is None:
-            dest = memo[found] = key_hash64((found,) if single else found) % m
+            dest = memo[found] = key_hash64([TERMS[i] for i in found]) % m
         return dest
 
     return dest_of
@@ -319,7 +291,9 @@ class Relation:
         """The logical multiset decoded to binding rows, in the order of
         :meth:`tuples`."""
         order = sorted(self.schema)
-        return [BindingRow(tuple(zip(order, row))) for row in self.tuples()]
+        terms = TERMS
+        return [BindingRow(tuple(zip(order, [terms[i] for i in row])))
+                for row in self.tuples()]
 
 
 def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
@@ -375,7 +349,7 @@ class PlacementError(AssertionError):
 
 def check_placement(rel: Relation) -> None:
     """Verify the partition-state invariant by full scan, and that every row
-    has one term per schema variable. Keyed placement is checked with
+    has one term id per schema variable. Keyed placement is checked with
     :func:`node_of` on the decoded row, independently of :func:`placement`.
     Test-build helper; operators do not pay for this in normal runs."""
     m = rel.m
@@ -388,8 +362,8 @@ def check_placement(rel: Relation) -> None:
     if rel.partition.kind is PartitionKind.KEYED:
         for j, chunk in enumerate(rel.chunks):
             for row in chunk:
-                expect = node_of(BindingRow(tuple(zip(order, row))),
-                                 rel.partition.key, m)
+                decoded = BindingRow(tuple(zip(order, [TERMS[i] for i in row])))
+                expect = node_of(decoded, rel.partition.key, m)
                 if expect != j:
                     raise PlacementError(
                         f"row {row!r} on node {j}, expected node {expect} "
@@ -420,14 +394,14 @@ class BasePartition(Enum):
         return None
 
 
-def _predicate_groups(chunk: Iterable[Triple]) -> dict[Term, tuple[Triple, ...]]:
-    """One node's predicate index: each predicate of ``chunk`` maps to its
-    triples, in chunk order."""
-    groups: dict[Term, list[Triple]] = {}
+def _predicate_groups(chunk: Iterable[IdTriple]) -> dict[int, tuple[IdTriple, ...]]:
+    """One node's predicate index: each predicate id of ``chunk`` maps to
+    its triples, in chunk order."""
+    groups: dict[int, list[IdTriple]] = {}
     for t in chunk:
-        group = groups.get(t.p)
+        group = groups.get(t[1])
         if group is None:
-            groups[t.p] = [t]
+            groups[t[1]] = [t]
         else:
             group.append(t)
     return {p: tuple(group) for p, group in groups.items()}
@@ -435,20 +409,20 @@ def _predicate_groups(chunk: Iterable[Triple]) -> dict[Term, tuple[Triple, ...]]
 
 @dataclass(frozen=True, slots=True)
 class Dataset:
-    """A distributed triple store: per-node triple chunks plus the base
-    partitioning they satisfy.
+    """A distributed triple store: per-node chunks of id triples plus the
+    base partitioning they satisfy.
 
     ``index`` is a per-node predicate index, built from the chunks: for
-    node ``j``, ``index[j]`` maps each predicate to that node's triples of
-    the predicate, in chunk order, predicates in order of first appearance.
-    It holds references to the chunk triples only, and lets a selection
-    with a ground predicate read just its own triples (vertical
+    node ``j``, ``index[j]`` maps each predicate id to that node's triples
+    of the predicate, in chunk order, predicates in order of first
+    appearance. It holds references to the chunk triples only, and lets a
+    selection with a ground predicate read just its own triples (vertical
     partitioning). The cost model does not see it: a selection is still
     charged a full pass over the store."""
 
-    chunks: tuple[tuple[Triple, ...], ...]
+    chunks: tuple[tuple[IdTriple, ...], ...]
     base: BasePartition
-    index: tuple[dict[Term, tuple[Triple, ...]], ...] = field(
+    index: tuple[dict[int, tuple[IdTriple, ...]], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -469,22 +443,25 @@ class Dataset:
 
 def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
                      base: BasePartition) -> Dataset:
-    """Distribute triples across the cluster.
+    """Distribute triples across the cluster, each stored as its id triple.
 
     Positional partitioning hashes the canonical form of the term at that
     position, exactly like single-variable row placement, so selections over
     a position-partitioned store come out keyed on the variable bound there.
     Random partitioning deals round-robin starting at node 0.
     """
-    buckets: list[list[Triple]] = [[] for _ in cluster.nodes]
+    buckets: list[list[IdTriple]] = [[] for _ in cluster.nodes]
     m = cluster.m
     pos = base.position
     if pos is None:
         j = 0
         for t in triples:
-            buckets[j].append(t)
+            buckets[j].append((t.s.id, t.p.id, t.o.id))
             j = (j + 1) % m
     else:
+        h64 = H64
         for t in triples:
-            buckets[term_hash64(t[pos]) % m].append(t)
+            ids = (t.s.id, t.p.id, t.o.id)
+            i = ids[pos]
+            buckets[(h64[i] or id_hash64(i)) % m].append(ids)
     return Dataset(tuple(tuple(b) for b in buckets), base)

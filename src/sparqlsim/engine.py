@@ -22,7 +22,7 @@ from .physical import (
     plan_pjoin_strategy, render_plan,
 )
 from .sparql import Query
-from .terms import Term
+from .terms import TERMS, Term
 
 STRATEGIES = ("pjoin", "mono-br", "multi-br", "hybrid")
 
@@ -92,11 +92,13 @@ def run_query(query: Query, dataset: Dataset, cluster: Cluster,
 
 
 def sorted_result_rows(relation: Relation, select: Sequence[Term]) -> list[tuple[Term, ...]]:
-    """Result tuples in select-list column order, sorted canonically."""
+    """Result tuples in select-list column order, decoded to terms and
+    sorted canonically."""
     order = sorted(relation.schema)
     positions = [order.index(v) for v in select]
-    out = [tuple(row[i] for i in positions) for row in relation.tuples()]
-    out.sort(key=lambda row: tuple(t.nt() for t in row))
+    terms = TERMS
+    out = [tuple([terms[row[i]] for i in positions]) for row in relation.tuples()]
+    out.sort(key=lambda row: [t.nt() for t in row])
     return out
 
 

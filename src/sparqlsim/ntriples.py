@@ -12,27 +12,19 @@ from typing import Iterable
 from .errors import ParseError
 from .terms import Triple, blank, iri, literal_token
 
-_IRI_RE = r"<[^<>\"{}|^`\\\x00-\x20]*>"
-_BLANK_RE = r"_:[A-Za-z0-9][A-Za-z0-9_.-]*"
-_LITERAL_RE = r'"(?:[^"\\]|\\.)*"(?:\^\^' + _IRI_RE + r"|@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?"
+_IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
+_BLANK_LABEL = r"[A-Za-z0-9][A-Za-z0-9_.-]*"
+_LITERAL_RE = (r'"(?:[^"\\]|\\.)*"(?:\^\^<' + _IRI_CHARS
+               + r">|@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?")
 
+# One match per line. Its six groups separate the kinds: subject IRI or
+# blank label, predicate IRI, object IRI, blank label or literal token.
 _TRIPLE_LINE = re.compile(
-    rf"^\s*(?P<s>{_IRI_RE}|{_BLANK_RE})"
-    rf"\s+(?P<p>{_IRI_RE})"
-    rf"\s+(?P<o>{_IRI_RE}|{_BLANK_RE}|{_LITERAL_RE})"
+    rf"^\s*(?:<({_IRI_CHARS})>|_:({_BLANK_LABEL}))"
+    rf"\s+<({_IRI_CHARS})>"
+    rf"\s+(?:<({_IRI_CHARS})>|_:({_BLANK_LABEL})|({_LITERAL_RE}))"
     r"\s*\.\s*$"
 )
-
-
-def term_from_token(token: str):
-    """Build a term from a single N-Triples token."""
-    if token.startswith("<"):
-        return iri(token[1:-1])
-    if token.startswith("_:"):
-        return blank(token[2:])
-    if token.startswith('"'):
-        return literal_token(token)
-    raise ValueError(f"unrecognized term token: {token}")
 
 
 def parse_ntriples(text: str, source: str | None = None) -> list[Triple]:
@@ -51,13 +43,12 @@ def parse_ntriples(text: str, source: str | None = None) -> list[Triple]:
         if match is None:
             raise ParseError(f"malformed N-Triples line: {stripped[:80]}",
                              line=lineno, source=source)
-        try:
-            s = term_from_token(match.group("s"))
-            p = term_from_token(match.group("p"))
-            o = term_from_token(match.group("o"))
-            triples.append(Triple(s, p, o))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno, source=source) from exc
+        s_iri, s_blank, p_iri, o_iri, o_blank, o_literal = match.groups()
+        triples.append(Triple(
+            iri(s_iri) if s_blank is None else blank(s_blank),
+            iri(p_iri),
+            iri(o_iri) if o_iri is not None
+            else literal_token(o_literal) if o_blank is None else blank(o_blank)))
     return triples
 
 

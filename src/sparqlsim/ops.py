@@ -23,35 +23,36 @@ only a variable predicate makes it read whole chunks.
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cluster import (
-    Cluster, Dataset, PartitionKind, PartitionState, RANDOM_STATE, Relation, Row,
-    TransferLedger, broadcast, for_each_node, keyed, placement, shuffle,
+    Cluster, Dataset, IdTriple, PartitionKind, PartitionState, RANDOM_STATE,
+    Relation, Row, TransferLedger, broadcast, for_each_node, keyed, placement,
+    shuffle,
 )
-from .terms import Term, Triple, TriplePattern
+from .terms import Term, TriplePattern
 
 
 @dataclass(frozen=True)
 class SelectionSpec:
-    """A triple pattern compiled for scanning.
+    """A triple pattern compiled for scanning the store's id triples.
 
-    ``predicate`` is the ground predicate, or None when the predicate is a
-    variable; ``conditions`` holds one (position, term) equality per other
-    ground position; ``same_positions`` holds position pairs that a
-    repeated variable forces to be equal; ``row_for`` stamps out the row
-    of a matching triple: the term at each variable's first position, in
-    sorted variable order.
+    ``predicate`` is the ground predicate's term id, or None when the
+    predicate is a variable; ``conditions`` holds one (position, term id)
+    equality per other ground position; ``same_positions`` holds position
+    pairs that a repeated variable forces to be equal; ``row_for`` stamps
+    out the row of a matching triple: the id at each variable's first
+    position, in sorted variable order.
     """
 
     index: int
     pattern: TriplePattern
     projection: frozenset[Term]
-    predicate: Term | None
-    conditions: tuple[tuple[int, Term], ...]
+    predicate: int | None
+    conditions: tuple[tuple[int, int], ...]
     same_positions: tuple[tuple[int, int], ...]
-    row_for: Callable[[Triple], Row] = field(compare=False, repr=False)
+    row_for: Callable[[IdTriple], Row] = field(compare=False, repr=False)
 
     @classmethod
     def compile(cls, index: int, pattern: TriplePattern) -> "SelectionSpec":
@@ -66,26 +67,25 @@ class SelectionSpec:
                 else:
                     same.append((seen, pos))
             elif pos != 1:
-                conditions.append((pos, term))
-        names = [("s", "p", "o")[first_pos[v]] for v in sorted(first_pos)]
+                conditions.append((pos, term.id))
         return cls(index=index, pattern=pattern,
                    projection=frozenset(first_pos),
-                   predicate=None if pattern.p.is_variable else pattern.p,
+                   predicate=None if pattern.p.is_variable else pattern.p.id,
                    conditions=tuple(conditions),
                    same_positions=tuple(same),
-                   row_for=_tuple_getter(names, attrgetter))
+                   row_for=_tuple_getter([first_pos[v] for v in sorted(first_pos)]))
 
     @property
     def label(self) -> str:
         """1-based textual pattern name, t1, t2, ..."""
         return f"t{self.index + 1}"
 
-    def matches(self, triple: Triple) -> bool:
-        if self.predicate is not None and triple.p != self.predicate:
+    def matches(self, triple: IdTriple) -> bool:
+        if self.predicate is not None and triple[1] != self.predicate:
             return False
         return self.matches_in_group(triple)
 
-    def matches_in_group(self, triple: Triple) -> bool:
+    def matches_in_group(self, triple: IdTriple) -> bool:
         """:meth:`matches` for a triple that carries the pattern's ground
         predicate, as every triple of its predicate group does: the
         predicate is not tested again."""
@@ -103,7 +103,7 @@ class SelectionSpec:
         or, with a variable predicate, every triple of the store."""
         return not self.conditions and not self.same_positions
 
-    def rows_of(self, triples: Iterable[Triple]) -> tuple[Row, ...]:
+    def rows_of(self, triples: Iterable[IdTriple]) -> tuple[Row, ...]:
         """One row per matching triple, in order. With a ground predicate,
         ``triples`` must be triples of that predicate (a predicate group)."""
         if self.matches_whole_group:
@@ -151,10 +151,10 @@ def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
 @dataclass(frozen=True, slots=True)
 class SharedSubset:
     """S of a merged scan: on each node, the triples that match at least one
-    of the patterns, grouped by predicate in chunk order; ``size`` is |S|
+    of the patterns, grouped by predicate id in chunk order; ``size`` is |S|
     over all nodes."""
 
-    nodes: tuple[dict[Term, tuple[Triple, ...]], ...]
+    nodes: tuple[dict[int, tuple[IdTriple, ...]], ...]
     size: int
 
 
@@ -173,15 +173,15 @@ def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
     # The patterns each predicate group is tested against: those naming the
     # predicate, then the variable-predicate ones, which every group gets.
     general = [s for s in specs if s.predicate is None]
-    candidates: dict[Term, list[SelectionSpec]] = {}
+    candidates: dict[int, list[SelectionSpec]] = {}
     for spec in specs:
         if spec.predicate is not None:
             candidates.setdefault(spec.predicate, []).append(spec)
     for group_specs in candidates.values():
         group_specs.extend(general)
 
-    def union_pass(j: int) -> dict[Term, tuple[Triple, ...]]:
-        kept: dict[Term, tuple[Triple, ...]] = {}
+    def union_pass(j: int) -> dict[int, tuple[IdTriple, ...]]:
+        kept: dict[int, tuple[IdTriple, ...]] = {}
         for pred, group in dataset.index[j].items():
             tests = candidates.get(pred, general)
             if not tests:
@@ -256,15 +256,22 @@ def fold_order(schemas: Sequence[frozenset[Term]], counts: Sequence[int],
     return order
 
 
-def _tuple_getter(keys: Sequence, getter=itemgetter) -> Callable[[object], tuple]:
-    """Like ``getter(*keys)``, but always returns a tuple: row positions
-    with ``itemgetter``, triple fields with ``attrgetter``."""
-    if len(keys) == 1:
-        get = getter(keys[0])
-        return lambda obj: (get(obj),)
-    if not keys:
-        return lambda obj: ()
-    return getter(*keys)
+def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Like ``itemgetter(*positions)``, but always returns a tuple."""
+    if len(positions) == 1:
+        get = itemgetter(positions[0])
+        return lambda row: (get(row),)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+def _key_getter(positions: Sequence[int]) -> Callable[[Row], object]:
+    """A row's join key: the id at its one shared position, the tuple of
+    ids at several, or ``()`` when the step shares no variable."""
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
 
 
 class _FoldStep:
@@ -272,7 +279,7 @@ class _FoldStep:
 
     The step hashes one input on every variable it shares with the rows
     folded so far and probes with those rows. Each variable sits at a fixed
-    position of a relation's rows, so key and output tuples are cut by
+    position of a relation's rows, so keys and output tuples are cut by
     position.
     """
 
@@ -283,23 +290,23 @@ class _FoldStep:
         shared = [v for v in acc_vars if v in rel.schema]
         added = [v for v in in_vars if v not in shared]
         self.rel = rel
-        self.probe_key = _tuple_getter([acc_vars.index(v) for v in shared])
-        self.build_key = _tuple_getter([in_vars.index(v) for v in shared])
+        self.probe_key = _key_getter([acc_vars.index(v) for v in shared])
+        self.build_key = _key_getter([in_vars.index(v) for v in shared])
         self.out_vars = sorted(acc_vars + added)
         # An output row is picked from the probe row followed by the build
         # row; None when the input adds no variable.
         both = acc_vars + in_vars
         self.pick = (_tuple_getter([both.index(v) for v in self.out_vars])
                      if added else None)
-        self._table: dict[tuple, list[Row]] | None = None
+        self._table: dict[object, list[Row]] | None = None
 
-    def table(self, j: int) -> dict[tuple, list[Row]]:
+    def table(self, j: int) -> dict[object, list[Row]]:
         """Node ``j``'s share of the input, hashed on the shared variables.
         A replicated input's chunk is the same on every node, so its table
         is built once and reused."""
         if self._table is not None:
             return self._table
-        table: dict[tuple, list[Row]] = {}
+        table: dict[object, list[Row]] = {}
         key = self.build_key
         for row in self.rel.chunks[j]:
             k = key(row)
@@ -312,7 +319,7 @@ class _FoldStep:
             self._table = table
         return table
 
-    def probe(self, acc: Sequence[Row], table: dict[tuple, list[Row]]) -> list[Row]:
+    def probe(self, acc: Sequence[Row], table: dict[object, list[Row]]) -> list[Row]:
         key, pick, lookup = self.probe_key, self.pick, table.get
         out: list[Row] = []
         for row in acc:

@@ -4,6 +4,15 @@ Everything here is immutable and safe to share between simulated cluster
 nodes. Terms carry a total order (kind, then lexical form) so that variable
 sets can be sorted deterministically for hashing and rendering.
 
+Terms are canonical: the intern tables are the only way to build one, so
+``Term(kind, lexical)`` and the helpers :func:`iri`, :func:`lit`,
+:func:`literal_token`, :func:`blank` and :func:`var` all return the one
+object for that kind and lexical form. Interning gives each term a dense
+int ``id``, its index in :data:`TERMS`; the engine's rows and the store
+hold these ids, and :data:`H64` keeps each id's placement hash
+(:func:`term_hash64`). Equal terms are identical, and a term hashes to its
+id, so hashing a term does not depend on ``PYTHONHASHSEED``.
+
 Literals are stored in their full N-Triples token form, quotes and optional
 datatype/language suffix included, and are treated as opaque constants; the
 engine never interprets datatypes.
@@ -25,31 +34,35 @@ class Term:
 
     ``lexical`` holds the IRI string (no angle brackets), the full literal
     token (quotes included), the blank node label (no ``_:``), or the
-    variable name (no ``?``).
+    variable name (no ``?``). ``id`` is the term's index in :data:`TERMS`.
     """
 
-    __slots__ = ("kind", "lexical", "_hash", "_h64")
+    __slots__ = ("kind", "lexical", "id")
 
-    def __init__(self, kind: TermKind, lexical: str):
-        if not isinstance(lexical, str):
-            raise TypeError(f"term lexical form must be str, got {type(lexical).__name__}")
-        object.__setattr__(self, "kind", TermKind(kind))
-        object.__setattr__(self, "lexical", lexical)
-        object.__setattr__(self, "_hash", hash((kind, lexical)))
-        object.__setattr__(self, "_h64", None)
+    def __new__(cls, kind: TermKind, lexical: str) -> "Term":
+        if kind.__class__ is not TermKind:
+            kind = TermKind(kind)
+        table = _TABLES[kind]
+        term = table.get(lexical)
+        return term if term is not None else _intern(kind, lexical, table)
 
     def __setattr__(self, name, value):
         raise AttributeError("Term is immutable")
 
+    def __reduce__(self):
+        return Term, (self.kind, self.lexical)
+
+    # Terms are canonical, so equality is identity. Spelled out because a
+    # class that defines __lt__ would otherwise answer == and != through
+    # several generic lookups.
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        return self.kind is other.kind and self.lexical == other.lexical
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
 
     def __hash__(self):
-        return self._hash
+        return self.id
 
     def __lt__(self, other):
         if not isinstance(other, Term):
@@ -89,12 +102,90 @@ class Term:
         return self.nt()
 
 
-# Interning caches. Generators and parsers funnel through these helpers so a
-# million-triple dataset stores each distinct term object once.
+# Intern tables, one per kind, from lexical form to the term. Generators and
+# parsers funnel through them, so a million-triple dataset stores each
+# distinct term object once.
 _iri_cache: dict[str, Term] = {}
 _lit_cache: dict[str, Term] = {}
 _blank_cache: dict[str, Term] = {}
 _var_cache: dict[str, Term] = {}
+_TABLES = (_iri_cache, _lit_cache, _blank_cache, _var_cache)   # by TermKind
+
+TERMS: list[Term] = []
+"""The decode table: ``TERMS[i]`` is the term whose id is ``i``."""
+
+H64: list[int | None] = []
+"""Placement hashes by term id, None until :func:`id_hash64` first asks."""
+
+
+# Slot setters, which get past Term.__setattr__ once, at interning.
+_set_kind, _set_lexical, _set_id = (
+    Term.kind.__set__, Term.lexical.__set__, Term.id.__set__)
+
+
+def _intern(kind: TermKind, lexical: str, table: dict[str, Term]) -> Term:
+    if not isinstance(lexical, str):
+        raise TypeError(f"term lexical form must be str, got {type(lexical).__name__}")
+    term = object.__new__(Term)
+    _set_kind(term, kind)
+    _set_lexical(term, lexical)
+    _set_id(term, len(TERMS))
+    TERMS.append(term)
+    H64.append(None)
+    table[lexical] = term
+    return term
+
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_FNV_MASK = (1 << 64) - 1
+
+
+def fnv1a_64(data: bytes, state: int = _FNV_OFFSET) -> int:
+    """FNV-1a 64-bit hash. Deterministic across processes and platforms,
+    unlike Python's seeded str hash.
+
+    The hash folds bytes in order, so ``fnv1a_64(b, fnv1a_64(a))`` equals
+    ``fnv1a_64(a + b)``: passing the state reached after a prefix resumes
+    the hash there."""
+    h = state
+    for b in data:
+        h = ((h ^ b) * _FNV_PRIME) & _FNV_MASK
+    return h
+
+
+# FNV state after "<" plus an IRI's namespace (everything up to and
+# including its last "/"); one entry per namespace, so IRIs that share one
+# hash only their local names.
+_namespace_state: dict[str, int] = {}
+
+
+def id_hash64(term_id: int) -> int:
+    """Placement hash of the term with id ``term_id``: the FNV-1a hash of
+    its canonical serialization. Computed on first use and kept in
+    :data:`H64`, so callers on a hot path read ``H64[i] or id_hash64(i)``."""
+    h = H64[term_id]
+    if h is None:
+        term = TERMS[term_id]
+        if term.kind is TermKind.IRI:
+            lexical = term.lexical
+            cut = lexical.rfind("/") + 1
+            namespace = lexical[:cut]
+            state = _namespace_state.get(namespace)
+            if state is None:
+                state = _namespace_state[namespace] = fnv1a_64(
+                    ("<" + namespace).encode("utf-8"))
+            h = fnv1a_64((lexical[cut:] + ">").encode("utf-8"), state)
+        else:
+            h = fnv1a_64(term.nt().encode("utf-8"))
+        H64[term_id] = h
+    return h
+
+
+def term_hash64(term: Term) -> int:
+    """Placement hash of a single term (see :func:`id_hash64`)."""
+    return id_hash64(term.id)
+
 
 _LITERAL_ESCAPES = {
     "\\": "\\\\",
@@ -114,9 +205,7 @@ def escape_literal_text(text: str) -> str:
 
 def iri(value: str) -> Term:
     t = _iri_cache.get(value)
-    if t is None:
-        t = _iri_cache[value] = Term(TermKind.IRI, value)
-    return t
+    return t if t is not None else _intern(TermKind.IRI, value, _iri_cache)
 
 
 def lit(text: str, datatype: str | None = None, lang: str | None = None) -> Term:
@@ -135,23 +224,17 @@ def lit(text: str, datatype: str | None = None, lang: str | None = None) -> Term
 def literal_token(token: str) -> Term:
     """Build a literal from an already-serialized N-Triples literal token."""
     t = _lit_cache.get(token)
-    if t is None:
-        t = _lit_cache[token] = Term(TermKind.LITERAL, token)
-    return t
+    return t if t is not None else _intern(TermKind.LITERAL, token, _lit_cache)
 
 
 def blank(label: str) -> Term:
     t = _blank_cache.get(label)
-    if t is None:
-        t = _blank_cache[label] = Term(TermKind.BLANK, label)
-    return t
+    return t if t is not None else _intern(TermKind.BLANK, label, _blank_cache)
 
 
 def var(name: str) -> Term:
     t = _var_cache.get(name)
-    if t is None:
-        t = _var_cache[name] = Term(TermKind.VARIABLE, name)
-    return t
+    return t if t is not None else _intern(TermKind.VARIABLE, name, _var_cache)
 
 
 _SUBJECT_KINDS = (TermKind.IRI, TermKind.BLANK)

@@ -12,7 +12,7 @@ from sparqlsim import (
     generate, WorkloadSpec,
 )
 from sparqlsim.cluster import RANDOM_STATE, placement
-from sparqlsim.terms import Triple
+from sparqlsim.terms import TERMS, Triple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 QUERY_DIR = REPO_ROOT / "queries"
@@ -52,15 +52,25 @@ def make_dataset(triples, m: int = 4,
 
 def encode_rows(schema, rows) -> tuple[tuple, ...]:
     """Binding rows in the engine's row format: the tuple of each row's
-    terms in sorted variable order. A row that does not bind exactly
+    term ids in sorted variable order. A row that does not bind exactly
     ``schema`` is rejected."""
     order = tuple(sorted(schema))
     out = []
     for row in rows:
         if tuple(v for v, _ in row.items) != order:
             raise ValueError(f"row {row!r} does not bind schema {list(order)}")
-        out.append(tuple(t for _, t in row.items))
+        out.append(tuple(t.id for _, t in row.items))
     return tuple(out)
+
+
+def encode_triple(triple: Triple) -> tuple[int, int, int]:
+    """A triple in the store's format: its term ids."""
+    return (triple.s.id, triple.p.id, triple.o.id)
+
+
+def decode_triple(ids) -> Triple:
+    """A stored id triple as the triple it encodes."""
+    return Triple(*(TERMS[i] for i in ids))
 
 
 def make_relation(schema, rows, cluster: Cluster, *, key=None,

@@ -41,7 +41,9 @@ from sparqlsim.ops import (
 from sparqlsim.physical import SelectionNode
 from sparqlsim.terms import pattern_vars
 
-from conftest import ACCEPTANCE_LINES, WORKLOAD_DIR, encode_rows, make_dataset
+from conftest import (
+    ACCEPTANCE_LINES, WORKLOAD_DIR, encode_rows, encode_triple, make_dataset,
+)
 
 UNIT = CostParams(1.0, 1.0)
 
@@ -201,7 +203,7 @@ def test_criterion_3_snowflake_transfer_accounting(q8_workload):
         # independent ingredients, measured off the raw triple list
         def matches(i):
             spec = SelectionSpec.compile(i, patterns[i])
-            return sum(1 for t in wl.triples if spec.matches(t))
+            return sum(1 for t in wl.triples if spec.matches(encode_triple(t)))
 
         gamma_member = matches(2)                                   # t3
         dept_pair = len(oracle_eval([patterns[3], patterns[1]], wl.triples))

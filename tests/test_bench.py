@@ -4,6 +4,9 @@ reference evaluator, and reproducible report serialization."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +15,7 @@ from sparqlsim import (
     generate, load_suite, run_bench, run_suite,
 )
 
-from conftest import WORKLOAD_DIR
+from conftest import REPO_ROOT, WORKLOAD_DIR
 
 SMALL_SUITE = Suite(
     name="small",
@@ -138,3 +141,21 @@ def test_adhoc_case_from_raw_parts():
     assert cell["partitioning"] == "random"
     assert cell["result_count"] == 6
     assert isinstance(report, BenchReport)
+
+
+def test_suite_report_is_independent_of_the_hash_seed():
+    # Terms hash to their intern ids, so no report byte may depend on
+    # Python's string-hash seed.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outputs = []
+    for seed in ("0", "1", "12345"):
+        env["PYTHONHASHSEED"] = seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "sparqlsim.cli", "bench",
+             "--suite", str(WORKLOAD_DIR / "star-suite.json"), "--no-wall-time"],
+            env=env, cwd=REPO_ROOT, capture_output=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith(b"{")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

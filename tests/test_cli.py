@@ -206,6 +206,15 @@ def test_bench_requires_exactly_one_input_mode(capsys, university_nt):
 
 # -------------------------------------------------------------- exit codes
 
+def test_exit_2_cross_product_option_with_suite(capsys):
+    # Suite queries are generated connected, so the option could do nothing.
+    code, out, err = run_cli(capsys, "bench",
+                             "--suite", str(REPO_ROOT / "workloads" / "star-suite.json"),
+                             "--allow-cross-product", "--no-wall-time")
+    assert code == 2 and out == ""
+    assert "--allow-cross-product applies to --data only" in err
+
+
 def test_exit_2_missing_file(capsys, university_nt):
     code, _, err = run_cli(capsys, "query", "/nonexistent.nt", Q8)
     assert code == 2 and "no such file" in err

@@ -14,7 +14,7 @@ from sparqlsim import (
 )
 from sparqlsim.terms import Triple, TriplePattern, pattern_vars
 
-from conftest import make_dataset
+from conftest import decode_triple, make_dataset
 
 NS = "http://meta.example/"
 _ENTITIES = tuple(iri(f"{NS}e{i}") for i in range(6))
@@ -106,7 +106,7 @@ def test_run_invariants(workload, strategy, base, m, order):
 
     if strategy == "hybrid":
         d, n = dataset.size, len(query.patterns)
-        subset = sum(any(_matches(p, t) for p in query.patterns)
+        subset = sum(any(_matches(p, decode_triple(t)) for p in query.patterns)
                      for chunk in dataset.chunks for t in chunk)
         shared = d + n * subset < n * d    # a tie goes to independent scans
         assert result.ledger.totals()["scanned"] == min(d + n * subset, n * d)

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import ParseError, iri, lit, parse_ntriples, serialize_ntriples
-from sparqlsim.ntriples import term_from_token
-from sparqlsim.terms import Triple, blank
+from sparqlsim.terms import Triple, blank, literal_token
 
 
 def test_parse_basic_forms():
@@ -52,12 +51,14 @@ def test_malformed_lines_rejected(bad):
         parse_ntriples(bad)
 
 
-def test_term_from_token():
-    assert term_from_token("<http://e/a>") is iri("http://e/a")
-    assert term_from_token("_:b0") is blank("b0")
-    assert term_from_token('"x"').lexical == '"x"'
-    with pytest.raises(ValueError):
-        term_from_token("?x")
+def test_parse_interns_each_token_kind():
+    [t] = parse_ntriples('_:b0 <http://e/a> "x" .')
+    assert t.s is blank("b0") and t.p is iri("http://e/a")
+    assert t.o is literal_token('"x"') and t.o.lexical == '"x"'
+    [t] = parse_ntriples("<http://e/a> <http://e/p> _:b1 .")
+    assert t.s is iri("http://e/a") and t.o is blank("b1")
+    with pytest.raises(ParseError):
+        parse_ntriples("<http://e/a> <http://e/p> ?x .")
 
 
 def test_serialize_round_trip(d0_triples):

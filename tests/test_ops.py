@@ -20,7 +20,10 @@ from sparqlsim.physical import plan_mono_brjoin
 from sparqlsim.terms import EMPTY_ROW, Triple, TriplePattern
 from sparqlsim.workloads import snowflake_query, snowflake_selection_sizes
 
-from conftest import A, AGE, B, C, D0, EX, KNOWS, NAME, make_dataset, make_relation
+from conftest import (
+    A, AGE, B, C, D0, EX, KNOWS, NAME, decode_triple, encode_triple, make_dataset,
+    make_relation,
+)
 
 X, Y, N, G = var("x"), var("y"), var("n"), var("g")
 
@@ -47,18 +50,19 @@ def test_selection_spec_compile():
     spec = SelectionSpec.compile(2, P_KNOWS)
     assert spec.label == "t3"
     assert spec.projection == frozenset({X, Y})
-    assert spec.matches(Triple(A, KNOWS, B))
-    assert not spec.matches(Triple(A, NAME, lit("A")))
-    assert spec.row_for(Triple(A, KNOWS, B)) == (A, B)     # x, y: variable order
+    assert spec.matches(encode_triple(Triple(A, KNOWS, B)))
+    assert not spec.matches(encode_triple(Triple(A, NAME, lit("A"))))
+    # x, y: variable order
+    assert spec.row_for(encode_triple(Triple(A, KNOWS, B))) == (A.id, B.id)
     assert [s.label for s in compile_specs([P_KNOWS, P_NAME])] == ["t1", "t2"]
 
 
 def test_selection_same_variable_twice_requires_equality():
     spec = SelectionSpec.compile(0, P_SELF)
     loop = iri(EX + "loop")
-    assert spec.matches(Triple(loop, KNOWS, loop))
-    assert not spec.matches(Triple(A, KNOWS, B))
-    assert spec.row_for(Triple(loop, KNOWS, loop)) == (loop,)
+    assert spec.matches(encode_triple(Triple(loop, KNOWS, loop)))
+    assert not spec.matches(encode_triple(Triple(A, KNOWS, B)))
+    assert spec.row_for(encode_triple(Triple(loop, KNOWS, loop))) == (loop.id,)
 
 
 def test_triple_selection_rows_and_accounting():
@@ -119,10 +123,11 @@ _SEL_NODES = [iri(EX + f"sn{i}") for i in range(3)] + _SEL_PREDICATES[:2]
 _SEL_OBJECTS = _SEL_NODES + [lit("v")]
 
 
-def _brute_row(pattern, triple):
-    """The row of ``pattern`` against ``triple`` (its terms in sorted
-    variable order), or None: a direct reading of the pattern, independent
-    of :class:`SelectionSpec`."""
+def _brute_row(pattern, ids):
+    """The row of ``pattern`` against the stored id triple ``ids`` (the ids
+    of its terms in sorted variable order), or None: a direct reading of the
+    decoded triple, independent of :class:`SelectionSpec`."""
+    triple = decode_triple(ids)
     binding = {}
     for term, value in zip(pattern.positions(), (triple.s, triple.p, triple.o)):
         if term.is_variable:
@@ -130,7 +135,7 @@ def _brute_row(pattern, triple):
                 return None
         elif term != value:
             return None
-    return tuple(value for _, value in sorted(binding.items()))
+    return tuple(value.id for _, value in sorted(binding.items()))
 
 
 @st.composite

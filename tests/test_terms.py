@@ -1,10 +1,13 @@
 """Term model: interning, ordering, triples, patterns, and binding rows."""
 
+import copy
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import BindingRow, Term, TermKind, Triple, TriplePattern, blank, iri, lit, var
-from sparqlsim.terms import EMPTY_ROW, escape_literal_text, literal_token, pattern_vars
+from sparqlsim.terms import TERMS, EMPTY_ROW, escape_literal_text, literal_token, pattern_vars
 
 
 def test_interning_returns_identical_objects():
@@ -12,6 +15,35 @@ def test_interning_returns_identical_objects():
     assert var("x") is var("x")
     assert lit("hi") is lit("hi")
     assert blank("b1") is blank("b1")
+
+
+_INTERN = {TermKind.IRI: iri, TermKind.LITERAL: literal_token,
+           TermKind.BLANK: blank, TermKind.VARIABLE: var}
+
+
+# A small alphabet, so that drawn terms often repeat a kind and form.
+@given(st.lists(st.tuples(st.sampled_from(list(TermKind)),
+                          st.text(alphabet='ab"', max_size=3),
+                          st.booleans()), min_size=1, max_size=8))
+def test_terms_are_canonical(drawn):
+    terms = []
+    for kind, lexical, as_int in drawn:
+        term = Term(int(kind) if as_int else kind, lexical)
+        assert term is _INTERN[kind](lexical)
+        assert term.kind is kind and term.lexical == lexical
+        assert TERMS[term.id] is term and hash(term) == term.id
+        assert copy.copy(term) is term and copy.deepcopy(term) is term
+        terms.append(term)
+    for a, b in itertools.product(terms, repeat=2):
+        assert (a == b) == (a is b) == ((a.kind, a.lexical) == (b.kind, b.lexical))
+
+
+def test_terms_are_immutable_and_typed():
+    term = iri("http://e/a")
+    with pytest.raises(AttributeError):
+        term.id = 0
+    with pytest.raises(TypeError):
+        Term(TermKind.IRI, 5)
 
 
 def test_term_kinds():

@@ -14,14 +14,14 @@ from sparqlsim import (
 )
 from sparqlsim.ops import SelectionSpec
 
-from conftest import WORKLOAD_DIR
+from conftest import WORKLOAD_DIR, encode_triple
 
 
 def _selection_counts(workload):
     counts = {}
     for i, pattern in enumerate(workload.query.patterns):
         spec = SelectionSpec.compile(i, pattern)
-        counts[i] = sum(1 for t in workload.triples if spec.matches(t))
+        counts[i] = sum(1 for t in workload.triples if spec.matches(encode_triple(t)))
     return counts
 
 
