@@ -10,9 +10,10 @@ Subcommands:
 * ``bench``   run a workload suite (or one dataset/query pair) over a grid
               of node counts and strategies; JSON or CSV report
 
-Exit codes: 0 success; 2 bad input (missing file, file that is not UTF-8,
-parse error, or an invalid option such as ``-m 0``, a negative cost weight
-or ``--allow-cross-product`` with ``bench --suite``); 3 query uses an
+Exit codes: 0 success; 2 bad input (missing file, a path that cannot be
+read or written such as a directory, file that is not UTF-8, parse error,
+or an invalid option such as ``-m 0``, a negative cost weight or
+``--allow-cross-product`` with ``bench --suite``); 3 query uses an
 unsupported feature; 4 the pattern is a cross product and
 ``--allow-cross-product`` was not given; 5 ``bench`` verification
 stopped because the reference evaluation exceeded its row budget (lower
@@ -281,6 +282,11 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8: {exc}", file=sys.stderr)

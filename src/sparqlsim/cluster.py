@@ -15,8 +15,9 @@ the actual count only rows that really change nodes, so co-location savings
 stay visible. ``actual <= modeled`` always holds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -394,51 +395,31 @@ class BasePartition(Enum):
         return None
 
 
-def _predicate_groups(chunk: Iterable[IdTriple]) -> dict[int, tuple[IdTriple, ...]]:
-    """One node's predicate index: each predicate id of ``chunk`` maps to
-    its triples, in chunk order."""
-    groups: dict[int, list[IdTriple]] = {}
-    for t in chunk:
-        group = groups.get(t[1])
-        if group is None:
-            groups[t[1]] = [t]
-        else:
-            group.append(t)
-    return {p: tuple(group) for p, group in groups.items()}
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Dataset:
-    """A distributed triple store: per-node chunks of id triples plus the
-    base partitioning they satisfy.
+    """A distributed triple store, kept by predicate (vertical
+    partitioning): ``groups[j]`` maps each predicate id to node ``j``'s id
+    triples of that predicate, in load order, predicates in order of first
+    appearance; ``base`` is the partitioning the nodes satisfy.
 
-    ``index`` is a per-node predicate index, built from the chunks: for
-    node ``j``, ``index[j]`` maps each predicate id to that node's triples
-    of the predicate, in chunk order, predicates in order of first
-    appearance. It holds references to the chunk triples only, and lets a
-    selection with a ground predicate read just its own triples (vertical
-    partitioning). The cost model does not see it: a selection is still
-    charged a full pass over the store."""
+    A selection with a ground predicate reads just its own group. The cost
+    model does not see the layout: a selection is still charged a full pass
+    over the store."""
 
-    chunks: tuple[tuple[IdTriple, ...], ...]
+    groups: tuple[dict[int, tuple[IdTriple, ...]], ...]
     base: BasePartition
-    index: tuple[dict[int, tuple[IdTriple, ...]], ...] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "index",
-                           tuple(_predicate_groups(c) for c in self.chunks))
 
     @property
     def m(self) -> int:
-        return len(self.chunks)
+        return len(self.groups)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return sum(len(c) for c in self.chunks)
+        # Every selection reads the size for its scan charge: count once.
+        return sum(self.node_counts())
 
     def node_counts(self) -> list[int]:
-        return [len(c) for c in self.chunks]
+        return [sum(map(len, node.values())) for node in self.groups]
 
 
 def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
@@ -450,18 +431,23 @@ def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
     a position-partitioned store come out keyed on the variable bound there.
     Random partitioning deals round-robin starting at node 0.
     """
-    buckets: list[list[IdTriple]] = [[] for _ in cluster.nodes]
+    groups: list[dict[int, list[IdTriple]]] = [{} for _ in cluster.nodes]
     m = cluster.m
     pos = base.position
-    if pos is None:
-        j = 0
-        for t in triples:
-            buckets[j].append((t.s.id, t.p.id, t.o.id))
+    h64 = H64
+    j = 0
+    for t in triples:
+        ids = (t.s.id, t.p.id, t.o.id)
+        if pos is None:
+            node = groups[j]
             j = (j + 1) % m
-    else:
-        h64 = H64
-        for t in triples:
-            ids = (t.s.id, t.p.id, t.o.id)
+        else:
             i = ids[pos]
-            buckets[(h64[i] or id_hash64(i)) % m].append(ids)
-    return Dataset(tuple(tuple(b) for b in buckets), base)
+            node = groups[(h64[i] or id_hash64(i)) % m]
+        group = node.get(ids[1])
+        if group is None:
+            node[ids[1]] = [ids]
+        else:
+            group.append(ids)
+    return Dataset(tuple({p: tuple(g) for p, g in node.items()} for node in groups),
+                   base)

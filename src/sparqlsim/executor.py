@@ -25,8 +25,8 @@ from .cost import (
     pjoin_shuffle_size,
 )
 from .ops import (
-    SelectionSpec, SharedSubset, brjoin, merged_selection, pjoin, project,
-    shared_subset, triple_selection,
+    SelectionSpec, brjoin, merged_selection, pjoin, project, shared_subset,
+    triple_selection,
 )
 from .physical import (
     BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, SelectionNode, plan_leaves,
@@ -116,19 +116,19 @@ class Executor:
         return result
 
     def run_selections(self, specs: Sequence[SelectionSpec],
-                       subset: SharedSubset | None = None) -> list[Relation]:
+                       subset: Dataset | None = None) -> list[Relation]:
         """Selection step: one store scan per pattern, or, given the shared
         subset S of ``specs``, one shared pass over the store for all of them
         with every pattern extracted from S. Fills the leaf cache."""
         if subset is not None:
-            rels, size = merged_selection(specs, self.dataset, self.cluster,
-                                          self.ledger, subset)
+            rels = merged_selection(specs, self.dataset, self.cluster,
+                                    self.ledger, subset)
             labels = ",".join(s.label for s in specs)
             self._record(TraceEntry(
                 kind="merged-selection", operator=f"merged-sel[{labels}]", inputs=(),
                 output_size=sum(r.count for r in rels), output_state=rels[0].partition,
                 dataset_size=self.dataset.size, pattern_count=len(specs),
-                subset_size=size), rels)
+                subset_size=subset.size), rels)
         else:
             rels = []
             for spec in specs:

@@ -15,10 +15,10 @@ partitioned pjoin input) through the inputs connected to it, and hashes each
 step on every variable the step's input shares with the rows folded so far,
 so a bucket hit is always a compatible pair of rows.
 
-The scan charges are modeled, not the simulator's work: the host reads a
-selection with a ground predicate from the store's per-node predicate index
-(:attr:`Dataset.index`), so it touches only that predicate's triples, and
-only a variable predicate makes it read whole chunks.
+The scan charges are modeled, not the simulator's work: the store and S are
+both kept as per-node predicate groups (:attr:`Dataset.groups`), so a
+selection with a ground predicate touches only that predicate's triples,
+and only a variable predicate makes it read every group.
 """
 
 from dataclasses import dataclass, field
@@ -80,15 +80,10 @@ class SelectionSpec:
         """1-based textual pattern name, t1, t2, ..."""
         return f"t{self.index + 1}"
 
-    def matches(self, triple: IdTriple) -> bool:
-        if self.predicate is not None and triple[1] != self.predicate:
-            return False
-        return self.matches_in_group(triple)
-
     def matches_in_group(self, triple: IdTriple) -> bool:
-        """:meth:`matches` for a triple that carries the pattern's ground
-        predicate, as every triple of its predicate group does: the
-        predicate is not tested again."""
+        """Whether the pattern matches ``triple``, a triple of its predicate
+        group (any triple, with a variable predicate): the predicate is not
+        tested."""
         for pos, term in self.conditions:
             if triple[pos] != term:
                 return False
@@ -128,43 +123,43 @@ def compile_specs(patterns: Sequence[TriplePattern]) -> list[SelectionSpec]:
     return [SelectionSpec.compile(i, p) for i, p in enumerate(patterns)]
 
 
-def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
-                     ledger: TransferLedger) -> Relation:
-    """Scan the store once and emit one row per matching triple, in chunk
-    order. Purely node-local; charges one full scan and no transfer. A
-    ground predicate reads only that predicate's group of each node's
-    index."""
-    if cluster.m != dataset.m:
-        raise ValueError(f"dataset is distributed over {dataset.m} nodes, cluster has {cluster.m}")
+def _read_groups(spec: SelectionSpec, store: Dataset, cluster: Cluster) -> Relation:
+    """The selection of ``spec`` read from the predicate groups of
+    ``store``, one row chunk per node. A ground predicate reads its own
+    group, with its rows in load order; a variable predicate reads every
+    group, and its rows come out grouped by predicate. Charges nothing."""
+    if cluster.m != store.m:
+        raise ValueError(f"dataset is distributed over {store.m} nodes, cluster has {cluster.m}")
     pred = spec.predicate
 
-    def scan(j: int) -> tuple[Row, ...]:
+    def read(j: int) -> tuple[Row, ...]:
+        groups = store.groups[j]
         if pred is None:
-            return spec.rows_of(dataset.chunks[j])
-        return spec.rows_of(dataset.index[j].get(pred, ()))
+            return spec.rows_of(chain.from_iterable(groups.values()))
+        return spec.rows_of(groups.get(pred, ()))
 
-    chunks = tuple(for_each_node(cluster, scan))
+    return Relation(spec.projection, tuple(for_each_node(cluster, read)),
+                    selection_state(spec, store))
+
+
+def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
+                     ledger: TransferLedger) -> Relation:
+    """Scan the store once and emit one row per matching triple. Purely
+    node-local; charges one full scan and no transfer."""
+    rel = _read_groups(spec, dataset, cluster)
     ledger.tally(f"sel[{spec.label}]", scanned=dataset.size)
-    return Relation(spec.projection, chunks, selection_state(spec, dataset))
-
-
-@dataclass(frozen=True, slots=True)
-class SharedSubset:
-    """S of a merged scan: on each node, the triples that match at least one
-    of the patterns, grouped by predicate id in chunk order; ``size`` is |S|
-    over all nodes."""
-
-    nodes: tuple[dict[int, tuple[IdTriple, ...]], ...]
-    size: int
+    return rel
 
 
 def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
-                  cluster: Cluster) -> SharedSubset:
-    """The union pass of a merged scan: S for ``specs``, charging nothing.
+                  cluster: Cluster) -> Dataset:
+    """The union pass of a merged scan, charging nothing: S for ``specs``,
+    the triples that match at least one of the patterns, as a store with
+    the layout and base of ``dataset``.
 
-    The pass walks each node's predicate index: a predicate group is tested
-    against the patterns naming that predicate plus the variable-predicate
-    patterns, and skipped when there are none.
+    The pass walks each node's predicate groups: a group is tested against
+    the patterns naming its predicate plus the variable-predicate patterns,
+    and skipped when there are none.
     """
     if not specs:
         raise ValueError("merged selection needs at least one pattern")
@@ -182,7 +177,7 @@ def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
 
     def union_pass(j: int) -> dict[int, tuple[IdTriple, ...]]:
         kept: dict[int, tuple[IdTriple, ...]] = {}
-        for pred, group in dataset.index[j].items():
+        for pred, group in dataset.groups[j].items():
             tests = candidates.get(pred, general)
             if not tests:
                 continue
@@ -196,41 +191,23 @@ def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
 
     # A node's S is a dict of predicate groups rather than a chunk of rows,
     # so it is built outside for_each_node, which returns row chunks.
-    nodes = tuple(union_pass(j) for j in cluster.nodes)
-    return SharedSubset(nodes, sum(len(g) for kept in nodes for g in kept.values()))
+    return Dataset(tuple(union_pass(j) for j in cluster.nodes), dataset.base)
 
 
 def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
                      cluster: Cluster, ledger: TransferLedger,
-                     subset: SharedSubset | None = None) -> tuple[list[Relation], int]:
+                     subset: Dataset) -> list[Relation]:
     """Evaluate several selections with one shared pass over the store.
 
-    Each node first materializes S, the triples matching at least one
-    pattern (:func:`shared_subset`, or ``subset`` when the caller already
-    built it for the same ``specs``), then every pattern is extracted by
-    scanning S. Output row multisets and partition states are identical to
-    independent selections; only the scan accounting differs. Returns the
-    per-pattern relations and the size of S.
-
-    S stays grouped by predicate, so a ground-predicate pattern is extracted
-    from its own group, with its rows in chunk order; a variable-predicate
-    pattern reads every group, and its rows come out grouped by predicate.
+    ``subset`` is S, the triples matching at least one of ``specs``
+    (:func:`shared_subset`); every pattern is extracted by scanning S.
+    Output rows and partition states are identical to independent
+    selections; only the scan accounting differs.
     """
-    if subset is None:
-        subset = shared_subset(specs, dataset, cluster)
-    relations = []
-    for spec in specs:
-        def extract(j: int, spec=spec) -> tuple[Row, ...]:
-            if spec.predicate is None:
-                return spec.rows_of(chain.from_iterable(subset.nodes[j].values()))
-            return spec.rows_of(subset.nodes[j].get(spec.predicate, ()))
-
-        chunks = tuple(for_each_node(cluster, extract))
-        relations.append(Relation(spec.projection, chunks, selection_state(spec, dataset)))
-
+    relations = [_read_groups(spec, subset, cluster) for spec in specs]
     op = "merged-sel[" + ",".join(s.label for s in specs) + "]"
     ledger.tally(op, scanned=dataset.size + len(specs) * subset.size)
-    return relations, subset.size
+    return relations
 
 
 def fold_order(schemas: Sequence[frozenset[Term]], counts: Sequence[int],

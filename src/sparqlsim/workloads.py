@@ -45,6 +45,12 @@ SNOWFLAKE_DEPARTMENTS = 20
 SECOND_MEMBER_EVERY = 97
 SECOND_EMAIL_EVERY = 50
 COURSE_COUNT = 40
+# alternating-frequent-rare: dead ends per path on every odd pattern.
+NOISE_FACTOR = 100
+# front-loaded-large: part-chains on the mid patterns, and dead ends on each
+# of the two head patterns.
+PARALLEL = 50
+HEAD_NOISE = 6 * PARALLEL
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,9 +60,6 @@ class WorkloadSpec:
     pattern_count: int
     subject_count: int
     profile: str | None = None
-    noise_factor: int = 100     # alternating-frequent-rare: dead ends per path
-    parallel: int = 50          # front-loaded-large: mid-span part-chains
-    large_noise: int | None = None  # front-loaded-large: head noise (default 6x parallel)
     filler: int = 0             # triples matching no pattern
 
     def __post_init__(self):
@@ -80,10 +83,6 @@ class WorkloadSpec:
                                  f"(expected one of {', '.join(CHAIN_PROFILES)})")
             if self.profile == "front-loaded-large" and self.pattern_count < 4:
                 raise ValueError("front-loaded-large needs at least 4 patterns")
-
-    @property
-    def head_noise(self) -> int:
-        return self.large_noise if self.large_noise is not None else 6 * self.parallel
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +124,7 @@ def _generate_chain(spec: WorkloadSpec) -> Workload:
             triples.append(Triple(nodes[j - 1], links[j - 1], nodes[j]))
 
     if spec.profile == "alternating-frequent-rare":
-        extras = spec.noise_factor * b
+        extras = NOISE_FACTOR * b
         for j in range(1, k + 1, 2):
             for i in range(extras):
                 triples.append(Triple(iri(GEN + f"chain/dead{j}_{i}s"),
@@ -133,13 +132,13 @@ def _generate_chain(spec: WorkloadSpec) -> Workload:
                                       iri(GEN + f"chain/dead{j}_{i}o")))
     elif spec.profile == "front-loaded-large":
         for j in (1, 2):
-            for i in range(spec.head_noise):
+            for i in range(HEAD_NOISE):
                 triples.append(Triple(iri(GEN + f"chain/dead{j}_{i}s"),
                                       links[j - 1],
                                       iri(GEN + f"chain/dead{j}_{i}o")))
         # Part-chains run from layer 2 to the end but never reach layer 1,
         # so they inflate every mid selection without joining through.
-        for c in range(spec.parallel):
+        for c in range(PARALLEL):
             nodes = {layer: iri(GEN + f"chain/part{c}_{layer}")
                      for layer in range(2, k + 1)}
             for j in range(3, k + 1):
@@ -283,7 +282,7 @@ class Suite:
 
 _SUITE_KEYS = {"name", "workloads", "m", "partitioning", "strategies"}
 _SPEC_KEYS = {"name", "shape", "pattern_count", "subject_count", "profile",
-              "noise_factor", "parallel", "large_noise", "filler"}
+              "filler"}
 
 
 def _spec_from_dict(raw: dict, where: str) -> WorkloadSpec:
@@ -328,6 +327,10 @@ def load_suite(path: str | Path) -> Suite:
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if not suite.m:
+        raise ParseError(f"{path}: 'm' must list at least one node count")
+    if not suite.strategies:
+        raise ParseError(f"{path}: 'strategies' must list at least one strategy")
     bad_m = [m for m in suite.m if m < 1]
     if bad_m:
         raise ParseError(f"{path}: node counts in 'm' must be at least 1, "

@@ -73,6 +73,21 @@ def decode_triple(ids) -> Triple:
     return Triple(*(TERMS[i] for i in ids))
 
 
+def match_row(pattern, triple: Triple) -> tuple | None:
+    """The row ``pattern`` binds against ``triple`` (the ids of its terms in
+    sorted variable order), or None when the triple does not match: a
+    direct reading of the decoded triple, independent of the engine's
+    compiled selections."""
+    binding = {}
+    for term, value in zip(pattern.positions(), (triple.s, triple.p, triple.o)):
+        if term.is_variable:
+            if binding.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return tuple(value.id for _, value in sorted(binding.items()))
+
+
 def make_relation(schema, rows, cluster: Cluster, *, key=None,
                   replicate: bool = False, start: int = 0) -> Relation:
     """A relation over ``schema`` holding the binding ``rows``: hashed on

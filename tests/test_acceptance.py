@@ -35,14 +35,14 @@ from sparqlsim import (
 from sparqlsim.cluster import RANDOM_STATE
 from sparqlsim.hybrid import _Slot, _step_options
 from sparqlsim.ops import (
-    SelectionSpec, brjoin, compile_specs, merged_selection, pjoin,
+    brjoin, compile_specs, merged_selection, pjoin, shared_subset,
     triple_selection,
 )
 from sparqlsim.physical import SelectionNode
 from sparqlsim.terms import pattern_vars
 
 from conftest import (
-    ACCEPTANCE_LINES, WORKLOAD_DIR, encode_rows, encode_triple, make_dataset,
+    ACCEPTANCE_LINES, WORKLOAD_DIR, encode_rows, make_dataset, match_row,
 )
 
 UNIT = CostParams(1.0, 1.0)
@@ -202,8 +202,7 @@ def test_criterion_3_snowflake_transfer_accounting(q8_workload):
 
         # independent ingredients, measured off the raw triple list
         def matches(i):
-            spec = SelectionSpec.compile(i, patterns[i])
-            return sum(1 for t in wl.triples if spec.matches(encode_triple(t)))
+            return sum(match_row(patterns[i], t) is not None for t in wl.triples)
 
         gamma_member = matches(2)                                   # t3
         dept_pair = len(oracle_eval([patterns[3], patterns[1]], wl.triples))
@@ -349,9 +348,10 @@ def test_criterion_5_merged_scan_accounting():
         specs = compile_specs(wl.query.patterns)
 
         merged_ledger = TransferLedger()
-        merged_rels, subset = merged_selection(specs, dataset, cluster,
-                                               merged_ledger)
-        assert subset == 1_000
+        subset = shared_subset(specs, dataset, cluster)
+        merged_rels = merged_selection(specs, dataset, cluster, merged_ledger,
+                                       subset)
+        assert subset.size == 1_000
         assert merged_ledger.totals()["scanned"] == 105_000
 
         single_ledger = TransferLedger()
@@ -383,8 +383,7 @@ def test_criterion_6_chain_counterexamples():
                       "static partitioned joins; alternating chains (4, 6): "
                       "strictly below partitioned and single-broadcast"):
         fll = generate(WorkloadSpec(name="fll", shape="chain", pattern_count=15,
-                                    subject_count=2, profile="front-loaded-large",
-                                    parallel=50))
+                                    subject_count=2, profile="front-loaded-large"))
         dataset, cluster = make_dataset(fll.triples, m=4)
         hybrid = run_strategy("hybrid", fll.query, dataset, cluster)
         static = run_strategy("pjoin", fll.query, dataset, cluster)
@@ -395,8 +394,7 @@ def test_criterion_6_chain_counterexamples():
         for k in (4, 6):
             afr = generate(WorkloadSpec(
                 name=f"afr{k}", shape="chain", pattern_count=k,
-                subject_count=40, profile="alternating-frequent-rare",
-                noise_factor=100))
+                subject_count=40, profile="alternating-frequent-rare"))
             dataset, cluster = make_dataset(afr.triples, m=4)
             runs = {s: run_strategy(s, afr.query, dataset, cluster)
                     for s in ("hybrid", "pjoin", "mono-br")}

@@ -215,11 +215,21 @@ def test_exit_2_cross_product_option_with_suite(capsys):
     assert "--allow-cross-product applies to --data only" in err
 
 
-def test_exit_2_missing_file(capsys, university_nt):
+def test_exit_2_missing_file(capsys, university_nt, tmp_path):
     code, _, err = run_cli(capsys, "query", "/nonexistent.nt", Q8)
     assert code == 2 and "no such file" in err
     code, _, err = run_cli(capsys, "query", university_nt, "/nonexistent.rq")
     assert code == 2
+    # a directory where a file is read or written
+    folder = str(tmp_path)
+    suite = str(REPO_ROOT / "workloads" / "star-suite.json")
+    for argv in (["load", folder], ["query", university_nt, folder],
+                 ["bench", "--suite", folder],
+                 ["bench", "--suite", suite, "-m", "2", "--strategy", "pjoin",
+                  "--out", folder]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"cannot open {folder}" in err, argv
 
 
 def test_exit_2_malformed_data(capsys, tmp_path):
@@ -262,8 +272,11 @@ def test_exit_2_non_utf8_data(capsys, tmp_path):
     ('"partitioning": "diagonal"', "", "unknown partitioning 'diagonal'"),
     ('"strategies": ["pjoin", "zigzag"]', "", "unknown strategies: zigzag"),
     ('"m": [2, 0]', "", "must be at least 1, got 0"),
+    ('"m": []', "", "'m' must list at least one node count"),
+    ('"strategies": []', "", "'strategies' must list at least one strategy"),
     ('"m": [2]', ', "seed": 1', "workloads[0]: unknown keys: seed")],
-    ids=["unknown-key", "partitioning", "strategy", "m", "workload-seed"])
+    ids=["unknown-key", "partitioning", "strategy", "m", "empty-m",
+         "empty-strategies", "workload-seed"])
 def test_exit_2_bad_suite_settings(capsys, tmp_path, setting, workload_setting,
                                    message):
     suite = tmp_path / "suite.json"

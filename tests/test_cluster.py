@@ -222,24 +222,30 @@ def test_ledger_totals_and_dict():
         ledger.tally("op3", scanned=-1)
 
 
+def _node_triples(dataset):
+    """Each node's stored id triples, group after group."""
+    return [[t for group in groups.values() for t in group]
+            for groups in dataset.groups]
+
+
 def test_load_partitioned_subject_places_by_subject_hash():
     dataset, cluster = make_dataset(D0, m=4, base=BasePartition.SUBJECT)
     assert dataset.size == len(D0)
     assert sum(dataset.node_counts()) == len(D0)
-    for j, chunk in enumerate(dataset.chunks):
-        for t in chunk:
+    for j, node in enumerate(_node_triples(dataset)):
+        for t in node:
             assert term_hash64(TERMS[t[0]]) % 4 == j
     # same subject always lands on the same node
-    a_nodes = {j for j, chunk in enumerate(dataset.chunks)
-               for t in chunk if t[0] == A.id}
+    a_nodes = {j for j, node in enumerate(_node_triples(dataset))
+               for t in node if t[0] == A.id}
     assert len(a_nodes) == 1
 
 
 def test_load_partitioned_other_bases():
     for base, pos in ((BasePartition.PREDICATE, 1), (BasePartition.OBJECT, 2)):
         dataset, _ = make_dataset(D0, m=4, base=base)
-        for j, chunk in enumerate(dataset.chunks):
-            for t in chunk:
+        for j, node in enumerate(_node_triples(dataset)):
+            for t in node:
                 assert term_hash64(TERMS[t[pos]]) % 4 == j
     random_ds, _ = make_dataset(D0, m=4, base=BasePartition.RANDOM)
     assert random_ds.size == len(D0)
@@ -272,33 +278,56 @@ _STORE_TERMS = [iri(f"http://example.org/n{i}") for i in range(4)] + [lit("v")]
 _STORE_PREDICATES = [iri(f"http://example.org/p{i}") for i in range(4)]
 
 
-@given(st.lists(st.tuples(st.sampled_from(_STORE_TERMS[:4]),
-                          st.sampled_from(_STORE_PREDICATES),
-                          st.sampled_from(_STORE_TERMS)), max_size=40),
-       st.integers(1, 5), st.sampled_from(list(BasePartition)))
-def test_predicate_index_partitions_each_chunk_in_chunk_order(parts, m, base):
-    dataset = load_partitioned([Triple(*t) for t in parts], Cluster(m), base)
-    assert len(dataset.index) == m
-    for chunk, groups in zip(dataset.chunks, dataset.index):
-        assert list(groups) == list(dict.fromkeys(t[1] for t in chunk))
-        for p, group in groups.items():
-            assert group == tuple(t for t in chunk if t[1] == p)
-        assert sum(len(group) for group in groups.values()) == len(chunk)
+_STORE_TRIPLES = st.lists(st.tuples(st.sampled_from(_STORE_TERMS[:4]),
+                                     st.sampled_from(_STORE_PREDICATES),
+                                     st.sampled_from(_STORE_TERMS)), max_size=40)
 
 
-@given(st.lists(st.tuples(st.sampled_from(_STORE_TERMS[:4]),
-                          st.sampled_from(_STORE_PREDICATES),
-                          st.sampled_from(_STORE_TERMS)), max_size=40),
-       st.integers(1, 5))
+def _expected_placement(triples, m, base):
+    """Each node's share of ``triples`` in load order, placed as ``base`` says."""
+    pos = base.position
+    want = [[] for _ in range(m)]
+    for i, t in enumerate(triples):
+        want[i % m if pos is None else term_hash64(t[pos]) % m].append(t)
+    return want
+
+
+def _by_first_predicate(triples):
+    """``triples`` stably grouped by predicate, in order of first appearance."""
+    order = dict.fromkeys(t.p for t in triples)
+    return [t for p in order for t in triples if t.p == p]
+
+
+@given(_STORE_TRIPLES, st.integers(1, 5))
 def test_dataset_chunks_decode_to_the_partitioned_input(parts, m):
+    """Each node's stored chunk (all its predicate groups) holds exactly the
+    triples its base partitioning assigns to it."""
     triples = [Triple(*t) for t in parts]
     for base in BasePartition:
         dataset = load_partitioned(triples, Cluster(m), base)
-        pos = base.position
-        want = [[] for _ in range(m)]
-        for i, t in enumerate(triples):
-            want[i % m if pos is None else term_hash64(t[pos]) % m].append(t)
-        assert [[decode_triple(t) for t in chunk] for chunk in dataset.chunks] == want
+        want = _expected_placement(triples, m, base)
+        assert dataset.m == m and dataset.base is base
+        assert dataset.node_counts() == [len(node) for node in want]
+        assert dataset.size == len(triples)
+        for node, expected in zip(_node_triples(dataset), want, strict=True):
+            assert [decode_triple(t) for t in node] == \
+                _by_first_predicate(expected)
+
+
+@given(_STORE_TRIPLES, st.integers(1, 5), st.sampled_from(list(BasePartition)))
+def test_predicate_index_partitions_each_chunk_in_chunk_order(parts, m, base):
+    """A node's predicate groups list predicates in order of first appearance
+    and keep load order within each group."""
+    triples = [Triple(*t) for t in parts]
+    dataset = load_partitioned(triples, Cluster(m), base)
+    assert len(dataset.groups) == m
+    for groups, node in zip(dataset.groups,
+                            _expected_placement(triples, m, base), strict=True):
+        assert list(groups) == list(dict.fromkeys(t.p.id for t in node))
+        for p, group in groups.items():
+            assert [decode_triple(t) for t in group] == \
+                [t for t in node if t.p.id == p]
+        assert sum(len(group) for group in groups.values()) == len(node)
 
 
 @given(st.integers(1, 16), st.integers(0, 200))

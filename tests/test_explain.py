@@ -104,7 +104,7 @@ _FULL_STAR = WorkloadSpec(name="star", shape="star", pattern_count=5,
                           subject_count=30)
 _ALTERNATING_CHAIN = WorkloadSpec(
     name="afr", shape="chain", pattern_count=4, subject_count=40,
-    profile="alternating-frequent-rare", noise_factor=100)
+    profile="alternating-frequent-rare")
 
 
 @pytest.mark.parametrize("workload, base", [

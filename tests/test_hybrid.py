@@ -8,6 +8,7 @@ from sparqlsim import (
     plan_and_execute_hybrid, render_plan, run_strategy,
 )
 from sparqlsim.executor import ExecutionTrace
+from sparqlsim.workloads import HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
 from conftest import make_dataset
 
@@ -108,14 +109,13 @@ def test_trace_records_every_operator(q8_workload):
 def test_alternating_chain_hybrid_beats_static():
     """Dead-end-heavy odd patterns: measured sizes let the adaptive planner
     start mid-chain and keep every step at matched-path size b."""
-    k, b, noise = 4, 40, 100
+    k, b = 4, 40
     wl = generate(WorkloadSpec(name="afr", shape="chain", pattern_count=k,
                                subject_count=b,
-                               profile="alternating-frequent-rare",
-                               noise_factor=noise))
+                               profile="alternating-frequent-rare"))
     dataset, cluster = make_dataset(wl.triples, m=4)
     runs = {s: run_strategy(s, wl.query, dataset, cluster) for s in STRATEGIES}
-    frequent = noise * b
+    frequent = NOISE_FACTOR * b
     assert runs["hybrid"].ledger.total_transfer == (k + 1) * b          # 200
     assert runs["pjoin"].ledger.total_transfer == frequent + (k - 1) * b  # 4120
     assert runs["hybrid"].ledger.total_transfer < runs["pjoin"].ledger.total_transfer
@@ -130,16 +130,14 @@ def test_front_loaded_chain_defeats_greedy():
     """Mid-chain part-chains make the cheap-looking opening pair a trap: the
     adaptive plan drags a block of parallel rows up the chain while the
     static left-to-right plan only pays for the head once."""
-    k, b, parallel = 15, 2, 50
+    k, b = 15, 2
     wl = generate(WorkloadSpec(name="fll", shape="chain", pattern_count=k,
-                               subject_count=b, profile="front-loaded-large",
-                               parallel=parallel))
+                               subject_count=b, profile="front-loaded-large"))
     dataset, cluster = make_dataset(wl.triples, m=4)
     hybrid = run_strategy("hybrid", wl.query, dataset, cluster)
     pjoin = run_strategy("pjoin", wl.query, dataset, cluster)
-    head_noise = 6 * parallel
-    assert hybrid.ledger.total_transfer == k * (parallel + b) + 3 * b   # 786
-    assert pjoin.ledger.total_transfer == (head_noise + b) + (k - 2) * b  # 328
+    assert hybrid.ledger.total_transfer == k * (PARALLEL + b) + 3 * b   # 786
+    assert pjoin.ledger.total_transfer == (HEAD_NOISE + b) + (k - 2) * b  # 328
     assert hybrid.ledger.total_transfer > pjoin.ledger.total_transfer
     expected = as_multiset(oracle_eval(wl.query.patterns, wl.triples,
                                        select=wl.query.select))

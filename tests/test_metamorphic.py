@@ -14,7 +14,7 @@ from sparqlsim import (
 )
 from sparqlsim.terms import Triple, TriplePattern, pattern_vars
 
-from conftest import decode_triple, make_dataset
+from conftest import make_dataset, match_row
 
 NS = "http://meta.example/"
 _ENTITIES = tuple(iri(f"{NS}e{i}") for i in range(6))
@@ -70,17 +70,6 @@ def workloads(draw) -> tuple[Query, list[Triple]]:
     return query, triples
 
 
-def _matches(pattern: TriplePattern, triple: Triple) -> bool:
-    binding = {}
-    for term, value in zip(pattern.positions(), (triple.s, triple.p, triple.o)):
-        if term.is_variable:
-            if binding.setdefault(term, value) != value:
-                return False
-        elif term != value:
-            return False
-    return True
-
-
 @settings(max_examples=250, deadline=None)
 @given(workload=workloads(), strategy=st.sampled_from(STRATEGIES),
        base=st.sampled_from(list(BasePartition)), m=st.integers(1, 5),
@@ -106,8 +95,8 @@ def test_run_invariants(workload, strategy, base, m, order):
 
     if strategy == "hybrid":
         d, n = dataset.size, len(query.patterns)
-        subset = sum(any(_matches(p, decode_triple(t)) for p in query.patterns)
-                     for chunk in dataset.chunks for t in chunk)
+        subset = sum(any(match_row(p, t) is not None for p in query.patterns)
+                     for t in triples)
         shared = d + n * subset < n * d    # a tie goes to independent scans
         assert result.ledger.totals()["scanned"] == min(d + n * subset, n * d)
         kinds = [e.kind for e in result.trace.entries[:1 if shared else n]]

@@ -14,7 +14,7 @@ from sparqlsim.cluster import RANDOM_STATE, broadcast, check_placement
 from sparqlsim.logical import build_logical
 from sparqlsim.ops import (
     SelectionSpec, brjoin, compile_specs, fold_order, merged_selection, pjoin,
-    project, selection_state, triple_selection,
+    project, selection_state, shared_subset, triple_selection,
 )
 from sparqlsim.physical import plan_mono_brjoin
 from sparqlsim.terms import EMPTY_ROW, Triple, TriplePattern
@@ -22,7 +22,7 @@ from sparqlsim.workloads import snowflake_query, snowflake_selection_sizes
 
 from conftest import (
     A, AGE, B, C, D0, EX, KNOWS, NAME, decode_triple, encode_triple, make_dataset,
-    make_relation,
+    make_relation, match_row,
 )
 
 X, Y, N, G = var("x"), var("y"), var("n"), var("g")
@@ -46,23 +46,31 @@ def expected_knows() -> Counter:
     ])
 
 
+def _matching_rows(pattern, triples) -> tuple:
+    """The rows the reference matcher finds in ``triples``, in order."""
+    return tuple(row for row in (match_row(pattern, t) for t in triples)
+                 if row is not None)
+
+
 def test_selection_spec_compile():
     spec = SelectionSpec.compile(2, P_KNOWS)
     assert spec.label == "t3"
     assert spec.projection == frozenset({X, Y})
-    assert spec.matches(encode_triple(Triple(A, KNOWS, B)))
-    assert not spec.matches(encode_triple(Triple(A, NAME, lit("A"))))
+    assert spec.predicate == KNOWS.id
+    knows = Triple(A, KNOWS, B)
     # x, y: variable order
-    assert spec.row_for(encode_triple(Triple(A, KNOWS, B))) == (A.id, B.id)
+    assert spec.rows_of([encode_triple(knows)]) == _matching_rows(P_KNOWS, [knows]) \
+        == ((A.id, B.id),)
+    assert _matching_rows(P_KNOWS, [Triple(A, NAME, lit("A"))]) == ()
     assert [s.label for s in compile_specs([P_KNOWS, P_NAME])] == ["t1", "t2"]
 
 
 def test_selection_same_variable_twice_requires_equality():
     spec = SelectionSpec.compile(0, P_SELF)
     loop = iri(EX + "loop")
-    assert spec.matches(encode_triple(Triple(loop, KNOWS, loop)))
-    assert not spec.matches(encode_triple(Triple(A, KNOWS, B)))
-    assert spec.row_for(encode_triple(Triple(loop, KNOWS, loop))) == (loop.id,)
+    group = [Triple(loop, KNOWS, loop), Triple(A, KNOWS, B)]
+    assert spec.rows_of(map(encode_triple, group)) == _matching_rows(P_SELF, group) \
+        == ((loop.id,),)
 
 
 def test_triple_selection_rows_and_accounting():
@@ -97,6 +105,12 @@ def test_selection_with_ground_subject():
                                  BindingRow.from_mapping({Y: C})])
 
 
+def _merged(specs, dataset, cluster, ledger):
+    """A merged selection of ``specs`` and the shared subset it read."""
+    subset = shared_subset(specs, dataset, cluster)
+    return merged_selection(specs, dataset, cluster, ledger, subset), subset
+
+
 def test_merged_selection_matches_individual_selections():
     filler = [Triple(iri(EX + f"f{i}"), iri(EX + "other"), iri(EX + f"g{i}"))
               for i in range(4)]
@@ -104,8 +118,8 @@ def test_merged_selection_matches_individual_selections():
     specs = compile_specs([P_KNOWS, P_NAME, P_AGE])
 
     merged_ledger = TransferLedger()
-    merged, subset = merged_selection(specs, dataset, cluster, merged_ledger)
-    assert subset == 6                      # every D0 triple matches a pattern
+    merged, subset = _merged(specs, dataset, cluster, merged_ledger)
+    assert subset.size == 6                 # every D0 triple matches a pattern
     assert merged_ledger.totals()["scanned"] == 10 + 3 * 6
 
     plain_ledger = TransferLedger()
@@ -121,21 +135,6 @@ _SEL_PREDICATES = [iri(EX + f"sp{i}") for i in range(5)]
 _SEL_ABSENT = iri(EX + "absent")                 # never in a store
 _SEL_NODES = [iri(EX + f"sn{i}") for i in range(3)] + _SEL_PREDICATES[:2]
 _SEL_OBJECTS = _SEL_NODES + [lit("v")]
-
-
-def _brute_row(pattern, ids):
-    """The row of ``pattern`` against the stored id triple ``ids`` (the ids
-    of its terms in sorted variable order), or None: a direct reading of the
-    decoded triple, independent of :class:`SelectionSpec`."""
-    triple = decode_triple(ids)
-    binding = {}
-    for term, value in zip(pattern.positions(), (triple.s, triple.p, triple.o)):
-        if term.is_variable:
-            if binding.setdefault(term, value) != value:
-                return None
-        elif term != value:
-            return None
-    return tuple(value.id for _, value in sorted(binding.items()))
 
 
 @st.composite
@@ -174,11 +173,10 @@ def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
     spec = SelectionSpec.compile(0, pattern)
     ledger = TransferLedger()
     rel = triple_selection(spec, dataset, cluster, ledger)
-    for j, chunk in enumerate(dataset.chunks):
-        want = tuple(spec.row_for(t) for t in chunk if spec.matches(t))
-        assert rel.chunks[j] == want                 # chunk order, every node
-        brute = (_brute_row(pattern, t) for t in chunk)
-        assert want == tuple(row for row in brute if row is not None)
+    for j, groups in enumerate(dataset.groups):
+        node = [decode_triple(t) for group in groups.values() for t in group]
+        # every node, predicate groups in order, load order within a group
+        assert rel.chunks[j] == _matching_rows(pattern, node)
     assert rel.partition == selection_state(spec, dataset)
     check_placement(rel)
     assert ledger.totals()["scanned"] == dataset.size
@@ -191,27 +189,29 @@ def test_merged_selection_equals_independent_selections(store, ground, general, 
     dataset, cluster = store
     specs = compile_specs([ground, general] + more)
     ledger = TransferLedger()
-    merged, subset = merged_selection(specs, dataset, cluster, ledger)
+    merged, subset = _merged(specs, dataset, cluster, ledger)
     for spec, got in zip(specs, merged):
         want = triple_selection(spec, dataset, cluster, TransferLedger())
-        for j in range(dataset.m):
-            if spec.predicate is None:
-                assert Counter(got.chunks[j]) == Counter(want.chunks[j])
-            else:
-                assert got.chunks[j] == want.chunks[j]
+        assert got.chunks == want.chunks
         assert got.partition == want.partition
         check_placement(got)
-    assert subset == sum(1 for chunk in dataset.chunks for t in chunk
-                         if any(_brute_row(s.pattern, t) is not None for s in specs))
-    assert ledger.totals()["scanned"] == dataset.size + len(specs) * subset
+    # S is a store of the same layout: each node's groups keep the triples
+    # that match at least one pattern, in order, and drop emptied groups.
+    assert subset.base == dataset.base
+    for kept, groups in zip(subset.groups, dataset.groups, strict=True):
+        want = {p: tuple(t for t in group
+                         if any(match_row(s.pattern, decode_triple(t)) is not None
+                                for s in specs))
+                for p, group in groups.items()}
+        assert list(kept.items()) == [(p, g) for p, g in want.items() if g]
+    assert ledger.totals()["scanned"] == dataset.size + len(specs) * subset.size
 
 
 def test_merged_selection_single_pattern_degenerates_to_plain_scan():
     dataset, cluster = make_dataset(D0, m=2)
     ledger = TransferLedger()
-    merged, subset = merged_selection(compile_specs([P_KNOWS]), dataset,
-                                      cluster, ledger)
-    assert subset == 3
+    merged, subset = _merged(compile_specs([P_KNOWS]), dataset, cluster, ledger)
+    assert subset.size == 3
     assert ledger.totals()["scanned"] == 6 + 3
     assert rows(merged[0]) == expected_knows()
 

@@ -12,17 +12,14 @@ from sparqlsim import (
     classify_shape, generate, generate_for_query, iri, load_suite, oracle_eval,
     parse_query, snowflake_query, snowflake_selection_sizes, var,
 )
-from sparqlsim.ops import SelectionSpec
+from sparqlsim.workloads import HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
-from conftest import WORKLOAD_DIR, encode_triple
+from conftest import WORKLOAD_DIR, match_row
 
 
 def _selection_counts(workload):
-    counts = {}
-    for i, pattern in enumerate(workload.query.patterns):
-        spec = SelectionSpec.compile(i, pattern)
-        counts[i] = sum(1 for t in workload.triples if spec.matches(encode_triple(t)))
-    return counts
+    return {i: sum(match_row(pattern, t) is not None for t in workload.triples)
+            for i, pattern in enumerate(workload.query.patterns)}
 
 
 # ---------------------------------------------------------------- generators
@@ -46,31 +43,25 @@ def test_chain_counts_plain():
 
 
 def test_chain_alternating_profile_sizes():
-    k, b, noise = 4, 40, 100
+    k, b = 4, 40
     wl = generate(WorkloadSpec(name="afr", shape="chain", pattern_count=k,
                                subject_count=b,
-                               profile="alternating-frequent-rare",
-                               noise_factor=noise))
+                               profile="alternating-frequent-rare"))
     counts = _selection_counts(wl)
-    frequent = b + noise * b
+    frequent = b + NOISE_FACTOR * b
     assert counts == {0: frequent, 1: b, 2: frequent, 3: b}
     assert len(oracle_eval(wl.query.patterns, wl.triples)) == b
 
 
 def test_chain_front_loaded_profile_sizes():
-    k, b, parallel = 15, 2, 50
+    k, b = 15, 2
     wl = generate(WorkloadSpec(name="fll", shape="chain", pattern_count=k,
-                               subject_count=b, profile="front-loaded-large",
-                               parallel=parallel))
+                               subject_count=b, profile="front-loaded-large"))
     counts = _selection_counts(wl)
-    head = 6 * parallel + b        # default head noise is 6x parallel
+    head = HEAD_NOISE + b
     assert counts[0] == head and counts[1] == head
-    assert all(counts[j] == b + parallel for j in range(2, k))
+    assert all(counts[j] == b + PARALLEL for j in range(2, k))
     assert len(oracle_eval(wl.query.patterns, wl.triples)) == b
-    custom = WorkloadSpec(name="fll2", shape="chain", pattern_count=k,
-                          subject_count=b, profile="front-loaded-large",
-                          parallel=parallel, large_noise=9)
-    assert custom.head_noise == 9
 
 
 def test_snowflake_sizes_match_the_generated_data():
