@@ -13,9 +13,8 @@ from .bench import (
     run_suite,
 )
 from .cluster import (
-    BasePartition, Cluster, Dataset, PartitionKind, PartitionState,
-    PlacementError, Relation, TransferLedger, keyed, load_partitioned, node_of,
-    replicated,
+    BasePartition, Cluster, Dataset, PartitionState, PlacementError, Relation,
+    TransferLedger, keyed, load_partitioned, node_of,
 )
 from .cost import (
     CostEstimate, CostParams, cost_brjoin, cost_merged_selection, cost_pjoin,
@@ -51,7 +50,7 @@ __all__ = [
     "BasePartition", "BenchCase", "BenchReport", "BindingRow",
     "CSV_COLUMNS", "CartesianProductError", "Cluster",
     "CostEstimate", "CostParams", "Dataset", "EngineError", "ExecutionTrace",
-    "ParseError", "PartitionKind", "PartitionState", "PhysicalPlan",
+    "ParseError", "PartitionState", "PhysicalPlan",
     "PlacementError", "Query", "Relation", "ResultSizeLimitError", "RunResult",
     "STRATEGIES", "Shape", "ShapeInfo", "Suite", "Term", "TermKind",
     "TransferLedger", "Triple", "TriplePattern", "UnsupportedFeatureError",
@@ -62,7 +61,7 @@ __all__ = [
     "explain_text", "generate", "generate_for_query", "iri", "keyed", "lit",
     "load_partitioned", "load_suite", "merged_scan_beneficial", "node_of",
     "oracle_eval", "parse_ntriples", "parse_query", "parse_query_file",
-    "plan_and_execute_hybrid", "render_plan", "replicated", "result_cell",
+    "plan_and_execute_hybrid", "render_plan", "result_cell",
     "run_query", "run_strategy", "serialize_ntriples", "serialize_query",
     "snowflake_query", "snowflake_selection_sizes", "sorted_result_rows",
     "trace_cost", "var",

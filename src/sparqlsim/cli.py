@@ -25,9 +25,12 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .bench import DEFAULT_VERIFY_LIMIT, BenchCase, run_bench, run_suite
+from .bench import (
+    DEFAULT_VERIFY_LIMIT, BenchCase, BenchReport, run_bench, run_suite,
+)
 from .cluster import BasePartition, Cluster, Dataset, load_partitioned
 from .cost import CostParams
 from .engine import STRATEGIES, result_cell, run_query, sorted_result_rows
@@ -227,6 +230,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # Open the output first, as a shell redirect does, so a PATH that cannot
+    # be written fails before the grid runs.
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else nullcontext(sys.stdout)) as sink:
+        report = _bench_report(args)
+        sink.write(report.render(args.report))
+    if args.out:
+        print(f"wrote {args.report} report to {args.out} "
+              f"({len(report.cells)} cells)")
+    return EXIT_OK
+
+
+def _bench_report(args: argparse.Namespace) -> BenchReport:
     strategies = None if args.strategy is None else (
         STRATEGIES if args.strategy == "all" else (args.strategy,))
     if args.suite:
@@ -238,33 +254,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             suite, m=tuple(args.partitions) if args.partitions else suite.m,
             strategies=strategies or suite.strategies,
             partitioning=args.partition_key or suite.partitioning)
-        report = run_suite(suite, include_wall=not args.no_wall_time,
-                           validate=args.validate, verify_limit=args.verify_limit)
-    else:
-        if not args.query:
-            raise ParseError("--data needs --query")
-        text = Path(args.data).read_text(encoding="utf-8")
-        triples = parse_ntriples(text, source=args.data)
-        query, meta = parse_query_file(args.query)
-        case = BenchCase(name=Path(args.data).stem,
-                         query_name=meta.get("label", Path(args.query).stem),
-                         triples=triples, query=query)
-        report = run_bench(
-            [case], ms=tuple(args.partitions) if args.partitions else (4,),
-            strategies=strategies or STRATEGIES,
-            partitioning=args.partition_key or "subject",
-            include_wall=not args.no_wall_time,
-            allow_cross=args.allow_cross_product, validate=args.validate,
-            verify_limit=args.verify_limit, suite_name="adhoc")
-
-    text = report.render(args.report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.report} report to {args.out} "
-              f"({len(report.cells)} cells)")
-    else:
-        print(text, end="")
-    return EXIT_OK
+        return run_suite(suite, include_wall=not args.no_wall_time,
+                         validate=args.validate, verify_limit=args.verify_limit)
+    if not args.query:
+        raise ParseError("--data needs --query")
+    text = Path(args.data).read_text(encoding="utf-8")
+    triples = parse_ntriples(text, source=args.data)
+    query, meta = parse_query_file(args.query)
+    case = BenchCase(name=Path(args.data).stem,
+                     query_name=meta.get("label", Path(args.query).stem),
+                     triples=triples, query=query)
+    return run_bench(
+        [case], ms=tuple(args.partitions) if args.partitions else (4,),
+        strategies=strategies or STRATEGIES,
+        partitioning=args.partition_key or "subject",
+        include_wall=not args.no_wall_time,
+        allow_cross=args.allow_cross_product, validate=args.validate,
+        verify_limit=args.verify_limit, suite_name="adhoc")
 
 
 _COMMANDS = {

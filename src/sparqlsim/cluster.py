@@ -1,18 +1,20 @@
 """Simulated m-node cluster: placement, shuffles, broadcasts, accounting.
 
 A relation here is a logical multiset of positional rows of term ids (see
-:mod:`sparqlsim.terms`) plus a physical layout: one chunk per node and a
-partition state describing what the layout guarantees. The state is one of
+:mod:`sparqlsim.terms`) plus a physical layout: one chunk per node, each row
+on exactly one node, and a partition state describing what the layout
+guarantees. The state is its key alone:
 
-* ``Keyed(V)``: every row lives on ``node_of(row, V, m)``;
-* ``Random``: rows live anywhere, each on exactly one node;
-* ``Replicated``: every node holds the full multiset.
+* keyed on V (a nonempty key): every row lives on ``node_of(row, V, m)``;
+* random (the empty key): rows live anywhere.
 
 All data movement flows through :func:`shuffle` and :func:`broadcast`, which
-charge a :class:`TransferLedger`. The ledger keeps two shuffle counters: the
-modeled count charges the full relation size (the cost-model convention) and
-the actual count only rows that really change nodes, so co-location savings
-stay visible. ``actual <= modeled`` always holds.
+charge a :class:`TransferLedger`. A broadcast copy is not a relation: it is
+the row tuple every node reads during one broadcast join. The ledger keeps
+two shuffle counters: the modeled count charges the full relation size (the
+cost-model convention) and the actual count only rows that really change
+nodes, so co-location savings stay visible. ``actual <= modeled`` always
+holds.
 """
 
 from dataclasses import dataclass
@@ -109,49 +111,35 @@ def placement(schema: Iterable[Term], key: Iterable[Term],
     return dest_of
 
 
-class PartitionKind(Enum):
-    KEYED = "keyed"
-    RANDOM = "random"
-    REPLICATED = "replicated"
-
-
 @dataclass(frozen=True, slots=True)
 class PartitionState:
-    kind: PartitionKind
+    """What a relation's layout guarantees: hash placement on ``key``, or
+    nothing (random) when the key is empty."""
+
     key: frozenset[Term] = frozenset()
 
     def __post_init__(self):
-        if self.kind is PartitionKind.KEYED:
-            if not self.key:
-                raise ValueError("Keyed partition state requires a nonempty key")
-            if not all(v.is_variable for v in self.key):
-                raise ValueError("partition key must consist of variables")
-        elif self.key:
-            raise ValueError(f"{self.kind.value} partition state cannot carry a key")
+        if not all(v.is_variable for v in self.key):
+            raise ValueError("partition key must consist of variables")
 
     def is_keyed_on(self, key: frozenset[Term]) -> bool:
-        return self.kind is PartitionKind.KEYED and self.key == key
-
-    @property
-    def is_replicated(self) -> bool:
-        return self.kind is PartitionKind.REPLICATED
+        return bool(self.key) and self.key == key
 
     def render(self) -> str:
-        if self.kind is PartitionKind.KEYED:
+        if self.key:
             names = ",".join(v.lexical for v in sorted(self.key))
             return f"keyed{{{names}}}"
-        return self.kind.value
+        return "random"
 
 
-RANDOM_STATE = PartitionState(PartitionKind.RANDOM)
+RANDOM_STATE = PartitionState()
 
 
 def keyed(key: Iterable[Term]) -> PartitionState:
-    return PartitionState(PartitionKind.KEYED, frozenset(key))
-
-
-def replicated() -> PartitionState:
-    return PartitionState(PartitionKind.REPLICATED)
+    key = frozenset(key)
+    if not key:
+        raise ValueError("Keyed partition state requires a nonempty key")
+    return PartitionState(key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,15 +176,6 @@ class OperatorCounters:
     shuffled_modeled: int = 0
     shuffled_actual: int = 0
     broadcast: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "scanned": self.scanned,
-            "shuffled_modeled": self.shuffled_modeled,
-            "shuffled_actual": self.shuffled_actual,
-            "broadcast": self.broadcast,
-        }
 
 
 class TransferLedger:
@@ -245,19 +224,12 @@ class TransferLedger:
             "broadcast": self.broadcast_tuples,
         }
 
-    def as_dict(self) -> dict:
-        d = self.totals()
-        d["per_operator"] = [c.as_dict() for c in self.per_operator.values()]
-        return d
-
 
 @dataclass(frozen=True, slots=True)
 class Relation:
     """A distributed bag of :data:`Row` tuples: per-node chunks plus the
-    partition state the layout satisfies. For replicated relations every
-    chunk holds the full multiset and :meth:`tuples` returns a single copy;
-    :meth:`rows` decodes it to :class:`BindingRow` for results and
-    verification."""
+    partition state the layout satisfies. :meth:`rows` decodes the bag to
+    :class:`BindingRow` for results and verification."""
 
     schema: frozenset[Term]
     chunks: tuple[tuple[Row, ...], ...]
@@ -273,16 +245,12 @@ class Relation:
 
     @property
     def count(self) -> int:
-        """Logical row count (one copy for replicated relations)."""
-        if self.partition.is_replicated:
-            return len(self.chunks[0])
+        """Logical row count."""
         return sum(len(c) for c in self.chunks)
 
     def tuples(self) -> list[Row]:
         """The logical multiset of positional rows, in deterministic
         node-then-chunk order."""
-        if self.partition.is_replicated:
-            return list(self.chunks[0])
         out: list[Row] = []
         for chunk in self.chunks:
             out.extend(chunk)
@@ -302,8 +270,7 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
     """Repartition a relation by hash on ``key``.
 
     Charges the full logical size to the modeled counter; the actual counter
-    gets only rows whose destination differs from their current node. A
-    replicated input is collapsed back to one copy first.
+    gets only rows whose destination differs from their current node.
     """
     key_set = frozenset(key)
     if not key_set:
@@ -315,33 +282,23 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
     dest_of = placement(rel.schema, key_set, m)
     buckets: list[list[Row]] = [[] for _ in range(m)]
     moved = 0
-
-    if rel.partition.is_replicated:
-        # Every node already holds every row; collapsing to a keyed layout
-        # just drops the non-owned copies, so nothing actually moves.
-        for row in rel.chunks[0]:
-            buckets[dest_of(row)].append(row)
-    else:
-        for j, chunk in enumerate(rel.chunks):
-            for row in chunk:
-                dest = dest_of(row)
-                if dest != j:
-                    moved += 1
-                buckets[dest].append(row)
+    for j, chunk in enumerate(rel.chunks):
+        for row in chunk:
+            dest = dest_of(row)
+            if dest != j:
+                moved += 1
+            buckets[dest].append(row)
     ledger.tally(operator, shuffled_modeled=rel.count, shuffled_actual=moved)
     return Relation(rel.schema, tuple(tuple(b) for b in buckets), keyed(key_set))
 
 
 def broadcast(rel: Relation, ledger: TransferLedger,
-              operator: str = "broadcast") -> Relation:
-    """Replicate a relation to every node, charging (m-1) copies of its size.
-    Broadcasting an already replicated relation is a free no-op."""
-    if rel.partition.is_replicated:
-        return rel
+              operator: str = "broadcast") -> tuple[Row, ...]:
+    """Ship a relation to every node, charging (m-1) copies of its size, and
+    return the one row tuple that every node reads."""
     full = tuple(rel.tuples())
-    m = rel.m
-    ledger.tally(operator, broadcast=(m - 1) * len(full))
-    return Relation(rel.schema, tuple(full for _ in range(m)), replicated())
+    ledger.tally(operator, broadcast=(rel.m - 1) * len(full))
+    return full
 
 
 class PlacementError(AssertionError):
@@ -360,7 +317,7 @@ def check_placement(rel: Relation) -> None:
             if len(row) != len(order):
                 raise PlacementError(
                     f"row {row!r} has {len(row)} terms for schema {order}")
-    if rel.partition.kind is PartitionKind.KEYED:
+    if rel.partition.key:
         for j, chunk in enumerate(rel.chunks):
             for row in chunk:
                 decoded = BindingRow(tuple(zip(order, [TERMS[i] for i in row])))
@@ -369,11 +326,6 @@ def check_placement(rel: Relation) -> None:
                     raise PlacementError(
                         f"row {row!r} on node {j}, expected node {expect} "
                         f"under key {rel.partition.render()}")
-    elif rel.partition.is_replicated:
-        first = rel.chunks[0]
-        for j, chunk in enumerate(rel.chunks[1:], start=1):
-            if chunk != first:
-                raise PlacementError(f"replicated chunks differ between node 0 and node {j}")
 
 
 class BasePartition(Enum):

@@ -15,9 +15,9 @@ Conventions:
   (:func:`merged_scan_beneficial`); the adaptive strategy applies this rule
   to decide whether its selections share one store pass;
 * partitioned join on V: shuffle charge ``theta_comm * size(R)`` for every
-  input R not already keyed exactly on V and not replicated;
+  input R not already keyed exactly on V;
 * broadcast join: charge ``theta_comm * (m-1) * size(R)`` for every
-  non-target, non-replicated input R.
+  non-target input R.
 """
 
 from dataclasses import dataclass
@@ -80,26 +80,16 @@ def merged_scan_beneficial(dataset_size: int, pattern_count: int, subset_size: i
 
 def pjoin_shuffle_size(inputs: Sequence[SizedInput], on: frozenset) -> int:
     """Tuples a partitioned join on ``on`` must move: the full size of every
-    input neither keyed exactly on ``on`` nor replicated."""
-    total = 0
-    for size, state in inputs:
-        if state.is_keyed_on(on) or state.is_replicated:
-            continue
-        total += size
-    return total
+    input not keyed exactly on ``on``."""
+    return sum(size for size, state in inputs if not state.is_keyed_on(on))
 
 
 def brjoin_broadcast_size(inputs: Sequence[SizedInput], target_index: int, m: int) -> int:
     """Tuples a broadcast join must copy: (m-1) copies of every non-target
-    input that is not already replicated."""
+    input."""
     if not 0 <= target_index < len(inputs):
         raise IndexError(f"target index {target_index} out of range")
-    total = 0
-    for i, (size, state) in enumerate(inputs):
-        if i == target_index or state.is_replicated:
-            continue
-        total += size
-    return (m - 1) * total
+    return (m - 1) * sum(size for i, (size, _) in enumerate(inputs) if i != target_index)
 
 
 def cost_pjoin(inputs: Sequence[SizedInput], on: frozenset,

@@ -1,9 +1,10 @@
 """Top-level query runs: one strategy, one dataset, full accounting.
 
-Static strategies (``pjoin``, ``mono-br``, ``multi-br``) first evaluate and
-measure every selection once, build their plan from the grouping tree of
-plan nodes (:func:`~sparqlsim.logical.build_logical`) and the measured sizes
-(:func:`plan_static`), then execute the joins reusing the measured
+Static strategies (``pjoin``, ``mono-br``, ``multi-br``) build the grouping
+tree of plan nodes (:func:`~sparqlsim.logical.build_logical`), which rejects
+a cross product before any scan, evaluate and measure every selection once,
+and build their plan from the tree and the measured sizes, all in
+:func:`plan_static`; they then execute the joins reusing the measured
 selections. The adaptive strategy plans while executing; see
 :mod:`sparqlsim.hybrid`.
 """
@@ -18,7 +19,7 @@ from .hybrid import plan_and_execute_hybrid
 from .logical import ShapeInfo, build_logical
 from .ops import compile_specs
 from .physical import (
-    PhysicalPlan, PhysNode, plan_leaves, plan_mono_brjoin, plan_multi_brjoin,
+    PhysicalPlan, plan_leaves, plan_mono_brjoin, plan_multi_brjoin,
     plan_pjoin_strategy, render_plan,
 )
 from .sparql import Query
@@ -42,17 +43,23 @@ class RunResult:
         return self.relation.count
 
 
-def plan_static(strategy: str, tree: PhysNode,
-                sizes: dict[int, int]) -> PhysicalPlan:
-    """The plan of a static strategy, from the grouping tree and the measured
-    selection sizes by pattern index."""
+def plan_static(strategy: str, query: Query, executor: Executor, *,
+                allow_cross: bool = False) -> tuple[PhysicalPlan, list[Relation]]:
+    """A static strategy's plan and the selections, run on ``executor``,
+    whose measured sizes it was built from. The grouping tree comes first,
+    so a cross product that is not allowed fails before any scan."""
+    tree = build_logical(query.patterns, allow_cross)
+    rels = executor.run_selections(compile_specs(query.patterns))
+    sizes = {i: rel.count for i, rel in enumerate(rels)}
     if strategy == "pjoin":
-        return plan_pjoin_strategy(tree)
-    if strategy == "mono-br":
-        return plan_mono_brjoin(tree, sizes)
-    if strategy == "multi-br":
-        return plan_multi_brjoin(tree, sizes)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        plan = plan_pjoin_strategy(tree)
+    elif strategy == "mono-br":
+        plan = plan_mono_brjoin(tree, sizes)
+    elif strategy == "multi-br":
+        plan = plan_multi_brjoin(tree, sizes)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return plan, rels
 
 
 def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster,
@@ -73,10 +80,8 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
         return RunResult("hybrid", run.plan, run.relation, ledger, trace, wall,
                          evaluations=run.evaluations)
 
-    tree = build_logical(query.patterns, allow_cross)
     executor = Executor(dataset, cluster, ledger, trace, validate)
-    rels = executor.run_selections(compile_specs(query.patterns))
-    plan = plan_static(strategy, tree, {i: r.count for i, r in enumerate(rels)})
+    plan, _ = plan_static(strategy, query, executor, allow_cross=allow_cross)
     relation = execute_plan(plan, dataset, cluster, ledger, select=query.select,
                             trace=trace, validate=validate,
                             leaf_cache=executor.leaf_cache)

@@ -7,22 +7,22 @@ are left symbolic as ``|#k|`` because they are only known once the join
 runs. For the adaptive strategy only the opening step is shown: every later
 decision depends on measured intermediate sizes.
 
-Selections run through the shared executor, static plans come from the
-engine's :func:`~sparqlsim.engine.plan_static`, and the adaptive opening
-step from :func:`~sparqlsim.hybrid.hybrid_opening`, so what is explained is
-what a run executes.
+Static plans and their selections come from the engine's
+:func:`~sparqlsim.engine.plan_static`, and the adaptive opening step
+from :func:`~sparqlsim.hybrid.hybrid_opening`, so what is explained is what
+a run executes.
 """
 
 from .cluster import Cluster, Dataset, PartitionState, Relation, TransferLedger, keyed
 from .engine import plan_static
 from .executor import Executor
 from .hybrid import hybrid_opening
-from .logical import build_logical, classify_shape
-from .ops import compile_specs
+from .logical import classify_shape
 from .physical import (
     BrjoinNode, PhysNode, PjoinNode, SelectionNode, join_key, render_plan,
 )
 from .sparql import Query
+from .terms import pattern_label
 
 
 def _join_text(node: PjoinNode | BrjoinNode) -> str:
@@ -45,18 +45,13 @@ def _render_joins(root: PhysNode, selections: list[Relation], m: int) -> list[st
         refs = ", ".join(r for r, _, _ in info)
         if isinstance(node, PjoinNode):
             state = keyed(node.on)
-            moved = [term for _, term, st in info
-                     if not (st.is_keyed_on(node.on) or st.is_replicated)]
+            moved = [term for _, term, st in info if not st.is_keyed_on(node.on)]
             detail = ("repartition: " + " + ".join(moved) + " tuples") if moved \
                 else "repartition: none (inputs co-located)"
         else:
             target_ref, _, state = info[node.target]
-            moving = [term for k, (_, term, st) in enumerate(info)
-                      if k != node.target and not st.is_replicated]
-            if moving:
-                detail = f"broadcast: {m - 1} x ({' + '.join(moving)}), target {target_ref}"
-            else:
-                detail = f"broadcast: none (already replicated), target {target_ref}"
+            moving = [term for k, (_, term, _) in enumerate(info) if k != node.target]
+            detail = f"broadcast: {m - 1} x ({' + '.join(moving)}), target {target_ref}"
         lines.append(f"  {ref} {_join_text(node)} ({refs}) -> {state.render()} | {detail}")
         return ref, f"|{ref}|", state
 
@@ -65,7 +60,7 @@ def _render_joins(root: PhysNode, selections: list[Relation], m: int) -> list[st
 
 
 def _selection_lines(query: Query, selections: list[Relation]) -> list[str]:
-    return [f"  t{i + 1}: {pattern.text()} | rows={rel.count} "
+    return [f"  {pattern_label(i)}: {pattern.text()} | rows={rel.count} "
             f"| {rel.partition.render()}"
             for i, (pattern, rel) in enumerate(zip(query.patterns, selections))]
 
@@ -86,10 +81,9 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
         return "\n".join(header + _explain_hybrid(query, dataset, cluster,
                                                   allow_cross)) + "\n"
 
-    selections = Executor(dataset, cluster, TransferLedger()).run_selections(
-        compile_specs(query.patterns))
-    sizes = {i: rel.count for i, rel in enumerate(selections)}
-    plan = plan_static(strategy, build_logical(query.patterns, allow_cross), sizes)
+    plan, selections = plan_static(
+        strategy, query, Executor(dataset, cluster, TransferLedger()),
+        allow_cross=allow_cross)
     lines = header
     lines.append(f"plan: {render_plan(plan.root)}")
     lines.append("selections (one store scan each):")
@@ -107,7 +101,7 @@ def _explain_hybrid(query: Query, dataset: Dataset, cluster: Cluster,
     d, n, s = dataset.size, len(query.patterns), opening.subset_size
     shared = f"{d} + {n} x {s} = {d + n * s}"
     if opening.shared_scan:
-        labels = ", ".join(f"t{i + 1}" for i in range(n))
+        labels = ", ".join(map(pattern_label, range(n)))
         lines = [f"selections (one shared store pass over {labels}: "
                  f"{shared} < {n} x {d} tuples):"]
     else:

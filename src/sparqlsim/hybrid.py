@@ -17,9 +17,8 @@ inputs at a time:
 * for one step, the candidate algorithms are a partitioned join on the
   shared variables (pay for every input not already co-located) and a
   broadcast join in either direction (pay (m-1) copies of the side that
-  moves, nothing if it is already replicated). Equal-cost steps prefer
-  partitioned, then broadcasting the smaller side, then broadcasting the
-  running intermediate.
+  moves). Equal-cost steps prefer partitioned, then broadcasting the
+  smaller side, then broadcasting the running intermediate.
 
 Each chosen step executes immediately, so its real output size (not an
 estimate) drives the next decision. Step costs compare modeled transfer

@@ -6,14 +6,16 @@ Accounting conventions (charged to the :class:`TransferLedger`):
 * a merged selection for n patterns builds the union subset S in one pass
   and extracts each pattern's rows from S, so ``scanned += size(D) + n*size(S)``;
 * a partitioned join shuffles every input whose layout is not already keyed
-  exactly on the join variables (replicated inputs are never shuffled);
-* a broadcast join replicates every non-target input at ``(m-1)`` copies.
+  exactly on the join variables;
+* a broadcast join ships every non-target input to all nodes at ``(m-1)``
+  copies. The copy lives only inside the join: every node reads the same
+  row tuple, and the output keeps the target's layout.
 
 Join results use bag semantics: the natural join of the inputs. The local
-join folds from a driver input (the broadcast target, or the first
-partitioned pjoin input) through the inputs connected to it, and hashes each
-step on every variable the step's input shares with the rows folded so far,
-so a bucket hit is always a compatible pair of rows.
+join folds from a driver input (the broadcast target, or the first pjoin
+input) through the inputs connected to it, and hashes each step on every
+variable the step's input shares with the rows folded so far, so a bucket
+hit is always a compatible pair of rows.
 
 The scan charges are modeled, not the simulator's work: the store and S are
 both kept as per-node predicate groups (:attr:`Dataset.groups`), so a
@@ -27,11 +29,10 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cluster import (
-    Cluster, Dataset, IdTriple, PartitionKind, PartitionState, RANDOM_STATE,
-    Relation, Row, TransferLedger, broadcast, for_each_node, keyed, placement,
-    shuffle,
+    Cluster, Dataset, IdTriple, PartitionState, RANDOM_STATE, Relation, Row,
+    TransferLedger, broadcast, for_each_node, keyed, shuffle,
 )
-from .terms import Term, TriplePattern
+from .terms import Term, TriplePattern, pattern_label
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,7 @@ class SelectionSpec:
 
     @property
     def label(self) -> str:
-        """1-based textual pattern name, t1, t2, ..."""
-        return f"t{self.index + 1}"
+        return pattern_label(self.index)
 
     def matches_in_group(self, triple: IdTriple) -> bool:
         """Whether the pattern matches ``triple``, a triple of its predicate
@@ -260,13 +260,16 @@ class _FoldStep:
     position.
     """
 
-    __slots__ = ("rel", "probe_key", "build_key", "pick", "out_vars", "_table")
+    __slots__ = ("rel", "copy", "probe_key", "build_key", "pick", "out_vars",
+                 "_table")
 
-    def __init__(self, rel: Relation, acc_vars: list[Term]):
+    def __init__(self, rel: Relation, acc_vars: list[Term],
+                 copy: tuple[Row, ...] | None = None):
         in_vars = sorted(rel.schema)
         shared = [v for v in acc_vars if v in rel.schema]
         added = [v for v in in_vars if v not in shared]
         self.rel = rel
+        self.copy = copy
         self.probe_key = _key_getter([acc_vars.index(v) for v in shared])
         self.build_key = _key_getter([in_vars.index(v) for v in shared])
         self.out_vars = sorted(acc_vars + added)
@@ -279,20 +282,20 @@ class _FoldStep:
 
     def table(self, j: int) -> dict[object, list[Row]]:
         """Node ``j``'s share of the input, hashed on the shared variables.
-        A replicated input's chunk is the same on every node, so its table
-        is built once and reused."""
+        A broadcast copy is the same on every node, so its table is built
+        once and reused."""
         if self._table is not None:
             return self._table
         table: dict[object, list[Row]] = {}
         key = self.build_key
-        for row in self.rel.chunks[j]:
+        for row in self.rel.chunks[j] if self.copy is None else self.copy:
             k = key(row)
             bucket = table.get(k)
             if bucket is None:
                 table[k] = [row]
             else:
                 bucket.append(row)
-        if self.rel.partition.is_replicated:
+        if self.copy is not None:
             self._table = table
         return table
 
@@ -327,16 +330,18 @@ def local_nary_join(rows: Sequence[Row], steps: Sequence[_FoldStep],
     return acc
 
 
-def _join_nodes(staged: Sequence[Relation], driver: int,
-                cluster: Cluster) -> tuple[tuple[Row, ...], ...]:
+def _join_nodes(staged: Sequence[Relation], driver: int, cluster: Cluster,
+                copies: dict[int, tuple[Row, ...]]) -> tuple[tuple[Row, ...], ...]:
     """Run the local join on every node, driven by ``staged[driver]``'s
-    chunks; the fold order and the step layouts are planned once."""
+    chunks; ``copies`` maps an input's index to the broadcast copy every
+    node reads in place of its chunk. The fold order and the step layouts
+    are planned once."""
     steps: list[_FoldStep] = []
     acc_vars = sorted(staged[driver].schema)
     order = fold_order([rel.schema for rel in staged],
                        [rel.count for rel in staged], driver)
     for i in order[1:]:
-        step = _FoldStep(staged[i], acc_vars)
+        step = _FoldStep(staged[i], acc_vars, copies.get(i))
         steps.append(step)
         acc_vars = step.out_vars
     driver_chunks = staged[driver].chunks
@@ -348,19 +353,16 @@ def _join_nodes(staged: Sequence[Relation], driver: int,
 
 
 def _union_schema(inputs: Sequence[Relation]) -> frozenset[Term]:
-    out: set[Term] = set()
-    for rel in inputs:
-        out |= rel.schema
-    return frozenset(out)
+    return frozenset().union(*(rel.schema for rel in inputs))
 
 
 def pjoin(on: frozenset[Term], inputs: Sequence[Relation], cluster: Cluster,
           ledger: TransferLedger, operator: str = "pjoin") -> Relation:
     """Partitioned n-ary join on the variable set ``on``.
 
-    Every input not already keyed exactly on ``on`` is shuffled first;
-    replicated inputs are used in place (replication dominates any keyed
-    layout). The result is keyed on ``on``.
+    Every input not already keyed exactly on ``on`` is shuffled first, and
+    the local join is driven from the first input. The result is keyed on
+    ``on``.
     """
     if len(inputs) < 2:
         raise ValueError("pjoin needs at least two inputs")
@@ -371,38 +373,19 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation], cluster: Cluster,
             missing = ", ".join(v.nt() for v in sorted(on - rel.schema))
             raise ValueError(f"not a join variable of every input: {missing}")
 
-    staged: list[Relation] = []
-    anchored = False
-    for rel in inputs:
-        if rel.partition.is_replicated:
-            staged.append(rel)
-        elif rel.partition.is_keyed_on(on):
-            staged.append(rel)
-            anchored = True
-        else:
-            staged.append(shuffle(rel, on, ledger, operator))
-            anchored = True
-
-    if not anchored:
-        # All inputs replicated: restrict the first input to each node's hash
-        # share so every result row is produced exactly once, at no cost.
-        first = staged[0]
-        dest_of = placement(first.schema, on, cluster.m)
-        sliced: list[list[Row]] = [[] for _ in cluster.nodes]
-        for row in first.chunks[0]:
-            sliced[dest_of(row)].append(row)
-        staged[0] = Relation(first.schema, tuple(tuple(c) for c in sliced), keyed(on))
-
-    driver = next(i for i, rel in enumerate(staged) if not rel.partition.is_replicated)
-    return Relation(_union_schema(inputs), _join_nodes(staged, driver, cluster), keyed(on))
+    staged = [rel if rel.partition.is_keyed_on(on)
+              else shuffle(rel, on, ledger, operator) for rel in inputs]
+    return Relation(_union_schema(inputs), _join_nodes(staged, 0, cluster, {}),
+                    keyed(on))
 
 
 def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
            cluster: Cluster, ledger: TransferLedger, operator: str = "brjoin",
            allow_empty_on: bool = False) -> Relation:
-    """Broadcast n-ary join: every input except the target is replicated to
-    all nodes and the join runs against the target's local chunks, so the
-    result inherits the target's partition state.
+    """Broadcast n-ary join: every input except the target is shipped to all
+    nodes and the join runs against the target's local chunks, so the
+    result inherits the target's partition state. The broadcast copies
+    exist only for this join.
 
     ``on`` names the join variables; it does not need to be contained in
     every schema (a whole-query broadcast join uses the union of all join
@@ -417,9 +400,9 @@ def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
         raise ValueError("brjoin requires a nonempty join variable set "
                          "(cross products are opt-in)")
 
-    staged = [rel if i == target_index else broadcast(rel, ledger, operator)
-              for i, rel in enumerate(inputs)]
-    chunks = _join_nodes(staged, target_index, cluster)
+    copies = {i: broadcast(rel, ledger, operator)
+              for i, rel in enumerate(inputs) if i != target_index}
+    chunks = _join_nodes(inputs, target_index, cluster, copies)
     return Relation(_union_schema(inputs), chunks, inputs[target_index].partition)
 
 
@@ -437,6 +420,6 @@ def project(rel: Relation, select: Sequence[Term]) -> Relation:
     cut = _tuple_getter([order.index(v) for v in sorted(select_set)])
     chunks = tuple(tuple(map(cut, chunk)) for chunk in rel.chunks)
     state = rel.partition
-    if state.kind is PartitionKind.KEYED and not state.key <= select_set:
+    if not state.key <= select_set:
         state = RANDOM_STATE
     return Relation(select_set, chunks, state)

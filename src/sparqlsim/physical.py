@@ -12,7 +12,7 @@ its plan during execution.
 from dataclasses import dataclass
 from typing import Union
 
-from .terms import Term, TriplePattern, pattern_vars
+from .terms import Term, TriplePattern, pattern_label, pattern_vars
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,7 +24,7 @@ class SelectionNode:
 
     @property
     def label(self) -> str:
-        return f"t{self.index + 1}"
+        return pattern_label(self.index)
 
     @property
     def vars(self) -> frozenset[Term]:
@@ -46,16 +46,13 @@ class PjoinNode:
 
     @property
     def vars(self) -> frozenset[Term]:
-        out: set[Term] = set()
-        for child in self.children:
-            out |= child.vars
-        return frozenset(out)
+        return _children_vars(self.children)
 
 
 @dataclass(frozen=True, slots=True)
 class BrjoinNode:
-    """Broadcast n-ary join: replicate every input except the target, then
-    join against the target's local chunks."""
+    """Broadcast n-ary join: ship every input except the target to all
+    nodes, then join against the target's local chunks."""
 
     on: frozenset[Term]
     children: tuple["PhysNode", ...]
@@ -72,13 +69,15 @@ class BrjoinNode:
 
     @property
     def vars(self) -> frozenset[Term]:
-        out: set[Term] = set()
-        for child in self.children:
-            out |= child.vars
-        return frozenset(out)
+        return _children_vars(self.children)
 
 
 PhysNode = Union[SelectionNode, PjoinNode, BrjoinNode]
+
+
+def _children_vars(children: tuple[PhysNode, ...]) -> frozenset[Term]:
+    """A join's variables: every variable of its children."""
+    return frozenset().union(*(child.vars for child in children))
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,7 +129,7 @@ def plan_pjoin_strategy(tree: PhysNode) -> PhysicalPlan:
 
 def plan_mono_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPlan:
     """One broadcast join over all selections: every input except the largest
-    is replicated everywhere. The target is the largest selection (ties to
+    is broadcast to every node. The target is the largest selection (ties to
     the smallest pattern index). Input order beyond that affects neither
     what is transferred nor the local join, which folds from the target
     through connected inputs (:func:`sparqlsim.ops.fold_order`), so

@@ -304,6 +304,11 @@ def pattern_vars(pattern: TriplePattern) -> frozenset[Term]:
     return frozenset(t for t in pattern.positions() if t.is_variable)
 
 
+def pattern_label(index: int) -> str:
+    """The 1-based textual name of the pattern at ``index``: t1, t2, ..."""
+    return f"t{index + 1}"
+
+
 class BindingRow:
     """An immutable solution mapping from variables to ground terms.
 

@@ -8,7 +8,7 @@ import pytest
 
 from sparqlsim import (
     BasePartition, Cluster, Dataset, Query, Relation, STRATEGIES, as_multiset,
-    iri, keyed, lit, load_partitioned, oracle_eval, replicated, run_strategy,
+    iri, keyed, lit, load_partitioned, oracle_eval, run_strategy,
     generate, WorkloadSpec,
 )
 from sparqlsim.cluster import RANDOM_STATE, placement
@@ -89,15 +89,12 @@ def match_row(pattern, triple: Triple) -> tuple | None:
 
 
 def make_relation(schema, rows, cluster: Cluster, *, key=None,
-                  replicate: bool = False, start: int = 0) -> Relation:
+                  start: int = 0) -> Relation:
     """A relation over ``schema`` holding the binding ``rows``: hashed on
-    ``key`` to the node :func:`sparqlsim.cluster.placement` picks, copied to
-    every node with ``replicate``, or else dealt round-robin from node
-    ``start``."""
+    ``key`` to the node :func:`sparqlsim.cluster.placement` picks, or else
+    dealt round-robin from node ``start``."""
     schema = frozenset(schema)
     encoded = encode_rows(schema, rows)
-    if replicate:
-        return Relation(schema, (encoded,) * cluster.m, replicated())
     buckets = [[] for _ in cluster.nodes]
     if key is not None:
         dest_of = placement(schema, key, cluster.m)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from sparqlsim import generate, serialize_ntriples, serialize_query, WorkloadSpec
+from sparqlsim import cli
 from sparqlsim.cli import main
 
 from conftest import QUERY_DIR, REPO_ROOT
@@ -232,6 +233,17 @@ def test_exit_2_missing_file(capsys, university_nt, tmp_path):
         assert f"cannot open {folder}" in err, argv
 
 
+def test_bench_out_is_opened_before_the_grid_runs(capsys, monkeypatch, tmp_path):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", unreachable)
+    suite = str(REPO_ROOT / "workloads" / "star-suite.json")
+    code, out, err = run_cli(capsys, "bench", "--suite", suite, "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert f"cannot open {tmp_path}" in err
+
+
 def test_exit_2_malformed_data(capsys, tmp_path):
     bad = tmp_path / "bad.nt"
     bad.write_text("<http://a> <http://b> .\n", encoding="utf-8")
@@ -323,8 +335,11 @@ def test_exit_4_cross_product(capsys, university_nt, tmp_path):
     q = tmp_path / "cross.rq"
     q.write_text("SELECT ?a ?b WHERE { ?a <http://p> ?x . ?b <http://q> ?y . }",
                  encoding="utf-8")
-    code, _, err = run_cli(capsys, "query", university_nt, str(q))
-    assert code == 4 and "cross" in err.lower()
+    for command in ("query", "explain"):
+        for strategy in ("all", "pjoin", "hybrid"):
+            code, out, err = run_cli(capsys, command, university_nt, str(q),
+                                     "--strategy", strategy)
+            assert code == 4 and out == "" and "cross" in err.lower(), (command, strategy)
     code, out, err = run_cli(capsys, "query", university_nt, str(q),
                              "--allow-cross-product", "--no-header",
                              "--strategy", "hybrid")

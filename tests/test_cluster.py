@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from sparqlsim import (
     BasePartition, BindingRow, Cluster, PlacementError, Relation, Term,
     TermKind, TransferLedger, Triple, iri, keyed, lit, load_partitioned,
-    node_of, replicated, var,
+    node_of, var,
 )
 from sparqlsim.cluster import (
     RANDOM_STATE, UnboundKeyError, broadcast, check_placement, fnv1a_64,
@@ -78,11 +78,11 @@ def test_partition_states():
     st_keyed = keyed([X, Y])
     assert st_keyed.is_keyed_on(frozenset({X, Y}))
     assert not st_keyed.is_keyed_on(frozenset({X}))
-    assert not st_keyed.is_replicated
     assert st_keyed.render() == "keyed{x,y}"
     assert RANDOM_STATE.render() == "random"
-    assert replicated().is_replicated
-    assert "replicated" in replicated().render()
+    assert not RANDOM_STATE.is_keyed_on(frozenset())
+    with pytest.raises(ValueError):
+        keyed([])
 
 
 def test_cluster_validation():
@@ -145,16 +145,6 @@ def test_shuffle_of_already_keyed_relation_moves_nothing():
     assert ledger.totals()["shuffled_actual"] == 0     # nothing actually moved
 
 
-def test_shuffle_replicated_input_is_collapse_only():
-    cluster = Cluster(3)
-    rel = make_relation([X, Y], _rows(12), cluster, replicate=True)
-    ledger = TransferLedger()
-    out = shuffle(rel, [Y], ledger)
-    assert out.count == 12
-    assert ledger.totals()["shuffled_actual"] == 0
-    check_placement(out)
-
-
 def test_shuffle_validates_key():
     rel = make_relation([X, Y], _rows(4), Cluster(2))
     with pytest.raises(ValueError):
@@ -167,15 +157,12 @@ def test_broadcast_charges_m_minus_one_copies():
     cluster = Cluster(5)
     rel = make_relation([X, Y], _rows(20), cluster)
     ledger = TransferLedger()
-    out = broadcast(rel, ledger)
-    assert out.partition.is_replicated
-    assert all(len(chunk) == 20 for chunk in out.chunks)
+    copy = broadcast(rel, ledger)
+    assert copy == tuple(rel.tuples())
     assert ledger.totals()["broadcast"] == 4 * 20
-    # broadcasting again is free
-    again = broadcast(out, ledger)
-    assert again is out
-    assert ledger.totals()["broadcast"] == 4 * 20
-    check_placement(out)
+    # every broadcast ships its copies again
+    broadcast(rel, ledger)
+    assert ledger.totals()["broadcast"] == 2 * 4 * 20
 
 
 def test_check_placement_rejects_misplaced_rows():
@@ -213,11 +200,11 @@ def test_ledger_totals_and_dict():
         "scanned": 15, "shuffled_modeled": 4, "shuffled_actual": 2,
         "broadcast": 6}
     assert ledger.total_transfer == 10
-    as_dict = ledger.as_dict()
-    assert as_dict["scanned"] == 15
-    by_op = {entry["operator"]: entry for entry in as_dict["per_operator"]}
-    assert by_op["op1"]["scanned"] == 15
-    assert by_op["op2"]["broadcast"] == 6
+    assert list(ledger.per_operator) == ["op1", "op2"]
+    op1, op2 = ledger.per_operator["op1"], ledger.per_operator["op2"]
+    assert (op1.operator, op1.scanned, op1.shuffled_modeled, op1.shuffled_actual,
+            op1.broadcast) == ("op1", 15, 4, 2, 0)
+    assert (op2.scanned, op2.shuffled_modeled, op2.broadcast) == (0, 0, 6)
     with pytest.raises(ValueError):
         ledger.tally("op3", scanned=-1)
 

@@ -8,7 +8,7 @@ from sparqlsim import (
     CostParams, cost_brjoin, cost_merged_selection, cost_pjoin, cost_selection,
     crossover_prefers_pjoin, keyed, merged_scan_beneficial, var,
 )
-from sparqlsim.cluster import RANDOM_STATE, replicated
+from sparqlsim.cluster import RANDOM_STATE
 from sparqlsim.cost import (
     DEFAULT_PARAMS, brjoin_broadcast_size, pjoin_shuffle_size,
 )
@@ -51,20 +51,19 @@ def test_merged_scan_beneficial_matches_direct_comparison(d, n, s):
 
 
 def test_pjoin_shuffle_size_counts_only_misaligned_inputs():
-    inputs = [(100, keyed([X])), (50, RANDOM_STATE), (25, keyed([X, Y])),
-              (10, replicated())]
+    inputs = [(100, keyed([X])), (50, RANDOM_STATE), (25, keyed([X, Y]))]
     assert pjoin_shuffle_size(inputs, ON) == 50 + 25
     est = cost_pjoin(inputs, ON)
     assert est.transfer == 75.0 and est.access == 0.0
 
 
-def test_brjoin_broadcast_size_spares_target_and_replicated():
-    inputs = [(100, RANDOM_STATE), (50, keyed([X])), (10, replicated())]
-    assert brjoin_broadcast_size(inputs, target_index=0, m=4) == 3 * 50
-    assert brjoin_broadcast_size(inputs, target_index=1, m=4) == 3 * 100
+def test_brjoin_broadcast_size_spares_only_the_target():
+    inputs = [(100, RANDOM_STATE), (50, keyed([X])), (10, RANDOM_STATE)]
+    assert brjoin_broadcast_size(inputs, target_index=0, m=4) == 3 * (50 + 10)
+    assert brjoin_broadcast_size(inputs, target_index=1, m=4) == 3 * (100 + 10)
     est = cost_brjoin(inputs, target_index=1, m=4,
                       params=CostParams(theta_comm=2.0))
-    assert est.transfer == 600.0
+    assert est.transfer == 660.0
 
 
 def test_cost_estimate_addition():

@@ -7,9 +7,10 @@ import re
 import pytest
 
 from sparqlsim import (
-    BasePartition, Cluster, explain_text, generate, load_partitioned,
-    parse_query, run_strategy, WorkloadSpec,
+    BasePartition, CartesianProductError, Cluster, STRATEGIES, explain_text,
+    generate, load_partitioned, parse_query, run_strategy, WorkloadSpec,
 )
+from sparqlsim.executor import Executor
 
 from conftest import make_dataset
 
@@ -135,3 +136,17 @@ def test_hybrid_opening_step_is_the_first_executed_join(q8_workload, workload, b
     assert entry.target == (None if target is None else (first, second).index(target))
     assert moved == int(transfer)
     assert ("one shared store pass" in text) == run.plan.shared_scan
+
+
+def test_cross_product_is_rejected_before_any_scan(university, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("selections ran before the cross-product check")
+
+    monkeypatch.setattr(Executor, "run_selections", no_scan)
+    _, dataset, cluster = university
+    query = parse_query("SELECT ?a ?b WHERE { ?a <http://p> ?x . ?b <http://q> ?y . }")
+    for strategy in STRATEGIES:
+        with pytest.raises(CartesianProductError):
+            explain_text(query, dataset, cluster, strategy)
+        with pytest.raises(CartesianProductError):
+            run_strategy(strategy, query, dataset, cluster)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from sparqlsim import (
     BasePartition, BindingRow, Cluster, TransferLedger, iri, keyed, lit, var,
 )
-from sparqlsim.cluster import RANDOM_STATE, broadcast, check_placement
+from sparqlsim.cluster import RANDOM_STATE, check_placement
+from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.logical import build_logical
 from sparqlsim.ops import (
     SelectionSpec, brjoin, compile_specs, fold_order, merged_selection, pjoin,
@@ -264,21 +265,6 @@ def test_pjoin_requires_join_vars_in_every_schema():
         pjoin(frozenset({X}), [knows], cluster, ledger)
 
 
-def test_pjoin_all_replicated_inputs_is_free_and_exact():
-    cluster, ledger, (knows, name, _) = _selections()
-    rep_knows = broadcast(knows, ledger)
-    rep_name = broadcast(name, ledger)
-    moved_before = ledger.totals()
-    out = pjoin(frozenset({X}), [rep_knows, rep_name], cluster, ledger)
-    assert ledger.totals() == moved_before   # anchor filtering is free
-    assert rows(out) == Counter([
-        BindingRow.from_mapping({X: A, Y: B, N: lit("A")}),
-        BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
-        BindingRow.from_mapping({X: B, Y: C, N: lit("B")}),
-    ])
-    check_placement(out)
-
-
 def test_brjoin_broadcasts_non_targets_and_keeps_target_state():
     cluster, ledger, (knows, name, _) = _selections()
     out = brjoin(frozenset({X}), [name, knows], target_index=1, cluster=cluster,
@@ -302,15 +288,6 @@ def test_brjoin_join_vars_need_not_cover_every_schema():
         BindingRow.from_mapping({X: A, Y: C, N: lit("A"), G: lit("7")}),
         BindingRow.from_mapping({X: B, Y: C, N: lit("B"), G: lit("7")}),
     ])
-
-
-def test_brjoin_replicated_non_target_is_free():
-    cluster, ledger, (knows, name, _) = _selections()
-    rep_name = broadcast(name, ledger)
-    base = ledger.totals()["broadcast"]
-    brjoin(frozenset({X}), [rep_name, knows], target_index=1, cluster=cluster,
-           ledger=ledger)
-    assert ledger.totals()["broadcast"] == base
 
 
 def test_brjoin_cross_product_is_opt_in():
@@ -384,7 +361,6 @@ def _join_case(draw, kind):
         schemas = [draw(subsets) for _ in range(k)]
         shared = [a & b for a, b in itertools.combinations(schemas, 2)]
         on = frozenset().union(*shared)
-    all_replicated = draw(st.booleans())
     cluster = Cluster(m)
     inputs = []
     for schema in schemas:
@@ -392,12 +368,7 @@ def _join_case(draw, kind):
         values = st.tuples(*[st.sampled_from(_JOIN_TERMS) for _ in order])
         rows = [BindingRow(tuple(zip(order, vals)))
                 for vals in draw(st.lists(values, max_size=5))]
-        layout = "replicated" if all_replicated else draw(
-            st.sampled_from(["random", "keyed", "replicated"] if schema
-                            else ["random", "replicated"]))
-        if layout == "replicated":
-            inputs.append(make_relation(schema, rows, cluster, replicate=True))
-        elif layout == "keyed":
+        if schema and draw(st.booleans()):
             key = draw(st.frozensets(st.sampled_from(order), min_size=1))
             inputs.append(make_relation(schema, rows, cluster, key=key))
         else:
@@ -420,9 +391,13 @@ def test_pjoin_is_the_natural_join_in_any_input_order(case):
     on, inputs, cluster = case
     expected = _nested_loop_join(inputs)
     for perm in itertools.permutations(inputs):
-        out = pjoin(on, list(perm), cluster, TransferLedger())
+        ledger = TransferLedger()
+        out = pjoin(on, list(perm), cluster, ledger)
         check_placement(out)
         assert rows(out) == expected
+        sized = [(rel.count, rel.partition) for rel in perm]
+        assert ledger.shuffled_tuples_modeled == pjoin_shuffle_size(sized, on)
+        assert ledger.broadcast_tuples == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,11 +406,15 @@ def test_brjoin_is_the_natural_join_for_any_target_and_input_order(case):
     on, inputs, cluster = case
     expected = _nested_loop_join(inputs)
     for perm in itertools.permutations(inputs):
+        sized = [(rel.count, rel.partition) for rel in perm]
         for target in range(len(perm)):
-            out = brjoin(on, list(perm), target, cluster, TransferLedger(),
+            ledger = TransferLedger()
+            out = brjoin(on, list(perm), target, cluster, ledger,
                          allow_empty_on=True)
             check_placement(out)
             assert rows(out) == expected
+            assert ledger.broadcast_tuples == brjoin_broadcast_size(sized, target, cluster.m)
+            assert ledger.shuffled_tuples_modeled == 0
 
 
 def test_brjoin_cross_product_with_an_all_ground_pattern():
