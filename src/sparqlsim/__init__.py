@@ -13,25 +13,22 @@ from .bench import (
     run_suite,
 )
 from .cluster import (
-    BasePartition, Cluster, Dataset, PartitionState, PlacementError, Relation,
-    TransferLedger, keyed, load_partitioned, node_of,
+    BasePartition, Cluster, Dataset, PlacementError, Relation, TransferLedger,
+    keyed, load_partitioned, node_of,
 )
 from .cost import (
-    CostEstimate, CostParams, cost_brjoin, cost_merged_selection, cost_pjoin,
+    CostParams, cost_brjoin, cost_merged_selection, cost_pjoin,
     cost_selection, crossover_prefers_pjoin, merged_scan_beneficial,
 )
-from .engine import (
-    STRATEGIES, RunResult, result_cell, run_query, run_strategy,
-    sorted_result_rows,
-)
+from .engine import STRATEGIES, run_query, run_strategy, sorted_result_rows
 from .errors import (
     CartesianProductError, EngineError, ParseError, ResultSizeLimitError,
     UnsupportedFeatureError,
 )
-from .executor import ExecutionTrace, execute_plan, trace_cost
+from .executor import ExecutionTrace, Executor, execute_plan, trace_cost
 from .explain import explain_text
 from .hybrid import plan_and_execute_hybrid
-from .logical import Shape, ShapeInfo, build_logical, classify_shape
+from .logical import Shape, build_logical, classify_shape
 from .ntriples import parse_ntriples, serialize_ntriples
 from .oracle import as_multiset, oracle_eval
 from .physical import PhysicalPlan, render_plan
@@ -49,10 +46,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BasePartition", "BenchCase", "BenchReport", "BindingRow",
     "CSV_COLUMNS", "CartesianProductError", "Cluster",
-    "CostEstimate", "CostParams", "Dataset", "EngineError", "ExecutionTrace",
-    "ParseError", "PartitionState", "PhysicalPlan",
-    "PlacementError", "Query", "Relation", "ResultSizeLimitError", "RunResult",
-    "STRATEGIES", "Shape", "ShapeInfo", "Suite", "Term", "TermKind",
+    "CostParams", "Dataset", "EngineError", "ExecutionTrace", "Executor",
+    "ParseError", "PhysicalPlan",
+    "PlacementError", "Query", "Relation", "ResultSizeLimitError",
+    "STRATEGIES", "Shape", "Suite", "Term", "TermKind",
     "TransferLedger", "Triple", "TriplePattern", "UnsupportedFeatureError",
     "Workload", "WorkloadSpec", "as_multiset", "blank", "build_logical",
     "cases_from_suite", "run_bench", "run_suite",
@@ -61,7 +58,7 @@ __all__ = [
     "explain_text", "generate", "generate_for_query", "iri", "keyed", "lit",
     "load_partitioned", "load_suite", "merged_scan_beneficial", "node_of",
     "oracle_eval", "parse_ntriples", "parse_query", "parse_query_file",
-    "plan_and_execute_hybrid", "render_plan", "result_cell",
+    "plan_and_execute_hybrid", "render_plan",
     "run_query", "run_strategy", "serialize_ntriples", "serialize_query",
     "snowflake_query", "snowflake_selection_sizes", "sorted_result_rows",
     "trace_cost", "var",

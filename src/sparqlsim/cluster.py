@@ -15,6 +15,11 @@ two shuffle counters: the modeled count charges the full relation size (the
 cost-model convention) and the actual count only rows that really change
 nodes, so co-location savings stay visible. ``actual <= modeled`` always
 holds.
+
+The node count m lives in the data: a :class:`Dataset` holds one group
+table per node and a :class:`Relation` one chunk per node, and operators
+read m from their inputs. A :class:`Cluster` is only what a store is
+loaded onto.
 """
 
 from dataclasses import dataclass
@@ -144,8 +149,9 @@ def keyed(key: Iterable[Term]) -> PartitionState:
 
 @dataclass(frozen=True, slots=True)
 class Cluster:
-    """A simulated cluster is just a node count; node storage lives on the
-    relations themselves."""
+    """The node count a store is loaded onto (:func:`load_partitioned`).
+    Past loading, a store and every relation carry their own m, and
+    operators read it from the data they are given."""
 
     m: int
 
@@ -153,20 +159,17 @@ class Cluster:
         if self.m < 1:
             raise ValueError(f"cluster needs at least one node, got m={self.m}")
 
-    @property
-    def nodes(self) -> range:
-        return range(self.m)
 
-
-def for_each_node(cluster: Cluster, task: Callable[[int], T]) -> list[T]:
-    """Run a node-local task on every node and collect results by node index.
+def for_each_node(m: int, task: Callable[[int], T]) -> list[T]:
+    """Run a node-local task on each of ``m`` nodes and collect results by
+    node index.
 
     Tasks must be pure with respect to scheduling: the engine runs them
     sequentially, and every operator built on this helper is required to
     produce the same result under any interleaving. Errors propagate from the
     lowest failing node index.
     """
-    return [task(j) for j in cluster.nodes]
+    return [task(j) for j in range(m)]
 
 
 @dataclass(slots=True)
@@ -374,6 +377,14 @@ class Dataset:
         return [sum(map(len, node.values())) for node in self.groups]
 
 
+def check_loaded_on(dataset: Dataset, cluster: Cluster) -> None:
+    """Raise ValueError unless ``dataset`` is distributed over ``cluster``'s
+    node count."""
+    if dataset.m != cluster.m:
+        raise ValueError(f"dataset is distributed over {dataset.m} nodes, "
+                         f"cluster has {cluster.m}")
+
+
 def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
                      base: BasePartition) -> Dataset:
     """Distribute triples across the cluster, each stored as its id triple.
@@ -383,8 +394,8 @@ def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
     a position-partitioned store come out keyed on the variable bound there.
     Random partitioning deals round-robin starting at node 0.
     """
-    groups: list[dict[int, list[IdTriple]]] = [{} for _ in cluster.nodes]
     m = cluster.m
+    groups: list[dict[int, list[IdTriple]]] = [{} for _ in range(m)]
     pos = base.position
     h64 = H64
     j = 0

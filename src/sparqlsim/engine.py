@@ -6,14 +6,15 @@ a cross product before any scan, evaluate and measure every selection once,
 and build their plan from the tree and the measured sizes, all in
 :func:`plan_static`; they then execute the joins reusing the measured
 selections. The adaptive strategy plans while executing; see
-:mod:`sparqlsim.hybrid`.
+:mod:`sparqlsim.hybrid`. Either way a run builds one
+:class:`~sparqlsim.executor.Executor` and every step runs on it.
 """
 
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cluster import Cluster, Dataset, Relation, TransferLedger
+from .cluster import Cluster, Dataset, Relation, TransferLedger, check_loaded_on
 from .executor import ExecutionTrace, Executor, execute_plan
 from .hybrid import plan_and_execute_hybrid
 from .logical import ShapeInfo, build_logical
@@ -68,25 +69,20 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} "
                          f"(expected one of {', '.join(STRATEGIES)})")
-    ledger = TransferLedger()
-    trace = ExecutionTrace()
+    check_loaded_on(dataset, cluster)
+    executor = Executor(dataset, TransferLedger(), ExecutionTrace(), validate)
     started = time.perf_counter()
-
+    evaluations = None
     if strategy == "hybrid":
-        run = plan_and_execute_hybrid(
-            query.patterns, dataset, cluster, ledger, allow_cross=allow_cross,
-            select=query.select, trace=trace, validate=validate)
-        wall = time.perf_counter() - started
-        return RunResult("hybrid", run.plan, run.relation, ledger, trace, wall,
-                         evaluations=run.evaluations)
-
-    executor = Executor(dataset, cluster, ledger, trace, validate)
-    plan, _ = plan_static(strategy, query, executor, allow_cross=allow_cross)
-    relation = execute_plan(plan, dataset, cluster, ledger, select=query.select,
-                            trace=trace, validate=validate,
-                            leaf_cache=executor.leaf_cache)
+        run = plan_and_execute_hybrid(query.patterns, executor, allow_cross=allow_cross,
+                                      select=query.select)
+        plan, relation, evaluations = run.plan, run.relation, run.evaluations
+    else:
+        plan, _ = plan_static(strategy, query, executor, allow_cross=allow_cross)
+        relation = execute_plan(plan, executor, query.select)
     wall = time.perf_counter() - started
-    return RunResult(strategy, plan, relation, ledger, trace, wall)
+    return RunResult(strategy, plan, relation, executor.ledger, executor.trace, wall,
+                     evaluations)
 
 
 def run_query(query: Query, dataset: Dataset, cluster: Cluster,

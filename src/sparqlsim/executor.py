@@ -9,24 +9,23 @@ exactly the quantities the cost model prices (input sizes, layouts, store
 and shared-subset sizes), so :func:`trace_cost` can recompute a run's
 modeled cost from the trace alone and be checked against the ledger.
 
-Selections can be served from a ``leaf_cache`` so that a strategy that
-already measured them (to pick broadcast targets, say) does not scan or
-charge twice.
+One executor is the whole context of a run: the store, the ledger, the
+trace and the validation switch. It keeps every selection it ran in its
+``leaf_cache``, so a plan built from measured selections (to pick broadcast
+targets, say) runs on the same executor without scanning or charging twice.
 """
 
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cluster import (
-    Cluster, Dataset, PartitionState, Relation, TransferLedger, check_placement,
-)
+from .cluster import Dataset, PartitionState, Relation, TransferLedger, check_placement
 from .cost import (
     CostEstimate, CostParams, DEFAULT_PARAMS, brjoin_broadcast_size,
     pjoin_shuffle_size,
 )
 from .ops import (
-    SelectionSpec, brjoin, merged_selection, pjoin, project, shared_subset,
-    triple_selection,
+    SelectionSpec, brjoin, merged_operator, merged_selection, pjoin, project,
+    shared_subset, triple_selection,
 )
 from .physical import (
     BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, SelectionNode, plan_leaves,
@@ -53,9 +52,6 @@ class TraceEntry:
 @dataclass(slots=True)
 class ExecutionTrace:
     entries: list[TraceEntry] = field(default_factory=list)
-
-    def add(self, entry: TraceEntry) -> None:
-        self.entries.append(entry)
 
 
 def trace_cost(trace: ExecutionTrace, m: int,
@@ -87,33 +83,18 @@ class Executor:
 
     Each selection or join step stages its operator, numbers it, appends its
     trace entry and, with ``validate``, checks its placement. Static plans
-    run whole through :meth:`run`; the adaptive planner calls
+    run whole through :func:`execute_plan`; the adaptive planner calls
     :meth:`run_selections` and :meth:`run_join` one step at a time.
     """
 
-    def __init__(self, dataset: Dataset, cluster: Cluster, ledger: TransferLedger,
-                 trace: ExecutionTrace | None = None, validate: bool = False,
-                 leaf_cache: dict[int, Relation] | None = None):
+    def __init__(self, dataset: Dataset, ledger: TransferLedger,
+                 trace: ExecutionTrace, validate: bool = False):
         self.dataset = dataset
-        self.cluster = cluster
         self.ledger = ledger
         self.trace = trace
         self.validate = validate
-        self.leaf_cache: dict[int, Relation] = dict(leaf_cache) if leaf_cache else {}
+        self.leaf_cache: dict[int, Relation] = {}
         self._join_seq = 0
-
-    def run(self, plan: PhysicalPlan, select: Sequence[Term] | None = None) -> Relation:
-        """Run a whole plan. A ``shared_scan`` plan first reads all its
-        selections in one shared pass, unless the leaf cache already holds
-        measured selections."""
-        if plan.shared_scan and not self.leaf_cache:
-            leaves = sorted(plan_leaves(plan.root), key=lambda leaf: leaf.index)
-            specs = [SelectionSpec.compile(leaf.index, leaf.pattern) for leaf in leaves]
-            self.run_selections(specs, shared_subset(specs, self.dataset, self.cluster))
-        result = self._execute(plan.root)
-        if select is not None:
-            result = self.run_projection(result, select)
-        return result
 
     def run_selections(self, specs: Sequence[SelectionSpec],
                        subset: Dataset | None = None) -> list[Relation]:
@@ -121,20 +102,18 @@ class Executor:
         subset S of ``specs``, one shared pass over the store for all of them
         with every pattern extracted from S. Fills the leaf cache."""
         if subset is not None:
-            rels = merged_selection(specs, self.dataset, self.cluster,
-                                    self.ledger, subset)
-            labels = ",".join(s.label for s in specs)
+            rels = merged_selection(specs, self.dataset, self.ledger, subset)
             self._record(TraceEntry(
-                kind="merged-selection", operator=f"merged-sel[{labels}]", inputs=(),
+                kind="merged-selection", operator=merged_operator(specs), inputs=(),
                 output_size=sum(r.count for r in rels), output_state=rels[0].partition,
                 dataset_size=self.dataset.size, pattern_count=len(specs),
                 subset_size=subset.size), rels)
         else:
             rels = []
             for spec in specs:
-                rel = triple_selection(spec, self.dataset, self.cluster, self.ledger)
+                rel = triple_selection(spec, self.dataset, self.ledger)
                 self._record(TraceEntry(
-                    kind="selection", operator=f"sel[{spec.label}]", inputs=(),
+                    kind="selection", operator=spec.operator, inputs=(),
                     output_size=rel.count, output_state=rel.partition,
                     dataset_size=self.dataset.size), [rel])
                 rels.append(rel)
@@ -155,9 +134,9 @@ class Executor:
         self._join_seq += 1
         op = f"{kind}#{self._join_seq}"
         if target is None:
-            out = pjoin(node.on, inputs, self.cluster, self.ledger, op)
+            out = pjoin(node.on, inputs, self.ledger, op)
         else:
-            out = brjoin(node.on, inputs, target, self.cluster, self.ledger, op,
+            out = brjoin(node.on, inputs, target, self.ledger, op,
                          allow_empty_on=node.cross)
         self._record(TraceEntry(
             kind=kind, operator=op, inputs=tuple((r.count, r.partition) for r in inputs),
@@ -173,25 +152,31 @@ class Executor:
         return out
 
     def _record(self, entry: TraceEntry, outputs: Sequence[Relation]) -> None:
-        if self.trace is not None:
-            self.trace.add(entry)
+        self.trace.entries.append(entry)
         if self.validate:
             for rel in outputs:
                 check_placement(rel)
 
-    def _execute(self, node: PhysNode) -> Relation:
+    def run_node(self, node: PhysNode) -> Relation:
+        """Run a plan subtree bottom-up; leaves come from the leaf cache
+        when it holds them."""
         if isinstance(node, SelectionNode):
             rel = self.leaf_cache.get(node.index)
             if rel is None:
                 spec = SelectionSpec.compile(node.index, node.pattern)
                 [rel] = self.run_selections([spec])
             return rel
-        return self.run_join(node, [self._execute(child) for child in node.children])
+        return self.run_join(node, [self.run_node(child) for child in node.children])
 
 
-def execute_plan(plan: PhysicalPlan, dataset: Dataset, cluster: Cluster,
-                 ledger: TransferLedger, *, select: Sequence[Term] | None = None,
-                 trace: ExecutionTrace | None = None, validate: bool = False,
-                 leaf_cache: dict[int, Relation] | None = None) -> Relation:
-    """Convenience wrapper around :class:`Executor`."""
-    return Executor(dataset, cluster, ledger, trace, validate, leaf_cache).run(plan, select)
+def execute_plan(plan: PhysicalPlan, executor: Executor,
+                 select: Sequence[Term] | None = None) -> Relation:
+    """Run a whole plan on ``executor``. A ``shared_scan`` plan first reads
+    all its selections in one shared pass, unless the leaf cache already
+    holds measured selections."""
+    if plan.shared_scan and not executor.leaf_cache:
+        leaves = sorted(plan_leaves(plan.root), key=lambda leaf: leaf.index)
+        specs = [SelectionSpec.compile(leaf.index, leaf.pattern) for leaf in leaves]
+        executor.run_selections(specs, shared_subset(specs, executor.dataset))
+    result = executor.run_node(plan.root)
+    return result if select is None else executor.run_projection(result, select)

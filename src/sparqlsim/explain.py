@@ -13,9 +13,11 @@ from :func:`~sparqlsim.hybrid.hybrid_opening`, so what is explained is what
 a run executes.
 """
 
-from .cluster import Cluster, Dataset, PartitionState, Relation, TransferLedger, keyed
+from .cluster import (
+    Cluster, Dataset, PartitionState, Relation, TransferLedger, check_loaded_on, keyed,
+)
 from .engine import plan_static
-from .executor import Executor
+from .executor import ExecutionTrace, Executor
 from .hybrid import hybrid_opening
 from .logical import classify_shape
 from .physical import (
@@ -67,38 +69,36 @@ def _selection_lines(query: Query, selections: list[Relation]) -> list[str]:
 
 def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
                  strategy: str, *, allow_cross: bool = False) -> str:
+    check_loaded_on(dataset, cluster)
     shape = classify_shape(query.patterns)
     header = [
         f"strategy: {strategy}",
-        f"store: {dataset.size} triples, m={cluster.m}, "
+        f"store: {dataset.size} triples, m={dataset.m}, "
         f"{dataset.base.value}-partitioned",
         f"query shape: {shape.shape.value}"
         + (f" (center {shape.center.nt()}, {shape.orientation})"
            if shape.center is not None else ""),
     ]
 
+    # Explaining measures the selections on a throwaway executor.
+    executor = Executor(dataset, TransferLedger(), ExecutionTrace())
     if strategy == "hybrid":
-        return "\n".join(header + _explain_hybrid(query, dataset, cluster,
-                                                  allow_cross)) + "\n"
+        return "\n".join(header + _explain_hybrid(query, executor, allow_cross)) + "\n"
 
-    plan, selections = plan_static(
-        strategy, query, Executor(dataset, cluster, TransferLedger()),
-        allow_cross=allow_cross)
+    plan, selections = plan_static(strategy, query, executor, allow_cross=allow_cross)
     lines = header
     lines.append(f"plan: {render_plan(plan.root)}")
     lines.append("selections (one store scan each):")
     lines.extend(_selection_lines(query, selections))
     if not isinstance(plan.root, SelectionNode):
         lines.append("join steps (|#k| = measured size of step k at run time):")
-        lines.extend(_render_joins(plan.root, selections, cluster.m))
+        lines.extend(_render_joins(plan.root, selections, dataset.m))
     return "\n".join(lines) + "\n"
 
 
-def _explain_hybrid(query: Query, dataset: Dataset, cluster: Cluster,
-                    allow_cross: bool) -> list[str]:
-    opening = hybrid_opening(query.patterns, dataset, cluster,
-                             allow_cross=allow_cross)
-    d, n, s = dataset.size, len(query.patterns), opening.subset_size
+def _explain_hybrid(query: Query, executor: Executor, allow_cross: bool) -> list[str]:
+    opening = hybrid_opening(query.patterns, executor, allow_cross=allow_cross)
+    d, n, s = executor.dataset.size, len(query.patterns), opening.subset_size
     shared = f"{d} + {n} x {s} = {d + n * s}"
     if opening.shared_scan:
         labels = ", ".join(map(pattern_label, range(n)))

@@ -37,9 +37,9 @@ The planner only decides; every selection and join step runs through one
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cluster import Cluster, Dataset, Relation, TransferLedger
+from .cluster import Relation
 from .cost import brjoin_broadcast_size, merged_scan_beneficial, pjoin_shuffle_size
-from .executor import ExecutionTrace, Executor
+from .executor import Executor
 from .logical import joinable_components
 from .ops import compile_specs, shared_subset
 # Not called here: kept importable because perfbench/tracer.py wraps these names.
@@ -140,7 +140,7 @@ class _HybridPlanner:
         slots, whether the pass was shared, and |S|."""
         specs = compile_specs(self.patterns)
         dataset = self.executor.dataset
-        subset = shared_subset(specs, dataset, self.executor.cluster)
+        subset = shared_subset(specs, dataset)
         merged = merged_scan_beneficial(dataset.size, len(specs), subset.size)
         rels = self.executor.run_selections(specs, subset if merged else None)
         slots = [_Slot(rel, SelectionNode(spec.index, spec.pattern), spec.index)
@@ -148,7 +148,7 @@ class _HybridPlanner:
         return slots, merged, subset.size
 
     def _best_option(self, first: _Slot, second: _Slot) -> _Option:
-        opts = _step_options(first, second, self.executor.cluster.m)
+        opts = _step_options(first, second, self.executor.dataset.m)
         self.evaluations += len(opts)
         return min(opts, key=lambda o: o.sort_key)
 
@@ -216,12 +216,11 @@ class HybridOpening:
     steps: list[tuple[PjoinNode | BrjoinNode, int]]
 
 
-def hybrid_opening(patterns: Sequence[TriplePattern], dataset: Dataset,
-                   cluster: Cluster, *, allow_cross: bool = False) -> HybridOpening:
-    """Measure the selections as the adaptive strategy does and pick each
-    component's opening step, without joining anything."""
-    planner = _HybridPlanner(patterns, Executor(dataset, cluster, TransferLedger()),
-                             allow_cross=allow_cross)
+def hybrid_opening(patterns: Sequence[TriplePattern], executor: Executor, *,
+                   allow_cross: bool = False) -> HybridOpening:
+    """Measure the selections on ``executor`` as the adaptive strategy does
+    and pick each component's opening step, without joining anything."""
+    planner = _HybridPlanner(patterns, executor, allow_cross=allow_cross)
     slots, shared_scan, subset_size = planner.select()
     steps = []
     for members in planner.components:
@@ -231,18 +230,14 @@ def hybrid_opening(patterns: Sequence[TriplePattern], dataset: Dataset,
     return HybridOpening([s.rel for s in slots], shared_scan, subset_size, steps)
 
 
-def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], dataset: Dataset,
-                            cluster: Cluster, ledger: TransferLedger, *,
+def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], executor: Executor, *,
                             allow_cross: bool = False,
-                            select: Sequence[Term] | None = None,
-                            trace: ExecutionTrace | None = None,
-                            validate: bool = False) -> HybridRun:
-    """Run the adaptive strategy end to end.
+                            select: Sequence[Term] | None = None) -> HybridRun:
+    """Run the adaptive strategy end to end on ``executor``.
 
     Returns the executed plan (as a replayable :class:`PhysicalPlan`), the
     result relation, and the number of candidate costings performed.
     """
-    executor = Executor(dataset, cluster, ledger, trace, validate)
     planner = _HybridPlanner(patterns, executor, allow_cross=allow_cross)
     root, rel, shared_scan = planner.run()
     if select is not None:

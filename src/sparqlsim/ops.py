@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cluster import (
-    Cluster, Dataset, IdTriple, PartitionState, RANDOM_STATE, Relation, Row,
+    Dataset, IdTriple, PartitionState, RANDOM_STATE, Relation, Row,
     TransferLedger, broadcast, for_each_node, keyed, shuffle,
 )
 from .terms import Term, TriplePattern, pattern_label
@@ -80,6 +80,11 @@ class SelectionSpec:
     def label(self) -> str:
         return pattern_label(self.index)
 
+    @property
+    def operator(self) -> str:
+        """Ledger and trace id of this pattern's own store scan."""
+        return f"sel[{self.label}]"
+
     def matches_in_group(self, triple: IdTriple) -> bool:
         """Whether the pattern matches ``triple``, a triple of its predicate
         group (any triple, with a variable predicate): the predicate is not
@@ -123,13 +128,16 @@ def compile_specs(patterns: Sequence[TriplePattern]) -> list[SelectionSpec]:
     return [SelectionSpec.compile(i, p) for i, p in enumerate(patterns)]
 
 
-def _read_groups(spec: SelectionSpec, store: Dataset, cluster: Cluster) -> Relation:
+def merged_operator(specs: Sequence[SelectionSpec]) -> str:
+    """Ledger and trace id of one shared pass for ``specs``."""
+    return "merged-sel[" + ",".join(s.label for s in specs) + "]"
+
+
+def _read_groups(spec: SelectionSpec, store: Dataset) -> Relation:
     """The selection of ``spec`` read from the predicate groups of
     ``store``, one row chunk per node. A ground predicate reads its own
     group, with its rows in load order; a variable predicate reads every
     group, and its rows come out grouped by predicate. Charges nothing."""
-    if cluster.m != store.m:
-        raise ValueError(f"dataset is distributed over {store.m} nodes, cluster has {cluster.m}")
     pred = spec.predicate
 
     def read(j: int) -> tuple[Row, ...]:
@@ -138,21 +146,20 @@ def _read_groups(spec: SelectionSpec, store: Dataset, cluster: Cluster) -> Relat
             return spec.rows_of(chain.from_iterable(groups.values()))
         return spec.rows_of(groups.get(pred, ()))
 
-    return Relation(spec.projection, tuple(for_each_node(cluster, read)),
+    return Relation(spec.projection, tuple(for_each_node(store.m, read)),
                     selection_state(spec, store))
 
 
-def triple_selection(spec: SelectionSpec, dataset: Dataset, cluster: Cluster,
+def triple_selection(spec: SelectionSpec, dataset: Dataset,
                      ledger: TransferLedger) -> Relation:
     """Scan the store once and emit one row per matching triple. Purely
     node-local; charges one full scan and no transfer."""
-    rel = _read_groups(spec, dataset, cluster)
-    ledger.tally(f"sel[{spec.label}]", scanned=dataset.size)
+    rel = _read_groups(spec, dataset)
+    ledger.tally(spec.operator, scanned=dataset.size)
     return rel
 
 
-def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
-                  cluster: Cluster) -> Dataset:
+def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset) -> Dataset:
     """The union pass of a merged scan, charging nothing: S for ``specs``,
     the triples that match at least one of the patterns, as a store with
     the layout and base of ``dataset``.
@@ -163,8 +170,6 @@ def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
     """
     if not specs:
         raise ValueError("merged selection needs at least one pattern")
-    if cluster.m != dataset.m:
-        raise ValueError(f"dataset is distributed over {dataset.m} nodes, cluster has {cluster.m}")
     # The patterns each predicate group is tested against: those naming the
     # predicate, then the variable-predicate ones, which every group gets.
     general = [s for s in specs if s.predicate is None]
@@ -175,9 +180,9 @@ def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
     for group_specs in candidates.values():
         group_specs.extend(general)
 
-    def union_pass(j: int) -> dict[int, tuple[IdTriple, ...]]:
+    def union_pass(node: dict[int, tuple[IdTriple, ...]]) -> dict[int, tuple[IdTriple, ...]]:
         kept: dict[int, tuple[IdTriple, ...]] = {}
-        for pred, group in dataset.groups[j].items():
+        for pred, group in node.items():
             tests = candidates.get(pred, general)
             if not tests:
                 continue
@@ -191,12 +196,11 @@ def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset,
 
     # A node's S is a dict of predicate groups rather than a chunk of rows,
     # so it is built outside for_each_node, which returns row chunks.
-    return Dataset(tuple(union_pass(j) for j in cluster.nodes), dataset.base)
+    return Dataset(tuple(map(union_pass, dataset.groups)), dataset.base)
 
 
 def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
-                     cluster: Cluster, ledger: TransferLedger,
-                     subset: Dataset) -> list[Relation]:
+                     ledger: TransferLedger, subset: Dataset) -> list[Relation]:
     """Evaluate several selections with one shared pass over the store.
 
     ``subset`` is S, the triples matching at least one of ``specs``
@@ -204,9 +208,8 @@ def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
     Output rows and partition states are identical to independent
     selections; only the scan accounting differs.
     """
-    relations = [_read_groups(spec, subset, cluster) for spec in specs]
-    op = "merged-sel[" + ",".join(s.label for s in specs) + "]"
-    ledger.tally(op, scanned=dataset.size + len(specs) * subset.size)
+    relations = [_read_groups(spec, subset) for spec in specs]
+    ledger.tally(merged_operator(specs), scanned=dataset.size + len(specs) * subset.size)
     return relations
 
 
@@ -330,12 +333,16 @@ def local_nary_join(rows: Sequence[Row], steps: Sequence[_FoldStep],
     return acc
 
 
-def _join_nodes(staged: Sequence[Relation], driver: int, cluster: Cluster,
+def _join_nodes(staged: Sequence[Relation], driver: int,
                 copies: dict[int, tuple[Row, ...]]) -> tuple[tuple[Row, ...], ...]:
-    """Run the local join on every node, driven by ``staged[driver]``'s
+    """Run the local join on every node of ``staged[driver]``, driven by its
     chunks; ``copies`` maps an input's index to the broadcast copy every
     node reads in place of its chunk. The fold order and the step layouts
-    are planned once."""
+    are planned once. Inputs on different node counts raise ValueError."""
+    counts = [rel.m for rel in staged]
+    if len(set(counts)) > 1:
+        raise ValueError(f"join inputs are distributed over different node counts: {counts}")
+    m = counts[0]
     steps: list[_FoldStep] = []
     acc_vars = sorted(staged[driver].schema)
     order = fold_order([rel.schema for rel in staged],
@@ -349,14 +356,14 @@ def _join_nodes(staged: Sequence[Relation], driver: int, cluster: Cluster,
     def join_node(j: int) -> tuple[Row, ...]:
         return tuple(local_nary_join(driver_chunks[j], steps, j))
 
-    return tuple(for_each_node(cluster, join_node))
+    return tuple(for_each_node(m, join_node))
 
 
 def _union_schema(inputs: Sequence[Relation]) -> frozenset[Term]:
     return frozenset().union(*(rel.schema for rel in inputs))
 
 
-def pjoin(on: frozenset[Term], inputs: Sequence[Relation], cluster: Cluster,
+def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
           ledger: TransferLedger, operator: str = "pjoin") -> Relation:
     """Partitioned n-ary join on the variable set ``on``.
 
@@ -375,12 +382,12 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation], cluster: Cluster,
 
     staged = [rel if rel.partition.is_keyed_on(on)
               else shuffle(rel, on, ledger, operator) for rel in inputs]
-    return Relation(_union_schema(inputs), _join_nodes(staged, 0, cluster, {}),
+    return Relation(_union_schema(inputs), _join_nodes(staged, 0, {}),
                     keyed(on))
 
 
 def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
-           cluster: Cluster, ledger: TransferLedger, operator: str = "brjoin",
+           ledger: TransferLedger, operator: str = "brjoin",
            allow_empty_on: bool = False) -> Relation:
     """Broadcast n-ary join: every input except the target is shipped to all
     nodes and the join runs against the target's local chunks, so the
@@ -402,7 +409,7 @@ def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
 
     copies = {i: broadcast(rel, ledger, operator)
               for i, rel in enumerate(inputs) if i != target_index}
-    chunks = _join_nodes(inputs, target_index, cluster, copies)
+    chunks = _join_nodes(inputs, target_index, copies)
     return Relation(_union_schema(inputs), chunks, inputs[target_index].partition)
 
 

@@ -66,6 +66,10 @@ class WorkloadSpec:
         if self.shape not in SHAPES:
             raise ValueError(f"unknown workload shape {self.shape!r} "
                              f"(expected one of {', '.join(SHAPES)})")
+        for name in ("pattern_count", "subject_count", "filler"):
+            value = getattr(self, name)
+            if type(value) is not int:   # a bool (JSON true/false) is not a count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.pattern_count < 1:
             raise ValueError("pattern_count must be >= 1")
         if self.subject_count < 1:
@@ -317,11 +321,14 @@ def load_suite(path: str | Path) -> Suite:
         raise ParseError(f"{path}: suite needs a nonempty 'workloads' list")
     specs = tuple(_spec_from_dict(raw, f"{path}: workloads[{i}]")
                   for i, raw in enumerate(raw_workloads))
+    raw_m = data.get("m", [4])
+    if not isinstance(raw_m, list) or any(type(v) is not int for v in raw_m):
+        raise ParseError(f"{path}: 'm' must list integer node counts, got {raw_m!r}")
     try:
         suite = Suite(
             name=str(data.get("name", path.stem)),
             workloads=specs,
-            m=tuple(int(v) for v in data.get("m", [4])),
+            m=tuple(raw_m),
             partitioning=str(data.get("partitioning", "subject")),
             strategies=tuple(str(s) for s in data.get("strategies", STRATEGIES)),
         )

@@ -88,21 +88,21 @@ def match_row(pattern, triple: Triple) -> tuple | None:
     return tuple(value.id for _, value in sorted(binding.items()))
 
 
-def make_relation(schema, rows, cluster: Cluster, *, key=None,
+def make_relation(schema, rows, m: int, *, key=None,
                   start: int = 0) -> Relation:
-    """A relation over ``schema`` holding the binding ``rows``: hashed on
-    ``key`` to the node :func:`sparqlsim.cluster.placement` picks, or else
-    dealt round-robin from node ``start``."""
+    """A relation over ``schema`` holding the binding ``rows`` on ``m``
+    nodes: hashed on ``key`` to the node :func:`sparqlsim.cluster.placement`
+    picks, or else dealt round-robin from node ``start``."""
     schema = frozenset(schema)
     encoded = encode_rows(schema, rows)
-    buckets = [[] for _ in cluster.nodes]
+    buckets = [[] for _ in range(m)]
     if key is not None:
-        dest_of = placement(schema, key, cluster.m)
+        dest_of = placement(schema, key, m)
         for row in encoded:
             buckets[dest_of(row)].append(row)
     else:
         for i, row in enumerate(encoded):
-            buckets[(start + i) % cluster.m].append(row)
+            buckets[(start + i) % m].append(row)
     state = RANDOM_STATE if key is None else keyed(key)
     return Relation(schema, tuple(map(tuple, buckets)), state)
 

@@ -25,8 +25,9 @@ import time
 from contextlib import contextmanager
 
 from sparqlsim import (
-    BasePartition, BindingRow, Cluster, CostParams, Query, Relation,
-    ResultSizeLimitError, STRATEGIES, TransferLedger, Triple, TriplePattern,
+    BasePartition, BindingRow, Cluster, CostParams, ExecutionTrace, Executor,
+    Query, Relation, ResultSizeLimitError, STRATEGIES, TransferLedger, Triple,
+    TriplePattern,
     WorkloadSpec, as_multiset, cost_merged_selection, cost_selection,
     crossover_prefers_pjoin, generate, iri, lit, load_partitioned, load_suite,
     merged_scan_beneficial, oracle_eval, plan_and_execute_hybrid, render_plan,
@@ -277,7 +278,6 @@ def test_criterion_4_crossover_law():
             small_encoded = encode_rows((_GX, _GA), small_rows)
             large_encoded = encode_rows((_GX, _GB), large_rows)
             for m in range(2, 33):
-                cluster = Cluster(m)
                 small = _round_robin(small_encoded, frozenset((_GX, _GA)), m)
                 full_chunks = tuple(large_encoded[j::m] for j in range(m))
                 for ratio in range(1, 51):
@@ -302,8 +302,8 @@ def test_criterion_4_crossover_law():
 
                     # execute both algorithms and compare measured transfer
                     led_p, led_b = TransferLedger(), TransferLedger()
-                    pjoin(on, [large, small], cluster, led_p)
-                    brjoin(on, [large, small], 0, cluster, led_b)
+                    pjoin(on, [large, small], led_p)
+                    brjoin(on, [large, small], 0, led_b)
                     moved_p = led_p.total_transfer
                     moved_b = led_b.total_transfer
                     assert moved_p == gamma1 + gamma2
@@ -318,11 +318,12 @@ def test_criterion_4_crossover_law():
                     # every cell at the smallest size, a fixed diagonal above
                     if gamma1 == 10 or (ratio * 31 + m) % 11 == 0:
                         store = small_triples + large_triples[:gamma2]
-                        ds = load_partitioned(store, cluster,
+                        ds = load_partitioned(store, Cluster(m),
                                               BasePartition.RANDOM)
                         ledger = TransferLedger()
                         run = plan_and_execute_hybrid(
-                            _GRID_QUERY.patterns, ds, cluster, ledger)
+                            _GRID_QUERY.patterns,
+                            Executor(ds, ledger, ExecutionTrace()))
                         root = render_plan(run.plan.root)
                         chose_pjoin = root.startswith("Pjoin")
                         assert chose_pjoin == predicted_pjoin, \
@@ -344,18 +345,17 @@ def test_criterion_5_merged_scan_accounting():
         wl = generate(WorkloadSpec(name="wide", shape="star", pattern_count=5,
                                    subject_count=200, filler=99_000))
         assert len(wl.triples) == 100_000
-        dataset, cluster = make_dataset(wl.triples, m=4)
+        dataset, _ = make_dataset(wl.triples, m=4)
         specs = compile_specs(wl.query.patterns)
 
         merged_ledger = TransferLedger()
-        subset = shared_subset(specs, dataset, cluster)
-        merged_rels = merged_selection(specs, dataset, cluster, merged_ledger,
-                                       subset)
+        subset = shared_subset(specs, dataset)
+        merged_rels = merged_selection(specs, dataset, merged_ledger, subset)
         assert subset.size == 1_000
         assert merged_ledger.totals()["scanned"] == 105_000
 
         single_ledger = TransferLedger()
-        single_rels = [triple_selection(s, dataset, cluster, single_ledger)
+        single_rels = [triple_selection(s, dataset, single_ledger)
                        for s in specs]
         assert single_ledger.totals()["scanned"] == 500_000
 

@@ -286,9 +286,16 @@ def test_exit_2_non_utf8_data(capsys, tmp_path):
     ('"m": [2, 0]', "", "must be at least 1, got 0"),
     ('"m": []', "", "'m' must list at least one node count"),
     ('"strategies": []', "", "'strategies' must list at least one strategy"),
-    ('"m": [2]', ', "seed": 1', "workloads[0]: unknown keys: seed")],
+    ('"m": [2]', ', "seed": 1', "workloads[0]: unknown keys: seed"),
+    # A repeated key overrides the workload's own count.
+    ('"m": [2]', ', "pattern_count": 3.5',
+     "workloads[0]: pattern_count must be an integer, got 3.5"),
+    ('"m": [2]', ', "filler": true', "workloads[0]: filler must be an integer, got True"),
+    ('"m": [2.7]', "", "'m' must list integer node counts, got [2.7]"),
+    ('"m": [4, false]', "", "'m' must list integer node counts, got [4, False]")],
     ids=["unknown-key", "partitioning", "strategy", "m", "empty-m",
-         "empty-strategies", "workload-seed"])
+         "empty-strategies", "workload-seed", "float-pattern-count",
+         "bool-filler", "float-m", "bool-m"])
 def test_exit_2_bad_suite_settings(capsys, tmp_path, setting, workload_setting,
                                    message):
     suite = tmp_path / "suite.json"

@@ -86,7 +86,6 @@ def test_partition_states():
 
 
 def test_cluster_validation():
-    assert list(Cluster(3).nodes) == [0, 1, 2]
     with pytest.raises(ValueError):
         Cluster(0)
 
@@ -103,8 +102,7 @@ def _decoded(chunk) -> list[BindingRow]:
 
 
 def test_distribute_keyed_places_rows_on_their_hash_node():
-    cluster = Cluster(4)
-    rel = make_relation([X, Y], _rows(50), cluster, key=[X])
+    rel = make_relation([X, Y], _rows(50), 4, key=[X])
     assert rel.count == 50
     assert rel.partition == keyed([X])
     for j, chunk in enumerate(rel.chunks):
@@ -115,12 +113,11 @@ def test_distribute_keyed_places_rows_on_their_hash_node():
 
 def test_distribute_keyed_requires_bound_key():
     with pytest.raises(UnboundKeyError):
-        make_relation([X, Y], _rows(5), Cluster(2), key=[var("zz")])
+        make_relation([X, Y], _rows(5), 2, key=[var("zz")])
 
 
 def test_shuffle_counts_modeled_and_actual_separately():
-    cluster = Cluster(4)
-    rel = make_relation([X, Y], _rows(40), cluster)
+    rel = make_relation([X, Y], _rows(40), 4)
     ledger = TransferLedger()
     out = shuffle(rel, [X], ledger, operator="probe")
     assert out.partition == keyed([X])
@@ -137,8 +134,7 @@ def test_shuffle_counts_modeled_and_actual_separately():
 
 
 def test_shuffle_of_already_keyed_relation_moves_nothing():
-    cluster = Cluster(4)
-    rel = make_relation([X, Y], _rows(40), cluster, key=[X])
+    rel = make_relation([X, Y], _rows(40), 4, key=[X])
     ledger = TransferLedger()
     shuffle(rel, [X], ledger)
     assert ledger.totals()["shuffled_modeled"] == 40   # modeled charges in full
@@ -146,7 +142,7 @@ def test_shuffle_of_already_keyed_relation_moves_nothing():
 
 
 def test_shuffle_validates_key():
-    rel = make_relation([X, Y], _rows(4), Cluster(2))
+    rel = make_relation([X, Y], _rows(4), 2)
     with pytest.raises(ValueError):
         shuffle(rel, [], TransferLedger())
     with pytest.raises(ValueError):
@@ -154,8 +150,7 @@ def test_shuffle_validates_key():
 
 
 def test_broadcast_charges_m_minus_one_copies():
-    cluster = Cluster(5)
-    rel = make_relation([X, Y], _rows(20), cluster)
+    rel = make_relation([X, Y], _rows(20), 5)
     ledger = TransferLedger()
     copy = broadcast(rel, ledger)
     assert copy == tuple(rel.tuples())
@@ -166,8 +161,7 @@ def test_broadcast_charges_m_minus_one_copies():
 
 
 def test_check_placement_rejects_misplaced_rows():
-    cluster = Cluster(4)
-    rel = make_relation([X, Y], _rows(20), cluster, key=[X])
+    rel = make_relation([X, Y], _rows(20), 4, key=[X])
     # swap two nonempty chunks to force misplacement
     chunks = list(rel.chunks)
     nonempty = [j for j, c in enumerate(chunks) if c]
@@ -185,7 +179,7 @@ def test_rows_must_bind_the_schema_in_variable_order():
     unsorted = BindingRow(((Y, iri("http://e/1")), (X, iri("http://e/2"))))
     for bad in (unsorted, BindingRow.from_mapping({X: A})):
         with pytest.raises(ValueError, match="does not bind schema"):
-            make_relation([X, Y], [bad], Cluster(2))
+            make_relation([X, Y], [bad], 2)
     narrow = Relation(frozenset({X, Y}), (((A.id,),), ()), RANDOM_STATE)
     with pytest.raises(PlacementError):
         check_placement(narrow)
@@ -328,6 +322,6 @@ def test_single_variable_key_hashes_like_the_bare_term(m, i):
 def test_distribute_keyed_satisfies_check_placement(ids, m):
     rows = [BindingRow.from_mapping({X: iri(f"http://example.org/e{i}")})
             for i in ids]
-    rel = make_relation([X], rows, Cluster(m), key=[X])
+    rel = make_relation([X], rows, m, key=[X])
     check_placement(rel)
     assert rel.count == len(rows)

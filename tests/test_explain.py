@@ -8,7 +8,7 @@ import pytest
 
 from sparqlsim import (
     BasePartition, CartesianProductError, Cluster, STRATEGIES, explain_text,
-    generate, load_partitioned, parse_query, run_strategy, WorkloadSpec,
+    generate, parse_query, run_strategy, WorkloadSpec,
 )
 from sparqlsim.executor import Executor
 
@@ -150,3 +150,17 @@ def test_cross_product_is_rejected_before_any_scan(university, monkeypatch):
             explain_text(query, dataset, cluster, strategy)
         with pytest.raises(CartesianProductError):
             run_strategy(strategy, query, dataset, cluster)
+
+
+def test_cluster_must_match_the_store_before_planning(university, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("selections ran before the node-count check")
+
+    monkeypatch.setattr(Executor, "run_selections", no_scan)
+    query, dataset, _ = university
+    message = "dataset is distributed over 4 nodes, cluster has 2"
+    for strategy in STRATEGIES:
+        with pytest.raises(ValueError, match=message):
+            explain_text(query, dataset, Cluster(2), strategy)
+        with pytest.raises(ValueError, match=message):
+            run_strategy(strategy, query, dataset, Cluster(2))

@@ -3,26 +3,26 @@ rule, replayability of the produced plan, and the chain fixtures where
 greediness wins and loses."""
 
 from sparqlsim import (
-    STRATEGIES, TransferLedger, Triple, WorkloadSpec, as_multiset, execute_plan,
-    generate, iri, lit, merged_scan_beneficial, oracle_eval, parse_query,
-    plan_and_execute_hybrid, render_plan, run_strategy,
+    STRATEGIES, ExecutionTrace, Executor, TransferLedger, Triple, WorkloadSpec,
+    as_multiset, execute_plan, generate, iri, lit, merged_scan_beneficial,
+    oracle_eval, parse_query, plan_and_execute_hybrid, render_plan, run_strategy,
 )
-from sparqlsim.executor import ExecutionTrace
 from sparqlsim.workloads import HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
 from conftest import make_dataset
 
 
 def _hybrid(workload, m=4, **kwargs):
-    dataset, cluster = make_dataset(workload.triples, m=m)
+    dataset, _ = make_dataset(workload.triples, m=m)
     ledger = TransferLedger()
-    run = plan_and_execute_hybrid(workload.query.patterns, dataset, cluster,
-                                  ledger, select=workload.query.select, **kwargs)
-    return run, ledger, dataset, cluster
+    run = plan_and_execute_hybrid(workload.query.patterns,
+                                  Executor(dataset, ledger, ExecutionTrace()),
+                                  select=workload.query.select, **kwargs)
+    return run, ledger, dataset
 
 
 def test_opening_step_joins_the_cheap_department_pair(q8_workload):
-    run, ledger, _, _ = _hybrid(q8_workload)
+    run, ledger, _ = _hybrid(q8_workload)
     assert render_plan(run.plan.root) == "Pjoin_x(Brjoin_y(Pjoin_y(t4,t2),t3),t1,t5)"
     assert ledger.total_transfer == 15
     assert run.relation.count == 151
@@ -31,7 +31,7 @@ def test_opening_step_joins_the_cheap_department_pair(q8_workload):
 def test_candidate_evaluation_count_is_frozen(q8_workload):
     # 6 connected start pairs x 3 options, then 1-, 2-, and 1-candidate
     # extension rounds x 3 options each: 18 + 3 + 6 + 3
-    run, _, _, _ = _hybrid(q8_workload)
+    run, _, _ = _hybrid(q8_workload)
     assert run.evaluations == 30
 
 
@@ -44,13 +44,13 @@ _FULL_STAR = WorkloadSpec(name="star", shape="star", pattern_count=5,
 def test_merge_scan_modes(q8_workload):
     """The cost rule picks the scan mode: one shared pass for q8, one scan
     per pattern where the shared subset is the whole store."""
-    _, ledger, _, _ = _hybrid(q8_workload)
+    _, ledger, _ = _hybrid(q8_workload)
     store, subset = 2458, 600 + 20 + 606 + 5 + 612
     assert merged_scan_beneficial(store, 5, subset)
     assert ledger.totals()["scanned"] == store + 5 * subset
     assert list(ledger.per_operator)[:1] == ["merged-sel[t1,t2,t3,t4,t5]"]
 
-    _, star_ledger, dataset, _ = _hybrid(generate(_FULL_STAR))
+    _, star_ledger, dataset = _hybrid(generate(_FULL_STAR))
     assert dataset.size == 5 * 40
     assert not merged_scan_beneficial(dataset.size, 5, dataset.size)
     assert star_ledger.totals()["scanned"] == 5 * dataset.size
@@ -75,9 +75,9 @@ def test_merged_scan_tie_goes_to_independent_scans():
 
 
 def test_shared_scan_recorded_in_the_plan(q8_workload):
-    run, _, _, _ = _hybrid(q8_workload)
+    run, _, _ = _hybrid(q8_workload)
     assert run.plan.shared_scan
-    run_star, _, _, _ = _hybrid(generate(_FULL_STAR))
+    run_star, _, _ = _hybrid(generate(_FULL_STAR))
     assert not run_star.plan.shared_scan
 
 
@@ -86,19 +86,19 @@ def test_hybrid_plan_replays_identically(q8_workload):
     ledger, with and without a shared scan: the plan is a complete record
     of the scan and movement decisions."""
     for workload in (q8_workload, generate(_FULL_STAR)):
-        run, ledger, dataset, cluster = _hybrid(workload)
+        run, ledger, dataset = _hybrid(workload)
         replay_ledger = TransferLedger()
-        relation = execute_plan(run.plan, dataset, cluster, replay_ledger,
-                                select=workload.query.select)
+        relation = execute_plan(run.plan, Executor(dataset, replay_ledger, ExecutionTrace()),
+                                workload.query.select)
         assert replay_ledger.totals() == ledger.totals()
         assert as_multiset(relation.rows()) == as_multiset(run.relation.rows())
 
 
 def test_trace_records_every_operator(q8_workload):
-    dataset, cluster = make_dataset(q8_workload.triples, m=4)
+    dataset, _ = make_dataset(q8_workload.triples, m=4)
     trace = ExecutionTrace()
-    plan_and_execute_hybrid(q8_workload.query.patterns, dataset, cluster,
-                            TransferLedger(), trace=trace)
+    plan_and_execute_hybrid(q8_workload.query.patterns,
+                            Executor(dataset, TransferLedger(), trace))
     kinds = [e.kind for e in trace.entries]
     assert kinds.count("merged-selection") == 1  # one shared pass, five outputs
     # the adaptive run itself joins pairwise; fusion of the two same-key

@@ -8,7 +8,8 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
-    BasePartition, BindingRow, Cluster, TransferLedger, iri, keyed, lit, var,
+    BasePartition, BindingRow, TransferLedger, WorkloadSpec, generate, iri, keyed,
+    lit, var,
 )
 from sparqlsim.cluster import RANDOM_STATE, check_placement
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
@@ -75,9 +76,9 @@ def test_selection_same_variable_twice_requires_equality():
 
 
 def test_triple_selection_rows_and_accounting():
-    dataset, cluster = make_dataset(D0, m=4)
+    dataset, _ = make_dataset(D0, m=4)
     ledger = TransferLedger()
-    rel = triple_selection(SelectionSpec.compile(0, P_KNOWS), dataset, cluster, ledger)
+    rel = triple_selection(SelectionSpec.compile(0, P_KNOWS), dataset, ledger)
     assert rows(rel) == expected_knows()
     assert rel.partition == keyed([X])       # subject-partitioned store
     check_placement(rel)
@@ -99,32 +100,32 @@ def test_selection_state_depends_on_base_partition():
 
 
 def test_selection_with_ground_subject():
-    dataset, cluster = make_dataset(D0, m=4)
-    rel = triple_selection(SelectionSpec.compile(0, P_GROUND), dataset, cluster,
+    dataset, _ = make_dataset(D0, m=4)
+    rel = triple_selection(SelectionSpec.compile(0, P_GROUND), dataset,
                            TransferLedger())
     assert rows(rel) == Counter([BindingRow.from_mapping({Y: B}),
                                  BindingRow.from_mapping({Y: C})])
 
 
-def _merged(specs, dataset, cluster, ledger):
+def _merged(specs, dataset, ledger):
     """A merged selection of ``specs`` and the shared subset it read."""
-    subset = shared_subset(specs, dataset, cluster)
-    return merged_selection(specs, dataset, cluster, ledger, subset), subset
+    subset = shared_subset(specs, dataset)
+    return merged_selection(specs, dataset, ledger, subset), subset
 
 
 def test_merged_selection_matches_individual_selections():
     filler = [Triple(iri(EX + f"f{i}"), iri(EX + "other"), iri(EX + f"g{i}"))
               for i in range(4)]
-    dataset, cluster = make_dataset(D0 + filler, m=4)
+    dataset, _ = make_dataset(D0 + filler, m=4)
     specs = compile_specs([P_KNOWS, P_NAME, P_AGE])
 
     merged_ledger = TransferLedger()
-    merged, subset = _merged(specs, dataset, cluster, merged_ledger)
+    merged, subset = _merged(specs, dataset, merged_ledger)
     assert subset.size == 6                 # every D0 triple matches a pattern
     assert merged_ledger.totals()["scanned"] == 10 + 3 * 6
 
     plain_ledger = TransferLedger()
-    plain = [triple_selection(s, dataset, cluster, plain_ledger) for s in specs]
+    plain = [triple_selection(s, dataset, plain_ledger) for s in specs]
     assert plain_ledger.totals()["scanned"] == 3 * 10
     for got, want in zip(merged, plain):
         assert rows(got) == rows(want)
@@ -170,10 +171,10 @@ _ANY_PATTERN = st.booleans().flatmap(_pattern)
 @settings(max_examples=150, deadline=None)
 @given(_store(), _ANY_PATTERN)
 def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
-    dataset, cluster = store
+    dataset, _ = store
     spec = SelectionSpec.compile(0, pattern)
     ledger = TransferLedger()
-    rel = triple_selection(spec, dataset, cluster, ledger)
+    rel = triple_selection(spec, dataset, ledger)
     for j, groups in enumerate(dataset.groups):
         node = [decode_triple(t) for group in groups.values() for t in group]
         # every node, predicate groups in order, load order within a group
@@ -187,12 +188,12 @@ def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
 @given(_store(), _pattern(True), _pattern(False),
        st.lists(_ANY_PATTERN, max_size=3))
 def test_merged_selection_equals_independent_selections(store, ground, general, more):
-    dataset, cluster = store
+    dataset, _ = store
     specs = compile_specs([ground, general] + more)
     ledger = TransferLedger()
-    merged, subset = _merged(specs, dataset, cluster, ledger)
+    merged, subset = _merged(specs, dataset, ledger)
     for spec, got in zip(specs, merged):
-        want = triple_selection(spec, dataset, cluster, TransferLedger())
+        want = triple_selection(spec, dataset, TransferLedger())
         assert got.chunks == want.chunks
         assert got.partition == want.partition
         check_placement(got)
@@ -209,26 +210,26 @@ def test_merged_selection_equals_independent_selections(store, ground, general, 
 
 
 def test_merged_selection_single_pattern_degenerates_to_plain_scan():
-    dataset, cluster = make_dataset(D0, m=2)
+    dataset, _ = make_dataset(D0, m=2)
     ledger = TransferLedger()
-    merged, subset = _merged(compile_specs([P_KNOWS]), dataset, cluster, ledger)
+    merged, subset = _merged(compile_specs([P_KNOWS]), dataset, ledger)
     assert subset.size == 3
     assert ledger.totals()["scanned"] == 6 + 3
     assert rows(merged[0]) == expected_knows()
 
 
 def _selections(m=4, base=BasePartition.SUBJECT):
-    dataset, cluster = make_dataset(D0, m=m, base=base)
+    dataset, _ = make_dataset(D0, m=m, base=base)
     ledger = TransferLedger()
     specs = compile_specs([P_KNOWS, P_NAME, P_AGE])
-    rels = [triple_selection(s, dataset, cluster, ledger) for s in specs]
-    return cluster, ledger, rels
+    rels = [triple_selection(s, dataset, ledger) for s in specs]
+    return ledger, rels
 
 
 def test_pjoin_colocated_inputs_move_nothing():
-    cluster, ledger, (knows, name, _) = _selections()
+    ledger, (knows, name, _) = _selections()
     before = ledger.totals()["scanned"]
-    out = pjoin(frozenset({X}), [knows, name], cluster, ledger, operator="j1")
+    out = pjoin(frozenset({X}), [knows, name], ledger, operator="j1")
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: B, N: lit("A")}),
         BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
@@ -242,8 +243,8 @@ def test_pjoin_colocated_inputs_move_nothing():
 
 
 def test_pjoin_shuffles_inputs_not_keyed_on_the_join_set():
-    cluster, ledger, (knows, _, age) = _selections()
-    out = pjoin(frozenset({Y}), [knows, age], cluster, ledger, operator="j1")
+    ledger, (knows, _, age) = _selections()
+    out = pjoin(frozenset({Y}), [knows, age], ledger, operator="j1")
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: C, G: lit("7")}),
         BindingRow.from_mapping({X: B, Y: C, G: lit("7")}),
@@ -256,18 +257,18 @@ def test_pjoin_shuffles_inputs_not_keyed_on_the_join_set():
 
 
 def test_pjoin_requires_join_vars_in_every_schema():
-    cluster, ledger, (knows, name, age) = _selections()
+    ledger, (knows, name, age) = _selections()
     with pytest.raises(ValueError, match="not a join variable"):
-        pjoin(frozenset({N}), [knows, name], cluster, ledger)
+        pjoin(frozenset({N}), [knows, name], ledger)
     with pytest.raises(ValueError):
-        pjoin(frozenset(), [knows, name], cluster, ledger)
+        pjoin(frozenset(), [knows, name], ledger)
     with pytest.raises(ValueError):
-        pjoin(frozenset({X}), [knows], cluster, ledger)
+        pjoin(frozenset({X}), [knows], ledger)
 
 
 def test_brjoin_broadcasts_non_targets_and_keeps_target_state():
-    cluster, ledger, (knows, name, _) = _selections()
-    out = brjoin(frozenset({X}), [name, knows], target_index=1, cluster=cluster,
+    ledger, (knows, name, _) = _selections()
+    out = brjoin(frozenset({X}), [name, knows], target_index=1,
                  ledger=ledger, operator="b1")
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: B, N: lit("A")}),
@@ -281,9 +282,9 @@ def test_brjoin_broadcasts_non_targets_and_keeps_target_state():
 
 
 def test_brjoin_join_vars_need_not_cover_every_schema():
-    cluster, ledger, (knows, name, age) = _selections()
+    ledger, (knows, name, age) = _selections()
     out = brjoin(frozenset({X, Y}), [name, age, knows], target_index=2,
-                 cluster=cluster, ledger=ledger)
+                 ledger=ledger)
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: C, N: lit("A"), G: lit("7")}),
         BindingRow.from_mapping({X: B, Y: C, N: lit("B"), G: lit("7")}),
@@ -291,25 +292,44 @@ def test_brjoin_join_vars_need_not_cover_every_schema():
 
 
 def test_brjoin_cross_product_is_opt_in():
-    cluster, ledger, (_, name, age) = _selections()
+    ledger, (_, name, age) = _selections()
     with pytest.raises(ValueError):
-        brjoin(frozenset(), [name, age], target_index=1, cluster=cluster,
-               ledger=ledger)
-    out = brjoin(frozenset(), [name, age], target_index=1, cluster=cluster,
+        brjoin(frozenset(), [name, age], target_index=1, ledger=ledger)
+    out = brjoin(frozenset(), [name, age], target_index=1,
                  ledger=ledger, allow_empty_on=True)
     assert out.count == 2 * 1
     assert out.schema == frozenset({X, N, Y, G})
 
 
 def test_brjoin_target_index_validated():
-    cluster, ledger, (knows, name, _) = _selections()
+    ledger, (knows, name, _) = _selections()
     with pytest.raises(IndexError):
-        brjoin(frozenset({X}), [knows, name], target_index=2, cluster=cluster,
-               ledger=ledger)
+        brjoin(frozenset({X}), [knows, name], target_index=2, ledger=ledger)
+
+
+def test_joins_reject_inputs_on_different_node_counts():
+    # The same star selections read from an m=2 and an m=4 store: a join
+    # reads m from its inputs, so mixing them is an error, not a join over
+    # whichever node count the driver happens to have.
+    star = generate(WorkloadSpec(name="star", shape="star", pattern_count=2,
+                                 subject_count=50))
+    specs = compile_specs(star.query.patterns)
+    on = frozenset({var("x")})
+    by_m = {}
+    for m in (2, 4):
+        dataset, _ = make_dataset(star.triples, m=m)
+        by_m[m] = [triple_selection(s, dataset, TransferLedger()) for s in specs]
+    assert pjoin(on, by_m[4], TransferLedger()).count == 50
+    mixed = [by_m[2][0], by_m[4][1]]
+    with pytest.raises(ValueError, match="different node counts"):
+        pjoin(on, mixed, TransferLedger())
+    for target in (0, 1):
+        with pytest.raises(ValueError, match="different node counts"):
+            brjoin(on, mixed, target, TransferLedger())
 
 
 def test_project_is_bag_semantics_and_tracks_key():
-    cluster, ledger, (knows, _, _) = _selections()
+    ledger, (knows, _, _) = _selections()
     onto_x = project(knows, [X])
     assert rows(onto_x) == Counter([BindingRow.from_mapping({X: A})] * 2
                                    + [BindingRow.from_mapping({X: B})])
@@ -361,7 +381,6 @@ def _join_case(draw, kind):
         schemas = [draw(subsets) for _ in range(k)]
         shared = [a & b for a, b in itertools.combinations(schemas, 2)]
         on = frozenset().union(*shared)
-    cluster = Cluster(m)
     inputs = []
     for schema in schemas:
         order = sorted(schema)
@@ -370,11 +389,11 @@ def _join_case(draw, kind):
                 for vals in draw(st.lists(values, max_size=5))]
         if schema and draw(st.booleans()):
             key = draw(st.frozensets(st.sampled_from(order), min_size=1))
-            inputs.append(make_relation(schema, rows, cluster, key=key))
+            inputs.append(make_relation(schema, rows, m, key=key))
         else:
-            inputs.append(make_relation(schema, rows, cluster,
+            inputs.append(make_relation(schema, rows, m,
                                         start=draw(st.integers(0, 4))))
-    return on, inputs, cluster
+    return on, inputs, m
 
 
 def _nested_loop_join(inputs) -> Counter:
@@ -388,11 +407,11 @@ def _nested_loop_join(inputs) -> Counter:
 @settings(max_examples=60, deadline=None)
 @given(_join_case("pjoin"))
 def test_pjoin_is_the_natural_join_in_any_input_order(case):
-    on, inputs, cluster = case
+    on, inputs, m = case
     expected = _nested_loop_join(inputs)
     for perm in itertools.permutations(inputs):
         ledger = TransferLedger()
-        out = pjoin(on, list(perm), cluster, ledger)
+        out = pjoin(on, list(perm), ledger)
         check_placement(out)
         assert rows(out) == expected
         sized = [(rel.count, rel.partition) for rel in perm]
@@ -403,28 +422,28 @@ def test_pjoin_is_the_natural_join_in_any_input_order(case):
 @settings(max_examples=60, deadline=None)
 @given(_join_case("brjoin"))
 def test_brjoin_is_the_natural_join_for_any_target_and_input_order(case):
-    on, inputs, cluster = case
+    on, inputs, m = case
     expected = _nested_loop_join(inputs)
     for perm in itertools.permutations(inputs):
         sized = [(rel.count, rel.partition) for rel in perm]
         for target in range(len(perm)):
             ledger = TransferLedger()
-            out = brjoin(on, list(perm), target, cluster, ledger,
+            out = brjoin(on, list(perm), target, ledger,
                          allow_empty_on=True)
             check_placement(out)
             assert rows(out) == expected
-            assert ledger.broadcast_tuples == brjoin_broadcast_size(sized, target, cluster.m)
+            assert ledger.broadcast_tuples == brjoin_broadcast_size(sized, target, m)
             assert ledger.shuffled_tuples_modeled == 0
 
 
 def test_brjoin_cross_product_with_an_all_ground_pattern():
     # An all-ground pattern selects rows with an empty schema; joining it is
     # a cross product that repeats every row once per match.
-    cluster, ledger, (knows, _, _) = _selections()
-    ground = make_relation(frozenset(), [EMPTY_ROW, EMPTY_ROW], cluster)
+    ledger, (knows, _, _) = _selections()
+    ground = make_relation(frozenset(), [EMPTY_ROW, EMPTY_ROW], knows.m)
     for inputs, target in (([ground, knows], 1), ([knows, ground], 0),
                            ([knows, ground], 1)):
-        out = brjoin(frozenset(), inputs, target, cluster, ledger,
+        out = brjoin(frozenset(), inputs, target, ledger,
                      allow_empty_on=True)
         check_placement(out)
         assert rows(out) == Counter({row: 2 for row in expected_knows()})
