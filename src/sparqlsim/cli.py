@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -41,7 +42,6 @@ from .executor import trace_cost
 from .explain import explain_text
 from .logical import classify_shape
 from .ntriples import parse_ntriples
-from .oracle import as_multiset
 from .sparql import parse_query_file
 from .workloads import load_suite
 
@@ -186,11 +186,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
     results = run_query(query, dataset, cluster, args.strategy,
                         allow_cross=args.allow_cross_product,
                         validate=args.validate)
-    baseline = as_multiset(results[0].relation.rows())
-    for other in results[1:]:
-        if as_multiset(other.relation.rows()) != baseline:
-            raise AssertionError(
-                f"strategies disagree: {results[0].strategy} vs {other.strategy}")
+    if len(results) > 1:
+        # Every result is projected onto the select list and term ids are
+        # canonical, so equal id tuples are equal term tuples.
+        baseline = Counter(results[0].relation.tuples())
+        for other in results[1:]:
+            if Counter(other.relation.tuples()) != baseline:
+                raise AssertionError(
+                    f"strategies disagree: {results[0].strategy} vs {other.strategy}")
 
     if not args.no_header:
         print("\t".join(v.nt() for v in query.select))

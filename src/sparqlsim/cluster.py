@@ -22,7 +22,7 @@ read m from their inputs. A :class:`Cluster` is only what a store is
 loaded onto.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
@@ -237,19 +237,18 @@ class Relation:
     schema: frozenset[Term]
     chunks: tuple[tuple[Row, ...], ...]
     partition: PartitionState
+    # Logical row count. The chunks are immutable, so it is counted once
+    # here: planners and the trace read it on every step.
+    count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.chunks:
             raise ValueError("a relation needs at least one node chunk")
+        object.__setattr__(self, "count", sum(map(len, self.chunks)))
 
     @property
     def m(self) -> int:
         return len(self.chunks)
-
-    @property
-    def count(self) -> int:
-        """Logical row count."""
-        return sum(len(c) for c in self.chunks)
 
     def tuples(self) -> list[Row]:
         """The logical multiset of positional rows, in deterministic
@@ -309,11 +308,15 @@ class PlacementError(AssertionError):
 
 
 def check_placement(rel: Relation) -> None:
-    """Verify the partition-state invariant by full scan, and that every row
-    has one term id per schema variable. Keyed placement is checked with
-    :func:`node_of` on the decoded row, independently of :func:`placement`.
-    Test-build helper; operators do not pay for this in normal runs."""
+    """Verify the partition-state invariant by full scan, that every row
+    has one term id per schema variable, and that the stored row count is
+    the chunks' total. Keyed placement is checked with :func:`node_of` on
+    the decoded row, independently of :func:`placement`. Test-build helper;
+    operators do not pay for this in normal runs."""
     m = rel.m
+    total = sum(map(len, rel.chunks))
+    if rel.count != total:
+        raise PlacementError(f"relation counts {rel.count} rows, its chunks hold {total}")
     order = sorted(rel.schema)
     for chunk in rel.chunks:
         for row in chunk:

@@ -78,10 +78,21 @@ def merged_scan_beneficial(dataset_size: int, pattern_count: int, subset_size: i
     return dataset_size + pattern_count * subset_size < pattern_count * dataset_size
 
 
+def shuffle_charge(size: int, state: PartitionState, on: frozenset) -> int:
+    """Tuples a partitioned join on ``on`` moves for one input: its full
+    size, unless it is already keyed exactly on ``on``."""
+    return 0 if state.is_keyed_on(on) else size
+
+
+def broadcast_charge(size: int, m: int) -> int:
+    """Tuples a broadcast join copies for one moving input: (m-1) copies."""
+    return (m - 1) * size
+
+
 def pjoin_shuffle_size(inputs: Sequence[SizedInput], on: frozenset) -> int:
     """Tuples a partitioned join on ``on`` must move: the full size of every
     input not keyed exactly on ``on``."""
-    return sum(size for size, state in inputs if not state.is_keyed_on(on))
+    return sum(shuffle_charge(size, state, on) for size, state in inputs)
 
 
 def brjoin_broadcast_size(inputs: Sequence[SizedInput], target_index: int, m: int) -> int:
@@ -89,7 +100,8 @@ def brjoin_broadcast_size(inputs: Sequence[SizedInput], target_index: int, m: in
     input."""
     if not 0 <= target_index < len(inputs):
         raise IndexError(f"target index {target_index} out of range")
-    return (m - 1) * sum(size for i, (size, _) in enumerate(inputs) if i != target_index)
+    return broadcast_charge(
+        sum(size for i, (size, _) in enumerate(inputs) if i != target_index), m)
 
 
 def cost_pjoin(inputs: Sequence[SizedInput], on: frozenset,

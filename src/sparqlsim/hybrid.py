@@ -21,7 +21,9 @@ inputs at a time:
   smaller side, then broadcasting the running intermediate.
 
 Each chosen step executes immediately, so its real output size (not an
-estimate) drives the next decision. Step costs compare modeled transfer
+estimate) drives the next decision. A pair is priced in a few integer
+operations on the two inputs' stored row counts and layouts, and only the
+cheapest candidate becomes a decision. Step costs compare modeled transfer
 tuple counts directly; the communication weight scales all candidates
 equally and cannot change the ranking.
 
@@ -34,11 +36,11 @@ The planner only decides; every selection and join step runs through one
 :class:`~sparqlsim.executor.Executor`, the same code that runs static plans.
 """
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .cluster import Relation
-from .cost import brjoin_broadcast_size, merged_scan_beneficial, pjoin_shuffle_size
+from .cost import broadcast_charge, merged_scan_beneficial, shuffle_charge
 from .executor import Executor
 from .logical import joinable_components
 from .ops import compile_specs, shared_subset
@@ -51,36 +53,30 @@ from .terms import Term, TriplePattern
 @dataclass(slots=True)
 class _Slot:
     """A joinable intermediate: its data, its plan subtree so far, and the
-    smallest pattern index it covers (for textual tie-breaks)."""
+    smallest pattern index it covers (for textual tie-breaks). Its size and
+    schema are copied from the data once, since every candidate reads them."""
 
     rel: Relation
     node: PhysNode
     first_index: int
+    size: int = field(init=False)
+    schema: frozenset[Term] = field(init=False)
+
+    def __post_init__(self):
+        self.size = self.rel.count
+        self.schema = self.rel.schema
+
+
+class _Choice(NamedTuple):
+    """The algorithm chosen for joining an ordered (first, second) pair."""
+
+    cost: int            # modeled transfer tuples
+    rank: int            # 0 pjoin, 1 broadcast the side that is no larger
+    target: int | None   # brjoin: the index, into (first, second), that stays
 
     @property
-    def size(self) -> int:
-        return self.rel.count
-
-    @property
-    def schema(self) -> frozenset[Term]:
-        return self.rel.schema
-
-
-@dataclass(frozen=True, slots=True)
-class _Option:
-    """One candidate algorithm for joining a fixed (first, second) pair."""
-
-    kind: str                  # "pjoin" | "brjoin"
-    cost: int                  # modeled transfer tuples
-    rank: int                  # 0 pjoin, 1 broadcast smaller side, 2 larger
-    seq: int                   # enumeration order, last tie-break
-    on: frozenset[Term]
-    target: int | None = None  # brjoin: index into (first, second)
-    cross: bool = False
-
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.cost, self.rank, self.seq)
+    def kind(self) -> str:
+        return "pjoin" if self.target is None else "brjoin"
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,27 +88,38 @@ class HybridRun:
     evaluations: int
 
 
-def _step_options(first: _Slot, second: _Slot, m: int) -> list[_Option]:
-    """All algorithm candidates for joining this ordered pair."""
-    shared = frozenset(first.schema & second.schema)
-    inputs = [(first.size, first.rel.partition), (second.size, second.rel.partition)]
-    opts: list[_Option] = []
+def _price_pair(first: _Slot, second: _Slot, shared: frozenset[Term], m: int) -> _Choice:
+    """The cheapest of the candidates for joining the ordered pair (first,
+    second) on an m-node cluster, in constant integer work.
+
+    Candidates order by (cost, rank, seq). A partitioned join on ``shared``,
+    offered only when ``shared`` is nonempty, has rank 0; broadcasting the
+    side that is no larger has rank 1, the other side rank 2; seq lists the
+    partitioned join, then broadcasting ``first``, then ``second``. Moving
+    the side that is no larger never copies more, so it is the best
+    broadcast, ``first`` on equal sizes; the partitioned join beats it
+    whenever it moves no more tuples.
+    """
+    a, b = first.size, second.size
+    if a <= b:
+        copies, target = broadcast_charge(a, m), 1
+    else:
+        copies, target = broadcast_charge(b, m), 0
     if shared:
-        opts.append(_Option("pjoin", pjoin_shuffle_size(inputs, shared), 0, 0, shared))
-    for moving, target in ((first, 1), (second, 0)):
-        other = second if target == 1 else first
-        rank = 1 if moving.size <= other.size else 2
-        opts.append(_Option("brjoin", brjoin_broadcast_size(inputs, target, m), rank,
-                            len(opts), shared, target=target, cross=not shared))
-    return opts
+        moved = (shuffle_charge(a, first.rel.partition, shared)
+                 + shuffle_charge(b, second.rel.partition, shared))
+        if moved <= copies:
+            return _Choice(moved, 0, None)
+    return _Choice(copies, 1, target)
 
 
-def _step_node(first: _Slot, second: _Slot, opt: _Option) -> PjoinNode | BrjoinNode:
-    """The join node that executes ``opt`` over (first, second)."""
+def _step_node(first: _Slot, second: _Slot, choice: _Choice) -> PjoinNode | BrjoinNode:
+    """The join node that executes ``choice`` over (first, second)."""
+    on = first.schema & second.schema
     children = (first.node, second.node)
-    if opt.kind == "pjoin":
-        return PjoinNode(opt.on, children)
-    return BrjoinNode(opt.on, children, opt.target, cross=opt.cross)
+    if choice.target is None:
+        return PjoinNode(on, children)
+    return BrjoinNode(on, children, choice.target, cross=not on)
 
 
 class _HybridPlanner:
@@ -123,6 +130,7 @@ class _HybridPlanner:
         self.components = joinable_components(patterns, allow_cross)
         self.patterns = list(patterns)
         self.executor = executor
+        self.m = executor.dataset.m
         self.evaluations = 0
 
     def run(self) -> tuple[PhysNode, Relation, bool]:
@@ -131,7 +139,8 @@ class _HybridPlanner:
                    for members in self.components]
         final = results[0]
         for nxt in results[1:]:
-            final = self._step(final, nxt, self._best_option(final, nxt))
+            choice = self._choose(final, nxt, final.schema & nxt.schema)
+            final = self._step(final, nxt, choice)
         return final.node, final.rel, shared_scan
 
     def select(self) -> tuple[list[_Slot], bool, int]:
@@ -147,25 +156,28 @@ class _HybridPlanner:
                  for spec, rel in zip(specs, rels)]
         return slots, merged, subset.size
 
-    def _best_option(self, first: _Slot, second: _Slot) -> _Option:
-        opts = _step_options(first, second, self.executor.dataset.m)
-        self.evaluations += len(opts)
-        return min(opts, key=lambda o: o.sort_key)
+    def _choose(self, first: _Slot, second: _Slot, shared: frozenset[Term]) -> _Choice:
+        """Price the pair: three candidates when it shares variables, else
+        the two broadcasts."""
+        self.evaluations += 3 if shared else 2
+        return _price_pair(first, second, shared, self.m)
 
-    def opening(self, slots: list[_Slot]) -> tuple[_Slot, _Slot, _Option]:
-        """The cheapest opening pair over all connected pairs, in step order."""
-        best_pair: tuple[tuple, _Slot, _Slot, _Option] | None = None
-        for i in range(len(slots)):
-            for j in range(i + 1, len(slots)):
-                a, b = slots[i], slots[j]
-                if not (a.schema & b.schema):
+    def opening(self, slots: list[_Slot]) -> tuple[_Slot, _Slot, _Choice]:
+        """The cheapest opening pair over all connected pairs of ``slots``,
+        which are in pattern order; each pair is priced smaller side first."""
+        best_pair: tuple[tuple, _Slot, _Slot, _Choice] | None = None
+        for i, a in enumerate(slots):
+            for b in slots[i + 1:]:
+                shared = a.schema & b.schema
+                if not shared:
                     continue
-                first, second = sorted((a, b), key=lambda s: (s.size, s.first_index))
-                opt = self._best_option(first, second)
-                key = (opt.cost, opt.rank, a.size + b.size,
-                       (a.first_index, b.first_index))
+                # a precedes b, so this is the order of (size, first_index)
+                first, second = (a, b) if a.size <= b.size else (b, a)
+                choice = self._choose(first, second, shared)
+                key = (choice.cost, choice.rank, a.size + b.size,
+                       a.first_index, b.first_index)
                 if best_pair is None or key < best_pair[0]:
-                    best_pair = (key, first, second, opt)
+                    best_pair = (key, first, second, choice)
         if best_pair is None:
             raise AssertionError("connected component has no joinable pair")
         return best_pair[1:]
@@ -174,28 +186,29 @@ class _HybridPlanner:
         if len(slots) == 1:
             return slots[0]
 
-        first, second, opt = self.opening(slots)
-        acc = self._step(first, second, opt)
+        first, second, choice = self.opening(slots)
+        acc = self._step(first, second, choice)
         remaining = [s for s in slots if s is not first and s is not second]
 
         while remaining:
-            best_ext: tuple[tuple, int, _Option] | None = None
+            best_ext: tuple[tuple, int, _Choice] | None = None
             for k, slot in enumerate(remaining):
-                if not (acc.schema & slot.schema):
+                shared = acc.schema & slot.schema
+                if not shared:
                     continue
-                opt = self._best_option(acc, slot)
-                key = (opt.cost, slot.size, slot.first_index)
+                choice = self._choose(acc, slot, shared)
+                key = (choice.cost, slot.size, slot.first_index)
                 if best_ext is None or key < best_ext[0]:
-                    best_ext = (key, k, opt)
+                    best_ext = (key, k, choice)
             if best_ext is None:
                 raise AssertionError("connected component stalled mid-join")
-            _, k, opt = best_ext
-            acc = self._step(acc, remaining[k], opt)
+            _, k, choice = best_ext
+            acc = self._step(acc, remaining[k], choice)
             del remaining[k]
         return acc
 
-    def _step(self, first: _Slot, second: _Slot, opt: _Option) -> _Slot:
-        node: PhysNode = _step_node(first, second, opt)
+    def _step(self, first: _Slot, second: _Slot, choice: _Choice) -> _Slot:
+        node: PhysNode = _step_node(first, second, choice)
         rel = self.executor.run_join(node, [first.rel, second.rel])
         if (isinstance(node, PjoinNode) and isinstance(first.node, PjoinNode)
                 and first.node.on == node.on):
@@ -225,8 +238,8 @@ def hybrid_opening(patterns: Sequence[TriplePattern], executor: Executor, *,
     steps = []
     for members in planner.components:
         if len(members) > 1:
-            first, second, opt = planner.opening([slots[i] for i in members])
-            steps.append((_step_node(first, second, opt), opt.cost))
+            first, second, choice = planner.opening([slots[i] for i in members])
+            steps.append((_step_node(first, second, choice), choice.cost))
     return HybridOpening([s.rel for s in slots], shared_scan, subset_size, steps)
 
 

@@ -333,16 +333,22 @@ def local_nary_join(rows: Sequence[Row], steps: Sequence[_FoldStep],
     return acc
 
 
-def _join_nodes(staged: Sequence[Relation], driver: int,
-                copies: dict[int, tuple[Row, ...]]) -> tuple[tuple[Row, ...], ...]:
-    """Run the local join on every node of ``staged[driver]``, driven by its
-    chunks; ``copies`` maps an input's index to the broadcast copy every
-    node reads in place of its chunk. The fold order and the step layouts
-    are planned once. Inputs on different node counts raise ValueError."""
-    counts = [rel.m for rel in staged]
+def _node_count(inputs: Sequence[Relation]) -> int:
+    """The node count every join input is distributed over. Inputs on
+    different node counts raise ValueError; a join checks this before it
+    stages anything, so a refused join charges no transfer."""
+    counts = [rel.m for rel in inputs]
     if len(set(counts)) > 1:
         raise ValueError(f"join inputs are distributed over different node counts: {counts}")
-    m = counts[0]
+    return counts[0]
+
+
+def _join_nodes(staged: Sequence[Relation], driver: int,
+                copies: dict[int, tuple[Row, ...]], m: int) -> tuple[tuple[Row, ...], ...]:
+    """Run the local join on each of the ``m`` nodes, driven by the chunks
+    of ``staged[driver]``; ``copies`` maps an input's index to the broadcast
+    copy every node reads in place of its chunk. The fold order and the
+    step layouts are planned once."""
     steps: list[_FoldStep] = []
     acc_vars = sorted(staged[driver].schema)
     order = fold_order([rel.schema for rel in staged],
@@ -380,9 +386,10 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
             missing = ", ".join(v.nt() for v in sorted(on - rel.schema))
             raise ValueError(f"not a join variable of every input: {missing}")
 
+    m = _node_count(inputs)
     staged = [rel if rel.partition.is_keyed_on(on)
               else shuffle(rel, on, ledger, operator) for rel in inputs]
-    return Relation(_union_schema(inputs), _join_nodes(staged, 0, {}),
+    return Relation(_union_schema(inputs), _join_nodes(staged, 0, {}, m),
                     keyed(on))
 
 
@@ -407,9 +414,10 @@ def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
         raise ValueError("brjoin requires a nonempty join variable set "
                          "(cross products are opt-in)")
 
+    m = _node_count(inputs)
     copies = {i: broadcast(rel, ledger, operator)
               for i, rel in enumerate(inputs) if i != target_index}
-    chunks = _join_nodes(inputs, target_index, copies)
+    chunks = _join_nodes(inputs, target_index, copies, m)
     return Relation(_union_schema(inputs), chunks, inputs[target_index].partition)
 
 

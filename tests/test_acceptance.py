@@ -34,7 +34,7 @@ from sparqlsim import (
     run_query, run_strategy, run_suite, trace_cost, var,
 )
 from sparqlsim.cluster import RANDOM_STATE
-from sparqlsim.hybrid import _Slot, _step_options
+from sparqlsim.hybrid import _Slot, _price_pair
 from sparqlsim.ops import (
     brjoin, compile_specs, merged_selection, pjoin, shared_subset,
     triple_selection,
@@ -293,8 +293,8 @@ def test_criterion_4_crossover_law():
                         (_Slot(small, SelectionNode(0, pat_small), 0),
                          _Slot(large, SelectionNode(1, pat_large), 1)),
                         key=lambda s: (s.size, s.first_index))
-                    option = min(_step_options(first, second, m),
-                                 key=lambda o: o.sort_key)
+                    option = _price_pair(first, second,
+                                         first.schema & second.schema, m)
                     predicted_pjoin = crossover_prefers_pjoin(gamma1, gamma2, m)
                     assert predicted_pjoin == (ratio + 2 <= m)
                     assert (option.kind == "pjoin") == predicted_pjoin, \

@@ -2,6 +2,7 @@
 documented exit codes (0 ok, 2 bad input, 3 unsupported query feature,
 4 cross product, 5 reference evaluation over its row budget)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -81,6 +82,24 @@ def test_query_prints_rows_and_metrics(capsys, university_nt):
                                         + run["broadcast"])
         assert run["cost_total"] == run["cost_access"] + run["cost_transfer"]
         assert "wall_ms" in run
+
+
+def test_query_rejects_strategies_that_disagree(capsys, monkeypatch, university_nt):
+    # Drop one row from the last strategy's result: the agreement check
+    # compares the results as multisets of id tuples.
+    run_query = cli.run_query
+
+    def tampered(*args, **kwargs):
+        results = run_query(*args, **kwargs)
+        last = results[-1]
+        rel = last.relation
+        chunks = (rel.chunks[0][1:],) + rel.chunks[1:]
+        return results[:-1] + [dataclasses.replace(
+            last, relation=dataclasses.replace(rel, chunks=chunks))]
+
+    monkeypatch.setattr(cli, "run_query", tampered)
+    with pytest.raises(AssertionError, match="strategies disagree: pjoin vs hybrid"):
+        main(["query", university_nt, Q8, "--strategy", "all"])
 
 
 def test_query_single_strategy_no_header(capsys, university_nt):

@@ -325,3 +325,20 @@ def test_distribute_keyed_satisfies_check_placement(ids, m):
     rel = make_relation([X], rows, m, key=[X])
     check_placement(rel)
     assert rel.count == len(rows)
+
+
+def test_relation_counts_its_rows_once_outside_equality():
+    rel = make_relation([X, Y], _rows(23), 4, start=1)
+    assert rel.count == 23 == sum(map(len, rel.chunks))
+    same = Relation(rel.schema, rel.chunks, rel.partition)
+    object.__setattr__(same, "count", 0)
+    assert same == rel and hash(same) == hash(rel)
+    assert "count" not in repr(rel)
+
+
+def test_check_placement_rejects_a_stale_row_count():
+    rel = make_relation([X, Y], _rows(10), 3, key=[X])
+    check_placement(rel)
+    object.__setattr__(rel, "count", 11)
+    with pytest.raises(PlacementError, match="counts 11 rows, its chunks hold 10"):
+        check_placement(rel)

@@ -2,23 +2,129 @@
 rule, replayability of the produced plan, and the chain fixtures where
 greediness wins and loses."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from sparqlsim import (
-    STRATEGIES, ExecutionTrace, Executor, TransferLedger, Triple, WorkloadSpec,
-    as_multiset, execute_plan, generate, iri, lit, merged_scan_beneficial,
-    oracle_eval, parse_query, plan_and_execute_hybrid, render_plan, run_strategy,
+    STRATEGIES, BasePartition, BindingRow, ExecutionTrace, Executor,
+    TransferLedger, Triple, TriplePattern, WorkloadSpec, as_multiset,
+    execute_plan, generate, iri, lit, merged_scan_beneficial, oracle_eval,
+    parse_query, plan_and_execute_hybrid, render_plan, run_strategy, var,
 )
-from sparqlsim.workloads import HEAD_NOISE, NOISE_FACTOR, PARALLEL
+from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
+from sparqlsim.hybrid import _HybridPlanner, _Slot
+from sparqlsim.physical import SelectionNode
+from sparqlsim.workloads import CHAIN_PROFILES, HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
-from conftest import make_dataset
+from conftest import EX, make_dataset, make_relation
 
 
-def _hybrid(workload, m=4, **kwargs):
-    dataset, _ = make_dataset(workload.triples, m=m)
+def _hybrid(workload, m=4, base=BasePartition.SUBJECT, trace=None, **kwargs):
+    dataset, _ = make_dataset(workload.triples, m=m, base=base)
     ledger = TransferLedger()
     run = plan_and_execute_hybrid(workload.query.patterns,
-                                  Executor(dataset, ledger, ExecutionTrace()),
+                                  Executor(dataset, ledger, trace or ExecutionTrace()),
                                   select=workload.query.select, **kwargs)
     return run, ledger, dataset
+
+
+_STAR_15 = "Pjoin_x(" + ",".join(f"t{i}" for i in range(1, 16)) + ")"
+
+
+@pytest.mark.parametrize("shape, patterns, subjects, m, evaluations, plan", [
+    *[("star", 3, 60, m, 12, "Pjoin_x(t1,t2,t3)") for m in (2, 4, 8)],
+    *[("star", 15, 60, m, 588, _STAR_15) for m in (2, 4, 8)],
+    ("chain", 4, 2500, 8, 15, "Pjoin_x3(Pjoin_x2(Pjoin_x1(t1,t2),t3),t4)"),
+    ("snowflake", 5, 1500, 4, 30, "Pjoin_x(Brjoin_y(Pjoin_y(t4,t2),t3),t1,t5)"),
+])
+def test_planner_decisions_are_pinned(shape, patterns, subjects, m, evaluations, plan):
+    wl = generate(WorkloadSpec(name=shape, shape=shape, pattern_count=patterns,
+                               subject_count=subjects))
+    run, _, _ = _hybrid(wl, m=m)
+    assert run.evaluations == evaluations
+    assert render_plan(run.plan.root) == plan
+
+
+def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
+    """On m=3 both pairs cost 20: (a, b) by a partitioned join that
+    shuffles only b, (c, d) by broadcasting c. The partitioned join wins
+    the tie although (c, d) is the smaller pair."""
+    x, w = var("x"), var("w")
+
+    def slot(index, v, size, key=None):
+        rows = [BindingRow.from_mapping({v: iri(f"http://example.org/e{i}")})
+                for i in range(size)]
+        rel = make_relation([v], rows, 3, key=key)
+        return _Slot(rel, SelectionNode(index, TriplePattern(v, iri(EX + "p"), v)), index)
+
+    dataset, _ = make_dataset([], m=3)
+    planner = _HybridPlanner([], Executor(dataset, TransferLedger(), ExecutionTrace()))
+    a, b = slot(0, x, 10, key=[x]), slot(1, x, 20)
+    c, d = slot(2, w, 10), slot(3, w, 11)
+    first, second, choice = planner.opening([a, b, c, d])
+    assert first is a and second is b
+    assert (choice.kind, choice.cost) == ("pjoin", 20)
+    assert planner.evaluations == 2 * 3
+    # alone, (c, d) opens with the broadcast of its smaller side c
+    assert planner.opening([c, d])[2] == (20, 1, 1)
+
+
+def _cheapest_candidate(inputs, on, m) -> tuple[int, str, int | None]:
+    """Enumerate every candidate for one pairwise step and keep the least
+    by (cost, rank, seq): rank 0 for the partitioned join, offered when the
+    pair shares variables, 1 for broadcasting the side that is no larger, 2
+    otherwise; seq in listing order, with broadcasting the first input
+    (target 1) before broadcasting the second (target 0)."""
+    (size_first, _), (size_second, _) = inputs
+    candidates = []
+    if on:
+        candidates.append((pjoin_shuffle_size(inputs, on), 0, len(candidates),
+                           "pjoin", None))
+    for moving, other, target in ((size_first, size_second, 1),
+                                  (size_second, size_first, 0)):
+        rank = 1 if moving <= other else 2
+        candidates.append((brjoin_broadcast_size(inputs, target, m), rank,
+                           len(candidates), "brjoin", target))
+    cost, _, _, kind, target = min(candidates)
+    return cost, kind, target
+
+
+@st.composite
+def _workloads(draw):
+    shape = draw(st.sampled_from(("star", "chain", "snowflake")))
+    profile = None
+    if shape == "snowflake":
+        patterns, subjects = 5, draw(st.integers(20, 400))
+    else:
+        patterns = draw(st.integers(2, 7))
+        subjects = draw(st.integers(1, 60))
+        if shape == "chain":
+            profile = draw(st.sampled_from((None, *CHAIN_PROFILES)))
+            if profile == "front-loaded-large":
+                patterns = max(patterns, 4)
+    spec = WorkloadSpec(name=shape, shape=shape, pattern_count=patterns,
+                        subject_count=subjects, profile=profile)
+    return spec, draw(st.integers(2, 8)), draw(st.sampled_from(BasePartition))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_workloads())
+def test_each_hybrid_join_moves_the_cheapest_candidate(case):
+    """Every step the planner takes moves exactly the least transfer of its
+    pair's candidates, priced by the cost model, and is the candidate the
+    tie-breaks pick."""
+    spec, m, base = case
+    trace = ExecutionTrace()
+    _, ledger, _ = _hybrid(generate(spec), m=m, base=base, trace=trace)
+    joins = [e for e in trace.entries if e.kind in ("pjoin", "brjoin")]
+    assert len(joins) == spec.pattern_count - 1
+    for entry in joins:
+        cost, kind, target = _cheapest_candidate(entry.inputs, entry.on, m)
+        # an operator that moves nothing leaves no ledger entry
+        counters = ledger.per_operator.get(entry.operator)
+        moved = counters.shuffled_modeled + counters.broadcast if counters else 0
+        assert moved == cost
+        assert (entry.kind, entry.target) == (kind, target)
 
 
 def test_opening_step_joins_the_cheap_department_pair(q8_workload):

@@ -328,6 +328,37 @@ def test_joins_reject_inputs_on_different_node_counts():
             brjoin(on, mixed, target, TransferLedger())
 
 
+_NO_TRANSFER = {"scanned": 0, "shuffled_modeled": 0, "shuffled_actual": 0,
+                "broadcast": 0}
+
+
+def test_a_refused_join_charges_no_transfer():
+    # The node counts are checked before any input is staged: a join that
+    # raises has shuffled and broadcast nothing.
+    star = generate(WorkloadSpec(name="star", shape="star", pattern_count=2,
+                                 subject_count=50))
+    specs = compile_specs(star.query.patterns)
+    on = frozenset({var("x")})
+    by_m = {}
+    for m in (2, 4):
+        # Random placement: every selection needs a shuffle to join on x.
+        dataset, _ = make_dataset(star.triples, m=m, base=BasePartition.RANDOM)
+        by_m[m] = [triple_selection(s, dataset, TransferLedger()) for s in specs]
+    mixed = [by_m[2][0], by_m[4][1]]
+    assert all(not rel.partition.is_keyed_on(on) for rel in mixed)
+    ledger = TransferLedger()
+    with pytest.raises(ValueError, match="different node counts"):
+        pjoin(on, mixed, ledger)
+    assert ledger.totals() == _NO_TRANSFER
+    assert ledger.per_operator == {}
+    for target in (0, 1):
+        ledger = TransferLedger()
+        with pytest.raises(ValueError, match="different node counts"):
+            brjoin(on, mixed, target, ledger)
+        assert ledger.totals() == _NO_TRANSFER
+        assert ledger.per_operator == {}
+
+
 def test_project_is_bag_semantics_and_tracks_key():
     ledger, (knows, _, _) = _selections()
     onto_x = project(knows, [X])

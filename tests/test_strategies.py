@@ -3,15 +3,12 @@ plan shapes, exact ledger accounting, and replay of traces through the
 analytic cost model."""
 
 import pytest
-from collections import Counter
 
 from sparqlsim import (
     BasePartition, CostParams, STRATEGIES, as_multiset, oracle_eval,
-    render_plan, run_query, run_strategy, sorted_result_rows, trace_cost, var,
+    render_plan, run_query, run_strategy, sorted_result_rows, trace_cost,
 )
-from sparqlsim.physical import (
-    PhysicalPlan, PjoinNode, SelectionNode, plan_pjoin_strategy,
-)
+from sparqlsim.physical import PjoinNode, SelectionNode, plan_pjoin_strategy
 from sparqlsim import build_logical, parse_query
 
 from conftest import make_dataset, run_all_strategies
