@@ -18,7 +18,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cluster import BasePartition, Cluster, load_partitioned
+from .cluster import (
+    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, Cluster,
+    load_partitioned,
+)
 from .engine import STRATEGIES, result_cell, run_strategy
 from .logical import classify_shape
 from .oracle import as_multiset, oracle_eval
@@ -80,8 +83,9 @@ def cases_from_suite(suite: Suite) -> list[BenchCase]:
     return cases
 
 
-def run_bench(cases: Sequence[BenchCase], *, ms: Sequence[int] = (4,),
-              strategies: Sequence[str] = STRATEGIES, partitioning: str = "subject",
+def run_bench(cases: Sequence[BenchCase], *, ms: Sequence[int] = (DEFAULT_NODE_COUNT,),
+              strategies: Sequence[str] = STRATEGIES,
+              partitioning: str = DEFAULT_PARTITIONING,
               include_wall: bool = True, allow_cross: bool = False,
               validate: bool = False, verify_limit: int = DEFAULT_VERIFY_LIMIT,
               suite_name: str = "adhoc") -> BenchReport:

@@ -32,9 +32,12 @@ from pathlib import Path
 from .bench import (
     DEFAULT_VERIFY_LIMIT, BenchCase, BenchReport, run_bench, run_suite,
 )
-from .cluster import BasePartition, Cluster, Dataset, load_partitioned
+from .cluster import (
+    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, Cluster, Dataset,
+    load_partitioned,
+)
 from .cost import CostParams
-from .engine import STRATEGIES, result_cell, run_query, sorted_result_rows
+from .engine import STRATEGIES, result_cell, result_tuples, run_query, sorted_result_rows
 from .errors import (
     CartesianProductError, ParseError, ResultSizeLimitError, UnsupportedFeatureError,
 )
@@ -76,10 +79,12 @@ def _weight(text: str) -> float:
 
 
 def _add_cluster_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-m", "--partitions", type=_positive_int, default=4,
-                   metavar="N", help="number of simulated nodes (default 4)")
-    p.add_argument("--partition-key", choices=_PARTITION_KEYS, default="subject",
-                   help="how the triple store is distributed (default subject)")
+    p.add_argument("-m", "--partitions", type=_positive_int, default=DEFAULT_NODE_COUNT,
+                   metavar="N",
+                   help=f"number of simulated nodes (default {DEFAULT_NODE_COUNT})")
+    p.add_argument("--partition-key", choices=_PARTITION_KEYS, default=DEFAULT_PARTITIONING,
+                   help="how the triple store is distributed "
+                   f"(default {DEFAULT_PARTITIONING})")
 
 
 def _add_planning_options(p: argparse.ArgumentParser, *,
@@ -132,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="query file for --data")
     p_bench.add_argument("-m", "--partitions", type=_positive_int, nargs="+",
                          default=None, metavar="N", help="node-count grid "
-                         "(default: suite setting, else 4)")
+                         f"(default: suite setting, else {DEFAULT_NODE_COUNT})")
     p_bench.add_argument("--partition-key", choices=_PARTITION_KEYS, default=None,
                          help="store distribution (default: suite setting, "
-                         "else subject)")
+                         f"else {DEFAULT_PARTITIONING})")
     p_bench.add_argument("--strategy", choices=STRATEGIES + ("all",),
                          default=None, help="strategy or 'all' (default: suite "
                          "setting, else all)")
@@ -187,11 +192,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
                         allow_cross=args.allow_cross_product,
                         validate=args.validate)
     if len(results) > 1:
-        # Every result is projected onto the select list and term ids are
-        # canonical, so equal id tuples are equal term tuples.
-        baseline = Counter(results[0].relation.tuples())
+        # Term ids are canonical, so equal id tuples in select-list order
+        # are equal term tuples.
+        baseline = Counter(result_tuples(results[0].relation, query.select))
         for other in results[1:]:
-            if Counter(other.relation.tuples()) != baseline:
+            if Counter(result_tuples(other.relation, query.select)) != baseline:
                 raise AssertionError(
                     f"strategies disagree: {results[0].strategy} vs {other.strategy}")
 
@@ -268,9 +273,9 @@ def _bench_report(args: argparse.Namespace) -> BenchReport:
                      query_name=meta.get("label", Path(args.query).stem),
                      triples=triples, query=query)
     return run_bench(
-        [case], ms=tuple(args.partitions) if args.partitions else (4,),
+        [case], ms=tuple(args.partitions or (DEFAULT_NODE_COUNT,)),
         strategies=strategies or STRATEGIES,
-        partitioning=args.partition_key or "subject",
+        partitioning=args.partition_key or DEFAULT_PARTITIONING,
         include_wall=not args.no_wall_time,
         allow_cross=args.allow_cross_product, validate=args.validate,
         verify_limit=args.verify_limit, suite_name="adhoc")

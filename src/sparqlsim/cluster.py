@@ -1,9 +1,9 @@
 """Simulated m-node cluster: placement, shuffles, broadcasts, accounting.
 
 A relation here is a logical multiset of positional rows of term ids (see
-:mod:`sparqlsim.terms`) plus a physical layout: one chunk per node, each row
-on exactly one node, and a partition state describing what the layout
-guarantees. The state is its key alone:
+:mod:`sparqlsim.terms`) under its own column order, plus a physical layout:
+one chunk per node, each row on exactly one node, and a partition state
+describing what the layout guarantees. The state is its key alone:
 
 * keyed on V (a nonempty key): every row lives on ``node_of(row, V, m)``;
 * random (the empty key): rows live anywhere.
@@ -34,8 +34,8 @@ from .terms import (
 
 T = TypeVar("T")
 
-# A relation's row: the id of one ground term per schema variable, in sorted
-# variable order, so operators read and cut rows by position.
+# A relation's row: the id of one ground term per column, in the order of
+# the relation's ``columns``, so operators read and cut rows by position.
 Row = tuple[int, ...]
 
 # A stored triple: the ids of its subject, predicate and object.
@@ -78,21 +78,22 @@ def node_of(row: BindingRow, key: Iterable[Term], m: int) -> int:
     return key_hash64(terms) % m
 
 
-def placement(schema: Iterable[Term], key: Iterable[Term],
+def placement(columns: Sequence[Term], key: Iterable[Term],
               m: int) -> Callable[[Row], int]:
-    """Node index function for the rows of one relation under hash
+    """Node index function for rows over ``columns`` under hash
     partitioning on ``key``; it agrees with :func:`node_of` on the decoded
     row. A one-variable key reads the placement hash of the id at its
     position from :data:`~sparqlsim.terms.H64`; a wider key hashes the
-    decoded terms once per distinct id tuple."""
-    order = sorted(schema)
+    decoded terms, in the key order :func:`node_of` uses, once per distinct
+    id tuple."""
     key_vars = sorted(key)
     if not key_vars:
         raise ValueError("partition key must be nonempty")
-    missing = [v for v in key_vars if v not in order]
+    missing = [v for v in key_vars if v not in columns]
     if missing:
-        raise UnboundKeyError(f"schema {order} does not bind partition key {missing}")
-    positions = [order.index(v) for v in key_vars]
+        raise UnboundKeyError(
+            f"columns {list(columns)} do not bind partition key {missing}")
+    positions = [columns.index(v) for v in key_vars]
     if len(positions) == 1:
         [pos] = positions
         h64 = H64
@@ -228,22 +229,34 @@ class TransferLedger:
         }
 
 
+def _binding_decoder(columns: Sequence[Term]) -> Callable[[Row], BindingRow]:
+    """Decode a row over ``columns`` to its :class:`BindingRow`, whose pairs
+    are in sorted variable order."""
+    pairs = sorted((v, i) for i, v in enumerate(columns))
+    terms = TERMS
+    return lambda row: BindingRow(tuple([(v, terms[row[i]]) for v, i in pairs]))
+
+
 @dataclass(frozen=True, slots=True)
 class Relation:
-    """A distributed bag of :data:`Row` tuples: per-node chunks plus the
-    partition state the layout satisfies. :meth:`rows` decodes the bag to
-    :class:`BindingRow` for results and verification."""
+    """A distributed bag of :data:`Row` tuples: the variables in row
+    position order, per-node chunks, and the partition state the layout
+    satisfies. :meth:`rows` decodes the bag to :class:`BindingRow` for
+    results and verification."""
 
-    schema: frozenset[Term]
+    columns: tuple[Term, ...]
     chunks: tuple[tuple[Row, ...], ...]
     partition: PartitionState
-    # Logical row count. The chunks are immutable, so it is counted once
-    # here: planners and the trace read it on every step.
+    # The variable set and the logical row count. Columns and chunks are
+    # immutable, so both are derived once here: planners and the trace read
+    # them on every step.
+    schema: frozenset[Term] = field(init=False, compare=False, repr=False)
     count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.chunks:
             raise ValueError("a relation needs at least one node chunk")
+        object.__setattr__(self, "schema", frozenset(self.columns))
         object.__setattr__(self, "count", sum(map(len, self.chunks)))
 
     @property
@@ -261,10 +274,7 @@ class Relation:
     def rows(self) -> list[BindingRow]:
         """The logical multiset decoded to binding rows, in the order of
         :meth:`tuples`."""
-        order = sorted(self.schema)
-        terms = TERMS
-        return [BindingRow(tuple(zip(order, [terms[i] for i in row])))
-                for row in self.tuples()]
+        return list(map(_binding_decoder(self.columns), self.tuples()))
 
 
 def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
@@ -281,7 +291,7 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
         missing = ", ".join(v.nt() for v in sorted(key_set - rel.schema))
         raise ValueError(f"shuffle key not in relation schema: {missing}")
     m = rel.m
-    dest_of = placement(rel.schema, key_set, m)
+    dest_of = placement(rel.columns, key_set, m)
     buckets: list[list[Row]] = [[] for _ in range(m)]
     moved = 0
     for j, chunk in enumerate(rel.chunks):
@@ -291,7 +301,7 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
                 moved += 1
             buckets[dest].append(row)
     ledger.tally(operator, shuffled_modeled=rel.count, shuffled_actual=moved)
-    return Relation(rel.schema, tuple(tuple(b) for b in buckets), keyed(key_set))
+    return Relation(rel.columns, tuple(tuple(b) for b in buckets), keyed(key_set))
 
 
 def broadcast(rel: Relation, ledger: TransferLedger,
@@ -308,26 +318,28 @@ class PlacementError(AssertionError):
 
 
 def check_placement(rel: Relation) -> None:
-    """Verify the partition-state invariant by full scan, that every row
-    has one term id per schema variable, and that the stored row count is
-    the chunks' total. Keyed placement is checked with :func:`node_of` on
-    the decoded row, independently of :func:`placement`. Test-build helper;
-    operators do not pay for this in normal runs."""
+    """Verify the partition-state invariant by full scan, that no column
+    repeats, that every row has one term id per column, and that the stored
+    row count is the chunks' total. Keyed placement is checked with
+    :func:`node_of` on the decoded row, independently of :func:`placement`.
+    Test-build helper; operators do not pay for this in normal runs."""
     m = rel.m
     total = sum(map(len, rel.chunks))
     if rel.count != total:
         raise PlacementError(f"relation counts {rel.count} rows, its chunks hold {total}")
-    order = sorted(rel.schema)
+    columns = rel.columns
+    if len(rel.schema) != len(columns):
+        raise PlacementError(f"columns {list(columns)} repeat a variable")
     for chunk in rel.chunks:
         for row in chunk:
-            if len(row) != len(order):
+            if len(row) != len(columns):
                 raise PlacementError(
-                    f"row {row!r} has {len(row)} terms for schema {order}")
+                    f"row {row!r} has {len(row)} terms for columns {list(columns)}")
     if rel.partition.key:
+        decode = _binding_decoder(columns)
         for j, chunk in enumerate(rel.chunks):
             for row in chunk:
-                decoded = BindingRow(tuple(zip(order, [TERMS[i] for i in row])))
-                expect = node_of(decoded, rel.partition.key, m)
+                expect = node_of(decode(row), rel.partition.key, m)
                 if expect != j:
                     raise PlacementError(
                         f"row {row!r} on node {j}, expected node {expect} "
@@ -351,6 +363,11 @@ class BasePartition(Enum):
         if self is BasePartition.OBJECT:
             return 2
         return None
+
+
+# The node count and store partitioning wherever a run names none.
+DEFAULT_NODE_COUNT = 4
+DEFAULT_PARTITIONING = BasePartition.SUBJECT.value
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cluster import Cluster, Dataset, Relation, TransferLedger, check_loaded_on
+from .cluster import Cluster, Dataset, Relation, Row, TransferLedger, check_loaded_on
 from .executor import ExecutionTrace, Executor, execute_plan
 from .hybrid import plan_and_execute_hybrid
 from .logical import ShapeInfo, build_logical
-from .ops import compile_specs
+from .ops import compile_specs, tuple_getter
 from .physical import (
     PhysicalPlan, plan_leaves, plan_mono_brjoin, plan_multi_brjoin,
     plan_pjoin_strategy, render_plan,
@@ -92,13 +92,18 @@ def run_query(query: Query, dataset: Dataset, cluster: Cluster,
     return [run_strategy(name, query, dataset, cluster, **kwargs) for name in names]
 
 
+def result_tuples(relation: Relation, select: Sequence[Term]) -> list[Row]:
+    """A result's id tuples in select-list column order, read from the
+    relation's columns; a repeated select variable repeats its id."""
+    cut = tuple_getter([relation.columns.index(v) for v in select])
+    return list(map(cut, relation.tuples()))
+
+
 def sorted_result_rows(relation: Relation, select: Sequence[Term]) -> list[tuple[Term, ...]]:
     """Result tuples in select-list column order, decoded to terms and
     sorted canonically."""
-    order = sorted(relation.schema)
-    positions = [order.index(v) for v in select]
     terms = TERMS
-    out = [tuple([terms[row[i]] for i in positions]) for row in relation.tuples()]
+    out = [tuple([terms[i] for i in row]) for row in result_tuples(relation, select)]
     out.sort(key=lambda row: [t.nt() for t in row])
     return out
 
@@ -124,6 +129,6 @@ def result_cell(result: RunResult, *, m: int, partitioning: str,
     if shape is not None:
         cell["shape"] = shape.shape.value
     if result.plan.shared_scan:
-        leaves = sorted(plan_leaves(result.plan.root), key=lambda leaf: leaf.index)
+        leaves = plan_leaves(result.plan.root)
         cell["merged_scan_groups"] = [[leaf.label for leaf in leaves]]
     return cell

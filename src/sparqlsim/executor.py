@@ -175,8 +175,8 @@ def execute_plan(plan: PhysicalPlan, executor: Executor,
     all its selections in one shared pass, unless the leaf cache already
     holds measured selections."""
     if plan.shared_scan and not executor.leaf_cache:
-        leaves = sorted(plan_leaves(plan.root), key=lambda leaf: leaf.index)
-        specs = [SelectionSpec.compile(leaf.index, leaf.pattern) for leaf in leaves]
+        specs = [SelectionSpec.compile(leaf.index, leaf.pattern)
+                 for leaf in plan_leaves(plan.root)]
         executor.run_selections(specs, shared_subset(specs, executor.dataset))
     result = executor.run_node(plan.root)
     return result if select is None else executor.run_projection(result, select)

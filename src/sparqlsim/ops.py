@@ -17,6 +17,11 @@ input) through the inputs connected to it, and hashes each step on every
 variable the step's input shares with the rows folded so far, so a bucket
 hit is always a compatible pair of rows.
 
+Every operator writes its output's columns directly: a selection's are its
+variables in first-position order, a shuffle keeps its input's, a join's
+are the driver's followed by the variables each fold step adds, and a
+projection that drops a variable cuts to the select list's order.
+
 The scan charges are modeled, not the simulator's work: the store and S are
 both kept as per-node predicate groups (:attr:`Dataset.groups`), so a
 selection with a ground predicate touches only that predicate's triples,
@@ -42,14 +47,15 @@ class SelectionSpec:
     ``predicate`` is the ground predicate's term id, or None when the
     predicate is a variable; ``conditions`` holds one (position, term id)
     equality per other ground position; ``same_positions`` holds position
-    pairs that a repeated variable forces to be equal; ``row_for`` stamps
-    out the row of a matching triple: the id at each variable's first
-    position, in sorted variable order.
+    pairs that a repeated variable forces to be equal; ``columns`` holds
+    the pattern's variables in first-position order (subject, predicate,
+    object), and ``row_for`` stamps out the row of a matching triple: the id
+    at each column's first position.
     """
 
     index: int
     pattern: TriplePattern
-    projection: frozenset[Term]
+    columns: tuple[Term, ...]
     predicate: int | None
     conditions: tuple[tuple[int, int], ...]
     same_positions: tuple[tuple[int, int], ...]
@@ -70,11 +76,11 @@ class SelectionSpec:
             elif pos != 1:
                 conditions.append((pos, term.id))
         return cls(index=index, pattern=pattern,
-                   projection=frozenset(first_pos),
+                   columns=tuple(first_pos),
                    predicate=None if pattern.p.is_variable else pattern.p.id,
                    conditions=tuple(conditions),
                    same_positions=tuple(same),
-                   row_for=_tuple_getter([first_pos[v] for v in sorted(first_pos)]))
+                   row_for=tuple_getter(list(first_pos.values())))
 
     @property
     def label(self) -> str:
@@ -146,7 +152,7 @@ def _read_groups(spec: SelectionSpec, store: Dataset) -> Relation:
             return spec.rows_of(chain.from_iterable(groups.values()))
         return spec.rows_of(groups.get(pred, ()))
 
-    return Relation(spec.projection, tuple(for_each_node(store.m, read)),
+    return Relation(spec.columns, tuple(for_each_node(store.m, read)),
                     selection_state(spec, store))
 
 
@@ -236,7 +242,7 @@ def fold_order(schemas: Sequence[frozenset[Term]], counts: Sequence[int],
     return order
 
 
-def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
     """Like ``itemgetter(*positions)``, but always returns a tuple."""
     if len(positions) == 1:
         get = itemgetter(positions[0])
@@ -260,26 +266,27 @@ class _FoldStep:
     The step hashes one input on every variable it shares with the rows
     folded so far and probes with those rows. Each variable sits at a fixed
     position of a relation's rows, so keys and output tuples are cut by
-    position.
+    position. An output row is the probe row followed by the ids of the
+    variables the input adds, so ``columns`` is the folded columns followed
+    by those variables.
     """
 
-    __slots__ = ("rel", "copy", "probe_key", "build_key", "pick", "out_vars",
+    __slots__ = ("rel", "copy", "probe_key", "build_key", "pick", "columns",
                  "_table")
 
-    def __init__(self, rel: Relation, acc_vars: list[Term],
+    def __init__(self, rel: Relation, acc_columns: tuple[Term, ...],
                  copy: tuple[Row, ...] | None = None):
-        in_vars = sorted(rel.schema)
-        shared = [v for v in acc_vars if v in rel.schema]
-        added = [v for v in in_vars if v not in shared]
+        shared = [v for v in acc_columns if v in rel.schema]
+        added = [i for i, v in enumerate(rel.columns) if v not in shared]
         self.rel = rel
         self.copy = copy
-        self.probe_key = _key_getter([acc_vars.index(v) for v in shared])
-        self.build_key = _key_getter([in_vars.index(v) for v in shared])
-        self.out_vars = sorted(acc_vars + added)
-        # An output row is picked from the probe row followed by the build
-        # row; None when the input adds no variable.
-        both = acc_vars + in_vars
-        self.pick = (_tuple_getter([both.index(v) for v in self.out_vars])
+        self.probe_key = _key_getter([acc_columns.index(v) for v in shared])
+        self.build_key = _key_getter([rel.columns.index(v) for v in shared])
+        self.columns = acc_columns + tuple(rel.columns[i] for i in added)
+        # Cut from the probe row followed by the build row; None when the
+        # input adds no variable.
+        width = len(acc_columns)
+        self.pick = (tuple_getter([*range(width), *(width + i for i in added)])
                      if added else None)
         self._table: dict[object, list[Row]] | None = None
 
@@ -344,29 +351,27 @@ def _node_count(inputs: Sequence[Relation]) -> int:
 
 
 def _join_nodes(staged: Sequence[Relation], driver: int,
-                copies: dict[int, tuple[Row, ...]], m: int) -> tuple[tuple[Row, ...], ...]:
+                copies: dict[int, tuple[Row, ...]], m: int,
+                partition: PartitionState) -> Relation:
     """Run the local join on each of the ``m`` nodes, driven by the chunks
     of ``staged[driver]``; ``copies`` maps an input's index to the broadcast
     copy every node reads in place of its chunk. The fold order and the
-    step layouts are planned once."""
+    step layouts are planned once, and the output's columns are the last
+    step's."""
     steps: list[_FoldStep] = []
-    acc_vars = sorted(staged[driver].schema)
+    columns = staged[driver].columns
     order = fold_order([rel.schema for rel in staged],
                        [rel.count for rel in staged], driver)
     for i in order[1:]:
-        step = _FoldStep(staged[i], acc_vars, copies.get(i))
+        step = _FoldStep(staged[i], columns, copies.get(i))
         steps.append(step)
-        acc_vars = step.out_vars
+        columns = step.columns
     driver_chunks = staged[driver].chunks
 
     def join_node(j: int) -> tuple[Row, ...]:
         return tuple(local_nary_join(driver_chunks[j], steps, j))
 
-    return tuple(for_each_node(m, join_node))
-
-
-def _union_schema(inputs: Sequence[Relation]) -> frozenset[Term]:
-    return frozenset().union(*(rel.schema for rel in inputs))
+    return Relation(columns, tuple(for_each_node(m, join_node)), partition)
 
 
 def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
@@ -389,8 +394,7 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
     m = _node_count(inputs)
     staged = [rel if rel.partition.is_keyed_on(on)
               else shuffle(rel, on, ledger, operator) for rel in inputs]
-    return Relation(_union_schema(inputs), _join_nodes(staged, 0, {}, m),
-                    keyed(on))
+    return _join_nodes(staged, 0, {}, m, keyed(on))
 
 
 def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
@@ -417,13 +421,16 @@ def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
     m = _node_count(inputs)
     copies = {i: broadcast(rel, ledger, operator)
               for i, rel in enumerate(inputs) if i != target_index}
-    chunks = _join_nodes(inputs, target_index, copies, m)
-    return Relation(_union_schema(inputs), chunks, inputs[target_index].partition)
+    return _join_nodes(inputs, target_index, copies, m,
+                       inputs[target_index].partition)
 
 
 def project(rel: Relation, select: Sequence[Term]) -> Relation:
-    """Bag projection onto ``select``. Keeps the partition state when the
-    key survives the projection, degrades to random otherwise."""
+    """Bag projection onto ``select``. A relation over exactly the select
+    list's variables is returned as it is; otherwise the output's columns
+    are the select list's, each variable at its first occurrence. Keeps the
+    partition state when the key survives the projection, degrades to
+    random otherwise."""
     select_set = frozenset(select)
     if not select_set <= rel.schema:
         missing = ", ".join(v.nt() for v in sorted(select_set - rel.schema))
@@ -431,10 +438,10 @@ def project(rel: Relation, select: Sequence[Term]) -> Relation:
     if select_set == rel.schema:
         return rel
 
-    order = sorted(rel.schema)
-    cut = _tuple_getter([order.index(v) for v in sorted(select_set)])
+    columns = tuple(dict.fromkeys(select))
+    cut = tuple_getter([rel.columns.index(v) for v in columns])
     chunks = tuple(tuple(map(cut, chunk)) for chunk in rel.chunks)
     state = rel.partition
     if not state.key <= select_set:
         state = RANDOM_STATE
-    return Relation(select_set, chunks, state)
+    return Relation(columns, chunks, state)

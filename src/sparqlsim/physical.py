@@ -90,7 +90,7 @@ class PhysicalPlan:
 
 
 def plan_leaves(node: PhysNode) -> list[SelectionNode]:
-    """All selection leaves, left to right."""
+    """All selection leaves, in pattern-index order."""
     out: list[SelectionNode] = []
 
     def walk(n: PhysNode) -> None:
@@ -101,6 +101,7 @@ def plan_leaves(node: PhysNode) -> list[SelectionNode]:
                 walk(child)
 
     walk(node)
+    out.sort(key=lambda leaf: leaf.index)
     return out
 
 
@@ -134,7 +135,7 @@ def plan_mono_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPlan
     what is transferred nor the local join, which folds from the target
     through connected inputs (:func:`sparqlsim.ops.fold_order`), so
     non-targets keep textual order."""
-    leaves = sorted(plan_leaves(tree), key=lambda leaf: leaf.index)
+    leaves = plan_leaves(tree)
     if len(leaves) == 1:
         return PhysicalPlan(leaves[0])
     target = max(leaves, key=lambda leaf: (leaf_sizes[leaf.index], -leaf.index))

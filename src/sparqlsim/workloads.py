@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .cluster import BasePartition
+from .cluster import DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition
 from .engine import STRATEGIES
 from .errors import ParseError
 from .sparql import RDF_TYPE, Query
@@ -279,8 +279,8 @@ class Suite:
 
     name: str
     workloads: tuple[WorkloadSpec, ...]
-    m: tuple[int, ...] = (4,)
-    partitioning: str = "subject"
+    m: tuple[int, ...] = (DEFAULT_NODE_COUNT,)
+    partitioning: str = DEFAULT_PARTITIONING
     strategies: tuple[str, ...] = STRATEGIES
 
 
@@ -321,7 +321,7 @@ def load_suite(path: str | Path) -> Suite:
         raise ParseError(f"{path}: suite needs a nonempty 'workloads' list")
     specs = tuple(_spec_from_dict(raw, f"{path}: workloads[{i}]")
                   for i, raw in enumerate(raw_workloads))
-    raw_m = data.get("m", [4])
+    raw_m = data.get("m", [DEFAULT_NODE_COUNT])
     if not isinstance(raw_m, list) or any(type(v) is not int for v in raw_m):
         raise ParseError(f"{path}: 'm' must list integer node counts, got {raw_m!r}")
     try:
@@ -329,7 +329,7 @@ def load_suite(path: str | Path) -> Suite:
             name=str(data.get("name", path.stem)),
             workloads=specs,
             m=tuple(raw_m),
-            partitioning=str(data.get("partitioning", "subject")),
+            partitioning=str(data.get("partitioning", DEFAULT_PARTITIONING)),
             strategies=tuple(str(s) for s in data.get("strategies", STRATEGIES)),
         )
     except (TypeError, ValueError) as exc:

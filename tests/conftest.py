@@ -50,16 +50,18 @@ def make_dataset(triples, m: int = 4,
     return load_partitioned(triples, cluster, base), cluster
 
 
-def encode_rows(schema, rows) -> tuple[tuple, ...]:
-    """Binding rows in the engine's row format: the tuple of each row's
-    term ids in sorted variable order. A row that does not bind exactly
-    ``schema`` is rejected."""
-    order = tuple(sorted(schema))
+def encode_rows(columns, rows) -> tuple[tuple, ...]:
+    """Binding rows in the engine's row format for a relation over
+    ``columns``: the tuple of each row's term ids in column order. A row
+    that does not bind exactly the columns' variables, in the sorted
+    variable order of a binding row, is rejected."""
+    columns = tuple(columns)
+    order = tuple(sorted(columns))
     out = []
     for row in rows:
         if tuple(v for v, _ in row.items) != order:
             raise ValueError(f"row {row!r} does not bind schema {list(order)}")
-        out.append(tuple(t.id for _, t in row.items))
+        out.append(tuple(row.get(v).id for v in columns))
     return tuple(out)
 
 
@@ -73,11 +75,10 @@ def decode_triple(ids) -> Triple:
     return Triple(*(TERMS[i] for i in ids))
 
 
-def match_row(pattern, triple: Triple) -> tuple | None:
-    """The row ``pattern`` binds against ``triple`` (the ids of its terms in
-    sorted variable order), or None when the triple does not match: a
-    direct reading of the decoded triple, independent of the engine's
-    compiled selections."""
+def match_binding(pattern, triple: Triple) -> dict | None:
+    """The binding ``pattern`` makes against ``triple``, variable to term,
+    or None when the triple does not match: a direct reading of the decoded
+    triple, independent of the engine's compiled selections."""
     binding = {}
     for term, value in zip(pattern.positions(), (triple.s, triple.p, triple.o)):
         if term.is_variable:
@@ -85,26 +86,27 @@ def match_row(pattern, triple: Triple) -> tuple | None:
                 return None
         elif term != value:
             return None
-    return tuple(value.id for _, value in sorted(binding.items()))
+    return binding
 
 
-def make_relation(schema, rows, m: int, *, key=None,
+def make_relation(columns, rows, m: int, *, key=None,
                   start: int = 0) -> Relation:
-    """A relation over ``schema`` holding the binding ``rows`` on ``m``
-    nodes: hashed on ``key`` to the node :func:`sparqlsim.cluster.placement`
-    picks, or else dealt round-robin from node ``start``."""
-    schema = frozenset(schema)
-    encoded = encode_rows(schema, rows)
+    """A relation over ``columns`` (in that order) holding the binding
+    ``rows`` on ``m`` nodes: hashed on ``key`` to the node
+    :func:`sparqlsim.cluster.placement` picks, or else dealt round-robin
+    from node ``start``."""
+    columns = tuple(columns)
+    encoded = encode_rows(columns, rows)
     buckets = [[] for _ in range(m)]
     if key is not None:
-        dest_of = placement(schema, key, m)
+        dest_of = placement(columns, key, m)
         for row in encoded:
             buckets[dest_of(row)].append(row)
     else:
         for i, row in enumerate(encoded):
             buckets[(start + i) % m].append(row)
     state = RANDOM_STATE if key is None else keyed(key)
-    return Relation(schema, tuple(map(tuple, buckets)), state)
+    return Relation(columns, tuple(map(tuple, buckets)), state)
 
 
 @pytest.fixture(scope="session")

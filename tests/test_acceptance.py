@@ -43,7 +43,7 @@ from sparqlsim.physical import SelectionNode
 from sparqlsim.terms import pattern_vars
 
 from conftest import (
-    ACCEPTANCE_LINES, WORKLOAD_DIR, encode_rows, make_dataset, match_row,
+    ACCEPTANCE_LINES, WORKLOAD_DIR, encode_rows, make_dataset, match_binding,
 )
 
 UNIT = CostParams(1.0, 1.0)
@@ -203,7 +203,7 @@ def test_criterion_3_snowflake_transfer_accounting(q8_workload):
 
         # independent ingredients, measured off the raw triple list
         def matches(i):
-            return sum(match_row(patterns[i], t) is not None for t in wl.triples)
+            return sum(match_binding(patterns[i], t) is not None for t in wl.triples)
 
         gamma_member = matches(2)                                   # t3
         dept_pair = len(oracle_eval([patterns[3], patterns[1]], wl.triples))
@@ -254,10 +254,10 @@ def _grid_rows(count: int, side: str, value_var) -> tuple[BindingRow, ...]:
         for i in range(count))
 
 
-def _round_robin(encoded: tuple, schema: frozenset, m: int) -> Relation:
+def _round_robin(encoded: tuple, columns: tuple, m: int) -> Relation:
     # Dealt like conftest.make_relation, from rows encoded once for every
     # cluster size.
-    return Relation(schema, tuple(encoded[j::m] for j in range(m)), RANDOM_STATE)
+    return Relation(columns, tuple(encoded[j::m] for j in range(m)), RANDOM_STATE)
 
 
 def test_criterion_4_crossover_law():
@@ -278,14 +278,13 @@ def test_criterion_4_crossover_law():
             small_encoded = encode_rows((_GX, _GA), small_rows)
             large_encoded = encode_rows((_GX, _GB), large_rows)
             for m in range(2, 33):
-                small = _round_robin(small_encoded, frozenset((_GX, _GA)), m)
+                small = _round_robin(small_encoded, (_GX, _GA), m)
                 full_chunks = tuple(large_encoded[j::m] for j in range(m))
                 for ratio in range(1, 51):
                     gamma2 = ratio * gamma1
                     chunks = tuple(c[: (gamma2 - j + m - 1) // m]
                                    for j, c in enumerate(full_chunks))
-                    large = Relation(frozenset((_GX, _GB)), chunks,
-                                     RANDOM_STATE)
+                    large = Relation((_GX, _GB), chunks, RANDOM_STATE)
                     assert large.count == gamma2
 
                     # the planner's own pricing of this pair

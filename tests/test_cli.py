@@ -4,6 +4,7 @@ documented exit codes (0 ok, 2 bad input, 3 unsupported query feature,
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -371,3 +372,40 @@ def test_exit_4_cross_product(capsys, university_nt, tmp_path):
                              "--strategy", "hybrid")
     assert code == 0
     assert json.loads(out.splitlines()[-1])["result_count"] == 0
+
+
+# ------------------------------------------------------- pinned query output
+
+_PINNED_DATA = "".join(
+    f'<http://e/s{i}> <http://e/p> <http://e/o{i % 2}> .\n'
+    f'<http://e/s{i}> <http://e/q> "v{i}" .\n' for i in range(4)
+) + "<http://e/a> <http://e/r> <http://e/b> .\n"
+
+_PINNED_QUERIES = {
+    # The select list repeats ?x: the header and every row repeat its column.
+    "repeated-select":
+        "SELECT ?x ?x ?y WHERE { ?x <http://e/p> ?y . ?x <http://e/q> ?z . }",
+    # A fully ground pattern selects a relation with no columns, joined
+    # with the other pattern as a cross product.
+    "ground-cross":
+        "SELECT ?x ?y WHERE { <http://e/a> <http://e/r> <http://e/b> . "
+        "?x <http://e/p> ?y . }",
+}
+
+
+@pytest.mark.parametrize("key", ["subject", "object", "random"])
+@pytest.mark.parametrize("case", sorted(_PINNED_QUERIES))
+def test_query_all_strategies_pinned_output(capsys, tmp_path, case, key):
+    """``query --strategy all --validate`` stdout, less its wall times, is
+    exactly ``tests/golden/query-<case>-<key>.txt``."""
+    data = tmp_path / "data.nt"
+    data.write_text(_PINNED_DATA, encoding="utf-8")
+    query = tmp_path / "query.rq"
+    query.write_text(_PINNED_QUERIES[case], encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", str(data), str(query),
+                             "--strategy", "all", "--validate",
+                             "--allow-cross-product", "--partition-key", key)
+    assert code == 0 and err == ""
+    got = re.sub(r',"wall_ms":[0-9.e-]+', "", out)
+    golden = REPO_ROOT / "tests" / "golden" / f"query-{case}-{key}.txt"
+    assert got == golden.read_text(encoding="utf-8")

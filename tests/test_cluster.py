@@ -167,20 +167,23 @@ def test_check_placement_rejects_misplaced_rows():
     nonempty = [j for j, c in enumerate(chunks) if c]
     j0, j1 = nonempty[0], nonempty[1]
     chunks[j0], chunks[j1] = chunks[j1], chunks[j0]
-    broken = type(rel)(rel.schema, tuple(chunks), rel.partition)
+    broken = type(rel)(rel.columns, tuple(chunks), rel.partition)
     with pytest.raises(PlacementError):
         check_placement(broken)
 
 
 def test_rows_must_bind_the_schema_in_variable_order():
     # Operators read key and output terms by position: a binding row is
-    # encoded only when it binds the schema in variable order, and a row
-    # whose width differs from the schema's fails the placement check.
+    # encoded, in the relation's column order, only when it binds the
+    # schema in variable order, and a row whose width differs from the
+    # columns' fails the placement check.
+    row = BindingRow.from_mapping({X: A, Y: ALICE})
+    assert make_relation([Y, X], [row], 1).chunks == (((ALICE.id, A.id),),)
     unsorted = BindingRow(((Y, iri("http://e/1")), (X, iri("http://e/2"))))
     for bad in (unsorted, BindingRow.from_mapping({X: A})):
         with pytest.raises(ValueError, match="does not bind schema"):
             make_relation([X, Y], [bad], 2)
-    narrow = Relation(frozenset({X, Y}), (((A.id,),), ()), RANDOM_STATE)
+    narrow = Relation((X, Y), (((A.id,),), ()), RANDOM_STATE)
     with pytest.raises(PlacementError):
         check_placement(narrow)
 
@@ -330,7 +333,7 @@ def test_distribute_keyed_satisfies_check_placement(ids, m):
 def test_relation_counts_its_rows_once_outside_equality():
     rel = make_relation([X, Y], _rows(23), 4, start=1)
     assert rel.count == 23 == sum(map(len, rel.chunks))
-    same = Relation(rel.schema, rel.chunks, rel.partition)
+    same = Relation(rel.columns, rel.chunks, rel.partition)
     object.__setattr__(same, "count", 0)
     assert same == rel and hash(same) == hash(rel)
     assert "count" not in repr(rel)

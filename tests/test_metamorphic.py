@@ -14,7 +14,7 @@ from sparqlsim import (
 )
 from sparqlsim.terms import Triple, TriplePattern, pattern_vars
 
-from conftest import make_dataset, match_row
+from conftest import make_dataset, match_binding
 
 NS = "http://meta.example/"
 _ENTITIES = tuple(iri(f"{NS}e{i}") for i in range(6))
@@ -95,7 +95,7 @@ def test_run_invariants(workload, strategy, base, m, order):
 
     if strategy == "hybrid":
         d, n = dataset.size, len(query.patterns)
-        subset = sum(any(match_row(p, t) is not None for p in query.patterns)
+        subset = sum(any(match_binding(p, t) is not None for p in query.patterns)
                      for t in triples)
         shared = d + n * subset < n * d    # a tie goes to independent scans
         assert result.ledger.totals()["scanned"] == min(d + n * subset, n * d)

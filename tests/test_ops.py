@@ -11,7 +11,9 @@ from sparqlsim import (
     BasePartition, BindingRow, TransferLedger, WorkloadSpec, generate, iri, keyed,
     lit, var,
 )
-from sparqlsim.cluster import RANDOM_STATE, check_placement
+from sparqlsim.cluster import (
+    RANDOM_STATE, PlacementError, Relation, check_placement, shuffle,
+)
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.logical import build_logical
 from sparqlsim.ops import (
@@ -19,12 +21,12 @@ from sparqlsim.ops import (
     project, selection_state, shared_subset, triple_selection,
 )
 from sparqlsim.physical import plan_mono_brjoin
-from sparqlsim.terms import EMPTY_ROW, Triple, TriplePattern
+from sparqlsim.terms import EMPTY_ROW, TERMS, Triple, TriplePattern
 from sparqlsim.workloads import snowflake_query, snowflake_selection_sizes
 
 from conftest import (
     A, AGE, B, C, D0, EX, KNOWS, NAME, decode_triple, encode_triple, make_dataset,
-    make_relation, match_row,
+    make_relation, match_binding,
 )
 
 X, Y, N, G = var("x"), var("y"), var("n"), var("g")
@@ -48,22 +50,25 @@ def expected_knows() -> Counter:
     ])
 
 
-def _matching_rows(pattern, triples) -> tuple:
-    """The rows the reference matcher finds in ``triples``, in order."""
-    return tuple(row for row in (match_row(pattern, t) for t in triples)
-                 if row is not None)
+def _matching_rows(pattern, triples, columns) -> tuple:
+    """The rows the reference matcher finds in ``triples``, in order, as
+    the ids of ``columns``."""
+    return tuple(tuple(binding[v].id for v in columns)
+                 for binding in (match_binding(pattern, t) for t in triples)
+                 if binding is not None)
 
 
 def test_selection_spec_compile():
     spec = SelectionSpec.compile(2, P_KNOWS)
     assert spec.label == "t3"
-    assert spec.projection == frozenset({X, Y})
+    assert spec.columns == (X, Y)
+    assert SelectionSpec.compile(0, TriplePattern(Y, KNOWS, X)).columns == (Y, X)
     assert spec.predicate == KNOWS.id
     knows = Triple(A, KNOWS, B)
-    # x, y: variable order
-    assert spec.rows_of([encode_triple(knows)]) == _matching_rows(P_KNOWS, [knows]) \
-        == ((A.id, B.id),)
-    assert _matching_rows(P_KNOWS, [Triple(A, NAME, lit("A"))]) == ()
+    # x, y: first-position order
+    assert spec.rows_of([encode_triple(knows)]) \
+        == _matching_rows(P_KNOWS, [knows], spec.columns) == ((A.id, B.id),)
+    assert _matching_rows(P_KNOWS, [Triple(A, NAME, lit("A"))], spec.columns) == ()
     assert [s.label for s in compile_specs([P_KNOWS, P_NAME])] == ["t1", "t2"]
 
 
@@ -71,8 +76,9 @@ def test_selection_same_variable_twice_requires_equality():
     spec = SelectionSpec.compile(0, P_SELF)
     loop = iri(EX + "loop")
     group = [Triple(loop, KNOWS, loop), Triple(A, KNOWS, B)]
-    assert spec.rows_of(map(encode_triple, group)) == _matching_rows(P_SELF, group) \
-        == ((loop.id,),)
+    assert spec.columns == (X,)
+    assert spec.rows_of(map(encode_triple, group)) \
+        == _matching_rows(P_SELF, group, spec.columns) == ((loop.id,),)
 
 
 def test_triple_selection_rows_and_accounting():
@@ -175,10 +181,13 @@ def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
     spec = SelectionSpec.compile(0, pattern)
     ledger = TransferLedger()
     rel = triple_selection(spec, dataset, ledger)
+    # the pattern's variables in first-position order
+    assert rel.columns == tuple(dict.fromkeys(
+        t for t in pattern.positions() if t.is_variable))
     for j, groups in enumerate(dataset.groups):
         node = [decode_triple(t) for group in groups.values() for t in group]
         # every node, predicate groups in order, load order within a group
-        assert rel.chunks[j] == _matching_rows(pattern, node)
+        assert rel.chunks[j] == _matching_rows(pattern, node, rel.columns)
     assert rel.partition == selection_state(spec, dataset)
     check_placement(rel)
     assert ledger.totals()["scanned"] == dataset.size
@@ -202,7 +211,7 @@ def test_merged_selection_equals_independent_selections(store, ground, general, 
     assert subset.base == dataset.base
     for kept, groups in zip(subset.groups, dataset.groups, strict=True):
         want = {p: tuple(t for t in group
-                         if any(match_row(s.pattern, decode_triple(t)) is not None
+                         if any(match_binding(s.pattern, decode_triple(t)) is not None
                                 for s in specs))
                 for p, group in groups.items()}
         assert list(kept.items()) == [(p, g) for p, g in want.items() if g]
@@ -420,9 +429,9 @@ def _join_case(draw, kind):
                 for vals in draw(st.lists(values, max_size=5))]
         if schema and draw(st.booleans()):
             key = draw(st.frozensets(st.sampled_from(order), min_size=1))
-            inputs.append(make_relation(schema, rows, m, key=key))
+            inputs.append(make_relation(order, rows, m, key=key))
         else:
-            inputs.append(make_relation(schema, rows, m,
+            inputs.append(make_relation(order, rows, m,
                                         start=draw(st.integers(0, 4))))
     return on, inputs, m
 
@@ -471,10 +480,82 @@ def test_brjoin_cross_product_with_an_all_ground_pattern():
     # An all-ground pattern selects rows with an empty schema; joining it is
     # a cross product that repeats every row once per match.
     ledger, (knows, _, _) = _selections()
-    ground = make_relation(frozenset(), [EMPTY_ROW, EMPTY_ROW], knows.m)
+    ground = make_relation((), [EMPTY_ROW, EMPTY_ROW], knows.m)
     for inputs, target in (([ground, knows], 1), ([knows, ground], 0),
                            ([knows, ground], 1)):
         out = brjoin(frozenset(), inputs, target, ledger,
                      allow_empty_on=True)
         check_placement(out)
         assert rows(out) == Counter({row: 2 for row in expected_knows()})
+
+
+def _with_columns(rel, columns) -> Relation:
+    """``rel`` laid out over ``columns``, a permutation of its own: the same
+    rows on the same nodes, under the same partition state."""
+    positions = [rel.columns.index(v) for v in columns]
+    chunks = tuple(tuple(tuple(row[i] for i in positions) for row in chunk)
+                   for chunk in rel.chunks)
+    return Relation(tuple(columns), chunks, rel.partition)
+
+
+def _by_node(rel) -> list[Counter]:
+    """Each node's rows as binding rows, decoded through the columns."""
+    return [Counter(BindingRow.from_mapping(
+                {v: TERMS[i] for v, i in zip(rel.columns, row)}) for row in chunk)
+            for chunk in rel.chunks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_join_case("pjoin"), _join_case("brjoin")), st.data())
+def test_operators_give_the_same_result_under_any_column_order(case, data):
+    # The inputs are built over sorted columns; the same inputs with every
+    # relation's columns permuted must give the same rows on the same
+    # nodes, the same ledger and the same partition state from every
+    # operator.
+    on, inputs, m = case
+    permuted = [_with_columns(rel, data.draw(st.permutations(rel.columns)))
+                for rel in inputs]
+
+    def same(run):
+        outcomes = []
+        for rels in (inputs, permuted):
+            ledger = TransferLedger()
+            out = run(rels, ledger)
+            check_placement(out)
+            outcomes.append((_by_node(out), ledger.totals(), out.partition))
+        assert outcomes[0] == outcomes[1]
+
+    def select_from(variables):
+        # a select list over the variables, possibly repeating one
+        if not variables:
+            return []
+        return data.draw(st.lists(st.sampled_from(sorted(variables)), max_size=4))
+
+    for i, rel in enumerate(inputs):
+        if rel.schema:
+            key = data.draw(st.frozensets(st.sampled_from(rel.columns), min_size=1))
+            same(lambda rels, ledger: shuffle(rels[i], key, ledger))
+        select = select_from(rel.schema)
+        same(lambda rels, ledger: project(rels[i], select))
+    union = frozenset().union(*(rel.schema for rel in inputs))
+    if on and all(on <= rel.schema for rel in inputs):
+        select = select_from(union)
+        same(lambda rels, ledger: project(pjoin(on, rels, ledger), select))
+    for target in range(len(inputs)):
+        select = select_from(union)
+        same(lambda rels, ledger: project(
+            brjoin(on, rels, target, ledger, allow_empty_on=True), select))
+
+
+def test_check_placement_rejects_repeated_or_misfit_columns():
+    rel = make_relation([X, Y], [BindingRow.from_mapping({X: A, Y: B})], 2)
+    check_placement(rel)
+    repeated = Relation((X, Y, X), tuple(tuple(row + row[:1] for row in chunk)
+                                         for chunk in rel.chunks), RANDOM_STATE)
+    with pytest.raises(PlacementError, match="repeat a variable"):
+        check_placement(repeated)
+    for width in (1, 3):
+        misfit = Relation((X, Y), tuple(tuple((row * 2)[:width] for row in chunk)
+                                        for chunk in rel.chunks), RANDOM_STATE)
+        with pytest.raises(PlacementError, match="terms for columns"):
+            check_placement(misfit)

@@ -14,11 +14,11 @@ from sparqlsim import (
 )
 from sparqlsim.workloads import HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
-from conftest import WORKLOAD_DIR, match_row
+from conftest import WORKLOAD_DIR, match_binding
 
 
 def _selection_counts(workload):
-    return {i: sum(match_row(pattern, t) is not None for t in workload.triples)
+    return {i: sum(match_binding(pattern, t) is not None for t in workload.triples)
             for i, pattern in enumerate(workload.query.patterns)}
 
 
