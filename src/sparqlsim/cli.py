@@ -37,7 +37,7 @@ from .cluster import (
     load_partitioned,
 )
 from .cost import CostParams
-from .engine import STRATEGIES, result_cell, result_tuples, run_query, sorted_result_rows
+from .engine import STRATEGIES, result_cell, result_lines, result_tuples, run_query
 from .errors import (
     CartesianProductError, ParseError, ResultSizeLimitError, UnsupportedFeatureError,
 )
@@ -202,8 +202,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     if not args.no_header:
         print("\t".join(v.nt() for v in query.select))
-    for row in sorted_result_rows(results[0].relation, query.select):
-        print("\t".join(term.nt() for term in row))
+    for line in result_lines(results[0].relation, query.select):
+        print(line)
 
     runs = []
     for result in results:

@@ -38,8 +38,9 @@ T = TypeVar("T")
 # the relation's ``columns``, so operators read and cut rows by position.
 Row = tuple[int, ...]
 
-# A stored triple: the ids of its subject, predicate and object.
-IdTriple = tuple[int, int, int]
+# A stored predicate group: the subject ids and the object ids of its
+# triples, two columns of the same length.
+IdColumns = tuple[tuple[int, ...], tuple[int, ...]]
 
 _KEY_SEP = "\x1f"
 
@@ -373,15 +374,17 @@ DEFAULT_PARTITIONING = BasePartition.SUBJECT.value
 @dataclass(frozen=True)
 class Dataset:
     """A distributed triple store, kept by predicate (vertical
-    partitioning): ``groups[j]`` maps each predicate id to node ``j``'s id
-    triples of that predicate, in load order, predicates in order of first
-    appearance; ``base`` is the partitioning the nodes satisfy.
+    partitioning): ``groups[j]`` maps each predicate id to node ``j``'s
+    triples of that predicate as two id columns, ``(subjects, objects)``,
+    in load order, predicates in order of first appearance; ``base`` is the
+    partitioning the nodes satisfy. A triple is the pair at one index of
+    its group's columns, under the group's predicate.
 
     A selection with a ground predicate reads just its own group. The cost
     model does not see the layout: a selection is still charged a full pass
     over the store."""
 
-    groups: tuple[dict[int, tuple[IdTriple, ...]], ...]
+    groups: tuple[dict[int, IdColumns], ...]
     base: BasePartition
 
     @property
@@ -394,7 +397,8 @@ class Dataset:
         return sum(self.node_counts())
 
     def node_counts(self) -> list[int]:
-        return [sum(map(len, node.values())) for node in self.groups]
+        return [sum(len(subjects) for subjects, _ in node.values())
+                for node in self.groups]
 
 
 def check_loaded_on(dataset: Dataset, cluster: Cluster) -> None:
@@ -407,7 +411,8 @@ def check_loaded_on(dataset: Dataset, cluster: Cluster) -> None:
 
 def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
                      base: BasePartition) -> Dataset:
-    """Distribute triples across the cluster, each stored as its id triple.
+    """Distribute triples across the cluster, appending each triple's
+    subject and object ids to its node's group of its predicate.
 
     Positional partitioning hashes the canonical form of the term at that
     position, exactly like single-variable row placement, so selections over
@@ -415,22 +420,24 @@ def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
     Random partitioning deals round-robin starting at node 0.
     """
     m = cluster.m
-    groups: list[dict[int, list[IdTriple]]] = [{} for _ in range(m)]
+    groups: list[dict[int, tuple[list[int], list[int]]]] = [{} for _ in range(m)]
     pos = base.position
     h64 = H64
     j = 0
     for t in triples:
-        ids = (t.s.id, t.p.id, t.o.id)
+        s, p, o = t.s.id, t.p.id, t.o.id
         if pos is None:
             node = groups[j]
             j = (j + 1) % m
         else:
-            i = ids[pos]
+            i = s if pos == 0 else o if pos == 2 else p
             node = groups[(h64[i] or id_hash64(i)) % m]
-        group = node.get(ids[1])
+        group = node.get(p)
         if group is None:
-            node[ids[1]] = [ids]
+            node[p] = ([s], [o])
         else:
-            group.append(ids)
-    return Dataset(tuple({p: tuple(g) for p, g in node.items()} for node in groups),
-                   base)
+            group[0].append(s)
+            group[1].append(o)
+    return Dataset(tuple({p: (tuple(subjects), tuple(objects))
+                          for p, (subjects, objects) in node.items()}
+                         for node in groups), base)

@@ -12,6 +12,7 @@ selections. The adaptive strategy plans while executing; see
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .cluster import Cluster, Dataset, Relation, Row, TransferLedger, check_loaded_on
@@ -99,13 +100,28 @@ def result_tuples(relation: Relation, select: Sequence[Term]) -> list[Row]:
     return list(map(cut, relation.tuples()))
 
 
+def _sorted_by_nt(relation: Relation,
+                  select: Sequence[Term]) -> list[tuple[tuple[str, ...], Row]]:
+    """Each result id tuple in select-list column order, after its key:
+    the N-Triples forms of its terms, each built once per distinct id.
+    Sorted by key; equal keys are equal rows."""
+    rows = result_tuples(relation, select)
+    terms = TERMS
+    nt = {i: terms[i].nt() for i in set(chain.from_iterable(rows))}.__getitem__
+    return sorted((tuple(map(nt, row)), row) for row in rows)
+
+
 def sorted_result_rows(relation: Relation, select: Sequence[Term]) -> list[tuple[Term, ...]]:
     """Result tuples in select-list column order, decoded to terms and
-    sorted canonically."""
+    sorted canonically, by their terms' N-Triples forms."""
     terms = TERMS
-    out = [tuple([terms[i] for i in row]) for row in result_tuples(relation, select)]
-    out.sort(key=lambda row: [t.nt() for t in row])
-    return out
+    return [tuple([terms[i] for i in row]) for _, row in _sorted_by_nt(relation, select)]
+
+
+def result_lines(relation: Relation, select: Sequence[Term]) -> list[str]:
+    """The result as ``query`` prints it: one line per row of
+    :func:`sorted_result_rows`, its terms' N-Triples forms tab-separated."""
+    return ["\t".join(key) for key, _ in _sorted_by_nt(relation, select)]
 
 
 def result_cell(result: RunResult, *, m: int, partitioning: str,

@@ -10,7 +10,9 @@ import re
 from typing import Iterable
 
 from .errors import ParseError
-from .terms import Triple, blank, iri, literal_token
+from .terms import (
+    TermKind, Triple, _blank_cache, _intern, _iri_cache, _lit_cache, trusted_triple,
+)
 
 _IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
 _BLANK_LABEL = r"[A-Za-z0-9][A-Za-z0-9_.-]*"
@@ -29,26 +31,41 @@ _TRIPLE_LINE = re.compile(
 
 def parse_ntriples(text: str, source: str | None = None) -> list[Triple]:
     """Parse N-Triples text into a list of triples, preserving duplicates
-    and input order."""
+    and input order.
+
+    Each raw line is matched first; only a line that does not match is
+    stripped, and skipped when blank or a comment. The line regex fixes
+    every token's kind, so the terms are interned straight from its groups
+    and the triple is built by :func:`~sparqlsim.terms.trusted_triple`."""
     triples: list[Triple] = []
+    append = triples.append
+    match = _TRIPLE_LINE.match
+    iris, blanks, literals = _iri_cache, _blank_cache, _lit_cache
+    IRI, BLANK, LITERAL = TermKind.IRI, TermKind.BLANK, TermKind.LITERAL
     # Split on real line terminators only: str.splitlines would also break
     # on form feeds and other unicode separators, which may appear unescaped
-    # inside literals.
+    # inside literals. A CR before the LF is trailing whitespace to the regex.
     for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        match = _TRIPLE_LINE.match(line)
-        if match is None:
+        found = match(line)
+        if found is None:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
             raise ParseError(f"malformed N-Triples line: {stripped[:80]}",
                              line=lineno, source=source)
-        s_iri, s_blank, p_iri, o_iri, o_blank, o_literal = match.groups()
-        triples.append(Triple(
-            iri(s_iri) if s_blank is None else blank(s_blank),
-            iri(p_iri),
-            iri(o_iri) if o_iri is not None
-            else literal_token(o_literal) if o_blank is None else blank(o_blank)))
+        s_iri, s_blank, p_iri, o_iri, o_blank, o_literal = found.groups()
+        if s_blank is None:
+            s = iris.get(s_iri) or _intern(IRI, s_iri, iris)
+        else:
+            s = blanks.get(s_blank) or _intern(BLANK, s_blank, blanks)
+        p = iris.get(p_iri) or _intern(IRI, p_iri, iris)
+        if o_iri is not None:
+            o = iris.get(o_iri) or _intern(IRI, o_iri, iris)
+        elif o_blank is not None:
+            o = blanks.get(o_blank) or _intern(BLANK, o_blank, blanks)
+        else:
+            o = literals.get(o_literal) or _intern(LITERAL, o_literal, literals)
+        append(trusted_triple(s, p, o))
     return triples
 
 

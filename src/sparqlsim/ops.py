@@ -23,18 +23,20 @@ are the driver's followed by the variables each fold step adds, and a
 projection that drops a variable cuts to the select list's order.
 
 The scan charges are modeled, not the simulator's work: the store and S are
-both kept as per-node predicate groups (:attr:`Dataset.groups`), so a
-selection with a ground predicate touches only that predicate's triples,
-and only a variable predicate makes it read every group.
+both kept as per-node predicate groups of two id columns
+(:attr:`Dataset.groups`), so a selection with a ground predicate touches
+only that predicate's columns, and only a variable predicate makes it read
+every group. A selection builds its rows by zipping the columns, and tests
+a ground subject or object on its one column.
 """
 
-from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import and_, eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cluster import (
-    Dataset, IdTriple, PartitionState, RANDOM_STATE, Relation, Row,
+    Dataset, IdColumns, PartitionState, RANDOM_STATE, Relation, Row,
     TransferLedger, broadcast, for_each_node, keyed, shuffle,
 )
 from .terms import Term, TriplePattern, pattern_label
@@ -42,28 +44,30 @@ from .terms import Term, TriplePattern, pattern_label
 
 @dataclass(frozen=True)
 class SelectionSpec:
-    """A triple pattern compiled for scanning the store's id triples.
+    """A triple pattern compiled for reading the store's predicate groups,
+    each a subject id column and an object id column (see
+    :class:`~sparqlsim.cluster.Dataset`).
 
     ``predicate`` is the ground predicate's term id, or None when the
-    predicate is a variable; ``conditions`` holds one (position, term id)
-    equality per other ground position; ``same_positions`` holds position
-    pairs that a repeated variable forces to be equal; ``columns`` holds
-    the pattern's variables in first-position order (subject, predicate,
-    object), and ``row_for`` stamps out the row of a matching triple: the id
-    at each column's first position.
+    predicate is a variable; ``subject`` and ``object`` are the ground
+    subject's and object's ids, None where the position holds a variable;
+    ``same_positions`` holds position pairs that a repeated variable forces
+    to be equal; ``columns`` holds the pattern's variables in first-position
+    order (subject, predicate, object), and ``positions`` each column's
+    first position.
     """
 
     index: int
     pattern: TriplePattern
     columns: tuple[Term, ...]
+    positions: tuple[int, ...]
     predicate: int | None
-    conditions: tuple[tuple[int, int], ...]
+    subject: int | None
+    object: int | None
     same_positions: tuple[tuple[int, int], ...]
-    row_for: Callable[[IdTriple], Row] = field(compare=False, repr=False)
 
     @classmethod
     def compile(cls, index: int, pattern: TriplePattern) -> "SelectionSpec":
-        conditions = []
         first_pos: dict[Term, int] = {}
         same = []
         for pos, term in enumerate(pattern.positions()):
@@ -73,14 +77,10 @@ class SelectionSpec:
                     first_pos[term] = pos
                 else:
                     same.append((seen, pos))
-            elif pos != 1:
-                conditions.append((pos, term.id))
+        s, p, o = (None if t.is_variable else t.id for t in pattern.positions())
         return cls(index=index, pattern=pattern,
-                   columns=tuple(first_pos),
-                   predicate=None if pattern.p.is_variable else pattern.p.id,
-                   conditions=tuple(conditions),
-                   same_positions=tuple(same),
-                   row_for=tuple_getter(list(first_pos.values())))
+                   columns=tuple(first_pos), positions=tuple(first_pos.values()),
+                   predicate=p, subject=s, object=o, same_positions=tuple(same))
 
     @property
     def label(self) -> str:
@@ -91,31 +91,45 @@ class SelectionSpec:
         """Ledger and trace id of this pattern's own store scan."""
         return f"sel[{self.label}]"
 
-    def matches_in_group(self, triple: IdTriple) -> bool:
-        """Whether the pattern matches ``triple``, a triple of its predicate
-        group (any triple, with a variable predicate): the predicate is not
-        tested."""
-        for pos, term in self.conditions:
-            if triple[pos] != term:
-                return False
-        for a, b in self.same_positions:
-            if triple[a] != triple[b]:
-                return False
-        return True
+    def mask(self, p: int, group: IdColumns) -> Iterable[bool] | None:
+        """Which triples of predicate ``p``'s ``group`` the pattern matches,
+        one flag per index of its columns, or None when it matches them all.
+        The predicate is not tested: with a ground predicate, ``p`` must be
+        it. A ground subject or object tests one column, a repeated subject
+        and object variable compares the two, and a variable repeated at the
+        predicate tests its column against ``p``."""
+        subjects, objects = group
+        s_is, o_is, same = self.subject, self.object, False
+        for pair in self.same_positions:
+            if pair == (0, 1):
+                s_is = p
+            elif pair == (1, 2):
+                o_is = p
+            else:
+                same = True
+        if same and s_is is not None:
+            # ?x ?x ?x: the subject is p, so the object is too.
+            o_is, same = s_is, False
+        if same:
+            return map(eq, subjects, objects)
+        if s_is is None:
+            return None if o_is is None else map(o_is.__eq__, objects)
+        if o_is is None:
+            return map(s_is.__eq__, subjects)
+        return map(and_, map(s_is.__eq__, subjects), map(o_is.__eq__, objects))
 
-    @property
-    def matches_whole_group(self) -> bool:
-        """Whether the pattern matches every triple of its predicate group,
-        or, with a variable predicate, every triple of the store."""
-        return not self.conditions and not self.same_positions
-
-    def rows_of(self, triples: Iterable[IdTriple]) -> tuple[Row, ...]:
-        """One row per matching triple, in order. With a ground predicate,
-        ``triples`` must be triples of that predicate (a predicate group)."""
-        if self.matches_whole_group:
-            return tuple(map(self.row_for, triples))
-        row_for, test = self.row_for, self.matches_in_group
-        return tuple(row_for(t) for t in triples if test(t))
+    def rows_in(self, p: int, group: IdColumns) -> Iterable[Row]:
+        """One row per triple of predicate ``p``'s ``group`` the pattern
+        matches, in order: the ids at the columns' positions, where the
+        predicate position reads ``p``."""
+        subjects, objects = group
+        mask = self.mask(p, group)
+        if not self.positions:
+            # No variable: the subject and object are ground, so a mask exists.
+            return [()] * sum(mask)
+        sources = (subjects, repeat(p, len(subjects)), objects)
+        rows = zip(*[sources[pos] for pos in self.positions])
+        return rows if mask is None else compress(rows, mask)
 
 
 def selection_state(spec: SelectionSpec, dataset: Dataset) -> PartitionState:
@@ -149,8 +163,10 @@ def _read_groups(spec: SelectionSpec, store: Dataset) -> Relation:
     def read(j: int) -> tuple[Row, ...]:
         groups = store.groups[j]
         if pred is None:
-            return spec.rows_of(chain.from_iterable(groups.values()))
-        return spec.rows_of(groups.get(pred, ()))
+            return tuple(chain.from_iterable(
+                spec.rows_in(p, group) for p, group in groups.items()))
+        group = groups.get(pred)
+        return () if group is None else tuple(spec.rows_in(pred, group))
 
     return Relation(spec.columns, tuple(for_each_node(store.m, read)),
                     selection_state(spec, store))
@@ -168,7 +184,8 @@ def triple_selection(spec: SelectionSpec, dataset: Dataset,
 def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset) -> Dataset:
     """The union pass of a merged scan, charging nothing: S for ``specs``,
     the triples that match at least one of the patterns, as a store with
-    the layout and base of ``dataset``.
+    the layout and base of ``dataset``: each kept group's two columns cut
+    to the matching indices.
 
     The pass walks each node's predicate groups: a group is tested against
     the patterns naming its predicate plus the variable-predicate patterns,
@@ -186,18 +203,21 @@ def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset) -> Dataset:
     for group_specs in candidates.values():
         group_specs.extend(general)
 
-    def union_pass(node: dict[int, tuple[IdTriple, ...]]) -> dict[int, tuple[IdTriple, ...]]:
-        kept: dict[int, tuple[IdTriple, ...]] = {}
+    def union_pass(node: dict[int, IdColumns]) -> dict[int, IdColumns]:
+        kept: dict[int, IdColumns] = {}
         for pred, group in node.items():
             tests = candidates.get(pred, general)
             if not tests:
                 continue
-            if any(s.matches_whole_group for s in tests):
+            masks = [s.mask(pred, group) for s in tests]
+            if any(mask is None for mask in masks):
                 kept[pred] = group
                 continue
-            keep = tuple(t for t in group if any(s.matches_in_group(t) for s in tests))
-            if keep:
-                kept[pred] = keep
+            keep = list(masks[0] if len(masks) == 1 else map(any, zip(*masks)))
+            if any(keep):
+                subjects, objects = group
+                kept[pred] = (tuple(compress(subjects, keep)),
+                              tuple(compress(objects, keep)))
         return kept
 
     # A node's S is a dict of predicate groups rather than a chunk of rows,

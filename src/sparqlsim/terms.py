@@ -162,8 +162,10 @@ _namespace_state: dict[str, int] = {}
 
 def id_hash64(term_id: int) -> int:
     """Placement hash of the term with id ``term_id``: the FNV-1a hash of
-    its canonical serialization. Computed on first use and kept in
-    :data:`H64`, so callers on a hot path read ``H64[i] or id_hash64(i)``."""
+    its canonical serialization (:func:`fnv1a_64` is the reference). Computed
+    on first use and kept in :data:`H64`, so callers on a hot path read
+    ``H64[i] or id_hash64(i)``. An IRI's hash resumes from its namespace's
+    cached state and folds only the rest of the serialization."""
     h = H64[term_id]
     if h is None:
         term = TERMS[term_id]
@@ -171,13 +173,17 @@ def id_hash64(term_id: int) -> int:
             lexical = term.lexical
             cut = lexical.rfind("/") + 1
             namespace = lexical[:cut]
-            state = _namespace_state.get(namespace)
-            if state is None:
-                state = _namespace_state[namespace] = fnv1a_64(
+            h = _namespace_state.get(namespace)
+            if h is None:
+                h = _namespace_state[namespace] = fnv1a_64(
                     ("<" + namespace).encode("utf-8"))
-            h = fnv1a_64((lexical[cut:] + ">").encode("utf-8"), state)
+            data = (lexical[cut:] + ">").encode("utf-8")
         else:
-            h = fnv1a_64(term.nt().encode("utf-8"))
+            h = _FNV_OFFSET
+            data = term.nt().encode("utf-8")
+        prime, mask = _FNV_PRIME, _FNV_MASK
+        for b in data:
+            h = ((h ^ b) * prime) & mask
         H64[term_id] = h
     return h
 
@@ -267,6 +273,24 @@ class Triple:
 
     def nt(self) -> str:
         return f"{self.s.nt()} {self.p.nt()} {self.o.nt()} ."
+
+
+# Slot setters of Triple, for the trusted constructor below.
+_set_s, _set_p, _set_o = Triple.s.__set__, Triple.p.__set__, Triple.o.__set__
+
+
+def trusted_triple(s: Term, p: Term, o: Term) -> Triple:
+    """A :class:`Triple` built without the kind checks of ``Triple(s, p, o)``.
+
+    Only for a caller that has already fixed the kinds: the N-Triples
+    parser, whose line regex admits only an IRI or blank subject, an IRI
+    predicate and a ground object, so the regex is the kind check. Every
+    other caller builds ``Triple(s, p, o)``, which validates."""
+    triple = object.__new__(Triple)
+    _set_s(triple, s)
+    _set_p(triple, p)
+    _set_o(triple, o)
+    return triple
 
 
 @dataclass(frozen=True, slots=True)

@@ -65,14 +65,24 @@ def encode_rows(columns, rows) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def encode_triple(triple: Triple) -> tuple[int, int, int]:
-    """A triple in the store's format: its term ids."""
-    return (triple.s.id, triple.p.id, triple.o.id)
+def encode_group(triples) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Triples of one predicate in the store's format: the subject id
+    column and the object id column."""
+    return tuple(t.s.id for t in triples), tuple(t.o.id for t in triples)
 
 
-def decode_triple(ids) -> Triple:
-    """A stored id triple as the triple it encodes."""
-    return Triple(*(TERMS[i] for i in ids))
+def decode_group(p: int, group) -> list[Triple]:
+    """The stored group of predicate id ``p`` as the triples it encodes,
+    in order."""
+    subjects, objects = group
+    assert len(subjects) == len(objects)
+    return [Triple(TERMS[s], TERMS[p], TERMS[o]) for s, o in zip(subjects, objects)]
+
+
+def node_triples(dataset) -> list[list[Triple]]:
+    """Each node's stored triples, decoded, group after group."""
+    return [[t for p, group in groups.items() for t in decode_group(p, group)]
+            for groups in dataset.groups]
 
 
 def match_binding(pattern, triple: Triple) -> dict | None:

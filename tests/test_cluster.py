@@ -18,9 +18,9 @@ from sparqlsim.cluster import (
     RANDOM_STATE, UnboundKeyError, broadcast, check_placement, fnv1a_64,
     key_hash64, shuffle, term_hash64,
 )
-from sparqlsim.terms import TERMS
+from sparqlsim.terms import H64, TERMS, blank, id_hash64
 
-from conftest import D0, decode_triple, make_dataset, make_relation
+from conftest import D0, decode_group, make_dataset, make_relation, node_triples
 
 A = iri("http://example.org/a")
 ALICE = lit("Alice")
@@ -206,31 +206,25 @@ def test_ledger_totals_and_dict():
         ledger.tally("op3", scanned=-1)
 
 
-def _node_triples(dataset):
-    """Each node's stored id triples, group after group."""
-    return [[t for group in groups.values() for t in group]
-            for groups in dataset.groups]
-
-
 def test_load_partitioned_subject_places_by_subject_hash():
     dataset, cluster = make_dataset(D0, m=4, base=BasePartition.SUBJECT)
     assert dataset.size == len(D0)
     assert sum(dataset.node_counts()) == len(D0)
-    for j, node in enumerate(_node_triples(dataset)):
+    for j, node in enumerate(node_triples(dataset)):
         for t in node:
-            assert term_hash64(TERMS[t[0]]) % 4 == j
+            assert term_hash64(t.s) % 4 == j
     # same subject always lands on the same node
-    a_nodes = {j for j, node in enumerate(_node_triples(dataset))
-               for t in node if t[0] == A.id}
+    a_nodes = {j for j, node in enumerate(node_triples(dataset))
+               for t in node if t.s is A}
     assert len(a_nodes) == 1
 
 
 def test_load_partitioned_other_bases():
     for base, pos in ((BasePartition.PREDICATE, 1), (BasePartition.OBJECT, 2)):
         dataset, _ = make_dataset(D0, m=4, base=base)
-        for j, node in enumerate(_node_triples(dataset)):
+        for j, node in enumerate(node_triples(dataset)):
             for t in node:
-                assert term_hash64(TERMS[t[pos]]) % 4 == j
+                assert term_hash64(t[pos]) % 4 == j
     random_ds, _ = make_dataset(D0, m=4, base=BasePartition.RANDOM)
     assert random_ds.size == len(D0)
     assert max(random_ds.node_counts()) - min(random_ds.node_counts()) <= 1
@@ -250,6 +244,25 @@ def test_iri_hash_resumed_from_its_namespace_equals_the_full_hash(text):
     for _ in range(2):
         term = Term(TermKind.IRI, text)
         assert term_hash64(term) == fnv1a_64(term.nt().encode("utf-8"))
+
+
+_LITERAL_TEXT = st.text(alphabet=st.sampled_from('ab "\\\n\té€中'), max_size=8)
+
+
+@given(st.one_of(
+    st.builds(iri, st.one_of(_IRI_TEXT, st.builds("{}/".format, _IRI_TEXT))),
+    st.builds(blank, st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,6}", fullmatch=True)),
+    st.builds(lit, _LITERAL_TEXT),
+    st.builds(lambda text, tag: lit(text, lang=tag), _LITERAL_TEXT,
+              st.sampled_from(["en", "en-GB"])),
+    st.builds(lambda text, iri_text: lit(text, datatype=iri_text), _LITERAL_TEXT,
+              _IRI_TEXT)))
+def test_kept_placement_hash_is_the_fnv_of_the_serialization(term):
+    """The hash kept in H64 equals the reference FNV-1a of the term's
+    N-Triples form for every kind: IRIs with no slash, a trailing slash or
+    non-ASCII text, blank nodes and literals."""
+    id_hash64(term.id)
+    assert H64[term.id] == fnv1a_64(term.nt().encode("utf-8"))
 
 
 def test_fnv1a_64_resumes_from_a_prefix_state():
@@ -293,9 +306,8 @@ def test_dataset_chunks_decode_to_the_partitioned_input(parts, m):
         assert dataset.m == m and dataset.base is base
         assert dataset.node_counts() == [len(node) for node in want]
         assert dataset.size == len(triples)
-        for node, expected in zip(_node_triples(dataset), want, strict=True):
-            assert [decode_triple(t) for t in node] == \
-                _by_first_predicate(expected)
+        for node, expected in zip(node_triples(dataset), want, strict=True):
+            assert node == _by_first_predicate(expected)
 
 
 @given(_STORE_TRIPLES, st.integers(1, 5), st.sampled_from(list(BasePartition)))
@@ -309,9 +321,8 @@ def test_predicate_index_partitions_each_chunk_in_chunk_order(parts, m, base):
                             _expected_placement(triples, m, base), strict=True):
         assert list(groups) == list(dict.fromkeys(t.p.id for t in node))
         for p, group in groups.items():
-            assert [decode_triple(t) for t in group] == \
-                [t for t in node if t.p.id == p]
-        assert sum(len(group) for group in groups.values()) == len(node)
+            assert decode_group(p, group) == [t for t in node if t.p.id == p]
+        assert sum(len(subjects) for subjects, _ in groups.values()) == len(node)
 
 
 @given(st.integers(1, 16), st.integers(0, 200))

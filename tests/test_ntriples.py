@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sparqlsim import ParseError, iri, lit, parse_ntriples, serialize_ntriples
+from sparqlsim import (
+    BasePartition, Cluster, ParseError, WorkloadSpec, generate, iri, lit,
+    load_partitioned, parse_ntriples, serialize_ntriples,
+)
 from sparqlsim.terms import Triple, blank, literal_token
 
 
@@ -82,3 +85,74 @@ def test_round_trip_with_generated_literals(rows):
         for s, p, text in rows
     ]
     assert parse_ntriples(serialize_ntriples(triples)) == triples
+
+
+def test_whitespace_crlf_comments_and_blank_lines_between_triples():
+    text = ("  <http://e/a> <http://e/p> <http://e/b> .  \r\n"
+            "\r\n"
+            "# a comment\r\n"
+            "   # an indented comment\n"
+            "\t \n"
+            '\t_:x <http://e/p> "v"@en .\r\n'
+            "<http://e/a>\t<http://e/p>  _:y.\r")
+    assert parse_ntriples(text) == [
+        Triple(iri("http://e/a"), iri("http://e/p"), iri("http://e/b")),
+        Triple(blank("x"), iri("http://e/p"), lit("v", lang="en")),
+        Triple(iri("http://e/a"), iri("http://e/p"), blank("y")),
+    ]
+
+
+def test_malformed_line_after_many_good_ones_reports_its_line_number():
+    good = [f"<http://e/s{i}> <http://e/p> <http://e/o{i}> ." for i in range(1000)]
+    lines = good[:500] + ["", "# halfway"] + good[500:] + ["<http://e/s> <http://e/p> ."]
+    with pytest.raises(ParseError) as err:
+        parse_ntriples("\n".join(lines), source="big.nt")
+    assert err.value.line == 1003
+    assert "big.nt:1003" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [
+    '<http://e/a> "lit" <http://e/b> .',                # literal predicate
+    '<http://e/a> _:p <http://e/b> .',                  # blank predicate
+    '"lit" <http://e/p> <http://e/b> .',                # literal subject
+    '"lit"@en <http://e/p> "o" .',
+])
+def test_kinds_the_line_regex_refuses(bad):
+    with pytest.raises(ParseError):
+        parse_ntriples(bad)
+
+
+_IRIS = st.text(alphabet=st.sampled_from("ab:#/.é中%"), max_size=10)
+_BLANKS = st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_-]{0,5}", fullmatch=True)
+_LITERALS = st.one_of(
+    st.builds(lit, _texts),
+    st.builds(lambda text, tag: lit(text, lang=tag), _texts,
+              st.sampled_from(["en", "de-CH", "x-a1"])),
+    st.builds(lambda text, dt: lit(text, datatype=dt), _texts, _IRIS))
+_SUBJECTS = st.one_of(st.builds(iri, _IRIS), st.builds(blank, _BLANKS))
+_OBJECTS = st.one_of(_SUBJECTS, _LITERALS)
+
+
+@given(st.lists(st.tuples(_SUBJECTS, st.builds(iri, _IRIS), _OBJECTS), max_size=20))
+def test_parsed_triples_equal_the_validated_ones(parts):
+    triples = [Triple(s, p, o) for s, p, o in parts]
+    parsed = parse_ntriples(serialize_ntriples(triples))
+    assert parsed == triples
+    # every triple the parser builds passes the validating constructor
+    assert all(Triple(t.s, t.p, t.o) == t for t in parsed)
+
+
+@pytest.mark.parametrize("spec", [
+    WorkloadSpec(name="star", shape="star", pattern_count=4, subject_count=40, filler=60),
+    WorkloadSpec(name="chain", shape="chain", pattern_count=3, subject_count=40),
+    WorkloadSpec(name="snowflake", shape="snowflake", pattern_count=5, subject_count=60),
+], ids=lambda spec: spec.shape)
+def test_reparsed_workload_loads_to_the_generated_store(spec):
+    """Serialized and parsed again, a generated dataset loads to the store
+    its generator's triples load to, under every base and node count."""
+    triples = generate(spec).triples
+    parsed = parse_ntriples(serialize_ntriples(triples))
+    for base in BasePartition:
+        for m in (1, 3, 4):
+            assert load_partitioned(parsed, Cluster(m), base) \
+                == load_partitioned(triples, Cluster(m), base)

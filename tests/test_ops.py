@@ -25,8 +25,8 @@ from sparqlsim.terms import EMPTY_ROW, TERMS, Triple, TriplePattern
 from sparqlsim.workloads import snowflake_query, snowflake_selection_sizes
 
 from conftest import (
-    A, AGE, B, C, D0, EX, KNOWS, NAME, decode_triple, encode_triple, make_dataset,
-    make_relation, match_binding,
+    A, AGE, B, C, D0, EX, KNOWS, NAME, decode_group, encode_group, make_dataset,
+    make_relation, match_binding, node_triples,
 )
 
 X, Y, N, G = var("x"), var("y"), var("n"), var("g")
@@ -66,7 +66,7 @@ def test_selection_spec_compile():
     assert spec.predicate == KNOWS.id
     knows = Triple(A, KNOWS, B)
     # x, y: first-position order
-    assert spec.rows_of([encode_triple(knows)]) \
+    assert tuple(spec.rows_in(KNOWS.id, encode_group([knows]))) \
         == _matching_rows(P_KNOWS, [knows], spec.columns) == ((A.id, B.id),)
     assert _matching_rows(P_KNOWS, [Triple(A, NAME, lit("A"))], spec.columns) == ()
     assert [s.label for s in compile_specs([P_KNOWS, P_NAME])] == ["t1", "t2"]
@@ -77,7 +77,7 @@ def test_selection_same_variable_twice_requires_equality():
     loop = iri(EX + "loop")
     group = [Triple(loop, KNOWS, loop), Triple(A, KNOWS, B)]
     assert spec.columns == (X,)
-    assert spec.rows_of(map(encode_triple, group)) \
+    assert tuple(spec.rows_in(KNOWS.id, encode_group(group))) \
         == _matching_rows(P_SELF, group, spec.columns) == ((loop.id,),)
 
 
@@ -184,8 +184,7 @@ def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
     # the pattern's variables in first-position order
     assert rel.columns == tuple(dict.fromkeys(
         t for t in pattern.positions() if t.is_variable))
-    for j, groups in enumerate(dataset.groups):
-        node = [decode_triple(t) for group in groups.values() for t in group]
+    for j, node in enumerate(node_triples(dataset)):
         # every node, predicate groups in order, load order within a group
         assert rel.chunks[j] == _matching_rows(pattern, node, rel.columns)
     assert rel.partition == selection_state(spec, dataset)
@@ -210,11 +209,11 @@ def test_merged_selection_equals_independent_selections(store, ground, general, 
     # that match at least one pattern, in order, and drop emptied groups.
     assert subset.base == dataset.base
     for kept, groups in zip(subset.groups, dataset.groups, strict=True):
-        want = {p: tuple(t for t in group
-                         if any(match_binding(s.pattern, decode_triple(t)) is not None
-                                for s in specs))
+        want = {p: encode_group([t for t in decode_group(p, group)
+                                 if any(match_binding(s.pattern, t) is not None
+                                        for s in specs)])
                 for p, group in groups.items()}
-        assert list(kept.items()) == [(p, g) for p, g in want.items() if g]
+        assert list(kept.items()) == [(p, g) for p, g in want.items() if g[0]]
     assert ledger.totals()["scanned"] == dataset.size + len(specs) * subset.size
 
 
