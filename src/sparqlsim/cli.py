@@ -13,8 +13,10 @@ Subcommands:
 Exit codes: 0 success; 2 bad input (missing file, a path that cannot be
 read or written such as a directory, file that is not UTF-8, parse error,
 or an invalid option such as ``-m 0``, a negative cost weight or
-``--allow-cross-product`` with ``bench --suite``); 3 query uses an
-unsupported feature; 4 the pattern is a cross product and
+``--allow-cross-product`` with ``bench --suite``; a node count, given with
+``-m`` or in a suite's ``m`` list, must lie in 1..1024, ``MAX_NODE_COUNT``,
+since the store and every relation hold one table or chunk per node); 3
+query uses an unsupported feature; 4 the pattern is a cross product and
 ``--allow-cross-product`` was not given; 5 ``bench`` verification
 stopped because the reference evaluation exceeded its row budget (lower
 ``--verify-limit`` to skip verifying that dataset).
@@ -33,8 +35,8 @@ from .bench import (
     DEFAULT_VERIFY_LIMIT, BenchCase, BenchReport, run_bench, run_suite,
 )
 from .cluster import (
-    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, Cluster, Dataset,
-    load_partitioned,
+    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, MAX_NODE_COUNT, BasePartition,
+    Cluster, Dataset, load_partitioned,
 )
 from .cost import CostParams
 from .engine import STRATEGIES, result_cell, result_lines, result_tuples, run_query
@@ -57,13 +59,16 @@ EXIT_RESULT_LIMIT = 5
 _PARTITION_KEYS = tuple(b.value for b in BasePartition)
 
 
-def _positive_int(text: str) -> int:
+def _node_count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_NODE_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_NODE_COUNT}, got {value}")
     return value
 
 
@@ -79,7 +84,7 @@ def _weight(text: str) -> float:
 
 
 def _add_cluster_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-m", "--partitions", type=_positive_int, default=DEFAULT_NODE_COUNT,
+    p.add_argument("-m", "--partitions", type=_node_count, default=DEFAULT_NODE_COUNT,
                    metavar="N",
                    help=f"number of simulated nodes (default {DEFAULT_NODE_COUNT})")
     p.add_argument("--partition-key", choices=_PARTITION_KEYS, default=DEFAULT_PARTITIONING,
@@ -135,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="single dataset file (pair with --query)")
     p_bench.add_argument("--query", metavar="QUERY.rq",
                          help="query file for --data")
-    p_bench.add_argument("-m", "--partitions", type=_positive_int, nargs="+",
+    p_bench.add_argument("-m", "--partitions", type=_node_count, nargs="+",
                          default=None, metavar="N", help="node-count grid "
                          f"(default: suite setting, else {DEFAULT_NODE_COUNT})")
     p_bench.add_argument("--partition-key", choices=_PARTITION_KEYS, default=None,

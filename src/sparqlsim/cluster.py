@@ -9,9 +9,11 @@ describing what the layout guarantees. The state is its key alone:
 * random (the empty key): rows live anywhere.
 
 All data movement flows through :func:`shuffle` and :func:`broadcast`, which
-charge a :class:`TransferLedger`. A broadcast copy is not a relation: it is
-the row tuple every node reads during one broadcast join. The ledger keeps
-two shuffle counters: the modeled count charges the full relation size (the
+charge the :class:`TransferLedger` of the operator that calls them; the
+executor keeps one such ledger on each operator's trace entry, and a run's
+ledger is their sum. A broadcast copy is not a relation: it is the row tuple
+every node reads during one broadcast join. A ledger keeps two shuffle
+counters: the modeled count charges the full relation size (the
 cost-model convention) and the actual count only rows that really change
 nodes, so co-location savings stay visible. ``actual <= modeled`` always
 holds.
@@ -175,29 +177,16 @@ def for_each_node(m: int, task: Callable[[int], T]) -> list[T]:
 
 
 @dataclass(slots=True)
-class OperatorCounters:
-    operator: str
-    scanned: int = 0
-    shuffled_modeled: int = 0
-    shuffled_actual: int = 0
-    broadcast: int = 0
-
-
 class TransferLedger:
-    """Monotone counters for tuples scanned, shuffled, and broadcast, with a
-    per-operator breakdown keyed by operator id."""
+    """Counters for tuples scanned, shuffled and broadcast: one operator's
+    charges, or their sum over a run."""
 
-    __slots__ = ("scanned_tuples", "shuffled_tuples_modeled", "shuffled_tuples_actual",
-                 "broadcast_tuples", "per_operator")
+    scanned_tuples: int = 0
+    shuffled_tuples_modeled: int = 0
+    shuffled_tuples_actual: int = 0
+    broadcast_tuples: int = 0
 
-    def __init__(self):
-        self.scanned_tuples = 0
-        self.shuffled_tuples_modeled = 0
-        self.shuffled_tuples_actual = 0
-        self.broadcast_tuples = 0
-        self.per_operator: dict[str, OperatorCounters] = {}
-
-    def tally(self, operator: str, *, scanned: int = 0, shuffled_modeled: int = 0,
+    def tally(self, *, scanned: int = 0, shuffled_modeled: int = 0,
               shuffled_actual: int = 0, broadcast: int = 0) -> None:
         for name, delta in (("scanned", scanned), ("shuffled_modeled", shuffled_modeled),
                             ("shuffled_actual", shuffled_actual), ("broadcast", broadcast)):
@@ -207,13 +196,6 @@ class TransferLedger:
         self.shuffled_tuples_modeled += shuffled_modeled
         self.shuffled_tuples_actual += shuffled_actual
         self.broadcast_tuples += broadcast
-        entry = self.per_operator.get(operator)
-        if entry is None:
-            entry = self.per_operator[operator] = OperatorCounters(operator)
-        entry.scanned += scanned
-        entry.shuffled_modeled += shuffled_modeled
-        entry.shuffled_actual += shuffled_actual
-        entry.broadcast += broadcast
 
     @property
     def total_transfer(self) -> int:
@@ -278,8 +260,7 @@ class Relation:
         return list(map(_binding_decoder(self.columns), self.tuples()))
 
 
-def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
-            operator: str = "shuffle") -> Relation:
+def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger) -> Relation:
     """Repartition a relation by hash on ``key``.
 
     Charges the full logical size to the modeled counter; the actual counter
@@ -301,16 +282,15 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger,
             if dest != j:
                 moved += 1
             buckets[dest].append(row)
-    ledger.tally(operator, shuffled_modeled=rel.count, shuffled_actual=moved)
+    ledger.tally(shuffled_modeled=rel.count, shuffled_actual=moved)
     return Relation(rel.columns, tuple(tuple(b) for b in buckets), keyed(key_set))
 
 
-def broadcast(rel: Relation, ledger: TransferLedger,
-              operator: str = "broadcast") -> tuple[Row, ...]:
+def broadcast(rel: Relation, ledger: TransferLedger) -> tuple[Row, ...]:
     """Ship a relation to every node, charging (m-1) copies of its size, and
     return the one row tuple that every node reads."""
     full = tuple(rel.tuples())
-    ledger.tally(operator, broadcast=(rel.m - 1) * len(full))
+    ledger.tally(broadcast=(rel.m - 1) * len(full))
     return full
 
 
@@ -366,8 +346,11 @@ class BasePartition(Enum):
         return None
 
 
-# The node count and store partitioning wherever a run names none.
+# The node count and store partitioning wherever a run names none, and the
+# largest node count a run accepts: the store and every relation hold one
+# table or chunk per node, so an unbounded m is an unbounded allocation.
 DEFAULT_NODE_COUNT = 4
+MAX_NODE_COUNT = 1024
 DEFAULT_PARTITIONING = BasePartition.SUBJECT.value
 
 

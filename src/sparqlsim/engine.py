@@ -35,10 +35,14 @@ class RunResult:
     strategy: str
     plan: PhysicalPlan
     relation: Relation           # already projected onto the select list
-    ledger: TransferLedger
     trace: ExecutionTrace
     wall_seconds: float
     evaluations: int | None = None   # adaptive strategy only
+
+    @property
+    def ledger(self) -> TransferLedger:
+        """The run's totals: the sum of its trace entries' charges."""
+        return self.trace.ledger()
 
     @property
     def result_count(self) -> int:
@@ -71,7 +75,7 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
         raise ValueError(f"unknown strategy {strategy!r} "
                          f"(expected one of {', '.join(STRATEGIES)})")
     check_loaded_on(dataset, cluster)
-    executor = Executor(dataset, TransferLedger(), ExecutionTrace(), validate)
+    executor = Executor(dataset, validate)
     started = time.perf_counter()
     evaluations = None
     if strategy == "hybrid":
@@ -82,8 +86,7 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
         plan, _ = plan_static(strategy, query, executor, allow_cross=allow_cross)
         relation = execute_plan(plan, executor, query.select)
     wall = time.perf_counter() - started
-    return RunResult(strategy, plan, relation, executor.ledger, executor.trace, wall,
-                     evaluations)
+    return RunResult(strategy, plan, relation, executor.trace, wall, evaluations)
 
 
 def run_query(query: Query, dataset: Dataset, cluster: Cluster,

@@ -3,16 +3,16 @@
 Every strategy, static or adaptive, runs its selections and joins through an
 :class:`Executor`. A static plan is walked bottom-up in one call; the
 adaptive planner hands the executor one step at a time. The executor
-charges every scan and transfer to a :class:`TransferLedger` and appends
-one entry per operator to an :class:`ExecutionTrace`; the trace carries
-exactly the quantities the cost model prices (input sizes, layouts, store
-and shared-subset sizes), so :func:`trace_cost` can recompute a run's
-modeled cost from the trace alone and be checked against the ledger.
+appends one entry per operator to its :class:`ExecutionTrace`, the run's
+only record. An entry holds the operator's charges, a ledger that operator
+alone charged, and the quantities the cost model prices (input sizes,
+layouts, store and shared-subset sizes). The run's ledger is the sum of the
+charges; :func:`trace_cost` recomputes it from the priced quantities alone.
 
-One executor is the whole context of a run: the store, the ledger, the
-trace and the validation switch. It keeps every selection it ran in its
-``leaf_cache``, so a plan built from measured selections (to pick broadcast
-targets, say) runs on the same executor without scanning or charging twice.
+One executor is the whole context of a run: the store, the trace and the
+validation switch. It keeps every selection it ran in its ``leaf_cache``,
+so a plan built from measured selections (to pick broadcast targets, say)
+runs on the same executor without scanning or charging twice.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +24,8 @@ from .cost import (
     pjoin_shuffle_size,
 )
 from .ops import (
-    SelectionSpec, brjoin, merged_operator, merged_selection, pjoin, project,
-    shared_subset, triple_selection,
+    SelectionSpec, brjoin, merged_selection, pjoin, project, shared_subset,
+    triple_selection,
 )
 from .physical import (
     BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, SelectionNode, plan_leaves,
@@ -35,13 +35,14 @@ from .terms import Term
 
 @dataclass(frozen=True, slots=True)
 class TraceEntry:
-    """One executed operator, with everything the cost model needs."""
+    """One executed operator: what it charged, and everything the cost
+    model needs to price it. Its identity is its position in the trace."""
 
     kind: str                       # "selection" | "merged-selection" | "pjoin" | "brjoin"
-    operator: str                   # ledger operator id
     inputs: tuple[tuple[int, PartitionState], ...]
     output_size: int
     output_state: PartitionState
+    charges: TransferLedger
     on: frozenset[Term] = frozenset()
     target: int | None = None       # brjoin only
     dataset_size: int = 0           # selections only
@@ -53,13 +54,21 @@ class TraceEntry:
 class ExecutionTrace:
     entries: list[TraceEntry] = field(default_factory=list)
 
+    def ledger(self) -> TransferLedger:
+        """The run's ledger: the sum of every entry's charges."""
+        total = TransferLedger()
+        for entry in self.entries:
+            total.tally(**entry.charges.totals())
+        return total
+
 
 def trace_cost(trace: ExecutionTrace, m: int,
                params: CostParams = DEFAULT_PARAMS) -> CostEstimate:
     """Recompute a run's modeled cost from its trace.
 
-    With unit weights this must equal the ledger: access = tuples scanned,
-    transfer = modeled shuffles plus broadcast copies.
+    With unit weights this must equal the charges: access = tuples
+    scanned, transfer = modeled shuffles plus broadcast copies, entry by
+    entry and so for the run's ledger.
     """
     access = 0.0
     transfer = 0.0
@@ -81,42 +90,36 @@ def trace_cost(trace: ExecutionTrace, m: int,
 class Executor:
     """The only code that runs distributed operators.
 
-    Each selection or join step stages its operator, numbers it, appends its
-    trace entry and, with ``validate``, checks its placement. Static plans
-    run whole through :func:`execute_plan`; the adaptive planner calls
-    :meth:`run_selections` and :meth:`run_join` one step at a time.
+    Each selection or join step stages its operator on a fresh ledger,
+    appends its trace entry with those charges and, with ``validate``,
+    checks its placement. Static plans run whole through
+    :func:`execute_plan`; the adaptive planner calls :meth:`run_selections`
+    and :meth:`run_join` one step at a time.
     """
 
-    def __init__(self, dataset: Dataset, ledger: TransferLedger,
-                 trace: ExecutionTrace, validate: bool = False):
+    def __init__(self, dataset: Dataset, validate: bool = False):
         self.dataset = dataset
-        self.ledger = ledger
-        self.trace = trace
+        self.trace = ExecutionTrace()
         self.validate = validate
         self.leaf_cache: dict[int, Relation] = {}
-        self._join_seq = 0
 
     def run_selections(self, specs: Sequence[SelectionSpec],
                        subset: Dataset | None = None) -> list[Relation]:
         """Selection step: one store scan per pattern, or, given the shared
         subset S of ``specs``, one shared pass over the store for all of them
         with every pattern extracted from S. Fills the leaf cache."""
+        size = self.dataset.size
         if subset is not None:
-            rels = merged_selection(specs, self.dataset, self.ledger, subset)
-            self._record(TraceEntry(
-                kind="merged-selection", operator=merged_operator(specs), inputs=(),
-                output_size=sum(r.count for r in rels), output_state=rels[0].partition,
-                dataset_size=self.dataset.size, pattern_count=len(specs),
-                subset_size=subset.size), rels)
+            charges = TransferLedger()
+            rels = merged_selection(specs, self.dataset, charges, subset)
+            self._record("merged-selection", charges, rels, dataset_size=size,
+                         pattern_count=len(specs), subset_size=subset.size)
         else:
             rels = []
             for spec in specs:
-                rel = triple_selection(spec, self.dataset, self.ledger)
-                self._record(TraceEntry(
-                    kind="selection", operator=spec.operator, inputs=(),
-                    output_size=rel.count, output_state=rel.partition,
-                    dataset_size=self.dataset.size), [rel])
-                rels.append(rel)
+                charges = TransferLedger()
+                rels.append(triple_selection(spec, self.dataset, charges))
+                self._record("selection", charges, rels[-1:], dataset_size=size)
         for spec, rel in zip(specs, rels):
             self.leaf_cache[spec.index] = rel
         return rels
@@ -131,17 +134,12 @@ class Executor:
             kind, target = "brjoin", node.target
         else:
             raise TypeError(f"unknown plan node: {node!r}")
-        self._join_seq += 1
-        op = f"{kind}#{self._join_seq}"
+        charges = TransferLedger()
         if target is None:
-            out = pjoin(node.on, inputs, self.ledger, op)
+            out = pjoin(node.on, inputs, charges)
         else:
-            out = brjoin(node.on, inputs, target, self.ledger, op,
-                         allow_empty_on=node.cross)
-        self._record(TraceEntry(
-            kind=kind, operator=op, inputs=tuple((r.count, r.partition) for r in inputs),
-            output_size=out.count, output_state=out.partition, on=node.on,
-            target=target), [out])
+            out = brjoin(node.on, inputs, target, charges, allow_empty_on=node.cross)
+        self._record(kind, charges, [out], inputs, on=node.on, target=target)
         return out
 
     def run_projection(self, rel: Relation, select: Sequence[Term]) -> Relation:
@@ -151,8 +149,13 @@ class Executor:
             check_placement(out)
         return out
 
-    def _record(self, entry: TraceEntry, outputs: Sequence[Relation]) -> None:
-        self.trace.entries.append(entry)
+    def _record(self, kind: str, charges: TransferLedger, outputs: Sequence[Relation],
+                inputs: Sequence[Relation] = (), **priced) -> None:
+        """Append the entry of an operator that read ``inputs`` and wrote
+        ``outputs``; ``priced`` holds the rest of what the cost model reads."""
+        self.trace.entries.append(TraceEntry(
+            kind, tuple((r.count, r.partition) for r in inputs),
+            sum(r.count for r in outputs), outputs[0].partition, charges, **priced))
         if self.validate:
             for rel in outputs:
                 check_placement(rel)

@@ -13,11 +13,9 @@ from :func:`~sparqlsim.hybrid.hybrid_opening`, so what is explained is what
 a run executes.
 """
 
-from .cluster import (
-    Cluster, Dataset, PartitionState, Relation, TransferLedger, check_loaded_on, keyed,
-)
+from .cluster import Cluster, Dataset, PartitionState, Relation, check_loaded_on, keyed
 from .engine import plan_static
-from .executor import ExecutionTrace, Executor
+from .executor import Executor
 from .hybrid import hybrid_opening
 from .logical import classify_shape
 from .physical import (
@@ -81,7 +79,7 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
     ]
 
     # Explaining measures the selections on a throwaway executor.
-    executor = Executor(dataset, TransferLedger(), ExecutionTrace())
+    executor = Executor(dataset)
     if strategy == "hybrid":
         return "\n".join(header + _explain_hybrid(query, executor, allow_cross)) + "\n"
 

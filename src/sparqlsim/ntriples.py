@@ -15,16 +15,21 @@ from .terms import (
 )
 
 _IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
-_BLANK_LABEL = r"[A-Za-z0-9][A-Za-z0-9_.-]*"
-_LITERAL_RE = (r'"(?:[^"\\]|\\.)*"(?:\^\^<' + _IRI_CHARS
-               + r">|@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?")
+# A blank node label may hold dots but not end in one, so the line's final
+# dot is never part of it: "_:a." is the label "a" before the terminator.
+BLANK_LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+# A literal's escapes are the grammar's ECHAR (a backslash before one of
+# tbnrf"'\) and UCHAR (\u and 4 hex digits, \U and 8); the token is kept
+# verbatim, escapes unexpanded.
+_LITERAL_RE = (r'"[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})'
+               r'[^"\\]*)*"(?:\^\^<' + _IRI_CHARS + r">|@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?")
 
 # One match per line. Its six groups separate the kinds: subject IRI or
 # blank label, predicate IRI, object IRI, blank label or literal token.
 _TRIPLE_LINE = re.compile(
-    rf"^\s*(?:<({_IRI_CHARS})>|_:({_BLANK_LABEL}))"
+    rf"^\s*(?:<({_IRI_CHARS})>|_:({BLANK_LABEL}))"
     rf"\s+<({_IRI_CHARS})>"
-    rf"\s+(?:<({_IRI_CHARS})>|_:({_BLANK_LABEL})|({_LITERAL_RE}))"
+    rf"\s+(?:<({_IRI_CHARS})>|_:({BLANK_LABEL})|({_LITERAL_RE}))"
     r"\s*\.\s*$"
 )
 

@@ -1,6 +1,8 @@
 """Distributed physical operators: selections and joins.
 
-Accounting conventions (charged to the :class:`TransferLedger`):
+Accounting conventions (each operator charges the
+:class:`~sparqlsim.cluster.TransferLedger` it is given, which the executor
+keeps on that operator's trace entry):
 
 * a triple selection scans the whole store once: ``scanned += size(D)``;
 * a merged selection for n patterns builds the union subset S in one pass
@@ -86,11 +88,6 @@ class SelectionSpec:
     def label(self) -> str:
         return pattern_label(self.index)
 
-    @property
-    def operator(self) -> str:
-        """Ledger and trace id of this pattern's own store scan."""
-        return f"sel[{self.label}]"
-
     def mask(self, p: int, group: IdColumns) -> Iterable[bool] | None:
         """Which triples of predicate ``p``'s ``group`` the pattern matches,
         one flag per index of its columns, or None when it matches them all.
@@ -148,11 +145,6 @@ def compile_specs(patterns: Sequence[TriplePattern]) -> list[SelectionSpec]:
     return [SelectionSpec.compile(i, p) for i, p in enumerate(patterns)]
 
 
-def merged_operator(specs: Sequence[SelectionSpec]) -> str:
-    """Ledger and trace id of one shared pass for ``specs``."""
-    return "merged-sel[" + ",".join(s.label for s in specs) + "]"
-
-
 def _read_groups(spec: SelectionSpec, store: Dataset) -> Relation:
     """The selection of ``spec`` read from the predicate groups of
     ``store``, one row chunk per node. A ground predicate reads its own
@@ -177,7 +169,7 @@ def triple_selection(spec: SelectionSpec, dataset: Dataset,
     """Scan the store once and emit one row per matching triple. Purely
     node-local; charges one full scan and no transfer."""
     rel = _read_groups(spec, dataset)
-    ledger.tally(spec.operator, scanned=dataset.size)
+    ledger.tally(scanned=dataset.size)
     return rel
 
 
@@ -235,7 +227,7 @@ def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
     selections; only the scan accounting differs.
     """
     relations = [_read_groups(spec, subset) for spec in specs]
-    ledger.tally(merged_operator(specs), scanned=dataset.size + len(specs) * subset.size)
+    ledger.tally(scanned=dataset.size + len(specs) * subset.size)
     return relations
 
 
@@ -395,7 +387,7 @@ def _join_nodes(staged: Sequence[Relation], driver: int,
 
 
 def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
-          ledger: TransferLedger, operator: str = "pjoin") -> Relation:
+          ledger: TransferLedger) -> Relation:
     """Partitioned n-ary join on the variable set ``on``.
 
     Every input not already keyed exactly on ``on`` is shuffled first, and
@@ -413,13 +405,12 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
 
     m = _node_count(inputs)
     staged = [rel if rel.partition.is_keyed_on(on)
-              else shuffle(rel, on, ledger, operator) for rel in inputs]
+              else shuffle(rel, on, ledger) for rel in inputs]
     return _join_nodes(staged, 0, {}, m, keyed(on))
 
 
 def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
-           ledger: TransferLedger, operator: str = "brjoin",
-           allow_empty_on: bool = False) -> Relation:
+           ledger: TransferLedger, allow_empty_on: bool = False) -> Relation:
     """Broadcast n-ary join: every input except the target is shipped to all
     nodes and the join runs against the target's local chunks, so the
     result inherits the target's partition state. The broadcast copies
@@ -439,7 +430,7 @@ def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
                          "(cross products are opt-in)")
 
     m = _node_count(inputs)
-    copies = {i: broadcast(rel, ledger, operator)
+    copies = {i: broadcast(rel, ledger)
               for i, rel in enumerate(inputs) if i != target_index}
     return _join_nodes(inputs, target_index, copies, m,
                        inputs[target_index].partition)

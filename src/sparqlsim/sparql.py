@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, UnsupportedFeatureError
+from .ntriples import BLANK_LABEL
 from .terms import Term, TriplePattern, blank, iri, literal_token, pattern_vars, var
 
 RDF_TYPE = iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
@@ -57,11 +58,11 @@ _TOKEN_RE = re.compile(
             (?:\^\^(?:<[^<>"{}|^`\\\x00-\x20]*>|%(pname)s:%(local)s)
               |@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?)
       | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
-      | (?P<blank>_:[A-Za-z0-9][A-Za-z0-9_.-]*)
+      | (?P<blank>_:%(blank)s)
       | (?P<pname>(?:%(pname)s)?:(?:%(local)s)?)
       | (?P<word>[A-Za-z][A-Za-z0-9_]*)
       | (?P<punct>[{}.;,*()])
-    """ % {"pname": _PNAME, "local": _LOCAL},
+    """ % {"pname": _PNAME, "local": _LOCAL, "blank": BLANK_LABEL},
     re.VERBOSE,
 )
 

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .cluster import DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition
+from .cluster import (
+    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, MAX_NODE_COUNT, BasePartition,
+)
 from .engine import STRATEGIES
 from .errors import ParseError
 from .sparql import RDF_TYPE, Query
@@ -342,6 +344,10 @@ def load_suite(path: str | Path) -> Suite:
     if bad_m:
         raise ParseError(f"{path}: node counts in 'm' must be at least 1, "
                          f"got {', '.join(map(str, bad_m))}")
+    big_m = [m for m in suite.m if m > MAX_NODE_COUNT]
+    if big_m:
+        raise ParseError(f"{path}: node counts in 'm' must be at most "
+                         f"{MAX_NODE_COUNT}, got {', '.join(map(str, big_m))}")
     bases = tuple(b.value for b in BasePartition)
     if suite.partitioning not in bases:
         raise ParseError(f"{path}: unknown partitioning {suite.partitioning!r} "

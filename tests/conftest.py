@@ -39,6 +39,17 @@ D0 = [
 ]
 
 
+# Lines the W3C N-Triples grammar rejects: a blank node label ends in a
+# name character, not a dot, and a literal's escapes are ECHAR or UCHAR.
+NT_GRAMMAR_VIOLATIONS = [
+    '<http://e/s> <http://e/p> _:a. .',               # object label "a."
+    '_:b.. <http://e/p> <http://e/o>.',               # subject label "b.."
+    r'<http://e/s> <http://e/p> "a\u00zz" .',         # \u takes 4 hex digits
+    r'<http://e/s> <http://e/p> "a\U0001F60" .',      # \U takes 8
+    r'<http://e/s> <http://e/p> "a\x41" .',           # not an ECHAR
+]
+
+
 @pytest.fixture
 def d0_triples() -> list[Triple]:
     return list(D0)

@@ -25,7 +25,7 @@ import time
 from contextlib import contextmanager
 
 from sparqlsim import (
-    BasePartition, BindingRow, Cluster, CostParams, ExecutionTrace, Executor,
+    BasePartition, BindingRow, Cluster, CostParams, Executor,
     Query, Relation, ResultSizeLimitError, STRATEGIES, TransferLedger, Triple,
     TriplePattern,
     WorkloadSpec, as_multiset, cost_merged_selection, cost_selection,
@@ -319,15 +319,14 @@ def test_criterion_4_crossover_law():
                         store = small_triples + large_triples[:gamma2]
                         ds = load_partitioned(store, Cluster(m),
                                               BasePartition.RANDOM)
-                        ledger = TransferLedger()
-                        run = plan_and_execute_hybrid(
-                            _GRID_QUERY.patterns,
-                            Executor(ds, ledger, ExecutionTrace()))
+                        executor = Executor(ds)
+                        run = plan_and_execute_hybrid(_GRID_QUERY.patterns, executor)
                         root = render_plan(run.plan.root)
                         chose_pjoin = root.startswith("Pjoin")
                         assert chose_pjoin == predicted_pjoin, \
                             (gamma1, ratio, m, root)
-                        assert ledger.total_transfer == min(moved_p, moved_b)
+                        assert (executor.trace.ledger().total_transfer
+                                == min(moved_p, moved_b))
                         engine_checked += 1
         assert engine_checked > 1800
 

@@ -11,8 +11,9 @@ import pytest
 from sparqlsim import generate, serialize_ntriples, serialize_query, WorkloadSpec
 from sparqlsim import cli
 from sparqlsim.cli import main
+from sparqlsim.cluster import MAX_NODE_COUNT
 
-from conftest import QUERY_DIR, REPO_ROOT
+from conftest import NT_GRAMMAR_VIOLATIONS, QUERY_DIR, REPO_ROOT
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +272,15 @@ def test_exit_2_malformed_data(capsys, tmp_path):
     assert code == 2 and "bad.nt:1" in err
 
 
+@pytest.mark.parametrize("line", NT_GRAMMAR_VIOLATIONS)
+def test_exit_2_data_outside_the_n_triples_grammar(capsys, tmp_path, line):
+    bad = tmp_path / "bad.nt"
+    bad.write_text("<http://e/s> <http://e/p> <http://e/o> .\n" + line + "\n",
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "load", str(bad))
+    assert (code, out) == (2, "") and "bad.nt:2" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["load", "{data}"], ["query", "{data}", Q8], ["explain", "{data}", Q8],
     ["bench", "--data", "{data}", "--query", Q8]])
@@ -279,6 +289,37 @@ def test_exit_2_zero_partitions(capsys, university_nt, argv):
         main([a.format(data=university_nt) for a in argv] + ["-m", "0"])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran although the node count is out of bounds")
+
+
+@pytest.mark.parametrize("argv", [
+    ["load", "{data}", "-m", "{m}"], ["query", "{data}", Q8, "-m", "{m}"],
+    ["explain", "{data}", Q8, "-m", "{m}"],
+    ["bench", "--data", "{data}", "--query", Q8, "-m", "2", "{m}"],
+    ["bench", "--suite", str(REPO_ROOT / "workloads" / "star-suite.json"),
+     "-m", "{m}", "2"]])
+@pytest.mark.parametrize("m", [str(MAX_NODE_COUNT + 1), "100000000"])
+def test_exit_2_node_count_above_the_bound(capsys, monkeypatch, university_nt,
+                                           argv, m):
+    # The option parser refuses the value, so no store or relation of m
+    # node tables is ever allocated.
+    for name in ("load_partitioned", "run_bench", "run_suite", "load_suite"):
+        monkeypatch.setattr(cli, name, _never)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(data=university_nt, m=m) for a in argv])
+    assert exc.value.code == 2
+    assert f"must be at most {MAX_NODE_COUNT}, got {m}" in capsys.readouterr().err
+
+
+def test_node_count_bound_is_inclusive_and_documented():
+    args = cli.build_parser().parse_args(["load", "x.nt", "-m", str(MAX_NODE_COUNT)])
+    assert args.partitions == MAX_NODE_COUNT
+    assert f"1..{MAX_NODE_COUNT}" in cli.__doc__
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"`-m` above {MAX_NODE_COUNT}" in readme
 
 
 @pytest.mark.parametrize("weight", ["-1", "nan", "inf", "x"])
@@ -312,10 +353,12 @@ def test_exit_2_non_utf8_data(capsys, tmp_path):
      "workloads[0]: pattern_count must be an integer, got 3.5"),
     ('"m": [2]', ', "filler": true', "workloads[0]: filler must be an integer, got True"),
     ('"m": [2.7]', "", "'m' must list integer node counts, got [2.7]"),
-    ('"m": [4, false]', "", "'m' must list integer node counts, got [4, False]")],
+    ('"m": [4, false]', "", "'m' must list integer node counts, got [4, False]"),
+    ('"m": [2, 1025, 100000000]', "",
+     "must be at most 1024, got 1025, 100000000")],
     ids=["unknown-key", "partitioning", "strategy", "m", "empty-m",
          "empty-strategies", "workload-seed", "float-pattern-count",
-         "bool-filler", "float-m", "bool-m"])
+         "bool-filler", "float-m", "bool-m", "huge-m"])
 def test_exit_2_bad_suite_settings(capsys, tmp_path, setting, workload_setting,
                                    message):
     suite = tmp_path / "suite.json"

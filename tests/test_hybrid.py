@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
-    STRATEGIES, BasePartition, BindingRow, ExecutionTrace, Executor,
-    TransferLedger, Triple, TriplePattern, WorkloadSpec, as_multiset,
+    STRATEGIES, BasePartition, BindingRow, Executor, Triple, TriplePattern,
+    WorkloadSpec, as_multiset,
     execute_plan, generate, iri, lit, merged_scan_beneficial, oracle_eval,
     parse_query, plan_and_execute_hybrid, render_plan, run_strategy, var,
 )
@@ -19,13 +19,13 @@ from sparqlsim.workloads import CHAIN_PROFILES, HEAD_NOISE, NOISE_FACTOR, PARALL
 from conftest import EX, make_dataset, make_relation
 
 
-def _hybrid(workload, m=4, base=BasePartition.SUBJECT, trace=None, **kwargs):
+def _hybrid(workload, m=4, base=BasePartition.SUBJECT, **kwargs):
+    """The adaptive run, its execution trace and the store it ran on."""
     dataset, _ = make_dataset(workload.triples, m=m, base=base)
-    ledger = TransferLedger()
-    run = plan_and_execute_hybrid(workload.query.patterns,
-                                  Executor(dataset, ledger, trace or ExecutionTrace()),
+    executor = Executor(dataset)
+    run = plan_and_execute_hybrid(workload.query.patterns, executor,
                                   select=workload.query.select, **kwargs)
-    return run, ledger, dataset
+    return run, executor.trace, dataset
 
 
 _STAR_15 = "Pjoin_x(" + ",".join(f"t{i}" for i in range(1, 16)) + ")"
@@ -58,7 +58,7 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
         return _Slot(rel, SelectionNode(index, TriplePattern(v, iri(EX + "p"), v)), index)
 
     dataset, _ = make_dataset([], m=3)
-    planner = _HybridPlanner([], Executor(dataset, TransferLedger(), ExecutionTrace()))
+    planner = _HybridPlanner([], Executor(dataset))
     a, b = slot(0, x, 10, key=[x]), slot(1, x, 20)
     c, d = slot(2, w, 10), slot(3, w, 11)
     first, second, choice = planner.opening([a, b, c, d])
@@ -114,23 +114,19 @@ def test_each_hybrid_join_moves_the_cheapest_candidate(case):
     pair's candidates, priced by the cost model, and is the candidate the
     tie-breaks pick."""
     spec, m, base = case
-    trace = ExecutionTrace()
-    _, ledger, _ = _hybrid(generate(spec), m=m, base=base, trace=trace)
+    _, trace, _ = _hybrid(generate(spec), m=m, base=base)
     joins = [e for e in trace.entries if e.kind in ("pjoin", "brjoin")]
     assert len(joins) == spec.pattern_count - 1
     for entry in joins:
         cost, kind, target = _cheapest_candidate(entry.inputs, entry.on, m)
-        # an operator that moves nothing leaves no ledger entry
-        counters = ledger.per_operator.get(entry.operator)
-        moved = counters.shuffled_modeled + counters.broadcast if counters else 0
-        assert moved == cost
+        assert entry.charges.total_transfer == cost
         assert (entry.kind, entry.target) == (kind, target)
 
 
 def test_opening_step_joins_the_cheap_department_pair(q8_workload):
-    run, ledger, _ = _hybrid(q8_workload)
+    run, trace, _ = _hybrid(q8_workload)
     assert render_plan(run.plan.root) == "Pjoin_x(Brjoin_y(Pjoin_y(t4,t2),t3),t1,t5)"
-    assert ledger.total_transfer == 15
+    assert trace.ledger().total_transfer == 15
     assert run.relation.count == 151
 
 
@@ -150,18 +146,22 @@ _FULL_STAR = WorkloadSpec(name="star", shape="star", pattern_count=5,
 def test_merge_scan_modes(q8_workload):
     """The cost rule picks the scan mode: one shared pass for q8, one scan
     per pattern where the shared subset is the whole store."""
-    _, ledger, _ = _hybrid(q8_workload)
+    _, trace, _ = _hybrid(q8_workload)
     store, subset = 2458, 600 + 20 + 606 + 5 + 612
     assert merged_scan_beneficial(store, 5, subset)
-    assert ledger.totals()["scanned"] == store + 5 * subset
-    assert list(ledger.per_operator)[:1] == ["merged-sel[t1,t2,t3,t4,t5]"]
+    assert trace.ledger().totals()["scanned"] == store + 5 * subset
+    # the one shared pass comes first and is charged every scanned tuple
+    shared = trace.entries[0]
+    assert (shared.kind, shared.pattern_count) == ("merged-selection", 5)
+    assert shared.charges.scanned_tuples == store + 5 * subset
 
-    _, star_ledger, dataset = _hybrid(generate(_FULL_STAR))
+    _, star_trace, dataset = _hybrid(generate(_FULL_STAR))
     assert dataset.size == 5 * 40
     assert not merged_scan_beneficial(dataset.size, 5, dataset.size)
-    assert star_ledger.totals()["scanned"] == 5 * dataset.size
-    assert [op for op in star_ledger.per_operator if op.startswith("sel[")] == [
-        f"sel[t{i}]" for i in range(1, 6)]
+    assert star_trace.ledger().totals()["scanned"] == 5 * dataset.size
+    scans = [e for e in star_trace.entries if e.kind.endswith("selection")]
+    assert [(e.kind, e.charges.scanned_tuples) for e in scans] == [
+        ("selection", dataset.size)] * 5
 
 
 def test_merged_scan_tie_goes_to_independent_scans():
@@ -192,20 +192,18 @@ def test_hybrid_plan_replays_identically(q8_workload):
     ledger, with and without a shared scan: the plan is a complete record
     of the scan and movement decisions."""
     for workload in (q8_workload, generate(_FULL_STAR)):
-        run, ledger, dataset = _hybrid(workload)
-        replay_ledger = TransferLedger()
-        relation = execute_plan(run.plan, Executor(dataset, replay_ledger, ExecutionTrace()),
-                                workload.query.select)
-        assert replay_ledger.totals() == ledger.totals()
+        run, trace, dataset = _hybrid(workload)
+        replay = Executor(dataset)
+        relation = execute_plan(run.plan, replay, workload.query.select)
+        assert replay.trace.ledger() == trace.ledger()
         assert as_multiset(relation.rows()) == as_multiset(run.relation.rows())
 
 
 def test_trace_records_every_operator(q8_workload):
     dataset, _ = make_dataset(q8_workload.triples, m=4)
-    trace = ExecutionTrace()
-    plan_and_execute_hybrid(q8_workload.query.patterns,
-                            Executor(dataset, TransferLedger(), trace))
-    kinds = [e.kind for e in trace.entries]
+    executor = Executor(dataset)
+    plan_and_execute_hybrid(q8_workload.query.patterns, executor)
+    kinds = [e.kind for e in executor.trace.entries]
     assert kinds.count("merged-selection") == 1  # one shared pass, five outputs
     # the adaptive run itself joins pairwise; fusion of the two same-key
     # partitioned joins only shows in the recorded plan

@@ -9,6 +9,8 @@ from sparqlsim import (
 )
 from sparqlsim.terms import Triple, blank, literal_token
 
+from conftest import NT_GRAMMAR_VIOLATIONS
+
 
 def test_parse_basic_forms():
     text = """
@@ -122,8 +124,32 @@ def test_kinds_the_line_regex_refuses(bad):
         parse_ntriples(bad)
 
 
+@pytest.mark.parametrize("bad", NT_GRAMMAR_VIOLATIONS)
+def test_grammar_violations_rejected(bad):
+    with pytest.raises(ParseError):
+        parse_ntriples(bad)
+
+
+def test_blank_labels_hold_interior_dots():
+    # A dot inside a label is part of it; one right after the label is the
+    # line's terminator.
+    [t] = parse_ntriples("_:a.b <http://e/p> _:y.")
+    assert t.s is blank("a.b") and t.o is blank("y")
+    [t] = parse_ntriples("_:a-1 <http://e/p> _:c.d_ .")
+    assert t.s is blank("a-1") and t.o is blank("c.d_")
+
+
+@pytest.mark.parametrize("token", [
+    '"café"', r'"\U0001F600"', r'"it\'s"', r'"\u00E9"',
+    r'"\t\b\n\r\f\"\\"@en', r'"\u00e9x"^^<http://e/t>'])
+def test_literal_escapes_are_kept_verbatim(token):
+    [t] = parse_ntriples(f"<http://e/s> <http://e/p> {token} .")
+    assert t.o is literal_token(token) and t.o.lexical == token
+
+
 _IRIS = st.text(alphabet=st.sampled_from("ab:#/.é中%"), max_size=10)
-_BLANKS = st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_-]{0,5}", fullmatch=True)
+_BLANKS = st.from_regex(r"[A-Za-z0-9](?:[A-Za-z0-9_.-]{0,4}[A-Za-z0-9_-])?",
+                        fullmatch=True)
 _LITERALS = st.one_of(
     st.builds(lit, _texts),
     st.builds(lambda text, tag: lit(text, lang=tag), _texts,

@@ -90,7 +90,7 @@ def test_triple_selection_rows_and_accounting():
     check_placement(rel)
     assert ledger.totals() == {"scanned": 6, "shuffled_modeled": 0,
                                "shuffled_actual": 0, "broadcast": 0}
-    assert ledger.per_operator["sel[t1]"].scanned == 6
+    assert ledger == TransferLedger(scanned_tuples=6)
 
 
 def test_selection_state_depends_on_base_partition():
@@ -237,7 +237,7 @@ def _selections(m=4, base=BasePartition.SUBJECT):
 def test_pjoin_colocated_inputs_move_nothing():
     ledger, (knows, name, _) = _selections()
     before = ledger.totals()["scanned"]
-    out = pjoin(frozenset({X}), [knows, name], ledger, operator="j1")
+    out = pjoin(frozenset({X}), [knows, name], ledger)
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: B, N: lit("A")}),
         BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
@@ -251,15 +251,17 @@ def test_pjoin_colocated_inputs_move_nothing():
 
 
 def test_pjoin_shuffles_inputs_not_keyed_on_the_join_set():
-    ledger, (knows, _, age) = _selections()
-    out = pjoin(frozenset({Y}), [knows, age], ledger, operator="j1")
+    _, (knows, _, age) = _selections()
+    charges = TransferLedger()
+    out = pjoin(frozenset({Y}), [knows, age], charges)
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: C, G: lit("7")}),
         BindingRow.from_mapping({X: B, Y: C, G: lit("7")}),
     ])
     # knows is keyed{x} and reships in full; age has y at its subject, so it
     # is already keyed on the join set and stays put
-    assert ledger.per_operator["j1"].shuffled_modeled == 3
+    assert charges.shuffled_tuples_modeled == 3
+    assert charges.scanned_tuples == charges.broadcast_tuples == 0
     assert out.partition == keyed([Y])
     check_placement(out)
 
@@ -275,17 +277,17 @@ def test_pjoin_requires_join_vars_in_every_schema():
 
 
 def test_brjoin_broadcasts_non_targets_and_keeps_target_state():
-    ledger, (knows, name, _) = _selections()
-    out = brjoin(frozenset({X}), [name, knows], target_index=1,
-                 ledger=ledger, operator="b1")
+    _, (knows, name, _) = _selections()
+    charges = TransferLedger()
+    out = brjoin(frozenset({X}), [name, knows], target_index=1, ledger=charges)
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: B, N: lit("A")}),
         BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
         BindingRow.from_mapping({X: B, Y: C, N: lit("B")}),
     ])
     assert out.partition == knows.partition
-    assert ledger.per_operator["b1"].broadcast == (4 - 1) * 2
-    assert ledger.per_operator["b1"].shuffled_modeled == 0
+    assert charges.broadcast_tuples == (4 - 1) * 2
+    assert charges.shuffled_tuples_modeled == 0
     check_placement(out)
 
 
@@ -358,13 +360,11 @@ def test_a_refused_join_charges_no_transfer():
     with pytest.raises(ValueError, match="different node counts"):
         pjoin(on, mixed, ledger)
     assert ledger.totals() == _NO_TRANSFER
-    assert ledger.per_operator == {}
     for target in (0, 1):
         ledger = TransferLedger()
         with pytest.raises(ValueError, match="different node counts"):
             brjoin(on, mixed, target, ledger)
         assert ledger.totals() == _NO_TRANSFER
-        assert ledger.per_operator == {}
 
 
 def test_project_is_bag_semantics_and_tracks_key():

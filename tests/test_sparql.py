@@ -7,7 +7,7 @@ from sparqlsim import (
     parse_query_file, serialize_query, var,
 )
 from sparqlsim.sparql import RDF_TYPE
-from sparqlsim.terms import TriplePattern, lit
+from sparqlsim.terms import TriplePattern, blank, lit
 
 from conftest import QUERY_DIR
 
@@ -40,6 +40,12 @@ def test_parse_literals_with_prefixed_datatype():
         SELECT ?x WHERE { ?x <http://e/age> "7"^^xsd:int . }
     """)
     assert q.patterns[0][2] is lit("7", datatype="http://www.w3.org/2001/XMLSchema#int")
+
+
+def test_blank_label_stops_before_a_pattern_separator():
+    # As in N-Triples, a label may hold a dot but not end in one.
+    q = parse_query("SELECT ?x WHERE { ?x <http://e/p> _:a. ?x <http://e/q> _:b.c }")
+    assert [p.o for p in q.patterns] == [blank("a"), blank("b.c")]
 
 
 def test_undeclared_prefix_is_a_parse_error():

@@ -2,13 +2,21 @@
 plan shapes, exact ledger accounting, and replay of traces through the
 analytic cost model."""
 
+from dataclasses import astuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
-    BasePartition, CostParams, STRATEGIES, as_multiset, oracle_eval,
-    render_plan, run_query, run_strategy, sorted_result_rows, trace_cost,
+    BasePartition, CostParams, Executor, STRATEGIES, TransferLedger,
+    WorkloadSpec, as_multiset, generate, oracle_eval, render_plan, run_query,
+    run_strategy, sorted_result_rows, trace_cost, var,
 )
-from sparqlsim.physical import PjoinNode, SelectionNode, plan_pjoin_strategy
+from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
+from sparqlsim.ops import compile_specs
+from sparqlsim.physical import (
+    BrjoinNode, PjoinNode, SelectionNode, plan_pjoin_strategy,
+)
 from sparqlsim import build_logical, parse_query
 
 from conftest import make_dataset, run_all_strategies
@@ -91,6 +99,73 @@ def test_trace_cost_replays_the_ledger_exactly(q8_runs):
                               params=CostParams(theta_acc=2.0, theta_comm=0.25))
         assert weighted.access == 2.0 * est.access
         assert weighted.transfer == 0.25 * est.transfer
+
+
+def _priced(entry, m: int) -> tuple[int, int, int]:
+    """The (scanned, modeled shuffle, broadcast) tuples the cost formulas
+    give one trace entry from its recorded sizes and layouts."""
+    if entry.kind == "selection":
+        return entry.dataset_size, 0, 0
+    if entry.kind == "merged-selection":
+        return entry.dataset_size + entry.pattern_count * entry.subset_size, 0, 0
+    if entry.kind == "pjoin":
+        return 0, pjoin_shuffle_size(entry.inputs, entry.on), 0
+    assert entry.kind == "brjoin", entry.kind
+    return 0, 0, brjoin_broadcast_size(entry.inputs, entry.target, m)
+
+
+@st.composite
+def _runs(draw):
+    shape = draw(st.sampled_from(("star", "chain", "snowflake")))
+    patterns = 5 if shape == "snowflake" else draw(st.integers(1, 6))
+    # filler triples match no pattern, so a shared scan can pay off
+    spec = WorkloadSpec(name=shape, shape=shape, pattern_count=patterns,
+                        subject_count=draw(st.integers(1, 40)),
+                        filler=draw(st.sampled_from((0, 300))))
+    return (spec, draw(st.sampled_from(STRATEGIES)),
+            draw(st.sampled_from(BasePartition)), draw(st.integers(1, 8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_runs())
+def test_each_trace_entry_carries_the_charges_its_formula_prices(case):
+    """Entry by entry, what the operator staged equals what the cost model
+    prices from the entry's sizes and layouts, no shuffle moves more rows
+    than it is charged for, and the run's ledger is the entries' sum."""
+    spec, strategy, base, m = case
+    workload = generate(spec)
+    dataset, cluster = make_dataset(workload.triples, m=m, base=base)
+    result = run_strategy(strategy, workload.query, dataset, cluster)
+    entries = result.trace.entries
+    for entry in entries:
+        charges = entry.charges
+        assert (charges.scanned_tuples, charges.shuffled_tuples_modeled,
+                charges.broadcast_tuples) == _priced(entry, m), entry.kind
+        assert charges.shuffled_tuples_actual <= charges.shuffled_tuples_modeled
+    summed = TransferLedger(*map(sum, zip(*(astuple(e.charges) for e in entries))))
+    assert result.ledger == summed
+
+
+def test_a_refused_join_appends_no_trace_entry():
+    """A join over inputs on different node counts raises before it stages
+    anything, so it leaves no entry and no charge in the trace."""
+    star = generate(WorkloadSpec(name="star", shape="star", pattern_count=2,
+                                 subject_count=50))
+    specs = compile_specs(star.query.patterns)
+    rels = []
+    for m, spec in zip((2, 4), specs):
+        # Random placement: every selection needs a shuffle to join on x.
+        dataset, _ = make_dataset(star.triples, m=m, base=BasePartition.RANDOM)
+        rels += Executor(dataset).run_selections([spec])
+    executor = Executor(dataset)
+    on = frozenset({var("x")})
+    leaves = tuple(SelectionNode(s.index, s.pattern) for s in specs)
+    for node in (PjoinNode(on, leaves), BrjoinNode(on, leaves, 0),
+                 BrjoinNode(on, leaves, 1)):
+        with pytest.raises(ValueError, match="different node counts"):
+            executor.run_join(node, rels)
+    assert executor.trace.entries == []
+    assert executor.trace.ledger() == TransferLedger()
 
 
 def test_pjoin_plan_flattens_same_key_joins():
