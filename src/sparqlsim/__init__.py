@@ -14,7 +14,7 @@ from .bench import (
 )
 from .cluster import (
     BasePartition, Cluster, Dataset, PlacementError, Relation, TransferLedger,
-    keyed, load_partitioned, node_of,
+    load_partitioned, node_of,
 )
 from .cost import (
     CostParams, cost_brjoin, cost_merged_selection, cost_pjoin,
@@ -55,7 +55,7 @@ __all__ = [
     "cases_from_suite", "run_bench", "run_suite",
     "classify_shape", "cost_brjoin", "cost_merged_selection", "cost_pjoin",
     "cost_selection", "crossover_prefers_pjoin", "execute_plan",
-    "explain_text", "generate", "generate_for_query", "iri", "keyed", "lit",
+    "explain_text", "generate", "generate_for_query", "iri", "lit",
     "load_partitioned", "load_suite", "merged_scan_beneficial", "node_of",
     "oracle_eval", "parse_ntriples", "parse_query", "parse_query_file",
     "plan_and_execute_hybrid", "render_plan",

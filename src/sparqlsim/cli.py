@@ -35,8 +35,8 @@ from .bench import (
     DEFAULT_VERIFY_LIMIT, BenchCase, BenchReport, run_bench, run_suite,
 )
 from .cluster import (
-    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, MAX_NODE_COUNT, BasePartition,
-    Cluster, Dataset, load_partitioned,
+    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, Cluster, Dataset,
+    load_partitioned, node_count_problem,
 )
 from .cost import CostParams
 from .engine import STRATEGIES, result_cell, result_lines, result_tuples, run_query
@@ -61,14 +61,12 @@ _PARTITION_KEYS = tuple(b.value for b in BasePartition)
 
 def _node_count(text: str) -> int:
     try:
-        value = int(text)
+        value: object = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    if value > MAX_NODE_COUNT:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_NODE_COUNT}, got {value}")
+        value = text
+    problem = node_count_problem([value])
+    if problem:
+        raise argparse.ArgumentTypeError(problem)
     return value
 
 

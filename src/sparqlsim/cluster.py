@@ -2,8 +2,8 @@
 
 A relation here is a logical multiset of positional rows of term ids (see
 :mod:`sparqlsim.terms`) under its own column order, plus a physical layout:
-one chunk per node, each row on exactly one node, and a partition state
-describing what the layout guarantees. The state is its key alone:
+one chunk per node, each row on exactly one node, and a key: the set of
+variables the layout is hash-partitioned on.
 
 * keyed on V (a nonempty key): every row lives on ``node_of(row, V, m)``;
 * random (the empty key): rows live anywhere.
@@ -120,35 +120,12 @@ def placement(columns: Sequence[Term], key: Iterable[Term],
     return dest_of
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionState:
-    """What a relation's layout guarantees: hash placement on ``key``, or
-    nothing (random) when the key is empty."""
-
-    key: frozenset[Term] = frozenset()
-
-    def __post_init__(self):
-        if not all(v.is_variable for v in self.key):
-            raise ValueError("partition key must consist of variables")
-
-    def is_keyed_on(self, key: frozenset[Term]) -> bool:
-        return bool(self.key) and self.key == key
-
-    def render(self) -> str:
-        if self.key:
-            names = ",".join(v.lexical for v in sorted(self.key))
-            return f"keyed{{{names}}}"
-        return "random"
-
-
-RANDOM_STATE = PartitionState()
-
-
-def keyed(key: Iterable[Term]) -> PartitionState:
-    key = frozenset(key)
-    if not key:
-        raise ValueError("Keyed partition state requires a nonempty key")
-    return PartitionState(key)
+def render_key(key: frozenset[Term]) -> str:
+    """A layout as explain and placement errors print it: ``keyed{x,y}``,
+    or ``random`` for the empty key."""
+    if key:
+        return f"keyed{{{','.join(v.lexical for v in sorted(key))}}}"
+    return "random"
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,8 +137,9 @@ class Cluster:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"cluster needs at least one node, got m={self.m}")
+        problem = node_count_problem([self.m])
+        if problem:
+            raise ValueError(f"node count: {problem}")
 
 
 def for_each_node(m: int, task: Callable[[int], T]) -> list[T]:
@@ -223,13 +201,13 @@ def _binding_decoder(columns: Sequence[Term]) -> Callable[[Row], BindingRow]:
 @dataclass(frozen=True, slots=True)
 class Relation:
     """A distributed bag of :data:`Row` tuples: the variables in row
-    position order, per-node chunks, and the partition state the layout
-    satisfies. :meth:`rows` decodes the bag to :class:`BindingRow` for
-    results and verification."""
+    position order, per-node chunks, and the key the layout is hashed on
+    (empty: random placement). :meth:`rows` decodes the bag to
+    :class:`BindingRow` for results and verification."""
 
     columns: tuple[Term, ...]
     chunks: tuple[tuple[Row, ...], ...]
-    partition: PartitionState
+    key: frozenset[Term]
     # The variable set and the logical row count. Columns and chunks are
     # immutable, so both are derived once here: planners and the trace read
     # them on every step.
@@ -283,7 +261,7 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger) -> Relat
                 moved += 1
             buckets[dest].append(row)
     ledger.tally(shuffled_modeled=rel.count, shuffled_actual=moved)
-    return Relation(rel.columns, tuple(tuple(b) for b in buckets), keyed(key_set))
+    return Relation(rel.columns, tuple(tuple(b) for b in buckets), key_set)
 
 
 def broadcast(rel: Relation, ledger: TransferLedger) -> tuple[Row, ...]:
@@ -295,15 +273,16 @@ def broadcast(rel: Relation, ledger: TransferLedger) -> tuple[Row, ...]:
 
 
 class PlacementError(AssertionError):
-    """A relation's chunks violate its declared partition state."""
+    """A relation's chunks violate its declared key."""
 
 
 def check_placement(rel: Relation) -> None:
-    """Verify the partition-state invariant by full scan, that no column
-    repeats, that every row has one term id per column, and that the stored
-    row count is the chunks' total. Keyed placement is checked with
-    :func:`node_of` on the decoded row, independently of :func:`placement`.
-    Test-build helper; operators do not pay for this in normal runs."""
+    """Verify by full scan that every row sits where the relation's key
+    places it, that no column repeats, that every row has one term id per
+    column, and that the stored row count is the chunks' total. Keyed
+    placement is checked with :func:`node_of` on the decoded row,
+    independently of :func:`placement`. Test-build helper; operators do not
+    pay for this in normal runs."""
     m = rel.m
     total = sum(map(len, rel.chunks))
     if rel.count != total:
@@ -316,15 +295,15 @@ def check_placement(rel: Relation) -> None:
             if len(row) != len(columns):
                 raise PlacementError(
                     f"row {row!r} has {len(row)} terms for columns {list(columns)}")
-    if rel.partition.key:
+    if rel.key:
         decode = _binding_decoder(columns)
         for j, chunk in enumerate(rel.chunks):
             for row in chunk:
-                expect = node_of(decode(row), rel.partition.key, m)
+                expect = node_of(decode(row), rel.key, m)
                 if expect != j:
                     raise PlacementError(
                         f"row {row!r} on node {j}, expected node {expect} "
-                        f"under key {rel.partition.render()}")
+                        f"under key {render_key(rel.key)}")
 
 
 class BasePartition(Enum):
@@ -352,6 +331,21 @@ class BasePartition(Enum):
 DEFAULT_NODE_COUNT = 4
 MAX_NODE_COUNT = 1024
 DEFAULT_PARTITIONING = BasePartition.SUBJECT.value
+
+
+def node_count_problem(counts: Sequence[object]) -> str | None:
+    """Why ``counts`` are not all node counts a run accepts, integers (not
+    bools) in 1..MAX_NODE_COUNT, naming every offending count; None when
+    they are."""
+    wrong = [repr(m) for m in counts if type(m) is not int]
+    if wrong:
+        return f"not an integer: {', '.join(wrong)}"
+    for bad, bound in (([m for m in counts if m < 1], "at least 1"),
+                       ([m for m in counts if m > MAX_NODE_COUNT],
+                        f"at most {MAX_NODE_COUNT}")):
+        if bad:
+            return f"must be {bound}, got {', '.join(map(str, bad))}"
+    return None
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ Conventions:
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cluster import PartitionState
+from .terms import Term
 
-# (size, layout) pairs: everything the model needs to know about an input.
-SizedInput = tuple[int, PartitionState]
+# (size, key) pairs: everything the model needs to know about an input. The
+# key is the variable set the input is hash-partitioned on, empty if random.
+SizedInput = tuple[int, frozenset[Term]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,10 +79,10 @@ def merged_scan_beneficial(dataset_size: int, pattern_count: int, subset_size: i
     return dataset_size + pattern_count * subset_size < pattern_count * dataset_size
 
 
-def shuffle_charge(size: int, state: PartitionState, on: frozenset) -> int:
+def shuffle_charge(size: int, key: frozenset, on: frozenset) -> int:
     """Tuples a partitioned join on ``on`` moves for one input: its full
-    size, unless it is already keyed exactly on ``on``."""
-    return 0 if state.is_keyed_on(on) else size
+    size, unless its key is exactly ``on`` (never so for an empty ``on``)."""
+    return 0 if on and key == on else size
 
 
 def broadcast_charge(size: int, m: int) -> int:
@@ -92,7 +93,7 @@ def broadcast_charge(size: int, m: int) -> int:
 def pjoin_shuffle_size(inputs: Sequence[SizedInput], on: frozenset) -> int:
     """Tuples a partitioned join on ``on`` must move: the full size of every
     input not keyed exactly on ``on``."""
-    return sum(shuffle_charge(size, state, on) for size, state in inputs)
+    return sum(shuffle_charge(size, key, on) for size, key in inputs)
 
 
 def brjoin_broadcast_size(inputs: Sequence[SizedInput], target_index: int, m: int) -> int:

@@ -18,7 +18,7 @@ runs on the same executor without scanning or charging twice.
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cluster import Dataset, PartitionState, Relation, TransferLedger, check_placement
+from .cluster import Dataset, Relation, TransferLedger, check_placement
 from .cost import (
     CostEstimate, CostParams, DEFAULT_PARAMS, brjoin_broadcast_size,
     pjoin_shuffle_size,
@@ -39,9 +39,9 @@ class TraceEntry:
     model needs to price it. Its identity is its position in the trace."""
 
     kind: str                       # "selection" | "merged-selection" | "pjoin" | "brjoin"
-    inputs: tuple[tuple[int, PartitionState], ...]
+    inputs: tuple[tuple[int, frozenset[Term]], ...]   # (count, key) pairs
     output_size: int
-    output_state: PartitionState
+    output_key: frozenset[Term]
     charges: TransferLedger
     on: frozenset[Term] = frozenset()
     target: int | None = None       # brjoin only
@@ -154,8 +154,8 @@ class Executor:
         """Append the entry of an operator that read ``inputs`` and wrote
         ``outputs``; ``priced`` holds the rest of what the cost model reads."""
         self.trace.entries.append(TraceEntry(
-            kind, tuple((r.count, r.partition) for r in inputs),
-            sum(r.count for r in outputs), outputs[0].partition, charges, **priced))
+            kind, tuple((r.count, r.key) for r in inputs),
+            sum(r.count for r in outputs), outputs[0].key, charges, **priced))
         if self.validate:
             for rel in outputs:
                 check_placement(rel)

@@ -13,7 +13,7 @@ from :func:`~sparqlsim.hybrid.hybrid_opening`, so what is explained is what
 a run executes.
 """
 
-from .cluster import Cluster, Dataset, PartitionState, Relation, check_loaded_on, keyed
+from .cluster import Cluster, Dataset, Relation, check_loaded_on, render_key
 from .engine import plan_static
 from .executor import Executor
 from .hybrid import hybrid_opening
@@ -22,7 +22,7 @@ from .physical import (
     BrjoinNode, PhysNode, PjoinNode, SelectionNode, join_key, render_plan,
 )
 from .sparql import Query
-from .terms import pattern_label
+from .terms import Term, pattern_label
 
 
 def _join_text(node: PjoinNode | BrjoinNode) -> str:
@@ -34,26 +34,26 @@ def _render_joins(root: PhysNode, selections: list[Relation], m: int) -> list[st
     lines: list[str] = []
     counter = 0
 
-    def walk(node: PhysNode) -> tuple[str, str, PartitionState]:
+    def walk(node: PhysNode) -> tuple[str, str, frozenset[Term]]:
         nonlocal counter
         if isinstance(node, SelectionNode):
             rel = selections[node.index]
-            return node.label, str(rel.count), rel.partition
+            return node.label, str(rel.count), rel.key
         info = [walk(child) for child in node.children]
         counter += 1
         ref = f"#{counter}"
         refs = ", ".join(r for r, _, _ in info)
         if isinstance(node, PjoinNode):
-            state = keyed(node.on)
-            moved = [term for _, term, st in info if not st.is_keyed_on(node.on)]
+            key = node.on
+            moved = [term for _, term, k in info if k != key]
             detail = ("repartition: " + " + ".join(moved) + " tuples") if moved \
                 else "repartition: none (inputs co-located)"
         else:
-            target_ref, _, state = info[node.target]
+            target_ref, _, key = info[node.target]
             moving = [term for k, (_, term, _) in enumerate(info) if k != node.target]
             detail = f"broadcast: {m - 1} x ({' + '.join(moving)}), target {target_ref}"
-        lines.append(f"  {ref} {_join_text(node)} ({refs}) -> {state.render()} | {detail}")
-        return ref, f"|{ref}|", state
+        lines.append(f"  {ref} {_join_text(node)} ({refs}) -> {render_key(key)} | {detail}")
+        return ref, f"|{ref}|", key
 
     walk(root)
     return lines
@@ -61,7 +61,7 @@ def _render_joins(root: PhysNode, selections: list[Relation], m: int) -> list[st
 
 def _selection_lines(query: Query, selections: list[Relation]) -> list[str]:
     return [f"  {pattern_label(i)}: {pattern.text()} | rows={rel.count} "
-            f"| {rel.partition.render()}"
+            f"| {render_key(rel.key)}"
             for i, (pattern, rel) in enumerate(zip(query.patterns, selections))]
 
 

@@ -22,7 +22,7 @@ inputs at a time:
 
 Each chosen step executes immediately, so its real output size (not an
 estimate) drives the next decision. A pair is priced in a few integer
-operations on the two inputs' stored row counts and layouts, and only the
+operations on the two inputs' stored row counts and keys, and only the
 cheapest candidate becomes a decision. Step costs compare modeled transfer
 tuple counts directly; the communication weight scales all candidates
 equally and cannot change the ranking.
@@ -36,7 +36,7 @@ The planner only decides; every selection and join step runs through one
 :class:`~sparqlsim.executor.Executor`, the same code that runs static plans.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .cluster import Relation
@@ -50,21 +50,10 @@ from .physical import BrjoinNode, PhysNode, PhysicalPlan, PjoinNode, SelectionNo
 from .terms import Term, TriplePattern
 
 
-@dataclass(slots=True)
-class _Slot:
-    """A joinable intermediate: its data, its plan subtree so far, and the
-    smallest pattern index it covers (for textual tie-breaks). Its size and
-    schema are copied from the data once, since every candidate reads them."""
-
-    rel: Relation
-    node: PhysNode
-    first_index: int
-    size: int = field(init=False)
-    schema: frozenset[Term] = field(init=False)
-
-    def __post_init__(self):
-        self.size = self.rel.count
-        self.schema = self.rel.schema
+# A joinable intermediate: its data and its plan subtree so far. Only
+# leaves are ranked against each other, and a leaf's subtree is its
+# selection node, whose pattern index breaks textual ties.
+Joinable = tuple[Relation, PhysNode]
 
 
 class _Choice(NamedTuple):
@@ -88,7 +77,8 @@ class HybridRun:
     evaluations: int
 
 
-def _price_pair(first: _Slot, second: _Slot, shared: frozenset[Term], m: int) -> _Choice:
+def _price_pair(first: Relation, second: Relation, shared: frozenset[Term],
+                m: int) -> _Choice:
     """The cheapest of the candidates for joining the ordered pair (first,
     second) on an m-node cluster, in constant integer work.
 
@@ -100,23 +90,24 @@ def _price_pair(first: _Slot, second: _Slot, shared: frozenset[Term], m: int) ->
     broadcast, ``first`` on equal sizes; the partitioned join beats it
     whenever it moves no more tuples.
     """
-    a, b = first.size, second.size
+    a, b = first.count, second.count
     if a <= b:
         copies, target = broadcast_charge(a, m), 1
     else:
         copies, target = broadcast_charge(b, m), 0
     if shared:
-        moved = (shuffle_charge(a, first.rel.partition, shared)
-                 + shuffle_charge(b, second.rel.partition, shared))
+        moved = shuffle_charge(a, first.key, shared) + shuffle_charge(b, second.key, shared)
         if moved <= copies:
             return _Choice(moved, 0, None)
     return _Choice(copies, 1, target)
 
 
-def _step_node(first: _Slot, second: _Slot, choice: _Choice) -> PjoinNode | BrjoinNode:
+def _step_node(first: Joinable, second: Joinable,
+               choice: _Choice) -> PjoinNode | BrjoinNode:
     """The join node that executes ``choice`` over (first, second)."""
-    on = first.schema & second.schema
-    children = (first.node, second.node)
+    (first_rel, first_node), (second_rel, second_node) = first, second
+    on = first_rel.schema & second_rel.schema
+    children = (first_node, second_node)
     if choice.target is None:
         return PjoinNode(on, children)
     return BrjoinNode(on, children, choice.target, cross=not on)
@@ -134,70 +125,75 @@ class _HybridPlanner:
         self.evaluations = 0
 
     def run(self) -> tuple[PhysNode, Relation, bool]:
-        slots, shared_scan, _ = self.select()
-        results = [self._greedy_component([slots[i] for i in members])
+        leaves, shared_scan, _ = self.select()
+        results = [self._greedy_component([leaves[i] for i in members])
                    for members in self.components]
         final = results[0]
         for nxt in results[1:]:
-            choice = self._choose(final, nxt, final.schema & nxt.schema)
-            final = self._step(final, nxt, choice)
-        return final.node, final.rel, shared_scan
+            shared = final[0].schema & nxt[0].schema
+            final = self._step(final, nxt, self._choose(final[0], nxt[0], shared))
+        rel, node = final
+        return node, rel, shared_scan
 
-    def select(self) -> tuple[list[_Slot], bool, int]:
+    def select(self) -> tuple[list[Joinable], bool, int]:
         """Measure every selection. Build the shared subset S once and share
         its store pass exactly when the merged-scan rule holds; return the
-        slots, whether the pass was shared, and |S|."""
+        leaves, whether the pass was shared, and |S|."""
         specs = compile_specs(self.patterns)
         dataset = self.executor.dataset
         subset = shared_subset(specs, dataset)
         merged = merged_scan_beneficial(dataset.size, len(specs), subset.size)
         rels = self.executor.run_selections(specs, subset if merged else None)
-        slots = [_Slot(rel, SelectionNode(spec.index, spec.pattern), spec.index)
-                 for spec, rel in zip(specs, rels)]
-        return slots, merged, subset.size
+        leaves = [(rel, SelectionNode(spec.index, spec.pattern))
+                  for spec, rel in zip(specs, rels)]
+        return leaves, merged, subset.size
 
-    def _choose(self, first: _Slot, second: _Slot, shared: frozenset[Term]) -> _Choice:
+    def _choose(self, first: Relation, second: Relation,
+                shared: frozenset[Term]) -> _Choice:
         """Price the pair: three candidates when it shares variables, else
         the two broadcasts."""
         self.evaluations += 3 if shared else 2
         return _price_pair(first, second, shared, self.m)
 
-    def opening(self, slots: list[_Slot]) -> tuple[_Slot, _Slot, _Choice]:
-        """The cheapest opening pair over all connected pairs of ``slots``,
+    def opening(self, leaves: list[Joinable]) -> tuple[Joinable, Joinable, _Choice]:
+        """The cheapest opening pair over all connected pairs of ``leaves``,
         which are in pattern order; each pair is priced smaller side first."""
-        best_pair: tuple[tuple, _Slot, _Slot, _Choice] | None = None
-        for i, a in enumerate(slots):
-            for b in slots[i + 1:]:
-                shared = a.schema & b.schema
+        best_pair: tuple[tuple, Joinable, Joinable, _Choice] | None = None
+        for i, a in enumerate(leaves):
+            a_rel, a_leaf = a
+            for b in leaves[i + 1:]:
+                b_rel, b_leaf = b
+                shared = a_rel.schema & b_rel.schema
                 if not shared:
                     continue
-                # a precedes b, so this is the order of (size, first_index)
-                first, second = (a, b) if a.size <= b.size else (b, a)
-                choice = self._choose(first, second, shared)
-                key = (choice.cost, choice.rank, a.size + b.size,
-                       a.first_index, b.first_index)
+                # a precedes b, so this is the order of (count, pattern index)
+                first, second = (a, b) if a_rel.count <= b_rel.count else (b, a)
+                choice = self._choose(first[0], second[0], shared)
+                key = (choice.cost, choice.rank, a_rel.count + b_rel.count,
+                       a_leaf.index, b_leaf.index)
                 if best_pair is None or key < best_pair[0]:
                     best_pair = (key, first, second, choice)
         if best_pair is None:
             raise AssertionError("connected component has no joinable pair")
         return best_pair[1:]
 
-    def _greedy_component(self, slots: list[_Slot]) -> _Slot:
-        if len(slots) == 1:
-            return slots[0]
+    def _greedy_component(self, leaves: list[Joinable]) -> Joinable:
+        if len(leaves) == 1:
+            return leaves[0]
 
-        first, second, choice = self.opening(slots)
+        first, second, choice = self.opening(leaves)
         acc = self._step(first, second, choice)
-        remaining = [s for s in slots if s is not first and s is not second]
+        remaining = [s for s in leaves if s is not first and s is not second]
 
         while remaining:
+            acc_rel = acc[0]
             best_ext: tuple[tuple, int, _Choice] | None = None
-            for k, slot in enumerate(remaining):
-                shared = acc.schema & slot.schema
+            for k, (rel, leaf) in enumerate(remaining):
+                shared = acc_rel.schema & rel.schema
                 if not shared:
                     continue
-                choice = self._choose(acc, slot, shared)
-                key = (choice.cost, slot.size, slot.first_index)
+                choice = self._choose(acc_rel, rel, shared)
+                key = (choice.cost, rel.count, leaf.index)
                 if best_ext is None or key < best_ext[0]:
                     best_ext = (key, k, choice)
             if best_ext is None:
@@ -207,13 +203,14 @@ class _HybridPlanner:
             del remaining[k]
         return acc
 
-    def _step(self, first: _Slot, second: _Slot, choice: _Choice) -> _Slot:
+    def _step(self, first: Joinable, second: Joinable, choice: _Choice) -> Joinable:
+        (first_rel, first_node), (second_rel, second_node) = first, second
         node: PhysNode = _step_node(first, second, choice)
-        rel = self.executor.run_join(node, [first.rel, second.rel])
-        if (isinstance(node, PjoinNode) and isinstance(first.node, PjoinNode)
-                and first.node.on == node.on):
-            node = PjoinNode(node.on, first.node.children + (second.node,))
-        return _Slot(rel, node, min(first.first_index, second.first_index))
+        rel = self.executor.run_join(node, [first_rel, second_rel])
+        if (isinstance(node, PjoinNode) and isinstance(first_node, PjoinNode)
+                and first_node.on == node.on):
+            node = PjoinNode(node.on, first_node.children + (second_node,))
+        return rel, node
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,13 +231,13 @@ def hybrid_opening(patterns: Sequence[TriplePattern], executor: Executor, *,
     """Measure the selections on ``executor`` as the adaptive strategy does
     and pick each component's opening step, without joining anything."""
     planner = _HybridPlanner(patterns, executor, allow_cross=allow_cross)
-    slots, shared_scan, subset_size = planner.select()
+    leaves, shared_scan, subset_size = planner.select()
     steps = []
     for members in planner.components:
         if len(members) > 1:
-            first, second, choice = planner.opening([slots[i] for i in members])
+            first, second, choice = planner.opening([leaves[i] for i in members])
             steps.append((_step_node(first, second, choice), choice.cost))
-    return HybridOpening([s.rel for s in slots], shared_scan, subset_size, steps)
+    return HybridOpening([rel for rel, _ in leaves], shared_scan, subset_size, steps)
 
 
 def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], executor: Executor, *,

@@ -14,22 +14,25 @@ from .terms import (
     TermKind, Triple, _blank_cache, _intern, _iri_cache, _lit_cache, trusted_triple,
 )
 
-_IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
+IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
 # A blank node label may hold dots but not end in one, so the line's final
 # dot is never part of it: "_:a." is the label "a" before the terminator.
 BLANK_LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
 # A literal's escapes are the grammar's ECHAR (a backslash before one of
 # tbnrf"'\) and UCHAR (\u and 4 hex digits, \U and 8); the token is kept
-# verbatim, escapes unexpanded.
-_LITERAL_RE = (r'"[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})'
-               r'[^"\\]*)*"(?:\^\^<' + _IRI_CHARS + r">|@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?")
+# verbatim, escapes unexpanded. The SPARQL tokenizer reads a literal's
+# quoted string and language tag with the same patterns.
+QUOTED_STRING = (r'"[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})'
+                 r'[^"\\]*)*"')
+LANG_TAG = r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
+_LITERAL_RE = rf"{QUOTED_STRING}(?:\^\^<{IRI_CHARS}>|{LANG_TAG})?"
 
 # One match per line. Its six groups separate the kinds: subject IRI or
 # blank label, predicate IRI, object IRI, blank label or literal token.
 _TRIPLE_LINE = re.compile(
-    rf"^\s*(?:<({_IRI_CHARS})>|_:({BLANK_LABEL}))"
-    rf"\s+<({_IRI_CHARS})>"
-    rf"\s+(?:<({_IRI_CHARS})>|_:({BLANK_LABEL})|({_LITERAL_RE}))"
+    rf"^\s*(?:<({IRI_CHARS})>|_:({BLANK_LABEL}))"
+    rf"\s+<({IRI_CHARS})>"
+    rf"\s+(?:<({IRI_CHARS})>|_:({BLANK_LABEL})|({_LITERAL_RE}))"
     r"\s*\.\s*$"
 )
 

@@ -38,8 +38,8 @@ from operator import and_, eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .cluster import (
-    Dataset, IdColumns, PartitionState, RANDOM_STATE, Relation, Row,
-    TransferLedger, broadcast, for_each_node, keyed, shuffle,
+    Dataset, IdColumns, Relation, Row, TransferLedger, broadcast, for_each_node,
+    shuffle,
 )
 from .terms import Term, TriplePattern, pattern_label
 
@@ -129,16 +129,13 @@ class SelectionSpec:
         return rows if mask is None else compress(rows, mask)
 
 
-def selection_state(spec: SelectionSpec, dataset: Dataset) -> PartitionState:
-    """Partition state of a selection's output: keyed on the variable bound
-    at the store's partitioning position, if there is one."""
+def selection_state(spec: SelectionSpec, dataset: Dataset) -> frozenset[Term]:
+    """Key of a selection's output: the variable bound at the store's
+    partitioning position, if there is one."""
     pos = dataset.base.position
-    if pos is None:
-        return RANDOM_STATE
-    term = spec.pattern[pos]
-    if term.is_variable:
-        return keyed((term,))
-    return RANDOM_STATE
+    if pos is not None and spec.pattern[pos].is_variable:
+        return frozenset((spec.pattern[pos],))
+    return frozenset()
 
 
 def compile_specs(patterns: Sequence[TriplePattern]) -> list[SelectionSpec]:
@@ -223,7 +220,7 @@ def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
 
     ``subset`` is S, the triples matching at least one of ``specs``
     (:func:`shared_subset`); every pattern is extracted by scanning S.
-    Output rows and partition states are identical to independent
+    Output rows and keys are identical to independent
     selections; only the scan accounting differs.
     """
     relations = [_read_groups(spec, subset) for spec in specs]
@@ -364,7 +361,7 @@ def _node_count(inputs: Sequence[Relation]) -> int:
 
 def _join_nodes(staged: Sequence[Relation], driver: int,
                 copies: dict[int, tuple[Row, ...]], m: int,
-                partition: PartitionState) -> Relation:
+                key: frozenset[Term]) -> Relation:
     """Run the local join on each of the ``m`` nodes, driven by the chunks
     of ``staged[driver]``; ``copies`` maps an input's index to the broadcast
     copy every node reads in place of its chunk. The fold order and the
@@ -383,7 +380,7 @@ def _join_nodes(staged: Sequence[Relation], driver: int,
     def join_node(j: int) -> tuple[Row, ...]:
         return tuple(local_nary_join(driver_chunks[j], steps, j))
 
-    return Relation(columns, tuple(for_each_node(m, join_node)), partition)
+    return Relation(columns, tuple(for_each_node(m, join_node)), key)
 
 
 def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
@@ -404,16 +401,15 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
             raise ValueError(f"not a join variable of every input: {missing}")
 
     m = _node_count(inputs)
-    staged = [rel if rel.partition.is_keyed_on(on)
-              else shuffle(rel, on, ledger) for rel in inputs]
-    return _join_nodes(staged, 0, {}, m, keyed(on))
+    staged = [rel if rel.key == on else shuffle(rel, on, ledger) for rel in inputs]
+    return _join_nodes(staged, 0, {}, m, on)
 
 
 def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
            ledger: TransferLedger, allow_empty_on: bool = False) -> Relation:
     """Broadcast n-ary join: every input except the target is shipped to all
     nodes and the join runs against the target's local chunks, so the
-    result inherits the target's partition state. The broadcast copies
+    result inherits the target's key. The broadcast copies
     exist only for this join.
 
     ``on`` names the join variables; it does not need to be contained in
@@ -432,16 +428,14 @@ def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
     m = _node_count(inputs)
     copies = {i: broadcast(rel, ledger)
               for i, rel in enumerate(inputs) if i != target_index}
-    return _join_nodes(inputs, target_index, copies, m,
-                       inputs[target_index].partition)
+    return _join_nodes(inputs, target_index, copies, m, inputs[target_index].key)
 
 
 def project(rel: Relation, select: Sequence[Term]) -> Relation:
     """Bag projection onto ``select``. A relation over exactly the select
     list's variables is returned as it is; otherwise the output's columns
     are the select list's, each variable at its first occurrence. Keeps the
-    partition state when the key survives the projection, degrades to
-    random otherwise."""
+    key when it survives the projection, degrades to random otherwise."""
     select_set = frozenset(select)
     if not select_set <= rel.schema:
         missing = ", ".join(v.nt() for v in sorted(select_set - rel.schema))
@@ -452,7 +446,4 @@ def project(rel: Relation, select: Sequence[Term]) -> Relation:
     columns = tuple(dict.fromkeys(select))
     cut = tuple_getter([rel.columns.index(v) for v in columns])
     chunks = tuple(tuple(map(cut, chunk)) for chunk in rel.chunks)
-    state = rel.partition
-    if not state.key <= select_set:
-        state = RANDOM_STATE
-    return Relation(columns, chunks, state)
+    return Relation(columns, chunks, rel.key if rel.key <= select_set else frozenset())

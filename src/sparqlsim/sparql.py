@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, UnsupportedFeatureError
-from .ntriples import BLANK_LABEL
+from .ntriples import BLANK_LABEL, IRI_CHARS, LANG_TAG, QUOTED_STRING
 from .terms import Term, TriplePattern, blank, iri, literal_token, pattern_vars, var
 
 RDF_TYPE = iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
@@ -53,16 +53,16 @@ _LOCAL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
-      | (?P<iri><[^<>"{}|^`\\\x00-\x20]*>)
-      | (?P<literal>"(?:[^"\\]|\\.)*"
-            (?:\^\^(?:<[^<>"{}|^`\\\x00-\x20]*>|%(pname)s:%(local)s)
-              |@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)?)
+      | (?P<iri><%(iri)s>)
+      | (?P<literal>%(quoted)s
+            (?:\^\^(?:<%(iri)s>|%(pname)s:%(local)s)|%(lang)s)?)
       | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
       | (?P<blank>_:%(blank)s)
       | (?P<pname>(?:%(pname)s)?:(?:%(local)s)?)
       | (?P<word>[A-Za-z][A-Za-z0-9_]*)
       | (?P<punct>[{}.;,*()])
-    """ % {"pname": _PNAME, "local": _LOCAL, "blank": BLANK_LABEL},
+    """ % {"pname": _PNAME, "local": _LOCAL, "blank": BLANK_LABEL,
+           "iri": IRI_CHARS, "quoted": QUOTED_STRING, "lang": LANG_TAG},
     re.VERBOSE,
 )
 

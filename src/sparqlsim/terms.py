@@ -20,6 +20,7 @@ engine never interprets datatypes.
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import total_ordering
 
 
 class TermKind(IntEnum):
@@ -29,6 +30,7 @@ class TermKind(IntEnum):
     VARIABLE = 3
 
 
+@total_ordering
 class Term:
     """A single RDF term or query variable.
 
@@ -64,25 +66,12 @@ class Term:
     def __hash__(self):
         return self.id
 
+    # The other comparisons are derived from this and identity equality
+    # (total_ordering); sorting calls only this one.
     def __lt__(self, other):
         if not isinstance(other, Term):
             return NotImplemented
         return (self.kind, self.lexical) < (other.kind, other.lexical)
-
-    def __le__(self, other):
-        if not isinstance(other, Term):
-            return NotImplemented
-        return (self.kind, self.lexical) <= (other.kind, other.lexical)
-
-    def __gt__(self, other):
-        if not isinstance(other, Term):
-            return NotImplemented
-        return (self.kind, self.lexical) > (other.kind, other.lexical)
-
-    def __ge__(self, other):
-        if not isinstance(other, Term):
-            return NotImplemented
-        return (self.kind, self.lexical) >= (other.kind, other.lexical)
 
     @property
     def is_variable(self) -> bool:

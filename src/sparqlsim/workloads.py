@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .cluster import (
-    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, MAX_NODE_COUNT, BasePartition,
+    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, node_count_problem,
 )
 from .engine import STRATEGIES
 from .errors import ParseError
@@ -340,14 +340,9 @@ def load_suite(path: str | Path) -> Suite:
         raise ParseError(f"{path}: 'm' must list at least one node count")
     if not suite.strategies:
         raise ParseError(f"{path}: 'strategies' must list at least one strategy")
-    bad_m = [m for m in suite.m if m < 1]
-    if bad_m:
-        raise ParseError(f"{path}: node counts in 'm' must be at least 1, "
-                         f"got {', '.join(map(str, bad_m))}")
-    big_m = [m for m in suite.m if m > MAX_NODE_COUNT]
-    if big_m:
-        raise ParseError(f"{path}: node counts in 'm' must be at most "
-                         f"{MAX_NODE_COUNT}, got {', '.join(map(str, big_m))}")
+    problem = node_count_problem(suite.m)
+    if problem:
+        raise ParseError(f"{path}: node counts in 'm' {problem}")
     bases = tuple(b.value for b in BasePartition)
     if suite.partitioning not in bases:
         raise ParseError(f"{path}: unknown partitioning {suite.partitioning!r} "

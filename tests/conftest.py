@@ -8,10 +8,10 @@ import pytest
 
 from sparqlsim import (
     BasePartition, Cluster, Dataset, Query, Relation, STRATEGIES, as_multiset,
-    iri, keyed, lit, load_partitioned, oracle_eval, run_strategy,
+    iri, lit, load_partitioned, oracle_eval, run_strategy,
     generate, WorkloadSpec,
 )
-from sparqlsim.cluster import RANDOM_STATE, placement
+from sparqlsim.cluster import placement
 from sparqlsim.terms import TERMS, Triple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +48,10 @@ NT_GRAMMAR_VIOLATIONS = [
     r'<http://e/s> <http://e/p> "a\U0001F60" .',      # \U takes 8
     r'<http://e/s> <http://e/p> "a\x41" .',           # not an ECHAR
 ]
+# The literal cases as queries: a query literal follows the same escape rule.
+LITERAL_VIOLATION_QUERIES = [
+    "SELECT ?x WHERE { " + line.replace("<http://e/s>", "?x") + " }"
+    for line in NT_GRAMMAR_VIOLATIONS if '"' in line]
 
 
 @pytest.fixture
@@ -126,8 +130,7 @@ def make_relation(columns, rows, m: int, *, key=None,
     else:
         for i, row in enumerate(encoded):
             buckets[(start + i) % m].append(row)
-    state = RANDOM_STATE if key is None else keyed(key)
-    return Relation(columns, tuple(map(tuple, buckets)), state)
+    return Relation(columns, tuple(map(tuple, buckets)), frozenset(key or ()))
 
 
 @pytest.fixture(scope="session")

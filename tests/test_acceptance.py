@@ -33,13 +33,11 @@ from sparqlsim import (
     merged_scan_beneficial, oracle_eval, plan_and_execute_hybrid, render_plan,
     run_query, run_strategy, run_suite, trace_cost, var,
 )
-from sparqlsim.cluster import RANDOM_STATE
-from sparqlsim.hybrid import _Slot, _price_pair
+from sparqlsim.hybrid import _price_pair
 from sparqlsim.ops import (
     brjoin, compile_specs, merged_selection, pjoin, shared_subset,
     triple_selection,
 )
-from sparqlsim.physical import SelectionNode
 from sparqlsim.terms import pattern_vars
 
 from conftest import (
@@ -257,7 +255,7 @@ def _grid_rows(count: int, side: str, value_var) -> tuple[BindingRow, ...]:
 def _round_robin(encoded: tuple, columns: tuple, m: int) -> Relation:
     # Dealt like conftest.make_relation, from rows encoded once for every
     # cluster size.
-    return Relation(columns, tuple(encoded[j::m] for j in range(m)), RANDOM_STATE)
+    return Relation(columns, tuple(encoded[j::m] for j in range(m)), frozenset())
 
 
 def test_criterion_4_crossover_law():
@@ -284,14 +282,14 @@ def test_criterion_4_crossover_law():
                     gamma2 = ratio * gamma1
                     chunks = tuple(c[: (gamma2 - j + m - 1) // m]
                                    for j, c in enumerate(full_chunks))
-                    large = Relation((_GX, _GB), chunks, RANDOM_STATE)
+                    large = Relation((_GX, _GB), chunks, frozenset())
                     assert large.count == gamma2
 
-                    # the planner's own pricing of this pair
-                    first, second = sorted(
-                        (_Slot(small, SelectionNode(0, pat_small), 0),
-                         _Slot(large, SelectionNode(1, pat_large), 1)),
-                        key=lambda s: (s.size, s.first_index))
+                    # the planner's own pricing of this pair, smaller side
+                    # first, ties to the first pattern
+                    (first, _), (second, _) = sorted(
+                        ((small, 0), (large, 1)),
+                        key=lambda s: (s[0].count, s[1]))
                     option = _price_pair(first, second,
                                          first.schema & second.schema, m)
                     predicted_pjoin = crossover_prefers_pjoin(gamma1, gamma2, m)
@@ -359,7 +357,7 @@ def test_criterion_5_merged_scan_accounting():
 
         for merged_rel, single_rel in zip(merged_rels, single_rels):
             assert as_multiset(merged_rel.rows()) == as_multiset(single_rel.rows())
-            assert merged_rel.partition == single_rel.partition
+            assert merged_rel.key == single_rel.key
 
         rng = random.Random(8_855)
         for _ in range(10_000):

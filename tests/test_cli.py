@@ -13,7 +13,9 @@ from sparqlsim import cli
 from sparqlsim.cli import main
 from sparqlsim.cluster import MAX_NODE_COUNT
 
-from conftest import NT_GRAMMAR_VIOLATIONS, QUERY_DIR, REPO_ROOT
+from conftest import (
+    LITERAL_VIOLATION_QUERIES, NT_GRAMMAR_VIOLATIONS, QUERY_DIR, REPO_ROOT,
+)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +283,20 @@ def test_exit_2_data_outside_the_n_triples_grammar(capsys, tmp_path, line):
     assert (code, out) == (2, "") and "bad.nt:2" in err
 
 
+@pytest.mark.parametrize("text", LITERAL_VIOLATION_QUERIES)
+def test_exit_2_query_literal_outside_the_n_triples_grammar(capsys, university_nt,
+                                                           tmp_path, text):
+    bad = tmp_path / "bad.rq"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", university_nt, str(bad))
+    assert (code, out) == (2, "") and "unrecognized token" in err
+
+
+def test_exit_2_bench_data_without_query(capsys, university_nt):
+    code, out, err = run_cli(capsys, "bench", "--data", university_nt)
+    assert (code, out) == (2, "") and "--data needs --query" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["load", "{data}"], ["query", "{data}", Q8], ["explain", "{data}", Q8],
     ["bench", "--data", "{data}", "--query", Q8]])
@@ -301,9 +317,13 @@ def _never(*args, **kwargs):
     ["bench", "--data", "{data}", "--query", Q8, "-m", "2", "{m}"],
     ["bench", "--suite", str(REPO_ROOT / "workloads" / "star-suite.json"),
      "-m", "{m}", "2"]])
-@pytest.mark.parametrize("m", [str(MAX_NODE_COUNT + 1), "100000000"])
+@pytest.mark.parametrize("m, message", [
+    *[(m, f"must be at most {MAX_NODE_COUNT}, got {m}")
+      for m in (str(MAX_NODE_COUNT + 1), "100000000")],
+    ("abc", "not an integer: 'abc'")],
+    ids=[str(MAX_NODE_COUNT + 1), "100000000", "abc"])
 def test_exit_2_node_count_above_the_bound(capsys, monkeypatch, university_nt,
-                                           argv, m):
+                                           argv, m, message):
     # The option parser refuses the value, so no store or relation of m
     # node tables is ever allocated.
     for name in ("load_partitioned", "run_bench", "run_suite", "load_suite"):
@@ -311,7 +331,7 @@ def test_exit_2_node_count_above_the_bound(capsys, monkeypatch, university_nt,
     with pytest.raises(SystemExit) as exc:
         main([a.format(data=university_nt, m=m) for a in argv])
     assert exc.value.code == 2
-    assert f"must be at most {MAX_NODE_COUNT}, got {m}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_node_count_bound_is_inclusive_and_documented():

@@ -1,4 +1,4 @@
-"""Hash placement, partition states, distribution, shuffle/broadcast ledger
+"""Hash placement, relation keys, distribution, shuffle/broadcast ledger
 accounting, and triple-store loading.
 
 The hash constants below were computed once from the published FNV-1a
@@ -11,13 +11,14 @@ from hypothesis import given, strategies as st
 
 from sparqlsim import (
     BasePartition, BindingRow, Cluster, PlacementError, Relation, Term,
-    TermKind, TransferLedger, Triple, iri, keyed, lit, load_partitioned,
+    TermKind, TransferLedger, Triple, iri, lit, load_partitioned,
     node_of, var,
 )
 from sparqlsim.cluster import (
-    RANDOM_STATE, UnboundKeyError, broadcast, check_placement, fnv1a_64,
-    key_hash64, shuffle, term_hash64,
+    UnboundKeyError, broadcast, check_placement, fnv1a_64, key_hash64,
+    render_key, shuffle, term_hash64,
 )
+from sparqlsim.ops import pjoin
 from sparqlsim.terms import H64, TERMS, blank, id_hash64
 
 from conftest import D0, decode_group, make_dataset, make_relation, node_triples
@@ -75,14 +76,14 @@ def test_node_of_errors():
 
 
 def test_partition_states():
-    st_keyed = keyed([X, Y])
-    assert st_keyed.is_keyed_on(frozenset({X, Y}))
-    assert not st_keyed.is_keyed_on(frozenset({X}))
-    assert st_keyed.render() == "keyed{x,y}"
-    assert RANDOM_STATE.render() == "random"
-    assert not RANDOM_STATE.is_keyed_on(frozenset())
-    with pytest.raises(ValueError):
-        keyed([])
+    # A layout is its key: a variable set, empty for random placement.
+    assert render_key(frozenset({Y, X})) == "keyed{x,y}"
+    assert render_key(frozenset()) == "random"
+    rel = make_relation([X, Y], _rows(4), 2)
+    with pytest.raises(ValueError, match="empty key"):
+        shuffle(rel, [], TransferLedger())
+    with pytest.raises(ValueError, match="nonempty join variable set"):
+        pjoin(frozenset(), [rel, rel], TransferLedger())
 
 
 def test_cluster_validation():
@@ -104,7 +105,7 @@ def _decoded(chunk) -> list[BindingRow]:
 def test_distribute_keyed_places_rows_on_their_hash_node():
     rel = make_relation([X, Y], _rows(50), 4, key=[X])
     assert rel.count == 50
-    assert rel.partition == keyed([X])
+    assert rel.key == frozenset({X})
     for j, chunk in enumerate(rel.chunks):
         for row in _decoded(chunk):
             assert node_of(row, [X], 4) == j
@@ -120,7 +121,7 @@ def test_shuffle_counts_modeled_and_actual_separately():
     rel = make_relation([X, Y], _rows(40), 4)
     ledger = TransferLedger()
     out = shuffle(rel, [X], ledger)
-    assert out.partition == keyed([X])
+    assert out.key == frozenset({X})
     assert out.count == 40
     check_placement(out)
     totals = ledger.totals()
@@ -166,7 +167,7 @@ def test_check_placement_rejects_misplaced_rows():
     nonempty = [j for j, c in enumerate(chunks) if c]
     j0, j1 = nonempty[0], nonempty[1]
     chunks[j0], chunks[j1] = chunks[j1], chunks[j0]
-    broken = type(rel)(rel.columns, tuple(chunks), rel.partition)
+    broken = type(rel)(rel.columns, tuple(chunks), rel.key)
     with pytest.raises(PlacementError):
         check_placement(broken)
 
@@ -182,7 +183,7 @@ def test_rows_must_bind_the_schema_in_variable_order():
     for bad in (unsorted, BindingRow.from_mapping({X: A})):
         with pytest.raises(ValueError, match="does not bind schema"):
             make_relation([X, Y], [bad], 2)
-    narrow = Relation((X, Y), (((A.id,),), ()), RANDOM_STATE)
+    narrow = Relation((X, Y), (((A.id,),), ()), frozenset())
     with pytest.raises(PlacementError):
         check_placement(narrow)
 
@@ -342,7 +343,7 @@ def test_distribute_keyed_satisfies_check_placement(ids, m):
 def test_relation_counts_its_rows_once_outside_equality():
     rel = make_relation([X, Y], _rows(23), 4, start=1)
     assert rel.count == 23 == sum(map(len, rel.chunks))
-    same = Relation(rel.columns, rel.chunks, rel.partition)
+    same = Relation(rel.columns, rel.chunks, rel.key)
     object.__setattr__(same, "count", 0)
     assert same == rel and hash(same) == hash(rel)
     assert "count" not in repr(rel)

@@ -6,15 +6,15 @@ from hypothesis import given, strategies as st
 
 from sparqlsim import (
     CostParams, cost_brjoin, cost_merged_selection, cost_pjoin, cost_selection,
-    crossover_prefers_pjoin, keyed, merged_scan_beneficial, var,
+    crossover_prefers_pjoin, merged_scan_beneficial, var,
 )
-from sparqlsim.cluster import RANDOM_STATE
 from sparqlsim.cost import (
     DEFAULT_PARAMS, brjoin_broadcast_size, pjoin_shuffle_size,
 )
 
 X, Y = var("x"), var("y")
 ON = frozenset({X})
+RANDOM = frozenset()        # the key of a randomly placed input
 
 
 def test_cost_params_validation():
@@ -51,14 +51,14 @@ def test_merged_scan_beneficial_matches_direct_comparison(d, n, s):
 
 
 def test_pjoin_shuffle_size_counts_only_misaligned_inputs():
-    inputs = [(100, keyed([X])), (50, RANDOM_STATE), (25, keyed([X, Y]))]
+    inputs = [(100, frozenset({X})), (50, RANDOM), (25, frozenset({X, Y}))]
     assert pjoin_shuffle_size(inputs, ON) == 50 + 25
     est = cost_pjoin(inputs, ON)
     assert est.transfer == 75.0 and est.access == 0.0
 
 
 def test_brjoin_broadcast_size_spares_only_the_target():
-    inputs = [(100, RANDOM_STATE), (50, keyed([X])), (10, RANDOM_STATE)]
+    inputs = [(100, RANDOM), (50, frozenset({X})), (10, RANDOM)]
     assert brjoin_broadcast_size(inputs, target_index=0, m=4) == 3 * (50 + 10)
     assert brjoin_broadcast_size(inputs, target_index=1, m=4) == 3 * (100 + 10)
     est = cost_brjoin(inputs, target_index=1, m=4,
@@ -67,7 +67,7 @@ def test_brjoin_broadcast_size_spares_only_the_target():
 
 
 def test_cost_estimate_addition():
-    total = cost_selection(10) + cost_pjoin([(4, RANDOM_STATE), (6, RANDOM_STATE)], ON)
+    total = cost_selection(10) + cost_pjoin([(4, RANDOM), (6, RANDOM)], ON)
     assert total.access == 10.0 and total.transfer == 10.0 and total.total == 20.0
 
 
@@ -91,7 +91,7 @@ def test_crossover_rule_examples():
 
 @given(st.integers(0, 10**5), st.integers(0, 10**5), st.integers(2, 64))
 def test_crossover_matches_direct_cost_comparison(a, b, m):
-    inputs = [(a, RANDOM_STATE), (b, RANDOM_STATE)]
+    inputs = [(a, RANDOM), (b, RANDOM)]
     shuffle_cost = cost_pjoin(inputs, ON).transfer
     broadcast_cost = min(cost_brjoin(inputs, 0, m).transfer,
                          cost_brjoin(inputs, 1, m).transfer)

@@ -12,7 +12,7 @@ from sparqlsim import (
     parse_query, plan_and_execute_hybrid, render_plan, run_strategy, var,
 )
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
-from sparqlsim.hybrid import _HybridPlanner, _Slot
+from sparqlsim.hybrid import _HybridPlanner
 from sparqlsim.physical import SelectionNode
 from sparqlsim.workloads import CHAIN_PROFILES, HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
@@ -55,7 +55,7 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
         rows = [BindingRow.from_mapping({v: iri(f"http://example.org/e{i}")})
                 for i in range(size)]
         rel = make_relation([v], rows, 3, key=key)
-        return _Slot(rel, SelectionNode(index, TriplePattern(v, iri(EX + "p"), v)), index)
+        return rel, SelectionNode(index, TriplePattern(v, iri(EX + "p"), v))
 
     dataset, _ = make_dataset([], m=3)
     planner = _HybridPlanner([], Executor(dataset))

@@ -1,7 +1,8 @@
-"""Tooling: every module of the package uses each name it imports, so a
-refactor that moves a collaborator cannot leave its import behind. An
-import line marked ``# noqa: F401`` is a deliberate re-export and is
-exempt; the package's ``__init__.py`` is all re-exports and is skipped."""
+"""Tooling: every module of the package and every test module uses each
+name it imports, so a refactor that moves or deletes a collaborator cannot
+leave its import behind. An import line marked ``# noqa: F401`` is a
+deliberate re-export and is exempt; the package's ``__init__.py`` is all
+re-exports and is skipped."""
 
 import ast
 
@@ -10,7 +11,8 @@ import pytest
 from conftest import REPO_ROOT
 
 PACKAGE = REPO_ROOT / "src" / "sparqlsim"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted((REPO_ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +40,7 @@ def test_the_check_sees_an_unused_name():
     assert unused_imports(source) == ["Callable (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: (
+    p.name if p.parent == PACKAGE else f"tests/{p.name}"))
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

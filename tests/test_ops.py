@@ -8,12 +8,10 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
-    BasePartition, BindingRow, TransferLedger, WorkloadSpec, generate, iri, keyed,
-    lit, var,
+    BasePartition, BindingRow, TransferLedger, WorkloadSpec, generate, iri, lit,
+    var,
 )
-from sparqlsim.cluster import (
-    RANDOM_STATE, PlacementError, Relation, check_placement, shuffle,
-)
+from sparqlsim.cluster import PlacementError, Relation, check_placement, shuffle
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.logical import build_logical
 from sparqlsim.ops import (
@@ -86,7 +84,7 @@ def test_triple_selection_rows_and_accounting():
     ledger = TransferLedger()
     rel = triple_selection(SelectionSpec.compile(0, P_KNOWS), dataset, ledger)
     assert rows(rel) == expected_knows()
-    assert rel.partition == keyed([X])       # subject-partitioned store
+    assert rel.key == frozenset({X})       # subject-partitioned store
     check_placement(rel)
     assert ledger.totals() == {"scanned": 6, "shuffled_modeled": 0,
                                "shuffled_actual": 0, "broadcast": 0}
@@ -95,11 +93,11 @@ def test_triple_selection_rows_and_accounting():
 
 def test_selection_state_depends_on_base_partition():
     for base, spec, state in [
-        (BasePartition.SUBJECT, SelectionSpec.compile(0, P_KNOWS), keyed([X])),
-        (BasePartition.OBJECT, SelectionSpec.compile(0, P_KNOWS), keyed([Y])),
-        (BasePartition.PREDICATE, SelectionSpec.compile(0, P_KNOWS), RANDOM_STATE),
-        (BasePartition.SUBJECT, SelectionSpec.compile(0, P_GROUND), RANDOM_STATE),
-        (BasePartition.RANDOM, SelectionSpec.compile(0, P_KNOWS), RANDOM_STATE),
+        (BasePartition.SUBJECT, SelectionSpec.compile(0, P_KNOWS), frozenset({X})),
+        (BasePartition.OBJECT, SelectionSpec.compile(0, P_KNOWS), frozenset({Y})),
+        (BasePartition.PREDICATE, SelectionSpec.compile(0, P_KNOWS), frozenset()),
+        (BasePartition.SUBJECT, SelectionSpec.compile(0, P_GROUND), frozenset()),
+        (BasePartition.RANDOM, SelectionSpec.compile(0, P_KNOWS), frozenset()),
     ]:
         dataset, _ = make_dataset(D0, m=4, base=base)
         assert selection_state(spec, dataset) == state, (base, spec.pattern)
@@ -135,7 +133,7 @@ def test_merged_selection_matches_individual_selections():
     assert plain_ledger.totals()["scanned"] == 3 * 10
     for got, want in zip(merged, plain):
         assert rows(got) == rows(want)
-        assert got.partition == want.partition
+        assert got.key == want.key
 
 
 _P = var("p")
@@ -187,7 +185,7 @@ def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
     for j, node in enumerate(node_triples(dataset)):
         # every node, predicate groups in order, load order within a group
         assert rel.chunks[j] == _matching_rows(pattern, node, rel.columns)
-    assert rel.partition == selection_state(spec, dataset)
+    assert rel.key == selection_state(spec, dataset)
     check_placement(rel)
     assert ledger.totals()["scanned"] == dataset.size
 
@@ -203,7 +201,7 @@ def test_merged_selection_equals_independent_selections(store, ground, general, 
     for spec, got in zip(specs, merged):
         want = triple_selection(spec, dataset, TransferLedger())
         assert got.chunks == want.chunks
-        assert got.partition == want.partition
+        assert got.key == want.key
         check_placement(got)
     # S is a store of the same layout: each node's groups keep the triples
     # that match at least one pattern, in order, and drop emptied groups.
@@ -243,7 +241,7 @@ def test_pjoin_colocated_inputs_move_nothing():
         BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
         BindingRow.from_mapping({X: B, Y: C, N: lit("B")}),
     ])
-    assert out.partition == keyed([X])
+    assert out.key == frozenset({X})
     check_placement(out)
     totals = ledger.totals()
     assert totals["shuffled_modeled"] == 0 and totals["broadcast"] == 0
@@ -262,7 +260,7 @@ def test_pjoin_shuffles_inputs_not_keyed_on_the_join_set():
     # is already keyed on the join set and stays put
     assert charges.shuffled_tuples_modeled == 3
     assert charges.scanned_tuples == charges.broadcast_tuples == 0
-    assert out.partition == keyed([Y])
+    assert out.key == frozenset({Y})
     check_placement(out)
 
 
@@ -285,7 +283,7 @@ def test_brjoin_broadcasts_non_targets_and_keeps_target_state():
         BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
         BindingRow.from_mapping({X: B, Y: C, N: lit("B")}),
     ])
-    assert out.partition == knows.partition
+    assert out.key == knows.key
     assert charges.broadcast_tuples == (4 - 1) * 2
     assert charges.shuffled_tuples_modeled == 0
     check_placement(out)
@@ -355,7 +353,7 @@ def test_a_refused_join_charges_no_transfer():
         dataset, _ = make_dataset(star.triples, m=m, base=BasePartition.RANDOM)
         by_m[m] = [triple_selection(s, dataset, TransferLedger()) for s in specs]
     mixed = [by_m[2][0], by_m[4][1]]
-    assert all(not rel.partition.is_keyed_on(on) for rel in mixed)
+    assert all(rel.key != on for rel in mixed)
     ledger = TransferLedger()
     with pytest.raises(ValueError, match="different node counts"):
         pjoin(on, mixed, ledger)
@@ -372,9 +370,9 @@ def test_project_is_bag_semantics_and_tracks_key():
     onto_x = project(knows, [X])
     assert rows(onto_x) == Counter([BindingRow.from_mapping({X: A})] * 2
                                    + [BindingRow.from_mapping({X: B})])
-    assert onto_x.partition == keyed([X])    # key survives
+    assert onto_x.key == frozenset({X})    # key survives
     onto_y = project(knows, [Y])
-    assert onto_y.partition == RANDOM_STATE  # key projected away
+    assert onto_y.key == frozenset()   # key projected away
     assert onto_y.count == 3
 
 
@@ -453,7 +451,7 @@ def test_pjoin_is_the_natural_join_in_any_input_order(case):
         out = pjoin(on, list(perm), ledger)
         check_placement(out)
         assert rows(out) == expected
-        sized = [(rel.count, rel.partition) for rel in perm]
+        sized = [(rel.count, rel.key) for rel in perm]
         assert ledger.shuffled_tuples_modeled == pjoin_shuffle_size(sized, on)
         assert ledger.broadcast_tuples == 0
 
@@ -464,7 +462,7 @@ def test_brjoin_is_the_natural_join_for_any_target_and_input_order(case):
     on, inputs, m = case
     expected = _nested_loop_join(inputs)
     for perm in itertools.permutations(inputs):
-        sized = [(rel.count, rel.partition) for rel in perm]
+        sized = [(rel.count, rel.key) for rel in perm]
         for target in range(len(perm)):
             ledger = TransferLedger()
             out = brjoin(on, list(perm), target, ledger,
@@ -490,11 +488,11 @@ def test_brjoin_cross_product_with_an_all_ground_pattern():
 
 def _with_columns(rel, columns) -> Relation:
     """``rel`` laid out over ``columns``, a permutation of its own: the same
-    rows on the same nodes, under the same partition state."""
+    rows on the same nodes, under the same key."""
     positions = [rel.columns.index(v) for v in columns]
     chunks = tuple(tuple(tuple(row[i] for i in positions) for row in chunk)
                    for chunk in rel.chunks)
-    return Relation(tuple(columns), chunks, rel.partition)
+    return Relation(tuple(columns), chunks, rel.key)
 
 
 def _by_node(rel) -> list[Counter]:
@@ -509,7 +507,7 @@ def _by_node(rel) -> list[Counter]:
 def test_operators_give_the_same_result_under_any_column_order(case, data):
     # The inputs are built over sorted columns; the same inputs with every
     # relation's columns permuted must give the same rows on the same
-    # nodes, the same ledger and the same partition state from every
+    # nodes, the same ledger and the same key from every
     # operator.
     on, inputs, m = case
     permuted = [_with_columns(rel, data.draw(st.permutations(rel.columns)))
@@ -521,7 +519,7 @@ def test_operators_give_the_same_result_under_any_column_order(case, data):
             ledger = TransferLedger()
             out = run(rels, ledger)
             check_placement(out)
-            outcomes.append((_by_node(out), ledger.totals(), out.partition))
+            outcomes.append((_by_node(out), ledger.totals(), out.key))
         assert outcomes[0] == outcomes[1]
 
     def select_from(variables):
@@ -550,11 +548,11 @@ def test_check_placement_rejects_repeated_or_misfit_columns():
     rel = make_relation([X, Y], [BindingRow.from_mapping({X: A, Y: B})], 2)
     check_placement(rel)
     repeated = Relation((X, Y, X), tuple(tuple(row + row[:1] for row in chunk)
-                                         for chunk in rel.chunks), RANDOM_STATE)
+                                         for chunk in rel.chunks), frozenset())
     with pytest.raises(PlacementError, match="repeat a variable"):
         check_placement(repeated)
     for width in (1, 3):
         misfit = Relation((X, Y), tuple(tuple((row * 2)[:width] for row in chunk)
-                                        for chunk in rel.chunks), RANDOM_STATE)
+                                        for chunk in rel.chunks), frozenset())
         with pytest.raises(PlacementError, match="terms for columns"):
             check_placement(misfit)

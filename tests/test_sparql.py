@@ -9,7 +9,7 @@ from sparqlsim import (
 from sparqlsim.sparql import RDF_TYPE
 from sparqlsim.terms import TriplePattern, blank, lit
 
-from conftest import QUERY_DIR
+from conftest import LITERAL_VIOLATION_QUERIES, QUERY_DIR
 
 
 def test_parse_minimal_query():
@@ -48,6 +48,12 @@ def test_blank_label_stops_before_a_pattern_separator():
     assert [p.o for p in q.patterns] == [blank("a"), blank("b.c")]
 
 
+def test_literal_escapes_are_kept_verbatim():
+    token = r'"tab\t quote\" e\u00e9 \U0001F600"'
+    q = parse_query("SELECT ?x WHERE { ?x <http://e/p> " + token + "@en }")
+    assert q.patterns[0][2].lexical == token + "@en"
+
+
 def test_undeclared_prefix_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_query("SELECT ?x WHERE { ?x ex:p ?y . }")
@@ -74,6 +80,7 @@ def test_unsupported_features_are_flagged(text, feature):
     "SELECT ?x WHERE { }",
     "SELECT ?x WHERE { ?x <http://e/p> }",
     "SELECT ?z WHERE { ?x <http://e/p> ?y . }",   # ?z not bound by any pattern
+    *LITERAL_VIOLATION_QUERIES,                   # escapes as in N-Triples
 ])
 def test_malformed_queries_are_parse_errors(text):
     with pytest.raises(ParseError):

@@ -77,6 +77,17 @@ def test_total_order_groups_by_kind_then_lexical():
     assert ordered[0] is iri("http://e/a")
 
 
+@given(st.lists(st.tuples(st.sampled_from(list(TermKind)),
+                          st.text(alphabet='ab"', max_size=3)), min_size=1, max_size=6))
+def test_comparisons_follow_kind_then_lexical_order(drawn):
+    terms = [Term(kind, lexical) for kind, lexical in drawn]
+    for a, b in itertools.product(terms, repeat=2):
+        ka, kb = (a.kind, a.lexical), (b.kind, b.lexical)
+        assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+    with pytest.raises(TypeError):
+        terms[0] <= "a"
+
+
 def test_triple_rejects_variables_and_literal_positions():
     s, p, o = iri("http://e/s"), iri("http://e/p"), iri("http://e/o")
     with pytest.raises(ValueError):
