@@ -4,7 +4,7 @@ Static strategies (``pjoin``, ``mono-br``, ``multi-br``) build the grouping
 tree of plan nodes (:func:`~sparqlsim.logical.build_logical`), which rejects
 a cross product before any scan, evaluate and measure every selection once,
 and build their plan from the tree and the measured sizes, all in
-:func:`plan_static`; they then execute the joins reusing the measured
+:func:`plan_static`; they then execute the joins on the measured
 selections. The adaptive strategy plans while executing; see
 :mod:`sparqlsim.hybrid`. Either way a run builds one
 :class:`~sparqlsim.executor.Executor` and every step runs on it.
@@ -19,7 +19,7 @@ from .cluster import Cluster, Dataset, Relation, Row, TransferLedger, check_load
 from .executor import ExecutionTrace, Executor, execute_plan
 from .hybrid import plan_and_execute_hybrid
 from .logical import ShapeInfo, build_logical
-from .ops import compile_specs, tuple_getter
+from .ops import tuple_getter
 from .physical import (
     PhysicalPlan, plan_leaves, plan_mono_brjoin, plan_multi_brjoin,
     plan_pjoin_strategy, render_plan,
@@ -55,7 +55,7 @@ def plan_static(strategy: str, query: Query, executor: Executor, *,
     whose measured sizes it was built from. The grouping tree comes first,
     so a cross product that is not allowed fails before any scan."""
     tree = build_logical(query.patterns, allow_cross)
-    rels = executor.run_selections(compile_specs(query.patterns))
+    rels = executor.run_selections(plan_leaves(tree))
     sizes = {i: rel.count for i, rel in enumerate(rels)}
     if strategy == "pjoin":
         plan = plan_pjoin_strategy(tree)
@@ -83,8 +83,8 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
                                       select=query.select)
         plan, relation, evaluations = run.plan, run.relation, run.evaluations
     else:
-        plan, _ = plan_static(strategy, query, executor, allow_cross=allow_cross)
-        relation = execute_plan(plan, executor, query.select)
+        plan, rels = plan_static(strategy, query, executor, allow_cross=allow_cross)
+        relation = execute_plan(plan, executor, query.select, rels)
     wall = time.perf_counter() - started
     return RunResult(strategy, plan, relation, executor.trace, wall, evaluations)
 

@@ -10,13 +10,13 @@ layouts, store and shared-subset sizes). The run's ledger is the sum of the
 charges; :func:`trace_cost` recomputes it from the priced quantities alone.
 
 One executor is the whole context of a run: the store, the trace and the
-validation switch. It keeps every selection it ran in its ``leaf_cache``,
-so a plan built from measured selections (to pick broadcast targets, say)
-runs on the same executor without scanning or charging twice.
+validation switch. A plan built from measured selections (to pick broadcast
+targets, say) is executed from those same selections, passed in by pattern
+index, so nothing is scanned or charged twice.
 """
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .cluster import Dataset, Relation, TransferLedger, check_placement
 from .cost import (
@@ -27,10 +27,11 @@ from .ops import (
     SelectionSpec, brjoin, merged_selection, pjoin, project, shared_subset,
     triple_selection,
 )
-from .physical import (
-    BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, SelectionNode, plan_leaves,
-)
+from .physical import BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, plan_leaves
 from .terms import Term
+
+# Measured selections by pattern index: a list in pattern order, or a map.
+Selections = Sequence[Relation] | Mapping[int, Relation]
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,13 +102,12 @@ class Executor:
         self.dataset = dataset
         self.trace = ExecutionTrace()
         self.validate = validate
-        self.leaf_cache: dict[int, Relation] = {}
 
     def run_selections(self, specs: Sequence[SelectionSpec],
                        subset: Dataset | None = None) -> list[Relation]:
         """Selection step: one store scan per pattern, or, given the shared
         subset S of ``specs``, one shared pass over the store for all of them
-        with every pattern extracted from S. Fills the leaf cache."""
+        with every pattern extracted from S."""
         size = self.dataset.size
         if subset is not None:
             charges = TransferLedger()
@@ -120,8 +120,6 @@ class Executor:
                 charges = TransferLedger()
                 rels.append(triple_selection(spec, self.dataset, charges))
                 self._record("selection", charges, rels[-1:], dataset_size=size)
-        for spec, rel in zip(specs, rels):
-            self.leaf_cache[spec.index] = rel
         return rels
 
     def run_join(self, node: PjoinNode | BrjoinNode,
@@ -160,26 +158,25 @@ class Executor:
             for rel in outputs:
                 check_placement(rel)
 
-    def run_node(self, node: PhysNode) -> Relation:
-        """Run a plan subtree bottom-up; leaves come from the leaf cache
-        when it holds them."""
-        if isinstance(node, SelectionNode):
-            rel = self.leaf_cache.get(node.index)
-            if rel is None:
-                spec = SelectionSpec.compile(node.index, node.pattern)
-                [rel] = self.run_selections([spec])
-            return rel
-        return self.run_join(node, [self.run_node(child) for child in node.children])
+    def run_node(self, node: PhysNode, selections: Selections) -> Relation:
+        """Run a plan subtree bottom-up; a leaf is its measured selection
+        in ``selections``, looked up by pattern index."""
+        if isinstance(node, SelectionSpec):
+            return selections[node.index]
+        return self.run_join(node, [self.run_node(child, selections)
+                                    for child in node.children])
 
 
 def execute_plan(plan: PhysicalPlan, executor: Executor,
-                 select: Sequence[Term] | None = None) -> Relation:
-    """Run a whole plan on ``executor``. A ``shared_scan`` plan first reads
-    all its selections in one shared pass, unless the leaf cache already
-    holds measured selections."""
-    if plan.shared_scan and not executor.leaf_cache:
-        specs = [SelectionSpec.compile(leaf.index, leaf.pattern)
-                 for leaf in plan_leaves(plan.root)]
-        executor.run_selections(specs, shared_subset(specs, executor.dataset))
-    result = executor.run_node(plan.root)
+                 select: Sequence[Term] | None = None,
+                 selections: Selections | None = None) -> Relation:
+    """Run a whole plan on ``executor`` from its measured ``selections``,
+    indexed by pattern. Without them, the plan's leaves run first, in
+    pattern order, in one shared pass when the plan has ``shared_scan``."""
+    if selections is None:
+        leaves = plan_leaves(plan.root)
+        subset = shared_subset(leaves, executor.dataset) if plan.shared_scan else None
+        rels = executor.run_selections(leaves, subset)
+        selections = {leaf.index: rel for leaf, rel in zip(leaves, rels)}
+    result = executor.run_node(plan.root, selections)
     return result if select is None else executor.run_projection(result, select)

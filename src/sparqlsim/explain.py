@@ -18,9 +18,8 @@ from .engine import plan_static
 from .executor import Executor
 from .hybrid import hybrid_opening
 from .logical import classify_shape
-from .physical import (
-    BrjoinNode, PhysNode, PjoinNode, SelectionNode, join_key, render_plan,
-)
+from .ops import SelectionSpec
+from .physical import BrjoinNode, PhysNode, PjoinNode, join_key, render_plan
 from .sparql import Query
 from .terms import Term, pattern_label
 
@@ -36,7 +35,7 @@ def _render_joins(root: PhysNode, selections: list[Relation], m: int) -> list[st
 
     def walk(node: PhysNode) -> tuple[str, str, frozenset[Term]]:
         nonlocal counter
-        if isinstance(node, SelectionNode):
+        if isinstance(node, SelectionSpec):
             rel = selections[node.index]
             return node.label, str(rel.count), rel.key
         info = [walk(child) for child in node.children]
@@ -88,7 +87,7 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
     lines.append(f"plan: {render_plan(plan.root)}")
     lines.append("selections (one store scan each):")
     lines.extend(_selection_lines(query, selections))
-    if not isinstance(plan.root, SelectionNode):
+    if not isinstance(plan.root, SelectionSpec):
         lines.append("join steps (|#k| = measured size of step k at run time):")
         lines.extend(_render_joins(plan.root, selections, dataset.m))
     return "\n".join(lines) + "\n"

@@ -43,16 +43,16 @@ from .cluster import Relation
 from .cost import broadcast_charge, merged_scan_beneficial, shuffle_charge
 from .executor import Executor
 from .logical import joinable_components
-from .ops import compile_specs, shared_subset
+from .ops import SelectionSpec, shared_subset
 # Not called here: kept importable because perfbench/tracer.py wraps these names.
 from .ops import brjoin, pjoin, project  # noqa: F401
-from .physical import BrjoinNode, PhysNode, PhysicalPlan, PjoinNode, SelectionNode
+from .physical import BrjoinNode, PhysNode, PhysicalPlan, PjoinNode
 from .terms import Term, TriplePattern
 
 
 # A joinable intermediate: its data and its plan subtree so far. Only
 # leaves are ranked against each other, and a leaf's subtree is its
-# selection node, whose pattern index breaks textual ties.
+# selection, whose pattern index breaks textual ties.
 Joinable = tuple[Relation, PhysNode]
 
 
@@ -139,14 +139,12 @@ class _HybridPlanner:
         """Measure every selection. Build the shared subset S once and share
         its store pass exactly when the merged-scan rule holds; return the
         leaves, whether the pass was shared, and |S|."""
-        specs = compile_specs(self.patterns)
+        specs = [SelectionSpec(i, p) for i, p in enumerate(self.patterns)]
         dataset = self.executor.dataset
         subset = shared_subset(specs, dataset)
         merged = merged_scan_beneficial(dataset.size, len(specs), subset.size)
         rels = self.executor.run_selections(specs, subset if merged else None)
-        leaves = [(rel, SelectionNode(spec.index, spec.pattern))
-                  for spec, rel in zip(specs, rels)]
-        return leaves, merged, subset.size
+        return list(zip(rels, specs)), merged, subset.size
 
     def _choose(self, first: Relation, second: Relation,
                 shared: frozenset[Term]) -> _Choice:

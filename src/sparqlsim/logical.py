@@ -1,10 +1,10 @@
 """The grouping tree of a query, and query-shape classification.
 
 :func:`build_logical` fixes the grouping of triple patterns into n-ary joins
-and returns it as a plan tree: :class:`~sparqlsim.physical.SelectionNode`
-leaves under :class:`~sparqlsim.physical.PjoinNode` steps, which is exactly
-the static partitioned plan. The broadcast strategies regroup or re-target
-the same tree (:mod:`sparqlsim.physical`).
+and returns it as a plan tree: selection leaves (:class:`~sparqlsim.ops.SelectionSpec`)
+under :class:`~sparqlsim.physical.PjoinNode` steps, which is exactly the
+static partitioned plan. The broadcast strategies regroup or re-target the
+same tree (:mod:`sparqlsim.physical`).
 
 Grouping rule: process each join variable once they are "complete", i.e. in
 ascending order of the last (textual) pattern that mentions them, breaking
@@ -27,7 +27,8 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import CartesianProductError
-from .physical import BrjoinNode, PhysNode, PjoinNode, SelectionNode
+from .ops import SelectionSpec
+from .physical import BrjoinNode, PhysNode, PjoinNode
 from .terms import Term, TriplePattern, pattern_vars
 
 
@@ -78,7 +79,7 @@ def _grouping_order(patterns: Sequence[TriplePattern]) -> list[tuple[Term, list[
 def _build_component(patterns: Sequence[TriplePattern], members: list[int]) -> PhysNode:
     if len(members) == 1:
         i = members[0]
-        return SelectionNode(i, patterns[i])
+        return SelectionSpec(i, patterns[i])
 
     member_set = set(members)
     pending: list[PhysNode] = []
@@ -89,7 +90,7 @@ def _build_component(patterns: Sequence[TriplePattern], members: list[int]) -> P
             continue
         children: list[PhysNode] = [t for t in pending if v in t.vars]
         leaf_idxs = [i for i in mention_idxs if i in unconsumed]
-        children.extend(SelectionNode(i, patterns[i]) for i in leaf_idxs)
+        children.extend(SelectionSpec(i, patterns[i]) for i in leaf_idxs)
         if len(children) < 2:
             # Variable already closed inside a single subtree.
             continue

@@ -32,7 +32,7 @@ every group. A selection builds its rows by zipping the columns, and tests
 a ground subject or object on its one column.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import and_, eq, itemgetter
 from typing import Callable, Iterable, Sequence
@@ -41,52 +41,59 @@ from .cluster import (
     Dataset, IdColumns, Relation, Row, TransferLedger, broadcast, for_each_node,
     shuffle,
 )
-from .terms import Term, TriplePattern, pattern_label
+from .terms import Term, TriplePattern, pattern_label, pattern_vars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionSpec:
-    """A triple pattern compiled for reading the store's predicate groups,
-    each a subject id column and an object id column (see
-    :class:`~sparqlsim.cluster.Dataset`).
+    """The selection for one triple pattern: a plan leaf, compiled for
+    reading the store's predicate groups, each a subject id column and an
+    object id column (see :class:`~sparqlsim.cluster.Dataset`).
 
-    ``predicate`` is the ground predicate's term id, or None when the
-    predicate is a variable; ``subject`` and ``object`` are the ground
-    subject's and object's ids, None where the position holds a variable;
-    ``same_positions`` holds position pairs that a repeated variable forces
-    to be equal; ``columns`` holds the pattern's variables in first-position
-    order (subject, predicate, object), and ``positions`` each column's
-    first position.
+    A leaf is its ``index`` and ``pattern``; the rest is derived from the
+    pattern once. ``predicate`` is the ground predicate's term id, or None
+    when the predicate is a variable; ``subject`` and ``object`` are the
+    ground subject's and object's ids, None where the position holds a
+    variable; ``same_positions`` holds position pairs that a repeated
+    variable forces to be equal; ``columns`` holds the pattern's variables
+    in first-position order (subject, predicate, object), and ``positions``
+    each column's first position.
     """
 
     index: int
     pattern: TriplePattern
-    columns: tuple[Term, ...]
-    positions: tuple[int, ...]
-    predicate: int | None
-    subject: int | None
-    object: int | None
-    same_positions: tuple[tuple[int, int], ...]
+    columns: tuple[Term, ...] = field(init=False, compare=False, repr=False)
+    positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    predicate: int | None = field(init=False, compare=False, repr=False)
+    subject: int | None = field(init=False, compare=False, repr=False)
+    object: int | None = field(init=False, compare=False, repr=False)
+    same_positions: tuple[tuple[int, int], ...] = field(
+        init=False, compare=False, repr=False)
 
-    @classmethod
-    def compile(cls, index: int, pattern: TriplePattern) -> "SelectionSpec":
+    def __post_init__(self):
         first_pos: dict[Term, int] = {}
         same = []
-        for pos, term in enumerate(pattern.positions()):
+        for pos, term in enumerate(self.pattern.positions()):
             if term.is_variable:
                 seen = first_pos.get(term)
                 if seen is None:
                     first_pos[term] = pos
                 else:
                     same.append((seen, pos))
-        s, p, o = (None if t.is_variable else t.id for t in pattern.positions())
-        return cls(index=index, pattern=pattern,
-                   columns=tuple(first_pos), positions=tuple(first_pos.values()),
-                   predicate=p, subject=s, object=o, same_positions=tuple(same))
+        s, p, o = (None if t.is_variable else t.id for t in self.pattern.positions())
+        for name, value in (("columns", tuple(first_pos)),
+                            ("positions", tuple(first_pos.values())),
+                            ("predicate", p), ("subject", s), ("object", o),
+                            ("same_positions", tuple(same))):
+            object.__setattr__(self, name, value)
 
     @property
     def label(self) -> str:
         return pattern_label(self.index)
+
+    @property
+    def vars(self) -> frozenset[Term]:
+        return pattern_vars(self.pattern)
 
     def mask(self, p: int, group: IdColumns) -> Iterable[bool] | None:
         """Which triples of predicate ``p``'s ``group`` the pattern matches,
@@ -136,10 +143,6 @@ def selection_state(spec: SelectionSpec, dataset: Dataset) -> frozenset[Term]:
     if pos is not None and spec.pattern[pos].is_variable:
         return frozenset((spec.pattern[pos],))
     return frozenset()
-
-
-def compile_specs(patterns: Sequence[TriplePattern]) -> list[SelectionSpec]:
-    return [SelectionSpec.compile(i, p) for i, p in enumerate(patterns)]
 
 
 def _read_groups(spec: SelectionSpec, store: Dataset) -> Relation:

@@ -2,7 +2,8 @@
 
 A physical plan fixes, for every join, the algorithm (partitioned or
 broadcast), the n-ary grouping, the input order, and for broadcast joins the
-target input that stays in place. The grouping tree that
+target input that stays in place; its leaves are the compiled selections
+(:class:`~sparqlsim.ops.SelectionSpec`). The grouping tree that
 :func:`~sparqlsim.logical.build_logical` returns is itself a tree of these
 nodes; the three static strategies are built here from it and the measured
 selection sizes, and the adaptive strategy in :mod:`sparqlsim.hybrid` builds
@@ -12,23 +13,8 @@ its plan during execution.
 from dataclasses import dataclass
 from typing import Union
 
-from .terms import Term, TriplePattern, pattern_label, pattern_vars
-
-
-@dataclass(frozen=True, slots=True)
-class SelectionNode:
-    """Plan leaf: the selection for one triple pattern."""
-
-    index: int
-    pattern: TriplePattern
-
-    @property
-    def label(self) -> str:
-        return pattern_label(self.index)
-
-    @property
-    def vars(self) -> frozenset[Term]:
-        return pattern_vars(self.pattern)
+from .ops import SelectionSpec
+from .terms import Term
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +58,7 @@ class BrjoinNode:
         return _children_vars(self.children)
 
 
-PhysNode = Union[SelectionNode, PjoinNode, BrjoinNode]
+PhysNode = Union[SelectionSpec, PjoinNode, BrjoinNode]
 
 
 def _children_vars(children: tuple[PhysNode, ...]) -> frozenset[Term]:
@@ -89,12 +75,12 @@ class PhysicalPlan:
     shared_scan: bool = False
 
 
-def plan_leaves(node: PhysNode) -> list[SelectionNode]:
+def plan_leaves(node: PhysNode) -> list[SelectionSpec]:
     """All selection leaves, in pattern-index order."""
-    out: list[SelectionNode] = []
+    out: list[SelectionSpec] = []
 
     def walk(n: PhysNode) -> None:
-        if isinstance(n, SelectionNode):
+        if isinstance(n, SelectionSpec):
             out.append(n)
         else:
             for child in n.children:
@@ -114,7 +100,7 @@ def join_key(node: PjoinNode | BrjoinNode) -> str:
 
 def render_plan(node: PhysNode) -> str:
     """Compact one-line plan form, e.g. ``Pjoin_x(Brjoin_y(t4,t2),t1)``."""
-    if isinstance(node, SelectionNode):
+    if isinstance(node, SelectionSpec):
         return node.label
     inner = ",".join(render_plan(c) for c in node.children)
     name = "Pjoin" if isinstance(node, PjoinNode) else "Brjoin"
@@ -146,7 +132,7 @@ def plan_mono_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPlan
 
 
 def _all_join_vars(node: PhysNode) -> frozenset[Term]:
-    if isinstance(node, SelectionNode):
+    if isinstance(node, SelectionSpec):
         return frozenset()
     out: set[Term] = set(node.on)
     for child in node.children:
@@ -164,12 +150,12 @@ def plan_multi_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPla
     broadcasting the joined side."""
 
     def convert(node: PhysNode) -> tuple[PhysNode, int]:
-        if isinstance(node, SelectionNode):
+        if isinstance(node, SelectionSpec):
             return node, leaf_sizes[node.index]
         subtrees: list[tuple[PhysNode, int]] = []
-        leaves: list[tuple[SelectionNode, int]] = []
+        leaves: list[tuple[SelectionSpec, int]] = []
         for child in node.children:
-            if isinstance(child, SelectionNode):
+            if isinstance(child, SelectionSpec):
                 leaves.append((child, leaf_sizes[child.index]))
             else:
                 subtrees.append(convert(child))

@@ -55,7 +55,8 @@ _TOKEN_RE = re.compile(
       | (?P<comment>\#[^\n]*)
       | (?P<iri><%(iri)s>)
       | (?P<literal>%(quoted)s
-            (?:\^\^(?:<%(iri)s>|%(pname)s:%(local)s)|%(lang)s)?)
+            (?:\^\^(?:<%(iri)s>|(?P<datatype>(?:%(pname)s)?:(?:%(local)s)?))
+              |%(lang)s)?)
       | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
       | (?P<blank>_:%(blank)s)
       | (?P<pname>(?:%(pname)s)?:(?:%(local)s)?)
@@ -72,6 +73,7 @@ class _Token:
     kind: str
     value: str
     line: int
+    datatype: str | None = None     # a literal's prefixed datatype name
 
 
 def _tokenize(text: str, source: str | None) -> list[_Token]:
@@ -90,7 +92,7 @@ def _tokenize(text: str, source: str | None) -> list[_Token]:
         kind = match.lastgroup
         value = match.group()
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line))
+            tokens.append(_Token(kind, value, line, match.group("datatype")))
         line += value.count("\n")
         pos = match.end()
     return tokens
@@ -263,15 +265,15 @@ class _Parser:
     def normalize_literal(self, tok: _Token) -> Term:
         token = tok.value
         # Expand a prefixed datatype so query literals compare equal to data
-        # literals, which always carry full IRIs.
-        caret = token.rfind("^^")
-        if caret != -1 and not token[caret + 2:].startswith("<"):
-            dtype = token[caret + 2:]
-            prefix, _, local = dtype.partition(":")
+        # literals, which always carry full IRIs. The tokenizer matched the
+        # name after the closing quote, so text inside the quotes is never
+        # read as a datatype.
+        if tok.datatype is not None:
+            prefix, _, local = tok.datatype.partition(":")
             base = self.prefixes.get(prefix)
             if base is None:
                 raise self.error(f"undeclared prefix {prefix!r}: in literal datatype", tok)
-            token = f"{token[:caret]}^^<{base}{local}>"
+            token = f"{token[:-len(tok.datatype)]}<{base}{local}>"
         return literal_token(token)
 
 

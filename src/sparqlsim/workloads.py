@@ -65,6 +65,8 @@ class WorkloadSpec:
     filler: int = 0             # triples matching no pattern
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if self.shape not in SHAPES:
             raise ValueError(f"unknown workload shape {self.shape!r} "
                              f"(expected one of {', '.join(SHAPES)})")
@@ -326,16 +328,20 @@ def load_suite(path: str | Path) -> Suite:
     raw_m = data.get("m", [DEFAULT_NODE_COUNT])
     if not isinstance(raw_m, list) or any(type(v) is not int for v in raw_m):
         raise ParseError(f"{path}: 'm' must list integer node counts, got {raw_m!r}")
-    try:
-        suite = Suite(
-            name=str(data.get("name", path.stem)),
-            workloads=specs,
-            m=tuple(raw_m),
-            partitioning=str(data.get("partitioning", DEFAULT_PARTITIONING)),
-            strategies=tuple(str(s) for s in data.get("strategies", STRATEGIES)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    raw_strategies = data.get("strategies", list(STRATEGIES))
+    if not isinstance(raw_strategies, list) or any(type(s) is not str for s in raw_strategies):
+        raise ParseError(f"{path}: 'strategies' must list strategy names, "
+                         f"got {raw_strategies!r}")
+    for key in ("name", "partitioning"):
+        if key in data and not isinstance(data[key], str):
+            raise ParseError(f"{path}: '{key}' must be a string, got {data[key]!r}")
+    suite = Suite(
+        name=data.get("name", path.stem),
+        workloads=specs,
+        m=tuple(raw_m),
+        partitioning=data.get("partitioning", DEFAULT_PARTITIONING),
+        strategies=tuple(raw_strategies),
+    )
     if not suite.m:
         raise ParseError(f"{path}: 'm' must list at least one node count")
     if not suite.strategies:

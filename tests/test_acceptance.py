@@ -35,7 +35,7 @@ from sparqlsim import (
 )
 from sparqlsim.hybrid import _price_pair
 from sparqlsim.ops import (
-    brjoin, compile_specs, merged_selection, pjoin, shared_subset,
+    SelectionSpec, brjoin, merged_selection, pjoin, shared_subset,
     triple_selection,
 )
 from sparqlsim.terms import pattern_vars
@@ -342,7 +342,7 @@ def test_criterion_5_merged_scan_accounting():
                                    subject_count=200, filler=99_000))
         assert len(wl.triples) == 100_000
         dataset, _ = make_dataset(wl.triples, m=4)
-        specs = compile_specs(wl.query.patterns)
+        specs = [SelectionSpec(i, p) for i, p in enumerate(wl.query.patterns)]
 
         merged_ledger = TransferLedger()
         subset = shared_subset(specs, dataset)

@@ -119,6 +119,17 @@ def test_query_single_strategy_no_header(capsys, university_nt):
         ["t1", "t2", "t3", "t4", "t5"]]
 
 
+def test_query_matches_a_literal_with_carets_in_its_text(capsys, tmp_path):
+    data = tmp_path / "carets.nt"
+    data.write_text('<http://e/s> <http://e/p> "a^^b" .\n'
+                    '<http://e/t> <http://e/p> "a" .\n', encoding="utf-8")
+    query = tmp_path / "carets.rq"
+    query.write_text('SELECT ?s WHERE { ?s <http://e/p> "a^^b" . }', encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", str(data), str(query), "--no-header")
+    assert code == 0 and err == ""
+    assert out.splitlines()[:-1] == ["<http://e/s>"]
+
+
 def test_query_theta_scales_cost_not_counts(capsys, university_nt):
     code, out, _ = run_cli(capsys, "query", university_nt, Q8,
                            "--strategy", "pjoin", "--no-header",
@@ -375,10 +386,17 @@ def test_exit_2_non_utf8_data(capsys, tmp_path):
     ('"m": [2.7]', "", "'m' must list integer node counts, got [2.7]"),
     ('"m": [4, false]', "", "'m' must list integer node counts, got [4, False]"),
     ('"m": [2, 1025, 100000000]', "",
-     "must be at most 1024, got 1025, 100000000")],
+     "must be at most 1024, got 1025, 100000000"),
+    ('"strategies": "pjoin"', "", "'strategies' must list strategy names, got 'pjoin'"),
+    ('"strategies": ["pjoin", 3]', "",
+     "'strategies' must list strategy names, got ['pjoin', 3]"),
+    ('"name": null', "", "'name' must be a string, got None"),
+    ('"partitioning": null', "", "'partitioning' must be a string, got None"),
+    ('"m": [2]', ', "name": 7', "workloads[0]: name must be a string, got 7")],
     ids=["unknown-key", "partitioning", "strategy", "m", "empty-m",
          "empty-strategies", "workload-seed", "float-pattern-count",
-         "bool-filler", "float-m", "bool-m", "huge-m"])
+         "bool-filler", "float-m", "bool-m", "huge-m", "string-strategies",
+         "int-strategy", "null-name", "null-partitioning", "int-workload-name"])
 def test_exit_2_bad_suite_settings(capsys, tmp_path, setting, workload_setting,
                                    message):
     suite = tmp_path / "suite.json"

@@ -13,7 +13,7 @@ from sparqlsim import (
 )
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.hybrid import _HybridPlanner
-from sparqlsim.physical import SelectionNode
+from sparqlsim.ops import SelectionSpec
 from sparqlsim.workloads import CHAIN_PROFILES, HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
 from conftest import EX, make_dataset, make_relation
@@ -55,7 +55,7 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
         rows = [BindingRow.from_mapping({v: iri(f"http://example.org/e{i}")})
                 for i in range(size)]
         rel = make_relation([v], rows, 3, key=key)
-        return rel, SelectionNode(index, TriplePattern(v, iri(EX + "p"), v))
+        return rel, SelectionSpec(index, TriplePattern(v, iri(EX + "p"), v))
 
     dataset, _ = make_dataset([], m=3)
     planner = _HybridPlanner([], Executor(dataset))
@@ -187,16 +187,36 @@ def test_shared_scan_recorded_in_the_plan(q8_workload):
     assert not run_star.plan.shared_scan
 
 
+def _join_nodes(node) -> int:
+    if isinstance(node, SelectionSpec):
+        return 0
+    return 1 + sum(_join_nodes(child) for child in node.children)
+
+
 def test_hybrid_plan_replays_identically(q8_workload):
-    """Re-executing the adaptive plan statically must reproduce the exact
-    ledger, with and without a shared scan: the plan is a complete record
-    of the scan and movement decisions."""
-    for workload in (q8_workload, generate(_FULL_STAR)):
-        run, trace, dataset = _hybrid(workload)
-        replay = Executor(dataset)
-        relation = execute_plan(run.plan, replay, workload.query.select)
-        assert replay.trace.ledger() == trace.ledger()
-        assert as_multiset(relation.rows()) == as_multiset(run.relation.rows())
+    """Re-executing a run's plan on a fresh executor reproduces the run: the
+    plan is a complete record of the scan and movement decisions. A static
+    replay records the run's trace entry for entry. The adaptive replay,
+    with and without a shared scan, records the run's selection entries and
+    totals, and one join entry per plan join node."""
+    chain = generate(WorkloadSpec(name="chain", shape="chain", pattern_count=4,
+                                  subject_count=100))
+    for workload in (q8_workload, chain, generate(_FULL_STAR)):
+        for base in BasePartition:
+            dataset, cluster = make_dataset(workload.triples, m=4, base=base)
+            for strategy in STRATEGIES:
+                run = run_strategy(strategy, workload.query, dataset, cluster)
+                replay = Executor(dataset)
+                relation = execute_plan(run.plan, replay, workload.query.select)
+                assert as_multiset(relation.rows()) == as_multiset(run.relation.rows())
+                entries, ran = replay.trace.entries, run.trace.entries
+                if strategy != "hybrid":
+                    assert entries == ran, (workload.spec.shape, base, strategy)
+                    continue
+                scans = [e for e in ran if e.kind.endswith("selection")]
+                assert entries[:len(scans)] == scans
+                assert len(entries) - len(scans) == _join_nodes(run.plan.root)
+                assert replay.trace.ledger() == run.ledger
 
 
 def test_trace_records_every_operator(q8_workload):

@@ -2,11 +2,17 @@
 name it imports, so a refactor that moves or deletes a collaborator cannot
 leave its import behind. An import line marked ``# noqa: F401`` is a
 deliberate re-export and is exempt; the package's ``__init__.py`` is all
-re-exports and is skipped."""
+re-exports and is skipped.
+
+Every module-level function, class and assignment of the package is read
+somewhere in the package or exported in ``sparqlsim.__all__``, so a helper
+whose last caller is deleted cannot stay behind for the tests alone."""
 
 import ast
 
 import pytest
+
+import sparqlsim
 
 from conftest import REPO_ROOT
 
@@ -44,3 +50,48 @@ def test_the_check_sees_an_unused_name():
     p.name if p.parent == PACKAGE else f"tests/{p.name}"))
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_definitions(source: str) -> list[tuple[str, int]]:
+    """The names ``source`` defines at module level, each with its line:
+    functions, classes and assignment targets, dunder names excepted."""
+    defined = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.extend((name.id, node.lineno) for target in targets
+                           for name in ast.walk(target) if isinstance(name, ast.Name))
+    return [(name, line) for name, line in defined
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name ``source`` loads, bare or as an attribute."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def unread_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """The module-level definitions in ``sources`` (module name to text)
+    that no source reads and ``exported`` does not list."""
+    read = set().union(*map(names_read, sources.values()))
+    return [f"{module}: {name} (line {line})" for module, source in sources.items()
+            for name, line in module_definitions(source)
+            if name not in read and name not in exported]
+
+
+def test_the_check_sees_an_unread_definition():
+    sources = {"a": "X = 1\nY, Z = 2, 3\ndef f():\n    return X\n"
+                    "class C:\n    pass\n__all__ = ['C']\n",
+               "b": "import a\na.Y\n"}
+    assert unread_definitions(sources, {"C"}) == ["a: Z (line 2)", "a: f (line 3)"]
+
+
+def test_every_package_definition_is_read_or_exported():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_definitions(sources, set(sparqlsim.__all__)) == []

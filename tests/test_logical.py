@@ -9,9 +9,8 @@ from sparqlsim import (
     parse_query, snowflake_query, var,
 )
 from sparqlsim.logical import connected_components, join_variables
-from sparqlsim.physical import (
-    BrjoinNode, PjoinNode, SelectionNode, plan_leaves, plan_pjoin_strategy,
-)
+from sparqlsim.ops import SelectionSpec
+from sparqlsim.physical import BrjoinNode, PjoinNode, plan_leaves, plan_pjoin_strategy
 from sparqlsim.terms import TriplePattern
 
 E = "http://e/"
@@ -95,7 +94,7 @@ def test_grouping_tree_is_a_pjoin_plan(triples):
     assert isinstance(tree, BrjoinNode) == cross
 
     def walk(node, is_root):
-        if isinstance(node, SelectionNode):
+        if isinstance(node, SelectionSpec):
             assert node.pattern == patterns[node.index]
             return
         if isinstance(node, BrjoinNode):

@@ -15,7 +15,7 @@ from sparqlsim.cluster import PlacementError, Relation, check_placement, shuffle
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.logical import build_logical
 from sparqlsim.ops import (
-    SelectionSpec, brjoin, compile_specs, fold_order, merged_selection, pjoin,
+    SelectionSpec, brjoin, fold_order, merged_selection, pjoin,
     project, selection_state, shared_subset, triple_selection,
 )
 from sparqlsim.physical import plan_mono_brjoin
@@ -34,6 +34,11 @@ P_NAME = TriplePattern(X, NAME, N)
 P_AGE = TriplePattern(Y, AGE, G)
 P_GROUND = TriplePattern(A, KNOWS, Y)
 P_SELF = TriplePattern(X, KNOWS, X)
+
+
+def _specs(patterns) -> list[SelectionSpec]:
+    """The plan leaves of ``patterns``, indexed in list order."""
+    return [SelectionSpec(i, p) for i, p in enumerate(patterns)]
 
 
 def rows(rel) -> Counter:
@@ -57,21 +62,21 @@ def _matching_rows(pattern, triples, columns) -> tuple:
 
 
 def test_selection_spec_compile():
-    spec = SelectionSpec.compile(2, P_KNOWS)
+    spec = SelectionSpec(2, P_KNOWS)
     assert spec.label == "t3"
     assert spec.columns == (X, Y)
-    assert SelectionSpec.compile(0, TriplePattern(Y, KNOWS, X)).columns == (Y, X)
+    assert SelectionSpec(0, TriplePattern(Y, KNOWS, X)).columns == (Y, X)
     assert spec.predicate == KNOWS.id
     knows = Triple(A, KNOWS, B)
     # x, y: first-position order
     assert tuple(spec.rows_in(KNOWS.id, encode_group([knows]))) \
         == _matching_rows(P_KNOWS, [knows], spec.columns) == ((A.id, B.id),)
     assert _matching_rows(P_KNOWS, [Triple(A, NAME, lit("A"))], spec.columns) == ()
-    assert [s.label for s in compile_specs([P_KNOWS, P_NAME])] == ["t1", "t2"]
+    assert [s.label for s in _specs([P_KNOWS, P_NAME])] == ["t1", "t2"]
 
 
 def test_selection_same_variable_twice_requires_equality():
-    spec = SelectionSpec.compile(0, P_SELF)
+    spec = SelectionSpec(0, P_SELF)
     loop = iri(EX + "loop")
     group = [Triple(loop, KNOWS, loop), Triple(A, KNOWS, B)]
     assert spec.columns == (X,)
@@ -82,7 +87,7 @@ def test_selection_same_variable_twice_requires_equality():
 def test_triple_selection_rows_and_accounting():
     dataset, _ = make_dataset(D0, m=4)
     ledger = TransferLedger()
-    rel = triple_selection(SelectionSpec.compile(0, P_KNOWS), dataset, ledger)
+    rel = triple_selection(SelectionSpec(0, P_KNOWS), dataset, ledger)
     assert rows(rel) == expected_knows()
     assert rel.key == frozenset({X})       # subject-partitioned store
     check_placement(rel)
@@ -93,11 +98,11 @@ def test_triple_selection_rows_and_accounting():
 
 def test_selection_state_depends_on_base_partition():
     for base, spec, state in [
-        (BasePartition.SUBJECT, SelectionSpec.compile(0, P_KNOWS), frozenset({X})),
-        (BasePartition.OBJECT, SelectionSpec.compile(0, P_KNOWS), frozenset({Y})),
-        (BasePartition.PREDICATE, SelectionSpec.compile(0, P_KNOWS), frozenset()),
-        (BasePartition.SUBJECT, SelectionSpec.compile(0, P_GROUND), frozenset()),
-        (BasePartition.RANDOM, SelectionSpec.compile(0, P_KNOWS), frozenset()),
+        (BasePartition.SUBJECT, SelectionSpec(0, P_KNOWS), frozenset({X})),
+        (BasePartition.OBJECT, SelectionSpec(0, P_KNOWS), frozenset({Y})),
+        (BasePartition.PREDICATE, SelectionSpec(0, P_KNOWS), frozenset()),
+        (BasePartition.SUBJECT, SelectionSpec(0, P_GROUND), frozenset()),
+        (BasePartition.RANDOM, SelectionSpec(0, P_KNOWS), frozenset()),
     ]:
         dataset, _ = make_dataset(D0, m=4, base=base)
         assert selection_state(spec, dataset) == state, (base, spec.pattern)
@@ -105,7 +110,7 @@ def test_selection_state_depends_on_base_partition():
 
 def test_selection_with_ground_subject():
     dataset, _ = make_dataset(D0, m=4)
-    rel = triple_selection(SelectionSpec.compile(0, P_GROUND), dataset,
+    rel = triple_selection(SelectionSpec(0, P_GROUND), dataset,
                            TransferLedger())
     assert rows(rel) == Counter([BindingRow.from_mapping({Y: B}),
                                  BindingRow.from_mapping({Y: C})])
@@ -121,7 +126,7 @@ def test_merged_selection_matches_individual_selections():
     filler = [Triple(iri(EX + f"f{i}"), iri(EX + "other"), iri(EX + f"g{i}"))
               for i in range(4)]
     dataset, _ = make_dataset(D0 + filler, m=4)
-    specs = compile_specs([P_KNOWS, P_NAME, P_AGE])
+    specs = _specs([P_KNOWS, P_NAME, P_AGE])
 
     merged_ledger = TransferLedger()
     merged, subset = _merged(specs, dataset, merged_ledger)
@@ -176,7 +181,7 @@ _ANY_PATTERN = st.booleans().flatmap(_pattern)
 @given(_store(), _ANY_PATTERN)
 def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
     dataset, _ = store
-    spec = SelectionSpec.compile(0, pattern)
+    spec = SelectionSpec(0, pattern)
     ledger = TransferLedger()
     rel = triple_selection(spec, dataset, ledger)
     # the pattern's variables in first-position order
@@ -195,7 +200,7 @@ def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
        st.lists(_ANY_PATTERN, max_size=3))
 def test_merged_selection_equals_independent_selections(store, ground, general, more):
     dataset, _ = store
-    specs = compile_specs([ground, general] + more)
+    specs = _specs([ground, general] + more)
     ledger = TransferLedger()
     merged, subset = _merged(specs, dataset, ledger)
     for spec, got in zip(specs, merged):
@@ -218,7 +223,7 @@ def test_merged_selection_equals_independent_selections(store, ground, general, 
 def test_merged_selection_single_pattern_degenerates_to_plain_scan():
     dataset, _ = make_dataset(D0, m=2)
     ledger = TransferLedger()
-    merged, subset = _merged(compile_specs([P_KNOWS]), dataset, ledger)
+    merged, subset = _merged(_specs([P_KNOWS]), dataset, ledger)
     assert subset.size == 3
     assert ledger.totals()["scanned"] == 6 + 3
     assert rows(merged[0]) == expected_knows()
@@ -227,7 +232,7 @@ def test_merged_selection_single_pattern_degenerates_to_plain_scan():
 def _selections(m=4, base=BasePartition.SUBJECT):
     dataset, _ = make_dataset(D0, m=m, base=base)
     ledger = TransferLedger()
-    specs = compile_specs([P_KNOWS, P_NAME, P_AGE])
+    specs = _specs([P_KNOWS, P_NAME, P_AGE])
     rels = [triple_selection(s, dataset, ledger) for s in specs]
     return ledger, rels
 
@@ -321,7 +326,7 @@ def test_joins_reject_inputs_on_different_node_counts():
     # whichever node count the driver happens to have.
     star = generate(WorkloadSpec(name="star", shape="star", pattern_count=2,
                                  subject_count=50))
-    specs = compile_specs(star.query.patterns)
+    specs = _specs(star.query.patterns)
     on = frozenset({var("x")})
     by_m = {}
     for m in (2, 4):
@@ -345,7 +350,7 @@ def test_a_refused_join_charges_no_transfer():
     # raises has shuffled and broadcast nothing.
     star = generate(WorkloadSpec(name="star", shape="star", pattern_count=2,
                                  subject_count=50))
-    specs = compile_specs(star.query.patterns)
+    specs = _specs(star.query.patterns)
     on = frozenset({var("x")})
     by_m = {}
     for m in (2, 4):

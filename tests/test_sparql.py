@@ -1,6 +1,7 @@
 """Query parser: supported subset, prefixes, errors, and round-trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
     ParseError, Query, UnsupportedFeatureError, iri, parse_query,
@@ -40,6 +41,33 @@ def test_parse_literals_with_prefixed_datatype():
         SELECT ?x WHERE { ?x <http://e/age> "7"^^xsd:int . }
     """)
     assert q.patterns[0][2] is lit("7", datatype="http://www.w3.org/2001/XMLSchema#int")
+
+
+@pytest.mark.parametrize("token, expected", [
+    ('"a^^b"', lit("a^^b")),
+    ('"q^^x:y"', lit("q^^x:y")),
+    ('"q^^<http://e/y>"', lit("q^^<http://e/y>")),
+    ('"a"^^:t', lit("a", datatype="http://e/t")),
+    ('"a^^b"^^x:t', lit("a^^b", datatype="http://e/t")),
+    ('"x:y"^^<http://e/t>', lit("x:y", datatype="http://e/t")),
+])
+def test_literal_datatype_is_read_after_the_closing_quote(token, expected):
+    # Carets inside the quotes are text; the empty prefix names a datatype too.
+    q = parse_query("PREFIX x: <http://e/> PREFIX : <http://e/> "
+                    "SELECT ?s WHERE { ?s <http://e/p> " + token + " . }")
+    assert q.patterns[0].o is expected
+
+
+_LITERAL_TEXT = st.text(alphabet='ab^:@#.<>{} "\\\n\t\r\'\u00e9', max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LITERAL_TEXT, st.sampled_from([{}, {"datatype": "http://e/t"},
+                                       {"lang": "en-GB"}]))
+def test_serialized_literals_parse_back(text, suffix):
+    s = var("s")
+    q = Query((s,), (TriplePattern(s, iri("http://e/p"), lit(text, **suffix)),))
+    assert parse_query(serialize_query(q)) == q
 
 
 def test_blank_label_stops_before_a_pattern_separator():

@@ -13,10 +13,8 @@ from sparqlsim import (
     run_strategy, sorted_result_rows, trace_cost, var,
 )
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
-from sparqlsim.ops import compile_specs
-from sparqlsim.physical import (
-    BrjoinNode, PjoinNode, SelectionNode, plan_pjoin_strategy,
-)
+from sparqlsim.ops import SelectionSpec
+from sparqlsim.physical import BrjoinNode, PjoinNode, plan_pjoin_strategy
 from sparqlsim import build_logical, parse_query
 
 from conftest import make_dataset, run_all_strategies
@@ -151,7 +149,7 @@ def test_a_refused_join_appends_no_trace_entry():
     anything, so it leaves no entry and no charge in the trace."""
     star = generate(WorkloadSpec(name="star", shape="star", pattern_count=2,
                                  subject_count=50))
-    specs = compile_specs(star.query.patterns)
+    specs = [SelectionSpec(i, p) for i, p in enumerate(star.query.patterns)]
     rels = []
     for m, spec in zip((2, 4), specs):
         # Random placement: every selection needs a shuffle to join on x.
@@ -159,7 +157,7 @@ def test_a_refused_join_appends_no_trace_entry():
         rels += Executor(dataset).run_selections([spec])
     executor = Executor(dataset)
     on = frozenset({var("x")})
-    leaves = tuple(SelectionNode(s.index, s.pattern) for s in specs)
+    leaves = tuple(specs)
     for node in (PjoinNode(on, leaves), BrjoinNode(on, leaves, 0),
                  BrjoinNode(on, leaves, 1)):
         with pytest.raises(ValueError, match="different node counts"):
@@ -176,7 +174,7 @@ def test_pjoin_plan_flattens_same_key_joins():
     root = plan.root
     assert isinstance(root, PjoinNode)
     assert len(root.children) == 3
-    assert all(isinstance(c, SelectionNode) for c in root.children)
+    assert all(isinstance(c, SelectionSpec) for c in root.children)
     assert render_plan(root) == "Pjoin_c(t1,t2,t3)"
 
 
