@@ -15,6 +15,7 @@ byte-identical bytes.
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,9 +23,9 @@ from .cluster import (
     DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, Cluster,
     load_partitioned,
 )
-from .engine import STRATEGIES, result_cell, run_strategy
+from .engine import STRATEGIES, result_cell, result_tuples, run_strategy
 from .logical import classify_shape
-from .oracle import as_multiset, oracle_eval
+from .oracle import oracle_eval
 from .sparql import Query
 from .terms import Triple
 from .workloads import Suite, generate
@@ -93,10 +94,12 @@ def run_bench(cases: Sequence[BenchCase], *, ms: Sequence[int] = (DEFAULT_NODE_C
     report = BenchReport(suite=suite_name, partitioning=partitioning)
     for case in cases:
         shape = classify_shape(case.query.patterns)
+        select = case.query.select
         expected = None
         if len(case.triples) <= verify_limit:
-            expected = as_multiset(oracle_eval(case.query.patterns, case.triples,
-                                               select=case.query.select))
+            # Encoded once per case to the id tuples every cell is read as.
+            expected = Counter(tuple([row.get(v).id for v in select]) for row in
+                               oracle_eval(case.query.patterns, case.triples, select=select))
         for m in ms:
             cluster = Cluster(m)
             dataset = load_partitioned(case.triples, cluster, base)
@@ -105,7 +108,7 @@ def run_bench(cases: Sequence[BenchCase], *, ms: Sequence[int] = (DEFAULT_NODE_C
                                       allow_cross=allow_cross, validate=validate)
                 status = "ok"
                 if expected is not None:
-                    got = as_multiset(result.relation.rows())
+                    got = Counter(result_tuples(result.relation, select))
                     if got != expected:
                         raise AssertionError(
                             f"{case.name}/{strategy}/m={m}: result disagrees with "

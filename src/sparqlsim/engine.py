@@ -11,6 +11,7 @@ selections. The adaptive strategy plans while executing; see
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -19,7 +20,7 @@ from .cluster import Cluster, Dataset, Relation, Row, TransferLedger, check_load
 from .executor import ExecutionTrace, Executor, execute_plan
 from .hybrid import plan_and_execute_hybrid
 from .logical import ShapeInfo, build_logical
-from .ops import tuple_getter
+from .ops import cut_rows
 from .physical import (
     PhysicalPlan, plan_leaves, plan_mono_brjoin, plan_multi_brjoin,
     plan_pjoin_strategy, render_plan,
@@ -99,32 +100,38 @@ def run_query(query: Query, dataset: Dataset, cluster: Cluster,
 def result_tuples(relation: Relation, select: Sequence[Term]) -> list[Row]:
     """A result's id tuples in select-list column order, read from the
     relation's columns; a repeated select variable repeats its id."""
-    cut = tuple_getter([relation.columns.index(v) for v in select])
-    return list(map(cut, relation.tuples()))
+    return list(cut_rows(relation.tuples(), [relation.columns.index(v) for v in select]))
 
 
 def _sorted_by_nt(relation: Relation,
-                  select: Sequence[Term]) -> list[tuple[tuple[str, ...], Row]]:
-    """Each result id tuple in select-list column order, after its key:
-    the N-Triples forms of its terms, each built once per distinct id.
-    Sorted by key; equal keys are equal rows."""
-    rows = result_tuples(relation, select)
+                  select: Sequence[Term]) -> list[tuple[tuple[str, ...], Row, int]]:
+    """Each distinct result id tuple in select-list column order, after its
+    key (the N-Triples forms of its terms, each built once per distinct id)
+    and before its multiplicity. Sorted by key; equal keys are equal rows,
+    so a bag is sorted by its distinct rows alone."""
+    counts = Counter(result_tuples(relation, select))
     terms = TERMS
-    nt = {i: terms[i].nt() for i in set(chain.from_iterable(rows))}.__getitem__
-    return sorted((tuple(map(nt, row)), row) for row in rows)
+    nt = {i: terms[i].nt() for i in set(chain.from_iterable(counts))}.__getitem__
+    return sorted((tuple(map(nt, row)), row, n) for row, n in counts.items())
 
 
 def sorted_result_rows(relation: Relation, select: Sequence[Term]) -> list[tuple[Term, ...]]:
     """Result tuples in select-list column order, decoded to terms and
     sorted canonically, by their terms' N-Triples forms."""
     terms = TERMS
-    return [tuple([terms[i] for i in row]) for _, row in _sorted_by_nt(relation, select)]
+    out: list[tuple[Term, ...]] = []
+    for _, row, n in _sorted_by_nt(relation, select):
+        out += [tuple([terms[i] for i in row])] * n
+    return out
 
 
 def result_lines(relation: Relation, select: Sequence[Term]) -> list[str]:
     """The result as ``query`` prints it: one line per row of
     :func:`sorted_result_rows`, its terms' N-Triples forms tab-separated."""
-    return ["\t".join(key) for key, _ in _sorted_by_nt(relation, select)]
+    out: list[str] = []
+    for key, _, n in _sorted_by_nt(relation, select):
+        out += ["\t".join(key)] * n
+    return out
 
 
 def result_cell(result: RunResult, *, m: int, partitioning: str,

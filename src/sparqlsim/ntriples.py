@@ -4,6 +4,11 @@ Parsing is all-or-nothing: any malformed line aborts with a
 :class:`ParseError` carrying its 1-based line number. ``#`` comment lines and
 blank lines are skipped. Literal tokens (quotes, escapes, datatype or
 language suffix) are kept verbatim, so serialization round-trips exactly.
+
+Every IRI in N-Triples data is absolute: a subject, predicate, object or
+literal datatype IRI must start with a scheme (``<s>`` is refused). A query
+may still hold a relative IRI, since SPARQL's IRIREF allows one; such a
+pattern position matches no loaded triple.
 """
 
 import re
@@ -11,10 +16,12 @@ from typing import Iterable
 
 from .errors import ParseError
 from .terms import (
-    TermKind, Triple, _blank_cache, _intern, _iri_cache, _lit_cache, trusted_triple,
+    IRI_CHARS, TermKind, Triple, _blank_cache, _intern, _iri_cache, _lit_cache,
+    trusted_triple,
 )
 
-IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
+# An absolute IRI: a scheme, its colon, then the rest of the reference.
+_ABSOLUTE_IRI = rf"[A-Za-z][A-Za-z0-9+.-]*:{IRI_CHARS}"
 # A blank node label may hold dots but not end in one, so the line's final
 # dot is never part of it: "_:a." is the label "a" before the terminator.
 BLANK_LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
@@ -25,14 +32,14 @@ BLANK_LABEL = r"[A-Za-z0-9](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
 QUOTED_STRING = (r'"[^"\\]*(?:\\(?:[tbnrf"\'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})'
                  r'[^"\\]*)*"')
 LANG_TAG = r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
-_LITERAL_RE = rf"{QUOTED_STRING}(?:\^\^<{IRI_CHARS}>|{LANG_TAG})?"
+_LITERAL_RE = rf"{QUOTED_STRING}(?:\^\^<{_ABSOLUTE_IRI}>|{LANG_TAG})?"
 
 # One match per line. Its six groups separate the kinds: subject IRI or
 # blank label, predicate IRI, object IRI, blank label or literal token.
 _TRIPLE_LINE = re.compile(
-    rf"^\s*(?:<({IRI_CHARS})>|_:({BLANK_LABEL}))"
-    rf"\s+<({IRI_CHARS})>"
-    rf"\s+(?:<({IRI_CHARS})>|_:({BLANK_LABEL})|({_LITERAL_RE}))"
+    rf"^\s*(?:<({_ABSOLUTE_IRI})>|_:({BLANK_LABEL}))"
+    rf"\s+<({_ABSOLUTE_IRI})>"
+    rf"\s+(?:<({_ABSOLUTE_IRI})>|_:({BLANK_LABEL})|({_LITERAL_RE}))"
     r"\s*\.\s*$"
 )
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, UnsupportedFeatureError
-from .ntriples import BLANK_LABEL, IRI_CHARS, LANG_TAG, QUOTED_STRING
-from .terms import Term, TriplePattern, blank, iri, literal_token, pattern_vars, var
+from .ntriples import BLANK_LABEL, LANG_TAG, QUOTED_STRING
+from .terms import (
+    IRI_CHARS, Term, TriplePattern, blank, iri, literal_token, pattern_vars, var,
+)
 
 RDF_TYPE = iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 

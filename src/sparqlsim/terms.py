@@ -18,6 +18,7 @@ datatype/language suffix included, and are treated as opaque constants; the
 engine never interprets datatypes.
 """
 
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import total_ordering
@@ -198,6 +199,13 @@ def escape_literal_text(text: str) -> str:
     return "".join(out)
 
 
+IRI_CHARS = r"[^<>\"{}|^`\\\x00-\x20]*"
+"""The characters an IRI reference may hold between its angle brackets, as
+a regex fragment. The N-Triples and SPARQL grammars import it from here,
+and :func:`lit` checks a datatype by the same rule."""
+_IRI_BODY = re.compile(IRI_CHARS)
+
+
 def iri(value: str) -> Term:
     t = _iri_cache.get(value)
     return t if t is not None else _intern(TermKind.IRI, value, _iri_cache)
@@ -205,9 +213,13 @@ def iri(value: str) -> Term:
 
 def lit(text: str, datatype: str | None = None, lang: str | None = None) -> Term:
     """Build a literal term from raw text plus an optional datatype IRI or
-    language tag. The stored lexical form is the serialized token."""
+    language tag. The stored lexical form is the serialized token. A
+    datatype with a character outside :data:`IRI_CHARS` is refused, as the
+    parsers refuse it."""
     if datatype is not None and lang is not None:
         raise ValueError("literal cannot carry both a datatype and a language tag")
+    if datatype is not None and _IRI_BODY.fullmatch(datatype) is None:
+        raise ValueError(f"literal datatype is not an IRI: {datatype!r}")
     token = f'"{escape_literal_text(text)}"'
     if datatype is not None:
         token += f"^^<{datatype}>"

@@ -40,18 +40,25 @@ D0 = [
 
 
 # Lines the W3C N-Triples grammar rejects: a blank node label ends in a
-# name character, not a dot, and a literal's escapes are ECHAR or UCHAR.
+# name character, not a dot, a literal's escapes are ECHAR or UCHAR, and
+# every IRI starts with a scheme.
 NT_GRAMMAR_VIOLATIONS = [
     '<http://e/s> <http://e/p> _:a. .',               # object label "a."
     '_:b.. <http://e/p> <http://e/o>.',               # subject label "b.."
     r'<http://e/s> <http://e/p> "a\u00zz" .',         # \u takes 4 hex digits
     r'<http://e/s> <http://e/p> "a\U0001F60" .',      # \U takes 8
     r'<http://e/s> <http://e/p> "a\x41" .',           # not an ECHAR
+    '<s> <http://e/p> <http://e/o> .',                # relative subject IRI
+    '<http://e/s> <p> <http://e/o> .',                # relative predicate IRI
+    '<http://e/s> <http://e/p> <o> .',                # relative object IRI
+    '<http://e/s> <http://e/p> "a"^^<t> .',           # relative datatype IRI
+    '<http://e/s> <http://e/p> <1a:o> .',             # a scheme starts with a letter
 ]
-# The literal cases as queries: a query literal follows the same escape rule.
+# The escape cases as queries: a query literal follows the same escape
+# rule. A query may hold a relative IRI, as SPARQL's IRIREF allows.
 LITERAL_VIOLATION_QUERIES = [
     "SELECT ?x WHERE { " + line.replace("<http://e/s>", "?x") + " }"
-    for line in NT_GRAMMAR_VIOLATIONS if '"' in line]
+    for line in NT_GRAMMAR_VIOLATIONS if "\\" in line]
 
 
 @pytest.fixture

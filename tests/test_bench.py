@@ -11,8 +11,8 @@ import sys
 import pytest
 
 from sparqlsim import (
-    BenchCase, BenchReport, CSV_COLUMNS, Suite, WorkloadSpec, cases_from_suite,
-    generate, load_suite, run_bench, run_suite,
+    BenchCase, BenchReport, CSV_COLUMNS, STRATEGIES, Suite, WorkloadSpec,
+    cases_from_suite, generate, load_suite, parse_query, run_bench, run_suite,
 )
 
 from conftest import REPO_ROOT, WORKLOAD_DIR
@@ -127,6 +127,34 @@ def test_result_mismatch_raises(monkeypatch):
     with pytest.raises(AssertionError, match="disagrees with"):
         run_bench(cases_from_suite(SMALL_SUITE)[:1], ms=(2,),
                   strategies=("hybrid",), include_wall=False)
+
+
+@pytest.mark.parametrize("change", ["duplicated", "dropped", "duplicated and dropped"])
+def test_a_changed_row_multiplicity_raises(monkeypatch, change):
+    import sparqlsim.bench as bench_mod
+    from sparqlsim.oracle import oracle_eval
+
+    def stub(*args, **kwargs):
+        rows = oracle_eval(*args, **kwargs)
+        if "duplicated" in change:
+            rows = rows + rows[:1]
+        if "dropped" in change:
+            rows = rows[:1] + rows[2:]
+        return rows
+
+    monkeypatch.setattr(bench_mod, "oracle_eval", stub)
+    with pytest.raises(AssertionError, match="disagrees with"):
+        run_bench(cases_from_suite(SMALL_SUITE)[:1], ms=(2,),
+                  strategies=("hybrid",), include_wall=False)
+
+
+def test_a_repeated_select_variable_verifies(d0_triples):
+    query = parse_query("PREFIX ex: <http://example.org/> "
+                        "SELECT ?x ?x ?y WHERE { ?x ex:knows ?y . ?x ex:name ?n }")
+    report = run_bench([BenchCase("d0", "repeated", d0_triples, query)], ms=(1, 3),
+                       include_wall=False)
+    assert len(report.cells) == 2 * len(STRATEGIES)
+    assert {(c["status"], c["result_count"]) for c in report.cells} == {("verified", 3)}
 
 
 def test_adhoc_case_from_raw_parts():

@@ -290,8 +290,9 @@ def test_exit_2_data_outside_the_n_triples_grammar(capsys, tmp_path, line):
     bad = tmp_path / "bad.nt"
     bad.write_text("<http://e/s> <http://e/p> <http://e/o> .\n" + line + "\n",
                    encoding="utf-8")
-    code, out, err = run_cli(capsys, "load", str(bad))
-    assert (code, out) == (2, "") and "bad.nt:2" in err
+    for args in (["load", str(bad)], ["query", str(bad), str(QUERY_DIR / "q8.rq")]):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "") and "bad.nt:2" in err, args
 
 
 @pytest.mark.parametrize("text", LITERAL_VIOLATION_QUERIES)
@@ -462,15 +463,27 @@ _PINNED_DATA = "".join(
     f'<http://e/s{i}> <http://e/q> "v{i}" .\n' for i in range(4)
 ) + "<http://e/a> <http://e/r> <http://e/b> .\n"
 
+# Two one-subject stars, 3x3 and 1x2 branches, for a bag of duplicate rows.
+_DUPLICATE_ROWS_DATA = "".join(
+    f'<http://e/{s}> <http://e/{p}> "{i}" .\n'
+    for s, branches in (("t", (3, 3)), ("s", (1, 2)))
+    for p, n in zip("mn", branches) for i in range(n))
+
 _PINNED_QUERIES = {
     # The select list repeats ?x: the header and every row repeat its column.
-    "repeated-select":
-        "SELECT ?x ?x ?y WHERE { ?x <http://e/p> ?y . ?x <http://e/q> ?z . }",
+    "repeated-select": (
+        _PINNED_DATA,
+        "SELECT ?x ?x ?y WHERE { ?x <http://e/p> ?y . ?x <http://e/q> ?z . }"),
     # A fully ground pattern selects a relation with no columns, joined
     # with the other pattern as a cross product.
-    "ground-cross":
+    "ground-cross": (
+        _PINNED_DATA,
         "SELECT ?x ?y WHERE { <http://e/a> <http://e/r> <http://e/b> . "
-        "?x <http://e/p> ?y . }",
+        "?x <http://e/p> ?y . }"),
+    # Each subject's row occurs once per pair of branch values: 9 and 2 times.
+    "duplicate-rows": (
+        _DUPLICATE_ROWS_DATA,
+        "SELECT ?s WHERE { ?s <http://e/m> ?a . ?s <http://e/n> ?b . }"),
 }
 
 
@@ -479,10 +492,11 @@ _PINNED_QUERIES = {
 def test_query_all_strategies_pinned_output(capsys, tmp_path, case, key):
     """``query --strategy all --validate`` stdout, less its wall times, is
     exactly ``tests/golden/query-<case>-<key>.txt``."""
+    data_text, query_text = _PINNED_QUERIES[case]
     data = tmp_path / "data.nt"
-    data.write_text(_PINNED_DATA, encoding="utf-8")
+    data.write_text(data_text, encoding="utf-8")
     query = tmp_path / "query.rq"
-    query.write_text(_PINNED_QUERIES[case], encoding="utf-8")
+    query.write_text(query_text, encoding="utf-8")
     code, out, err = run_cli(capsys, "query", str(data), str(query),
                              "--strategy", "all", "--validate",
                              "--allow-cross-product", "--partition-key", key)

@@ -147,7 +147,10 @@ def test_literal_escapes_are_kept_verbatim(token):
     assert t.o is literal_token(token) and t.o.lexical == token
 
 
-_IRIS = st.text(alphabet=st.sampled_from("ab:#/.é中%"), max_size=10)
+# Absolute IRIs: a scheme, its colon, then any IRI characters.
+_IRIS = st.builds("{}:{}".format,
+                  st.from_regex(r"[A-Za-z][A-Za-z0-9+.-]{0,3}", fullmatch=True),
+                  st.text(alphabet=st.sampled_from("ab:#/.é中%"), max_size=10))
 _BLANKS = st.from_regex(r"[A-Za-z0-9](?:[A-Za-z0-9_.-]{0,4}[A-Za-z0-9_-])?",
                         fullmatch=True)
 _LITERALS = st.one_of(

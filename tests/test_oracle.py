@@ -76,6 +76,16 @@ def _outcome(evaluate, patterns, triples, select, limit):
 @example(case=([TriplePattern(X, ABSENT, Y)], [Triple(A, P, A)]),
          select=None, limit=1_000_000)
 @example(case=([TriplePattern(X, Y, Z)], []), select=[X], limit=1)
+@example(case=([TriplePattern(X, P, Y), TriplePattern(Y, Q, Y)],
+               [Triple(A, P, B), Triple(B, Q, B), Triple(A, P, A), Triple(B, Q, A),
+                Triple(A, Q, A), Triple(B, Q, B)]),
+         select=None, limit=1_000_000)
+@example(case=([TriplePattern(X, P, Y), TriplePattern(A, P, B)],
+               [Triple(A, P, B), Triple(B, P, A), Triple(A, P, B)]),
+         select=None, limit=3)
+@example(case=([TriplePattern(X, P, Y), TriplePattern(Y, Q, Z)],
+               [Triple(A, P, B), Triple(B, Q, A), Triple(B, Q, lit("1")), Triple(A, P, P)]),
+         select=[Z, X, Z], limit=1_000_000)
 def test_indexed_oracle_equals_the_nested_loop(case, select, limit):
     patterns, triples = case
     want = _outcome(nested_oracle_eval, patterns, triples, select, limit)

@@ -1,7 +1,9 @@
 """Query parser: supported subset, prefixes, errors, and round-trips."""
 
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sparqlsim import (
     ParseError, Query, UnsupportedFeatureError, iri, parse_query,
@@ -59,15 +61,34 @@ def test_literal_datatype_is_read_after_the_closing_quote(token, expected):
 
 
 _LITERAL_TEXT = st.text(alphabet='ab^:@#.<>{} "\\\n\t\r\'\u00e9', max_size=12)
+# Datatypes, some holding characters no IRI may hold; relative ones are
+# IRIs to a query.
+_DATATYPES = st.text(alphabet='at:/#^<>{}|`"\\ \n\u00e9', max_size=8)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_LITERAL_TEXT, st.sampled_from([{}, {"datatype": "http://e/t"},
-                                       {"lang": "en-GB"}]))
+@given(_LITERAL_TEXT, st.one_of(
+    st.sampled_from([{}, {"datatype": "http://e/t"}, {"lang": "en-GB"}]),
+    st.builds(lambda datatype: {"datatype": datatype}, _DATATYPES)))
+@example("", {"datatype": "http://e/a^^b"})
+@example("", {"datatype": "t"})
 def test_serialized_literals_parse_back(text, suffix):
     s = var("s")
-    q = Query((s,), (TriplePattern(s, iri("http://e/p"), lit(text, **suffix)),))
+    try:
+        obj = lit(text, **suffix)
+    except ValueError:
+        # lit refuses just the datatypes the query grammar refuses.
+        assert re.search(r'[<>"{}|^`\\\x00-\x20]', suffix["datatype"])
+        return
+    q = Query((s,), (TriplePattern(s, iri("http://e/p"), obj),))
     assert parse_query(serialize_query(q)) == q
+
+
+def test_queries_keep_relative_iris():
+    # SPARQL's IRIREF allows a relative IRI; only N-Triples data refuses one.
+    q = parse_query('SELECT ?x WHERE { ?x <p> <o> . ?x <http://e/q> "a"^^<t> . }')
+    assert q.patterns == (TriplePattern(var("x"), iri("p"), iri("o")),
+                          TriplePattern(var("x"), iri("http://e/q"), lit("a", datatype="t")))
 
 
 def test_blank_label_stops_before_a_pattern_separator():
