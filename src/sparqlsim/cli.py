@@ -19,7 +19,9 @@ since the store and every relation hold one table or chunk per node); 3
 query uses an unsupported feature; 4 the pattern is a cross product and
 ``--allow-cross-product`` was not given; 5 ``bench`` verification
 stopped because the reference evaluation exceeded its row budget (lower
-``--verify-limit`` to skip verifying that dataset).
+``--verify-limit`` to skip verifying that dataset). Past option parsing,
+which argparse reports after a usage message, a failure prints one
+``error:`` line to stderr, with any line break from the input escaped.
 """
 
 import argparse
@@ -194,18 +196,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
     results = run_query(query, dataset, cluster, args.strategy,
                         allow_cross=args.allow_cross_product,
                         validate=args.validate)
-    if len(results) > 1:
-        # Term ids are canonical, so equal id tuples in select-list order
-        # are equal term tuples.
-        baseline = Counter(result_tuples(results[0].relation, query.select))
-        for other in results[1:]:
-            if Counter(result_tuples(other.relation, query.select)) != baseline:
-                raise AssertionError(
-                    f"strategies disagree: {results[0].strategy} vs {other.strategy}")
+    # Term ids are canonical, so equal id tuples in select-list order are
+    # equal term tuples.
+    counts = Counter(result_tuples(results[0].relation, query.select))
+    for other in results[1:]:
+        if Counter(result_tuples(other.relation, query.select)) != counts:
+            raise AssertionError(
+                f"strategies disagree: {results[0].strategy} vs {other.strategy}")
 
     if not args.no_header:
         print("\t".join(v.nt() for v in query.select))
-    for line in result_lines(results[0].relation, query.select):
+    for line in result_lines(counts):
         print(line)
 
     runs = []
@@ -292,35 +293,39 @@ _COMMANDS = {
 }
 
 
+# The characters str.splitlines breaks on, each written as its escape, so
+# that every error is one line whatever the input held.
+_LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode("ascii")
+                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _error(message: str, code: int) -> int:
+    print("error: " + message.translate(_LINE_BREAKS), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"no such file: {exc.filename or exc}", EXIT_INPUT)
     except OSError as exc:
         if exc.filename is None:
             raise
-        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"cannot open {exc.filename}: {exc.strerror}", EXIT_INPUT)
     except UnicodeDecodeError as exc:
-        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(f"input is not UTF-8: {exc}", EXIT_INPUT)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _error(str(exc), EXIT_INPUT)
     except UnsupportedFeatureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return _error(str(exc), EXIT_UNSUPPORTED)
     except CartesianProductError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CROSS_PRODUCT
+        return _error(str(exc), EXIT_CROSS_PRODUCT)
     except ResultSizeLimitError as exc:
-        print(f"error: {exc}; lower --verify-limit to skip verification",
-              file=sys.stderr)
-        return EXIT_RESULT_LIMIT
+        return _error(f"{exc}; lower --verify-limit to skip verification",
+                      EXIT_RESULT_LIMIT)
 
 
 if __name__ == "__main__":

@@ -103,13 +103,11 @@ def result_tuples(relation: Relation, select: Sequence[Term]) -> list[Row]:
     return list(cut_rows(relation.tuples(), [relation.columns.index(v) for v in select]))
 
 
-def _sorted_by_nt(relation: Relation,
-                  select: Sequence[Term]) -> list[tuple[tuple[str, ...], Row, int]]:
-    """Each distinct result id tuple in select-list column order, after its
-    key (the N-Triples forms of its terms, each built once per distinct id)
-    and before its multiplicity. Sorted by key; equal keys are equal rows,
-    so a bag is sorted by its distinct rows alone."""
-    counts = Counter(result_tuples(relation, select))
+def _sorted_by_nt(counts: Counter[Row]) -> list[tuple[tuple[str, ...], Row, int]]:
+    """Each distinct id tuple of ``counts`` after its key (the N-Triples
+    forms of its terms, each built once per distinct id) and before its
+    multiplicity. Sorted by key; equal keys are equal rows, so a bag is
+    sorted by its distinct rows alone."""
     terms = TERMS
     nt = {i: terms[i].nt() for i in set(chain.from_iterable(counts))}.__getitem__
     return sorted((tuple(map(nt, row)), row, n) for row, n in counts.items())
@@ -120,16 +118,17 @@ def sorted_result_rows(relation: Relation, select: Sequence[Term]) -> list[tuple
     sorted canonically, by their terms' N-Triples forms."""
     terms = TERMS
     out: list[tuple[Term, ...]] = []
-    for _, row, n in _sorted_by_nt(relation, select):
+    for _, row, n in _sorted_by_nt(Counter(result_tuples(relation, select))):
         out += [tuple([terms[i] for i in row])] * n
     return out
 
 
-def result_lines(relation: Relation, select: Sequence[Term]) -> list[str]:
-    """The result as ``query`` prints it: one line per row of
+def result_lines(counts: Counter[Row]) -> list[str]:
+    """A result bag as ``query`` prints it, given the multiplicity of each
+    id tuple of :func:`result_tuples`: one line per row of
     :func:`sorted_result_rows`, its terms' N-Triples forms tab-separated."""
     out: list[str] = []
-    for key, _, n in _sorted_by_nt(relation, select):
+    for key, _, n in _sorted_by_nt(counts):
         out += ["\t".join(key)] * n
     return out
 

@@ -4,7 +4,8 @@ Every strategy, static or adaptive, runs its selections and joins through an
 :class:`Executor`. A static plan is walked bottom-up in one call; the
 adaptive planner hands the executor one step at a time. The executor
 appends one entry per operator to its :class:`ExecutionTrace`, the run's
-only record. An entry holds the operator's charges, a ledger that operator
+only record: the selections, then one join entry per plan join node in
+post-order, so a replay of any run's plan records the run entry for entry. An entry holds the operator's charges, a ledger that operator
 alone charged, and the quantities the cost model prices (input sizes,
 layouts, store and shared-subset sizes). The run's ledger is the sum of the
 charges; :func:`trace_cost` recomputes it from the priced quantities alone.
@@ -27,7 +28,7 @@ from .ops import (
     SelectionSpec, brjoin, merged_selection, pjoin, project, shared_subset,
     triple_selection,
 )
-from .physical import BrjoinNode, PhysicalPlan, PhysNode, PjoinNode, plan_leaves
+from .physical import JoinNode, PhysicalPlan, PhysNode, plan_leaves
 from .terms import Term
 
 # Measured selections by pattern index: a list in pattern order, or a map.
@@ -122,22 +123,17 @@ class Executor:
                 self._record("selection", charges, rels[-1:], dataset_size=size)
         return rels
 
-    def run_join(self, node: PjoinNode | BrjoinNode,
-                 inputs: Sequence[Relation]) -> Relation:
-        """Join step: join ``inputs`` with the algorithm, key and target of
-        ``node``; the node's children are not read."""
-        if isinstance(node, PjoinNode):
-            kind, target = "pjoin", None
-        elif isinstance(node, BrjoinNode):
-            kind, target = "brjoin", node.target
-        else:
-            raise TypeError(f"unknown plan node: {node!r}")
+    def run_join(self, node: JoinNode, inputs: Sequence[Relation]) -> Relation:
+        """Join step: join ``inputs`` with the key and target of ``node``,
+        partitioned without a target; the node's children are not read."""
         charges = TransferLedger()
-        if target is None:
-            out = pjoin(node.on, inputs, charges)
+        if node.target is None:
+            kind, out = "pjoin", pjoin(node.on, inputs, charges)
         else:
-            out = brjoin(node.on, inputs, target, charges, allow_empty_on=node.cross)
-        self._record(kind, charges, [out], inputs, on=node.on, target=target)
+            # Planners build an empty-key broadcast only for an allowed cross product.
+            kind, out = "brjoin", brjoin(node.on, inputs, node.target, charges,
+                                         allow_empty_on=True)
+        self._record(kind, charges, [out], inputs, on=node.on, target=node.target)
         return out
 
     def run_projection(self, rel: Relation, select: Sequence[Term]) -> Relation:

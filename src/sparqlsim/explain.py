@@ -19,13 +19,13 @@ from .executor import Executor
 from .hybrid import hybrid_opening
 from .logical import classify_shape
 from .ops import SelectionSpec
-from .physical import BrjoinNode, PhysNode, PjoinNode, join_key, render_plan
+from .physical import JoinNode, PhysNode, join_key, render_plan
 from .sparql import Query
 from .terms import Term, pattern_label
 
 
-def _join_text(node: PjoinNode | BrjoinNode) -> str:
-    name = "Pjoin" if isinstance(node, PjoinNode) else "Brjoin"
+def _join_text(node: JoinNode) -> str:
+    name = "Pjoin" if node.target is None else "Brjoin"
     return f"{name} on {{{join_key(node)}}}"
 
 
@@ -42,7 +42,7 @@ def _render_joins(root: PhysNode, selections: list[Relation], m: int) -> list[st
         counter += 1
         ref = f"#{counter}"
         refs = ", ".join(r for r, _, _ in info)
-        if isinstance(node, PjoinNode):
+        if node.target is None:
             key = node.on
             moved = [term for _, term, k in info if k != key]
             detail = ("repartition: " + " + ".join(moved) + " tuples") if moved \
@@ -108,7 +108,7 @@ def _explain_hybrid(query: Query, executor: Executor, allow_cross: bool) -> list
 
     for node, cost in opening.steps:
         first, second = (child.label for child in node.children)
-        if isinstance(node, PjoinNode):
+        if node.target is None:
             detail = f"repartition: {cost} tuples"
         else:
             detail = (f"broadcast: {cost} tuples, "

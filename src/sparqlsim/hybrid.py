@@ -27,10 +27,11 @@ cheapest candidate becomes a decision. Step costs compare modeled transfer
 tuple counts directly; the communication weight scales all candidates
 equally and cannot change the ranking.
 
-Consecutive partitioned joins on the same key collapse into one n-ary node
-in the reported plan. The collapsed form moves exactly the same tuples: the
-running input is already keyed on the join variables, so only the newcomer
-is repartitioned, stepwise or not.
+The reported plan is the tree of binary joins that ran, one node per step
+(:func:`~sparqlsim.physical.render_plan` prints a run of same-key
+partitioned joins as one n-ary ``Pjoin``). Each component joins the result
+as soon as it is built, so the trace lists the joins in the plan's
+post-order.
 
 The planner only decides; every selection and join step runs through one
 :class:`~sparqlsim.executor.Executor`, the same code that runs static plans.
@@ -46,7 +47,7 @@ from .logical import joinable_components
 from .ops import SelectionSpec, shared_subset
 # Not called here: kept importable because perfbench/tracer.py wraps these names.
 from .ops import brjoin, pjoin, project  # noqa: F401
-from .physical import BrjoinNode, PhysNode, PhysicalPlan, PjoinNode
+from .physical import JoinNode, PhysNode, PhysicalPlan
 from .terms import Term, TriplePattern
 
 
@@ -62,10 +63,6 @@ class _Choice(NamedTuple):
     cost: int            # modeled transfer tuples
     rank: int            # 0 pjoin, 1 broadcast the side that is no larger
     target: int | None   # brjoin: the index, into (first, second), that stays
-
-    @property
-    def kind(self) -> str:
-        return "pjoin" if self.target is None else "brjoin"
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,15 +99,11 @@ def _price_pair(first: Relation, second: Relation, shared: frozenset[Term],
     return _Choice(copies, 1, target)
 
 
-def _step_node(first: Joinable, second: Joinable,
-               choice: _Choice) -> PjoinNode | BrjoinNode:
+def _step_node(first: Joinable, second: Joinable, choice: _Choice) -> JoinNode:
     """The join node that executes ``choice`` over (first, second)."""
     (first_rel, first_node), (second_rel, second_node) = first, second
-    on = first_rel.schema & second_rel.schema
-    children = (first_node, second_node)
-    if choice.target is None:
-        return PjoinNode(on, children)
-    return BrjoinNode(on, children, choice.target, cross=not on)
+    return JoinNode(first_rel.schema & second_rel.schema, (first_node, second_node),
+                    choice.target)
 
 
 class _HybridPlanner:
@@ -126,10 +119,11 @@ class _HybridPlanner:
 
     def run(self) -> tuple[PhysNode, Relation, bool]:
         leaves, shared_scan, _ = self.select()
-        results = [self._greedy_component([leaves[i] for i in members])
-                   for members in self.components]
-        final = results[0]
-        for nxt in results[1:]:
+        # Lazily, so each component joins the result as soon as it is built.
+        results = (self._greedy_component([leaves[i] for i in members])
+                   for members in self.components)
+        final = next(results)
+        for nxt in results:
             shared = final[0].schema & nxt[0].schema
             final = self._step(final, nxt, self._choose(final[0], nxt[0], shared))
         rel, node = final
@@ -202,13 +196,8 @@ class _HybridPlanner:
         return acc
 
     def _step(self, first: Joinable, second: Joinable, choice: _Choice) -> Joinable:
-        (first_rel, first_node), (second_rel, second_node) = first, second
-        node: PhysNode = _step_node(first, second, choice)
-        rel = self.executor.run_join(node, [first_rel, second_rel])
-        if (isinstance(node, PjoinNode) and isinstance(first_node, PjoinNode)
-                and first_node.on == node.on):
-            node = PjoinNode(node.on, first_node.children + (second_node,))
-        return rel, node
+        node = _step_node(first, second, choice)
+        return self.executor.run_join(node, [first[0], second[0]]), node
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +210,7 @@ class HybridOpening:
     selections: list[Relation]
     shared_scan: bool
     subset_size: int
-    steps: list[tuple[PjoinNode | BrjoinNode, int]]
+    steps: list[tuple[JoinNode, int]]
 
 
 def hybrid_opening(patterns: Sequence[TriplePattern], executor: Executor, *,

@@ -2,8 +2,8 @@
 
 :func:`build_logical` fixes the grouping of triple patterns into n-ary joins
 and returns it as a plan tree: selection leaves (:class:`~sparqlsim.ops.SelectionSpec`)
-under :class:`~sparqlsim.physical.PjoinNode` steps, which is exactly the
-static partitioned plan. The broadcast strategies regroup or re-target the
+under partitioned :class:`~sparqlsim.physical.JoinNode` steps, which is
+exactly the static partitioned plan. The broadcast strategies regroup or re-target the
 same tree (:mod:`sparqlsim.physical`).
 
 Grouping rule: process each join variable once they are "complete", i.e. in
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import CartesianProductError
 from .ops import SelectionSpec
-from .physical import BrjoinNode, PhysNode, PjoinNode
+from .physical import JoinNode, PhysNode
 from .terms import Term, TriplePattern, pattern_vars
 
 
@@ -97,7 +97,7 @@ def _build_component(patterns: Sequence[TriplePattern], members: list[int]) -> P
         on = children[0].vars
         for child in children[1:]:
             on = on & child.vars
-        node = PjoinNode(on=on, children=tuple(children))
+        node = JoinNode(on, tuple(children))
         pending = [t for t in pending if v not in t.vars]
         pending.append(node)
         unconsumed.difference_update(leaf_idxs)
@@ -131,8 +131,7 @@ def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) 
     trees = [_build_component(patterns, members) for members in components]
     if len(trees) == 1:
         return trees[0]
-    return BrjoinNode(on=frozenset(), children=tuple(trees),
-                      target=len(trees) - 1, cross=True)
+    return JoinNode(frozenset(), tuple(trees), len(trees) - 1)
 
 
 class Shape(Enum):

@@ -1,69 +1,50 @@
 """Physical plans: operator trees the executor can run directly.
 
-A physical plan fixes, for every join, the algorithm (partitioned or
-broadcast), the n-ary grouping, the input order, and for broadcast joins the
-target input that stays in place; its leaves are the compiled selections
-(:class:`~sparqlsim.ops.SelectionSpec`). The grouping tree that
-:func:`~sparqlsim.logical.build_logical` returns is itself a tree of these
-nodes; the three static strategies are built here from it and the measured
-selection sizes, and the adaptive strategy in :mod:`sparqlsim.hybrid` builds
-its plan during execution.
+A physical plan fixes, for every join, the n-ary grouping, the input order
+and the algorithm: one :class:`JoinNode` is partitioned without a target
+and a broadcast join around the target input that stays in place. Its
+leaves are the compiled selections (:class:`~sparqlsim.ops.SelectionSpec`).
+The grouping tree that :func:`~sparqlsim.logical.build_logical` returns is
+itself a tree of these nodes; the three static strategies are built here
+from it and the measured selection sizes, and the adaptive strategy in
+:mod:`sparqlsim.hybrid` builds its plan, the binary joins it ran, during
+execution.
 """
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .ops import SelectionSpec
 from .terms import Term
 
 
 @dataclass(frozen=True, slots=True)
-class PjoinNode:
-    """Partitioned n-ary join on ``on``: co-locate by hash, join locally."""
+class JoinNode:
+    """An n-ary join on ``on``. Without a ``target`` it is partitioned:
+    co-locate every input by hash on ``on``, then join locally. With one it
+    is a broadcast join: ship every input except the target to all nodes,
+    then join against the target's local chunks. A broadcast join with an
+    empty ``on`` is the plan's requested cross product."""
 
     on: frozenset[Term]
     children: tuple["PhysNode", ...]
+    target: int | None = None
 
     def __post_init__(self):
         if len(self.children) < 2:
             raise ValueError("a join needs at least two children")
-        if not self.on:
+        if self.target is None and not self.on:
             raise ValueError("a partitioned join needs join variables")
-
-    @property
-    def vars(self) -> frozenset[Term]:
-        return _children_vars(self.children)
-
-
-@dataclass(frozen=True, slots=True)
-class BrjoinNode:
-    """Broadcast n-ary join: ship every input except the target to all
-    nodes, then join against the target's local chunks."""
-
-    on: frozenset[Term]
-    children: tuple["PhysNode", ...]
-    target: int
-    cross: bool = False
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("a join needs at least two children")
-        if not 0 <= self.target < len(self.children):
+        if self.target is not None and not 0 <= self.target < len(self.children):
             raise ValueError(f"target {self.target} out of range")
-        if not self.on and not self.cross:
-            raise ValueError("a non-cross broadcast join needs join variables")
 
     @property
     def vars(self) -> frozenset[Term]:
-        return _children_vars(self.children)
+        """Every variable of the join's children."""
+        return frozenset().union(*(child.vars for child in self.children))
 
 
-PhysNode = Union[SelectionSpec, PjoinNode, BrjoinNode]
-
-
-def _children_vars(children: tuple[PhysNode, ...]) -> frozenset[Term]:
-    """A join's variables: every variable of its children."""
-    return frozenset().union(*(child.vars for child in children))
+PhysNode = Union[SelectionSpec, JoinNode]
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,20 +72,35 @@ def plan_leaves(node: PhysNode) -> list[SelectionSpec]:
     return out
 
 
-def join_key(node: PjoinNode | BrjoinNode) -> str:
+def join_key(node: JoinNode) -> str:
     """A join's key as plans show it: ``x,y``, or ``cross``."""
-    if isinstance(node, BrjoinNode) and node.cross:
-        return "cross"
-    return ",".join(v.lexical for v in sorted(node.on))
+    return ",".join(v.lexical for v in sorted(node.on)) or "cross"
 
 
 def render_plan(node: PhysNode) -> str:
-    """Compact one-line plan form, e.g. ``Pjoin_x(Brjoin_y(t4,t2),t1)``."""
+    """Compact one-line plan form, e.g. ``Pjoin_x(Brjoin_y(t4,t2),t1)``.
+
+    A partitioned child on its parent's key prints inline, so a run of
+    same-key partitioned joins shows as one n-ary ``Pjoin``: the adaptive
+    strategy joins a star two inputs at a time, ``Pjoin_x(Pjoin_x(t1,t2),t3)``,
+    and it prints as ``Pjoin_x(t1,t2,t3)``, the static partitioned plan. The
+    two forms move exactly the same tuples: the running input is already
+    keyed on the join variables, so only the newcomer is repartitioned,
+    stepwise or not.
+    """
     if isinstance(node, SelectionSpec):
         return node.label
-    inner = ",".join(render_plan(c) for c in node.children)
-    name = "Pjoin" if isinstance(node, PjoinNode) else "Brjoin"
-    return f"{name}_{join_key(node)}({inner})"
+    name = "Pjoin" if node.target is None else "Brjoin"
+    return f"{name}_{join_key(node)}({','.join(_rendered_inputs(node))})"
+
+
+def _rendered_inputs(node: JoinNode) -> Iterator[str]:
+    for child in node.children:
+        if (isinstance(child, JoinNode) and node.target is None
+                and child.target is None and child.on == node.on):
+            yield from _rendered_inputs(child)
+        else:
+            yield render_plan(child)
 
 
 def plan_pjoin_strategy(tree: PhysNode) -> PhysicalPlan:
@@ -127,8 +123,7 @@ def plan_mono_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPlan
     target = max(leaves, key=lambda leaf: (leaf_sizes[leaf.index], -leaf.index))
     ordered = [leaf for leaf in leaves if leaf is not target] + [target]
     on = _all_join_vars(tree)
-    return PhysicalPlan(BrjoinNode(on=on, children=tuple(ordered),
-                                   target=len(ordered) - 1, cross=not on))
+    return PhysicalPlan(JoinNode(on, tuple(ordered), len(ordered) - 1))
 
 
 def _all_join_vars(node: PhysNode) -> frozenset[Term]:
@@ -164,8 +159,7 @@ def plan_multi_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPla
         acc, acc_size = queue[0]
         for nxt, nxt_size in queue[1:]:
             target = 1 if acc_size <= nxt_size else 0
-            acc = BrjoinNode(on=node.on, children=(acc, nxt), target=target,
-                             cross=not node.on)
+            acc = JoinNode(node.on, (acc, nxt), target)
             acc_size = min(acc_size, nxt_size)
         return acc, acc_size
 

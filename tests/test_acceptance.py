@@ -294,7 +294,7 @@ def test_criterion_4_crossover_law():
                                          first.schema & second.schema, m)
                     predicted_pjoin = crossover_prefers_pjoin(gamma1, gamma2, m)
                     assert predicted_pjoin == (ratio + 2 <= m)
-                    assert (option.kind == "pjoin") == predicted_pjoin, \
+                    assert (option.target is None) == predicted_pjoin, \
                         (gamma1, ratio, m)
 
                     # execute both algorithms and compare measured transfer

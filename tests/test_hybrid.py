@@ -63,7 +63,7 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
     c, d = slot(2, w, 10), slot(3, w, 11)
     first, second, choice = planner.opening([a, b, c, d])
     assert first is a and second is b
-    assert (choice.kind, choice.cost) == ("pjoin", 20)
+    assert (choice.target, choice.cost) == (None, 20)
     assert planner.evaluations == 2 * 3
     # alone, (c, d) opens with the broadcast of its smaller side c
     assert planner.opening([c, d])[2] == (20, 1, 1)
@@ -121,6 +121,30 @@ def test_each_hybrid_join_moves_the_cheapest_candidate(case):
         cost, kind, target = _cheapest_candidate(entry.inputs, entry.on, m)
         assert entry.charges.total_transfer == cost
         assert (entry.kind, entry.target) == (kind, target)
+
+
+def _plan_joins(node) -> list[tuple[str, frozenset, int | None]]:
+    """The plan's join nodes in post-order, as (kind, on, target)."""
+    if isinstance(node, SelectionSpec):
+        return []
+    kind = "pjoin" if node.target is None else "brjoin"
+    return [*(j for child in node.children for j in _plan_joins(child)),
+            (kind, node.on, node.target)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_workloads())
+def test_join_entries_follow_the_plan_in_post_order(case):
+    """Every strategy's trace holds one join entry per plan join node, in
+    the plan's post-order, with the node's algorithm, key and target."""
+    spec, m, base = case
+    wl = generate(spec)
+    dataset, cluster = make_dataset(wl.triples, m=m, base=base)
+    for strategy in STRATEGIES:
+        run = run_strategy(strategy, wl.query, dataset, cluster)
+        joins = [(e.kind, e.on, e.target) for e in run.trace.entries
+                 if e.kind in ("pjoin", "brjoin")]
+        assert joins == _plan_joins(run.plan.root), strategy
 
 
 def test_opening_step_joins_the_cheap_department_pair(q8_workload):
@@ -187,36 +211,45 @@ def test_shared_scan_recorded_in_the_plan(q8_workload):
     assert not run_star.plan.shared_scan
 
 
-def _join_nodes(node) -> int:
-    if isinstance(node, SelectionSpec):
-        return 0
-    return 1 + sum(_join_nodes(child) for child in node.children)
+def _three_components():
+    """A query of three disconnected components (a two-pattern star, one
+    pattern, a two-pattern chain) over data where each has solutions."""
+    ex = "http://example.org/"
+    query = parse_query(
+        f"SELECT ?x ?n ?t ?v ?k WHERE {{ ?x <{ex}p> ?o . ?x <{ex}q> ?n . "
+        f"?t <{ex}r> ?u . ?v <{ex}a> ?w . ?w <{ex}b> ?k . }}")
+    triples = [t for i in range(4) for t in (
+        Triple(iri(f"{ex}s{i}"), iri(ex + "p"), iri(f"{ex}o{i}")),
+        Triple(iri(f"{ex}s{i}"), iri(ex + "q"), lit(str(i))))]
+    triples += [t for j in range(3) for t in (
+        Triple(iri(f"{ex}t{j}"), iri(ex + "r"), iri(f"{ex}u{j}")),
+        Triple(iri(f"{ex}v{j}"), iri(ex + "a"), iri(f"{ex}w{j}")),
+        Triple(iri(f"{ex}w{j}"), iri(ex + "b"), lit(str(j))))]
+    return query, triples
 
 
 def test_hybrid_plan_replays_identically(q8_workload):
     """Re-executing a run's plan on a fresh executor reproduces the run: the
-    plan is a complete record of the scan and movement decisions. A static
-    replay records the run's trace entry for entry. The adaptive replay,
-    with and without a shared scan, records the run's selection entries and
-    totals, and one join entry per plan join node."""
+    plan is a complete record of the scan and movement decisions, and every
+    strategy's replay, the adaptive one with and without a shared scan and
+    a cross product of three components included, records the run's trace
+    entry for entry."""
     chain = generate(WorkloadSpec(name="chain", shape="chain", pattern_count=4,
                                   subject_count=100))
-    for workload in (q8_workload, chain, generate(_FULL_STAR)):
+    cases = [(wl.query, wl.triples, False)
+             for wl in (q8_workload, chain, generate(_FULL_STAR))]
+    cases.append((*_three_components(), True))
+    for query, triples, allow_cross in cases:
         for base in BasePartition:
-            dataset, cluster = make_dataset(workload.triples, m=4, base=base)
+            dataset, cluster = make_dataset(triples, m=4, base=base)
             for strategy in STRATEGIES:
-                run = run_strategy(strategy, workload.query, dataset, cluster)
+                run = run_strategy(strategy, query, dataset, cluster,
+                                   allow_cross=allow_cross)
                 replay = Executor(dataset)
-                relation = execute_plan(run.plan, replay, workload.query.select)
+                relation = execute_plan(run.plan, replay, query.select)
                 assert as_multiset(relation.rows()) == as_multiset(run.relation.rows())
-                entries, ran = replay.trace.entries, run.trace.entries
-                if strategy != "hybrid":
-                    assert entries == ran, (workload.spec.shape, base, strategy)
-                    continue
-                scans = [e for e in ran if e.kind.endswith("selection")]
-                assert entries[:len(scans)] == scans
-                assert len(entries) - len(scans) == _join_nodes(run.plan.root)
-                assert replay.trace.ledger() == run.ledger
+                assert replay.trace.entries == run.trace.entries, (
+                    render_plan(run.plan.root), base, strategy)
 
 
 def test_trace_records_every_operator(q8_workload):
@@ -225,8 +258,8 @@ def test_trace_records_every_operator(q8_workload):
     plan_and_execute_hybrid(q8_workload.query.patterns, executor)
     kinds = [e.kind for e in executor.trace.entries]
     assert kinds.count("merged-selection") == 1  # one shared pass, five outputs
-    # the adaptive run itself joins pairwise; fusion of the two same-key
-    # partitioned joins only shows in the recorded plan
+    # the plan joins pairwise, and prints the two same-key partitioned
+    # joins as one n-ary Pjoin_x
     assert kinds == ["merged-selection", "pjoin", "brjoin", "pjoin", "pjoin"]
 
 

@@ -10,7 +10,7 @@ from sparqlsim import (
 )
 from sparqlsim.logical import connected_components, join_variables
 from sparqlsim.ops import SelectionSpec
-from sparqlsim.physical import BrjoinNode, PjoinNode, plan_leaves, plan_pjoin_strategy
+from sparqlsim.physical import JoinNode, plan_leaves, plan_pjoin_strategy
 from sparqlsim.terms import TriplePattern
 
 E = "http://e/"
@@ -45,7 +45,7 @@ def test_build_logical_rejects_cross_products_by_default():
         build_logical(patterns)
     assert err.value.components == 2
     root = build_logical(patterns, allow_cross=True)
-    assert isinstance(root, BrjoinNode) and root.cross and not root.on
+    assert isinstance(root, JoinNode) and root.target is not None and not root.on
     assert len(root.children) == 2 and root.target == 1
 
 
@@ -53,10 +53,10 @@ def test_build_logical_snowflake_grouping():
     """The department-side variable finishes being mentioned first, so its
     group joins first and the student-side group consumes it."""
     root = build_logical(snowflake_query().patterns)
-    assert isinstance(root, PjoinNode)
+    assert isinstance(root, JoinNode) and root.target is None
     assert root.on == frozenset({var("x")})
     inner, t1, t5 = root.children
-    assert isinstance(inner, PjoinNode)
+    assert isinstance(inner, JoinNode) and inner.target is None
     assert inner.on == frozenset({var("y")})
     assert [leaf.index for leaf in inner.children] == [1, 2, 3]
     assert (t1.index, t5.index) == (0, 4)
@@ -67,9 +67,11 @@ def test_build_logical_chain_is_left_deep_from_the_front():
                 pat("?x3", "p3", "?x4")]
     root = build_logical(patterns)
     # x2 completes first -> join(t1,t2), then x3 joins t3 onto it
-    assert isinstance(root, PjoinNode) and root.on == frozenset({var("x3")})
+    assert isinstance(root, JoinNode) and root.target is None
+    assert root.on == frozenset({var("x3")})
     inner = root.children[0]
-    assert isinstance(inner, PjoinNode) and inner.on == frozenset({var("x2")})
+    assert isinstance(inner, JoinNode) and inner.target is None
+    assert inner.on == frozenset({var("x2")})
     assert [l.index for l in inner.children] == [0, 1]
     assert root.children[1].index == 2
 
@@ -91,18 +93,18 @@ def test_grouping_tree_is_a_pjoin_plan(triples):
     tree = build_logical(patterns, allow_cross=True)
     assert sorted(leaf.index for leaf in plan_leaves(tree)) == list(range(len(patterns)))
     cross = len(connected_components(patterns)) > 1
-    assert isinstance(tree, BrjoinNode) == cross
+    assert (isinstance(tree, JoinNode) and tree.target is not None) == cross
 
     def walk(node, is_root):
         if isinstance(node, SelectionSpec):
             assert node.pattern == patterns[node.index]
             return
-        if isinstance(node, BrjoinNode):
-            assert is_root and node.cross
+        assert isinstance(node, JoinNode)
+        if node.target is not None:
+            assert is_root and not node.on
         else:
-            assert isinstance(node, PjoinNode)
-            assert not any(isinstance(child, PjoinNode) and child.on == node.on
-                           for child in node.children)
+            assert not any(isinstance(child, JoinNode) and child.target is None
+                           and child.on == node.on for child in node.children)
         for child in node.children:
             walk(child, False)
 

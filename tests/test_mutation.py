@@ -15,7 +15,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sparqlsim.cli import main
 
@@ -134,6 +134,8 @@ def test_seeds_run_cleanly(workdir):
 @_SETTINGS
 @given(data=mutated(DATA, TEXT_CHARS), m=st.integers(1, 4),
        base=st.sampled_from(("subject", "object", "predicate", "random")))
+# a form feed splits a line for str.splitlines, not for the parser
+@example(data=DATA + b"foo\x0cbar\n", m=2, base="subject")
 def test_mutated_data(workdir, data, m, base):
     path = workdir / "mutated.nt"
     path.write_bytes(data)
@@ -153,6 +155,11 @@ def test_mutated_query(workdir, query, m, command):
 
 @_SETTINGS
 @given(suite=st.one_of(mutated(json.dumps(SUITE).encode(), SUITE_CHARS), odd_suite()))
+# JSON decodes "\n" in a suite key, and "\u2028" in a strategy name, to a
+# line break for str.splitlines
+@example(suite=json.dumps(SUITE).replace('"name"', '"\\name"', 1).encode())
+@example(suite=json.dumps(SUITE).replace('"filler"', '"\\nfiller"', 1).encode())
+@example(suite=json.dumps(SUITE).replace('"hybrid"', '"hybrid\\u2028"', 1).encode())
 def test_mutated_suite(workdir, suite):
     assume(_small(suite))
     path = workdir / "mutated.json"

@@ -14,7 +14,7 @@ from sparqlsim import (
 )
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.ops import SelectionSpec
-from sparqlsim.physical import BrjoinNode, PjoinNode, plan_pjoin_strategy
+from sparqlsim.physical import JoinNode, plan_pjoin_strategy
 from sparqlsim import build_logical, parse_query
 
 from conftest import make_dataset, run_all_strategies
@@ -158,8 +158,8 @@ def test_a_refused_join_appends_no_trace_entry():
     executor = Executor(dataset)
     on = frozenset({var("x")})
     leaves = tuple(specs)
-    for node in (PjoinNode(on, leaves), BrjoinNode(on, leaves, 0),
-                 BrjoinNode(on, leaves, 1)):
+    for node in (JoinNode(on, leaves), JoinNode(on, leaves, 0),
+                 JoinNode(on, leaves, 1)):
         with pytest.raises(ValueError, match="different node counts"):
             executor.run_join(node, rels)
     assert executor.trace.entries == []
@@ -172,10 +172,43 @@ def test_pjoin_plan_flattens_same_key_joins():
         "?c <http://e/p3> ?d . }")
     plan = plan_pjoin_strategy(build_logical(star.patterns))
     root = plan.root
-    assert isinstance(root, PjoinNode)
+    assert isinstance(root, JoinNode) and root.target is None
     assert len(root.children) == 3
     assert all(isinstance(c, SelectionSpec) for c in root.children)
     assert render_plan(root) == "Pjoin_c(t1,t2,t3)"
+
+
+def test_join_node_validation():
+    t1, t2, t3 = parse_query(
+        "SELECT ?c WHERE { ?c <http://e/p1> ?a . ?c <http://e/p2> ?b . "
+        "?d <http://e/p3> ?c . }").patterns
+    leaves = tuple(SelectionSpec(i, p) for i, p in enumerate((t1, t2, t3)))
+    on = frozenset({var("c")})
+    with pytest.raises(ValueError, match="at least two children"):
+        JoinNode(on, leaves[:1])
+    with pytest.raises(ValueError, match="at least two children"):
+        JoinNode(on, leaves[:1], 0)
+    with pytest.raises(ValueError, match="partitioned join needs join variables"):
+        JoinNode(frozenset(), leaves)
+    for target in (-1, 3):
+        with pytest.raises(ValueError, match=f"target {target} out of range"):
+            JoinNode(on, leaves, target)
+    # a broadcast join may have an empty key: the plan's cross product
+    assert render_plan(JoinNode(frozenset(), leaves, 2)) == "Brjoin_cross(t1,t2,t3)"
+
+
+def test_render_plan_inlines_only_same_key_partitioned_children():
+    t1, t2, t3 = (SelectionSpec(i, p) for i, p in enumerate(parse_query(
+        "SELECT ?c WHERE { ?c <http://e/p1> ?a . ?c <http://e/p2> ?a . "
+        "?c <http://e/p3> ?b . }").patterns))
+    c, ca = frozenset({var("c")}), frozenset({var("c"), var("a")})
+    assert render_plan(JoinNode(c, (JoinNode(c, (t1, t2)), t3))) == "Pjoin_c(t1,t2,t3)"
+    assert render_plan(JoinNode(c, (JoinNode(ca, (t1, t2)), t3))) == \
+        "Pjoin_c(Pjoin_a,c(t1,t2),t3)"
+    assert render_plan(JoinNode(c, (JoinNode(c, (t1, t2), 0), t3))) == \
+        "Pjoin_c(Brjoin_c(t1,t2),t3)"
+    assert render_plan(JoinNode(c, (JoinNode(c, (t1, t2)), t3), 1)) == \
+        "Brjoin_c(Pjoin_c(t1,t2),t3)"
 
 
 def test_mono_brjoin_broadcasts_all_but_the_largest(q8_runs):
