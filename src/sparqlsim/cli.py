@@ -40,8 +40,10 @@ from .cluster import (
     DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, Cluster, Dataset,
     load_partitioned, node_count_problem,
 )
-from .cost import CostParams
-from .engine import STRATEGIES, result_cell, result_lines, result_tuples, run_query
+from .cost import DEFAULT_PARAMS, CostParams
+from .engine import (
+    DEFAULT_STRATEGY, STRATEGIES, result_cell, result_lines, result_tuples, run_query,
+)
 from .errors import (
     CartesianProductError, ParseError, ResultSizeLimitError, UnsupportedFeatureError,
 )
@@ -92,11 +94,10 @@ def _add_cluster_options(p: argparse.ArgumentParser) -> None:
                    f"(default {DEFAULT_PARTITIONING})")
 
 
-def _add_planning_options(p: argparse.ArgumentParser, *,
-                          default_strategy: str) -> None:
+def _add_planning_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=STRATEGIES + ("all",),
-                   default=default_strategy,
-                   help=f"join strategy (default {default_strategy})")
+                   default=DEFAULT_STRATEGY,
+                   help=f"join strategy (default {DEFAULT_STRATEGY})")
     p.add_argument("--allow-cross-product", action="store_true",
                    help="permit patterns whose variable graph is disconnected")
 
@@ -116,11 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("data", help="N-Triples (.nt) file")
     p_query.add_argument("query", help="query (.rq) file")
     _add_cluster_options(p_query)
-    _add_planning_options(p_query, default_strategy="hybrid")
-    p_query.add_argument("--theta-acc", type=_weight, default=1.0, metavar="W",
-                         help="cost weight per tuple access (default 1)")
-    p_query.add_argument("--theta-comm", type=_weight, default=1.0, metavar="W",
-                         help="cost weight per tuple transferred (default 1)")
+    _add_planning_options(p_query)
+    p_query.add_argument("--theta-acc", type=_weight, default=DEFAULT_PARAMS.theta_acc,
+                         metavar="W", help="cost weight per tuple access "
+                         f"(default {DEFAULT_PARAMS.theta_acc:g})")
+    p_query.add_argument("--theta-comm", type=_weight, default=DEFAULT_PARAMS.theta_comm,
+                         metavar="W", help="cost weight per tuple transferred "
+                         f"(default {DEFAULT_PARAMS.theta_comm:g})")
     p_query.add_argument("--validate", action="store_true",
                          help="check partitioning invariants after every operator")
     p_query.add_argument("--no-header", action="store_true",
@@ -130,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("data", help="N-Triples (.nt) file")
     p_explain.add_argument("query", help="query (.rq) file")
     _add_cluster_options(p_explain)
-    _add_planning_options(p_explain, default_strategy="hybrid")
+    _add_planning_options(p_explain)
 
     p_bench = sub.add_parser("bench", help="run a benchmark grid")
     src = p_bench.add_mutually_exclusive_group(required=True)

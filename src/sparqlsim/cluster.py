@@ -401,8 +401,8 @@ def load_partitioned(triples: Iterable[Triple], cluster: Cluster,
     pos = base.position
     h64 = H64
     j = 0
-    for t in triples:
-        s, p, o = t.s.id, t.p.id, t.o.id
+    for s, p, o in triples:
+        s, p, o = s.id, p.id, o.id
         if pos is None:
             node = groups[j]
             j = (j + 1) % m

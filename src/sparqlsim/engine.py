@@ -29,6 +29,7 @@ from .sparql import Query
 from .terms import TERMS, Term
 
 STRATEGIES = ("pjoin", "mono-br", "multi-br", "hybrid")
+DEFAULT_STRATEGY = "hybrid"
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +92,7 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
 
 
 def run_query(query: Query, dataset: Dataset, cluster: Cluster,
-              strategy: str = "hybrid", **kwargs) -> list[RunResult]:
+              strategy: str = DEFAULT_STRATEGY, **kwargs) -> list[RunResult]:
     """Run one strategy, or all four with ``strategy='all'``."""
     names = STRATEGIES if strategy == "all" else (strategy,)
     return [run_strategy(name, query, dataset, cluster, **kwargs) for name in names]

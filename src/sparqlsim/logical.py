@@ -150,7 +150,7 @@ class ShapeInfo:
 
 
 def _positions_of(term: Term, pattern: TriplePattern) -> list[int]:
-    return [pos for pos, t in enumerate(pattern.positions()) if t == term]
+    return [pos for pos, t in enumerate(pattern) if t == term]
 
 
 def _entity_positions(term: Term, pattern: TriplePattern) -> list[int]:
@@ -191,10 +191,10 @@ def _star_orientation(center: Term, patterns: Sequence[TriplePattern]) -> str:
 
 def _is_chain(patterns: Sequence[TriplePattern]) -> bool:
     """Path check: the pattern adjacency graph is a simple path whose links
-    are single distinct variables sitting at subject/object on both sides."""
+    are single distinct variables sitting at subject/object on both sides.
+    The degree sequence implies n >= 2 and n - 1 links, and a link variable
+    in three patterns closes a triangle, which the final walk rejects."""
     n = len(patterns)
-    if n < 2:
-        return False
     var_sets = [pattern_vars(p) for p in patterns]
     adj: list[list[int]] = [[] for _ in range(n)]
     links: dict[tuple[int, int], frozenset[Term]] = {}
@@ -209,21 +209,15 @@ def _is_chain(patterns: Sequence[TriplePattern]) -> bool:
     degrees = [len(a) for a in adj]
     if sorted(degrees) != [1, 1] + [2] * (n - 2):
         return False
-    if len(links) != n - 1:
-        return False
 
-    link_vars: list[Term] = []
     for (i, j), shared in links.items():
         if len(shared) != 1:
             return False
         (v,) = shared
         if not (_entity_positions(v, patterns[i]) and _entity_positions(v, patterns[j])):
             return False
-        link_vars.append(v)
-    if len(set(link_vars)) != len(link_vars):
-        return False
 
-    # Degree sequence plus edge count rules out cycles only if connected.
+    # The degree sequence rules out cycles only if the graph is connected.
     seen = {0}
     stack = [0]
     while stack:

@@ -17,7 +17,6 @@ from typing import Iterable
 from .errors import ParseError
 from .terms import (
     IRI_CHARS, TermKind, Triple, _blank_cache, _intern, _iri_cache, _lit_cache,
-    trusted_triple,
 )
 
 # An absolute IRI: a scheme, its colon, then the rest of the reference.
@@ -51,9 +50,10 @@ def parse_ntriples(text: str, source: str | None = None) -> list[Triple]:
     Each raw line is matched first; only a line that does not match is
     stripped, and skipped when blank or a comment. The line regex fixes
     every token's kind, so the terms are interned straight from its groups
-    and the triple is built by :func:`~sparqlsim.terms.trusted_triple`."""
+    and the triple is built by ``Triple._make``, which skips the kind checks."""
     triples: list[Triple] = []
     append = triples.append
+    make = Triple._make
     match = _TRIPLE_LINE.match
     iris, blanks, literals = _iri_cache, _blank_cache, _lit_cache
     IRI, BLANK, LITERAL = TermKind.IRI, TermKind.BLANK, TermKind.LITERAL
@@ -80,7 +80,7 @@ def parse_ntriples(text: str, source: str | None = None) -> list[Triple]:
             o = blanks.get(o_blank) or _intern(BLANK, o_blank, blanks)
         else:
             o = literals.get(o_literal) or _intern(LITERAL, o_literal, literals)
-        append(trusted_triple(s, p, o))
+        append(make((s, p, o)))
     return triples
 
 

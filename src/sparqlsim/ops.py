@@ -73,14 +73,14 @@ class SelectionSpec:
     def __post_init__(self):
         first_pos: dict[Term, int] = {}
         same = []
-        for pos, term in enumerate(self.pattern.positions()):
+        for pos, term in enumerate(self.pattern):
             if term.is_variable:
                 seen = first_pos.get(term)
                 if seen is None:
                     first_pos[term] = pos
                 else:
                     same.append((seen, pos))
-        s, p, o = (None if t.is_variable else t.id for t in self.pattern.positions())
+        s, p, o = (None if t.is_variable else t.id for t in self.pattern)
         for name, value in (("columns", tuple(first_pos)),
                             ("positions", tuple(first_pos.values())),
                             ("predicate", p), ("subject", s), ("object", o),

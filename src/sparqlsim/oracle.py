@@ -1,10 +1,11 @@
 """Single-node reference evaluation, used to verify distributed results.
 
 A simple evaluator over a plain triple list, with bag semantics, that
-shares no code with the distributed engine. Each call turns its input into
-``(s, p, o)`` term tuples and indexes them once per position (term to the
-tuples holding it there, in input order). Partial rows are positional
-tuples of terms, one slot per variable in order of first binding.
+shares no code with the distributed engine. A triple is the tuple
+``(s, p, o)``, so each call indexes the triple list itself, once per
+position (term to the triples holding it there, in input order). Partial
+rows are positional tuples of terms, one slot per variable in order of
+first binding.
 
 Patterns are reordered so each one shares a variable with the rows built so
 far whenever possible, which keeps intermediates small without changing
@@ -30,8 +31,6 @@ from .terms import BindingRow, EMPTY_ROW, Term, Triple, TriplePattern, pattern_v
 
 DEFAULT_ROW_LIMIT = 1_000_000
 
-_Terms = tuple[Term, Term, Term]
-
 
 class _Step(NamedTuple):
     """One pattern, compiled against the variables bound before it."""
@@ -54,7 +53,7 @@ def _evaluation_order(patterns: Sequence[TriplePattern]) -> tuple[list[_Step], l
         remaining.remove(pick)
         ground, bound, repeats, new = [], [], [], []
         first: dict[Term, int] = {}
-        for pos, term in enumerate(patterns[pick].positions()):
+        for pos, term in enumerate(patterns[pick]):
             if not term.is_variable:
                 ground.append((pos, term))
             elif term in slots:
@@ -77,12 +76,11 @@ def oracle_eval(patterns: Sequence[TriplePattern], triples: Sequence[Triple],
     if not patterns:
         raise ValueError("cannot evaluate an empty pattern list")
     steps, variables = _evaluation_order(patterns)
-    store: list[_Terms] = [(t.s, t.p, t.o) for t in triples]
     # Only the positions some pattern fixes are ever looked up.
-    index: dict[int, dict[Term, list[_Terms]]] = {
+    index: dict[int, dict[Term, list[Triple]]] = {
         pos: {} for step in steps for pos, _ in step.ground + step.bound}
     for pos, by_term in index.items():
-        for spo in store:
+        for spo in triples:
             by_term.setdefault(spo[pos], []).append(spo)
     rows: list[tuple[Term, ...]] = [()]
     for step in steps:
@@ -94,7 +92,7 @@ def oracle_eval(patterns: Sequence[TriplePattern], triples: Sequence[Triple],
             if fixed:
                 candidates = min([index[pos].get(term, ()) for pos, term in fixed], key=len)
             else:
-                candidates = store
+                candidates = triples
             for spo in candidates:
                 for pos, term in fixed:
                     if spo[pos] is not term:

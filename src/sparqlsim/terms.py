@@ -19,9 +19,9 @@ engine never interprets datatypes.
 """
 
 import re
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import total_ordering
+from typing import NamedTuple
 
 
 class TermKind(IntEnum):
@@ -247,78 +247,46 @@ def var(name: str) -> Term:
 _SUBJECT_KINDS = (TermKind.IRI, TermKind.BLANK)
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """A ground RDF triple. Positional kinds are validated on construction."""
+class _SPO(NamedTuple):
+    """The fields of :class:`Triple` and :class:`TriplePattern`."""
 
     s: Term
     p: Term
     o: Term
 
-    def __post_init__(self):
-        if self.s.kind not in _SUBJECT_KINDS:
-            raise ValueError(f"triple subject must be an IRI or blank node, got {self.s!r}")
-        if self.p.kind is not TermKind.IRI:
-            raise ValueError(f"triple predicate must be an IRI, got {self.p!r}")
-        if self.o.kind is TermKind.VARIABLE:
-            raise ValueError(f"triple object must be ground, got {self.o!r}")
 
-    def __getitem__(self, pos: int) -> Term:
-        if pos == 0:
-            return self.s
-        if pos == 1:
-            return self.p
-        if pos == 2:
-            return self.o
-        raise IndexError(pos)
+class Triple(_SPO):
+    """A ground RDF triple, the tuple ``(s, p, o)``. Positional kinds are
+    validated on construction; ``Triple._make`` skips that, for a caller
+    that has already fixed the kinds (the N-Triples parser's line regex)."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: Term, p: Term, o: Term) -> "Triple":
+        if s.kind not in _SUBJECT_KINDS:
+            raise ValueError(f"triple subject must be an IRI or blank node, got {s!r}")
+        if p.kind is not TermKind.IRI:
+            raise ValueError(f"triple predicate must be an IRI, got {p!r}")
+        if o.kind is TermKind.VARIABLE:
+            raise ValueError(f"triple object must be ground, got {o!r}")
+        return tuple.__new__(cls, (s, p, o))
 
     def nt(self) -> str:
         return f"{self.s.nt()} {self.p.nt()} {self.o.nt()} ."
 
 
-# Slot setters of Triple, for the trusted constructor below.
-_set_s, _set_p, _set_o = Triple.s.__set__, Triple.p.__set__, Triple.o.__set__
+class TriplePattern(_SPO):
+    """A triple pattern, the tuple ``(s, p, o)``: each position is either
+    ground or a variable."""
 
+    __slots__ = ()
 
-def trusted_triple(s: Term, p: Term, o: Term) -> Triple:
-    """A :class:`Triple` built without the kind checks of ``Triple(s, p, o)``.
-
-    Only for a caller that has already fixed the kinds: the N-Triples
-    parser, whose line regex admits only an IRI or blank subject, an IRI
-    predicate and a ground object, so the regex is the kind check. Every
-    other caller builds ``Triple(s, p, o)``, which validates."""
-    triple = object.__new__(Triple)
-    _set_s(triple, s)
-    _set_p(triple, p)
-    _set_o(triple, o)
-    return triple
-
-
-@dataclass(frozen=True, slots=True)
-class TriplePattern:
-    """A triple pattern: each position is either ground or a variable."""
-
-    s: Term
-    p: Term
-    o: Term
-
-    def __post_init__(self):
-        if self.s.kind in (TermKind.LITERAL,):
-            raise ValueError(f"pattern subject cannot be a literal, got {self.s!r}")
-        if self.p.kind not in (TermKind.IRI, TermKind.VARIABLE):
-            raise ValueError(f"pattern predicate must be an IRI or a variable, got {self.p!r}")
-
-    def __getitem__(self, pos: int) -> Term:
-        if pos == 0:
-            return self.s
-        if pos == 1:
-            return self.p
-        if pos == 2:
-            return self.o
-        raise IndexError(pos)
-
-    def positions(self) -> tuple[Term, Term, Term]:
-        return (self.s, self.p, self.o)
+    def __new__(cls, s: Term, p: Term, o: Term) -> "TriplePattern":
+        if s.kind is TermKind.LITERAL:
+            raise ValueError(f"pattern subject cannot be a literal, got {s!r}")
+        if p.kind not in (TermKind.IRI, TermKind.VARIABLE):
+            raise ValueError(f"pattern predicate must be an IRI or a variable, got {p!r}")
+        return tuple.__new__(cls, (s, p, o))
 
     def text(self) -> str:
         return f"{self.s.nt()} {self.p.nt()} {self.o.nt()}"
@@ -326,7 +294,7 @@ class TriplePattern:
 
 def pattern_vars(pattern: TriplePattern) -> frozenset[Term]:
     """The set of variables occurring in a pattern (any position)."""
-    return frozenset(t for t in pattern.positions() if t.is_variable)
+    return frozenset(t for t in pattern if t.is_variable)
 
 
 def pattern_label(index: int) -> str:

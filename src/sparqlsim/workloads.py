@@ -228,10 +228,7 @@ def generate(spec: WorkloadSpec) -> Workload:
 
 
 def _instantiate(pattern: TriplePattern, assignment: dict[Term, Term]) -> Triple:
-    def resolve(t: Term) -> Term:
-        return assignment[t] if t.is_variable else t
-
-    return Triple(resolve(pattern.s), resolve(pattern.p), resolve(pattern.o))
+    return Triple(*(assignment[t] if t.is_variable else t for t in pattern))
 
 
 def generate_for_query(query: Query, solutions: int, seed: int = 0,

@@ -112,7 +112,7 @@ def match_binding(pattern, triple: Triple) -> dict | None:
     or None when the triple does not match: a direct reading of the decoded
     triple, independent of the engine's compiled selections."""
     binding = {}
-    for term, value in zip(pattern.positions(), (triple.s, triple.p, triple.o)):
+    for term, value in zip(pattern, (triple.s, triple.p, triple.o)):
         if term.is_variable:
             if binding.setdefault(term, value) != value:
                 return None

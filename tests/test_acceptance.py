@@ -109,7 +109,7 @@ def _random_triples(rng: random.Random, query: Query) -> list[Triple]:
     for _ in range(rng.randint(0, 3)):
         assignment = {v: rng.choice(_ENTITIES) for v in all_vars}
         for p in query.patterns:
-            out.append(Triple(*(assignment.get(t, t) for t in p.positions())))
+            out.append(Triple(*(assignment.get(t, t) for t in p)))
     noise = rng.randint(30, 200 - len(out))
     for _ in range(noise):
         obj = (rng.choice(_ENTITIES) if rng.random() < 0.8

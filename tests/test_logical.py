@@ -140,6 +140,17 @@ def test_chain_classification():
     assert classify_shape(with_branch).shape is not Shape.CHAIN
 
 
+def test_chain_check_rejects_each_non_path():
+    two_links = [pat("?x", "p", "?y"), pat("?x", "q", "?y")]
+    predicate_link = [pat("?a", "?p", "?b"), pat("?c", "?p", "?d")]
+    # the degree sequence of a 5-path, but a 2-chain beside a 3-star
+    chain_and_star = [pat("?a", "p", "?b"), pat("?b", "q", "?c"),
+                      pat("?v", "r", "?x1"), pat("?v", "s", "?x2"),
+                      pat("?v", "t", "?x3")]
+    for patterns in (two_links, predicate_link, chain_and_star):
+        assert classify_shape(patterns).shape is Shape.COMPLEX
+
+
 def test_snowflake_classification():
     assert classify_shape(snowflake_query().patterns).shape is Shape.SNOWFLAKE
     # two explicit hubs joined by a bridge, two satellites each

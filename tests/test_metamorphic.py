@@ -60,7 +60,7 @@ def workloads(draw) -> tuple[Query, list[Triple]]:
     all_vars = sorted({v for p in query.patterns for v in pattern_vars(p)})
     for _ in range(draw(st.integers(0, 2))):
         assignment = {v: draw(st.sampled_from(_ENTITIES)) for v in all_vars}
-        triples.extend(Triple(*(assignment.get(t, t) for t in p.positions()))
+        triples.extend(Triple(*(assignment.get(t, t) for t in p))
                        for p in query.patterns)
     triples.extend(draw(st.lists(st.builds(
         Triple, st.sampled_from(_ENTITIES), st.sampled_from(_PREDICATES),

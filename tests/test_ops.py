@@ -186,7 +186,7 @@ def test_triple_selection_reads_the_rows_a_full_scan_finds(store, pattern):
     rel = triple_selection(spec, dataset, ledger)
     # the pattern's variables in first-position order
     assert rel.columns == tuple(dict.fromkeys(
-        t for t in pattern.positions() if t.is_variable))
+        t for t in pattern if t.is_variable))
     for j, node in enumerate(node_triples(dataset)):
         # every node, predicate groups in order, load order within a group
         assert rel.chunks[j] == _matching_rows(pattern, node, rel.columns)

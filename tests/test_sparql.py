@@ -9,6 +9,7 @@ from sparqlsim import (
     ParseError, Query, UnsupportedFeatureError, iri, parse_query,
     parse_query_file, serialize_query, var,
 )
+from sparqlsim.cli import main
 from sparqlsim.sparql import RDF_TYPE
 from sparqlsim.terms import TriplePattern, blank, lit
 
@@ -134,6 +135,34 @@ def test_unsupported_features_are_flagged(text, feature):
 def test_malformed_queries_are_parse_errors(text):
     with pytest.raises(ParseError):
         parse_query(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("SELECT ?x WHERE { ?x <http://e/p> ?y . } ?z",
+     "q.rq:1: unexpected trailing input: '?z'"),
+    ("PREFIX ex <http://e/> SELECT ?x WHERE { ?x <http://e/p> ?y . }",
+     "q.rq:1: expected a prefix name ending in ':', got 'ex'"),
+    ("PREFIX ex: ex:foo SELECT ?x WHERE { ?x <http://e/p> ?y . }",
+     "q.rq:1: expected an IRI after PREFIX ex:, got 'ex:foo'"),
+    ("SELECT ?x", "q.rq:1: unexpected end of query in select list"),
+    ("SELECT ?x WHERE ?x <http://e/p> ?y .",
+     "q.rq:1: expected '{' after WHERE, got '?x'"),
+    ('SELECT ?x WHERE {\n  "a" <http://e/p> ?x . }',
+     'q.rq:2: pattern subject cannot be a literal, got "a"'),
+    ('SELECT ?x WHERE { ?x <http://e/p> "1"^^xsd:int . }',
+     "q.rq:1: undeclared prefix 'xsd': in literal datatype"),
+])
+def test_each_parse_error_names_its_cause(capsys, tmp_path, text, message):
+    with pytest.raises(ParseError) as err:
+        parse_query(text, source="q.rq")
+    assert str(err.value) == message
+    data, query = tmp_path / "d.nt", tmp_path / "q.rq"
+    data.write_text("<http://e/s> <http://e/p> <http://e/o> .\n", encoding="utf-8")
+    query.write_text(text, encoding="utf-8")
+    assert main(["query", str(data), str(query)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.replace("q.rq", str(query), 1) + "\n"
 
 
 def test_query_validation_direct_construction():

@@ -2,11 +2,13 @@
 
 import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import BindingRow, Term, TermKind, Triple, TriplePattern, blank, iri, lit, var
+from sparqlsim.ntriples import parse_ntriples
 from sparqlsim.terms import TERMS, EMPTY_ROW, escape_literal_text, literal_token, pattern_vars
 
 
@@ -102,10 +104,41 @@ def test_triple_rejects_variables_and_literal_positions():
 def test_pattern_positions_and_vars():
     pat = TriplePattern(var("x"), iri("http://e/p"), var("y"))
     assert pat[0] is var("x") and pat[2] is var("y")
-    assert pat.positions() == (var("x"), iri("http://e/p"), var("y"))
+    assert pat == (var("x"), iri("http://e/p"), var("y"))
     assert pattern_vars(pat) == frozenset({var("x"), var("y")})
     with pytest.raises(ValueError):
         TriplePattern(lit("no"), iri("http://e/p"), var("y"))
+
+
+def test_triples_and_patterns_are_immutable_tuples():
+    (triple,) = parse_ntriples('<http://e/s> <http://e/p> "v" .\n')
+    assert type(triple) is Triple and Triple(*triple) == triple
+    assert repr(triple) == 'Triple(s=<http://e/s>, p=<http://e/p>, o="v")'
+    s, p = triple.s, triple.p
+    pat = TriplePattern(var("x"), p, lit("v"))
+    for value in (triple, pat):
+        assert isinstance(value, tuple) and value == (value.s, p, lit("v"))
+        with pytest.raises(AttributeError):
+            value.s = s
+        # each path re-enters the validating __new__
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+            assert hash(twin) == hash(value)
+
+
+def test_kind_checks_keep_their_messages():
+    s, p, o = iri("http://e/s"), iri("http://e/p"), iri("http://e/o")
+    for cls, args, message in [
+            (Triple, (var("x"), p, o), "triple subject must be an IRI or blank node, got ?x"),
+            (Triple, (s, var("p"), o), "triple predicate must be an IRI, got ?p"),
+            (Triple, (s, p, var("o")), "triple object must be ground, got ?o"),
+            (TriplePattern, (lit("a"), p, o), 'pattern subject cannot be a literal, got "a"'),
+            (TriplePattern, (s, blank("b"), o),
+             "pattern predicate must be an IRI or a variable, got _:b")]:
+        with pytest.raises(ValueError) as raised:
+            cls(*args)
+        assert str(raised.value) == message
 
 
 def test_binding_row_is_order_insensitive_and_hashable():
