@@ -10,6 +10,7 @@ selections. The adaptive strategy plans while executing; see
 :class:`~sparqlsim.executor.Executor` and every step runs on it.
 """
 
+import gc
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -73,21 +74,38 @@ def plan_static(strategy: str, query: Query, executor: Executor, *,
 def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster,
                  *, allow_cross: bool = False,
                  validate: bool = False) -> RunResult:
+    """Run one strategy on ``query`` over ``dataset``, loaded on ``cluster``.
+
+    The run, from the selections and planning through the projection, runs
+    with Python's cyclic garbage collector paused, and the caller's setting
+    comes back on every exit, a raise included. A run allocates only
+    acyclic containers (id tuples, and lists and dicts of them), which
+    reference counting frees at once, so the collector would only walk
+    them, and the store, in vain. The setting is process-wide: when two
+    threads run at once, one may see collection resume before its own run
+    ends, which is harmless.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} "
                          f"(expected one of {', '.join(STRATEGIES)})")
     check_loaded_on(dataset, cluster)
     executor = Executor(dataset, validate)
-    started = time.perf_counter()
-    evaluations = None
-    if strategy == "hybrid":
-        run = plan_and_execute_hybrid(query.patterns, executor, allow_cross=allow_cross,
-                                      select=query.select)
-        plan, relation, evaluations = run.plan, run.relation, run.evaluations
-    else:
-        plan, rels = plan_static(strategy, query, executor, allow_cross=allow_cross)
-        relation = execute_plan(plan, executor, query.select, rels)
-    wall = time.perf_counter() - started
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        evaluations = None
+        if strategy == "hybrid":
+            run = plan_and_execute_hybrid(query.patterns, executor, allow_cross=allow_cross,
+                                          select=query.select)
+            plan, relation, evaluations = run.plan, run.relation, run.evaluations
+        else:
+            plan, rels = plan_static(strategy, query, executor, allow_cross=allow_cross)
+            relation = execute_plan(plan, executor, query.select, rels)
+        wall = time.perf_counter() - started
+    finally:
+        if collecting:
+            gc.enable()
     return RunResult(strategy, plan, relation, executor.trace, wall, evaluations)
 
 

@@ -9,9 +9,14 @@ itself a tree of these nodes; the three static strategies are built here
 from it and the measured selection sizes, and the adaptive strategy in
 :mod:`sparqlsim.hybrid` builds its plan, the binary joins it ran, during
 execution.
+
+The helpers here recurse at module level or walk an explicit stack: a
+closure that calls itself is a reference cycle, and a run, which pauses the
+cyclic collector (:func:`~sparqlsim.engine.run_strategy`), allocates none.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .ops import SelectionSpec
@@ -59,16 +64,14 @@ class PhysicalPlan:
 def plan_leaves(node: PhysNode) -> list[SelectionSpec]:
     """All selection leaves, in pattern-index order."""
     out: list[SelectionSpec] = []
-
-    def walk(n: PhysNode) -> None:
+    stack = [node]
+    while stack:
+        n = stack.pop()
         if isinstance(n, SelectionSpec):
             out.append(n)
         else:
-            for child in n.children:
-                walk(child)
-
-    walk(node)
-    out.sort(key=lambda leaf: leaf.index)
+            stack += n.children
+    out.sort(key=attrgetter("index"))
     return out
 
 
@@ -144,24 +147,27 @@ def plan_multi_brjoin(tree: PhysNode, leaf_sizes: dict[int, int]) -> PhysicalPla
     which is exact for key-foreign-key steps and conservative enough to keep
     broadcasting the joined side."""
 
-    def convert(node: PhysNode) -> tuple[PhysNode, int]:
-        if isinstance(node, SelectionSpec):
-            return node, leaf_sizes[node.index]
-        subtrees: list[tuple[PhysNode, int]] = []
-        leaves: list[tuple[SelectionSpec, int]] = []
-        for child in node.children:
-            if isinstance(child, SelectionSpec):
-                leaves.append((child, leaf_sizes[child.index]))
-            else:
-                subtrees.append(convert(child))
-        leaves.sort(key=lambda pair: (pair[1], pair[0].index))
-        queue: list[tuple[PhysNode, int]] = subtrees + leaves
-        acc, acc_size = queue[0]
-        for nxt, nxt_size in queue[1:]:
-            target = 1 if acc_size <= nxt_size else 0
-            acc = JoinNode(node.on, (acc, nxt), target)
-            acc_size = min(acc_size, nxt_size)
-        return acc, acc_size
-
-    root, _ = convert(tree)
+    root, _ = _fold_broadcasts(tree, leaf_sizes)
     return PhysicalPlan(root)
+
+
+def _fold_broadcasts(node: PhysNode, leaf_sizes: dict[int, int]) -> tuple[PhysNode, int]:
+    """:func:`plan_multi_brjoin` of the subtree ``node``, and its
+    estimated size."""
+    if isinstance(node, SelectionSpec):
+        return node, leaf_sizes[node.index]
+    subtrees: list[tuple[PhysNode, int]] = []
+    leaves: list[tuple[SelectionSpec, int]] = []
+    for child in node.children:
+        if isinstance(child, SelectionSpec):
+            leaves.append((child, leaf_sizes[child.index]))
+        else:
+            subtrees.append(_fold_broadcasts(child, leaf_sizes))
+    leaves.sort(key=lambda pair: (pair[1], pair[0].index))
+    queue: list[tuple[PhysNode, int]] = subtrees + leaves
+    acc, acc_size = queue[0]
+    for nxt, nxt_size in queue[1:]:
+        target = 1 if acc_size <= nxt_size else 0
+        acc = JoinNode(node.on, (acc, nxt), target)
+        acc_size = min(acc_size, nxt_size)
+    return acc, acc_size
