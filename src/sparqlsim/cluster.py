@@ -82,13 +82,14 @@ def node_of(row: BindingRow, key: Iterable[Term], m: int) -> int:
 
 
 def placement(columns: Sequence[Term], key: Iterable[Term],
-              m: int) -> Callable[[Row], int]:
-    """Node index function for rows over ``columns`` under hash
-    partitioning on ``key``; it agrees with :func:`node_of` on the decoded
+              m: int) -> Callable[[Sequence[Row]], list[int]]:
+    """Destination function for rows over ``columns`` under hash
+    partitioning on ``key``: it maps a chunk of rows to the node index of
+    each row, in row order, and agrees with :func:`node_of` on the decoded
     row. A one-variable key reads the placement hash of the id at its
-    position from :data:`~sparqlsim.terms.H64`; a wider key hashes the
-    decoded terms, in the key order :func:`node_of` uses, once per distinct
-    id tuple."""
+    position from :data:`~sparqlsim.terms.H64`, in one comprehension over
+    the key column; a wider key hashes the decoded terms, in the key order
+    :func:`node_of` uses, once per distinct id tuple."""
     key_vars = sorted(key)
     if not key_vars:
         raise ValueError("partition key must be nonempty")
@@ -98,26 +99,24 @@ def placement(columns: Sequence[Term], key: Iterable[Term],
             f"columns {list(columns)} do not bind partition key {missing}")
     positions = [columns.index(v) for v in key_vars]
     if len(positions) == 1:
-        [pos] = positions
+        column = itemgetter(positions[0])
         h64 = H64
 
-        def dest_of(row: Row) -> int:
-            i = row[pos]
-            return (h64[i] or id_hash64(i)) % m
+        def dests_of(rows: Sequence[Row]) -> list[int]:
+            return [(h64[i] or id_hash64(i)) % m for i in map(column, rows)]
 
-        return dest_of
+        return dests_of
 
     pick = itemgetter(*positions)
     memo: dict[Row, int] = {}
 
-    def dest_of(row: Row) -> int:
-        found = pick(row)
-        dest = memo.get(found)
-        if dest is None:
-            dest = memo[found] = key_hash64([TERMS[i] for i in found]) % m
-        return dest
+    def dests_of(rows: Sequence[Row]) -> list[int]:
+        keys = list(map(pick, rows))
+        for found in set(keys).difference(memo):
+            memo[found] = key_hash64([TERMS[i] for i in found]) % m
+        return list(map(memo.__getitem__, keys))
 
-    return dest_of
+    return dests_of
 
 
 def render_key(key: frozenset[Term]) -> str:
@@ -251,14 +250,13 @@ def shuffle(rel: Relation, key: Iterable[Term], ledger: TransferLedger) -> Relat
         missing = ", ".join(v.nt() for v in sorted(key_set - rel.schema))
         raise ValueError(f"shuffle key not in relation schema: {missing}")
     m = rel.m
-    dest_of = placement(rel.columns, key_set, m)
+    dests_of = placement(rel.columns, key_set, m)
     buckets: list[list[Row]] = [[] for _ in range(m)]
     moved = 0
     for j, chunk in enumerate(rel.chunks):
-        for row in chunk:
-            dest = dest_of(row)
-            if dest != j:
-                moved += 1
+        dests = dests_of(chunk)
+        moved += len(chunk) - dests.count(j)
+        for dest, row in zip(dests, chunk):
             buckets[dest].append(row)
     ledger.tally(shuffled_modeled=rel.count, shuffled_actual=moved)
     return Relation(rel.columns, tuple(tuple(b) for b in buckets), key_set)

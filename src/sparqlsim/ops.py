@@ -16,8 +16,11 @@ keeps on that operator's trace entry):
 Join results use bag semantics: the natural join of the inputs. The local
 join folds from a driver input (the broadcast target, or the first pjoin
 input) through the inputs connected to it, and hashes each step on every
-variable the step's input shares with the rows folded so far, so a bucket
-hit is always a compatible pair of rows.
+variable the step's input shares with the rows folded so far, so a table
+hit is always a compatible pair of rows. A step's table maps each key to
+the ids of the variables its input adds, cut once per build row: one id
+tuple per key when the keys are unique, a list of them in build order when
+a key repeats. A probe appends those ids to each matching row.
 
 Every operator writes its output's columns directly: a selection's are its
 variables in first-position order, a shuffle keeps its input's, a join's
@@ -254,22 +257,15 @@ def fold_order(schemas: Sequence[frozenset[Term]], counts: Sequence[int],
     return order
 
 
-def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Like ``itemgetter(*positions)``, but always returns a tuple."""
-    if len(positions) == 1:
-        get = itemgetter(positions[0])
-        return lambda row: (get(row),)
+def cut_rows(rows: Sequence[Row], positions: Sequence[int]) -> Iterator[Row]:
+    """Each row cut to the ids at ``positions``, as a tuple, with no Python
+    call per row: one position is cut by ``zip`` over ``itemgetter``, and no
+    position gives ``()`` for every row."""
     if not positions:
-        return lambda row: ()
-    return itemgetter(*positions)
-
-
-def cut_rows(rows: Iterable[Row], positions: Sequence[int]) -> Iterator[Row]:
-    """Each row cut to the ids at ``positions``, as a tuple. One position
-    is cut by ``zip`` over ``itemgetter``, with no Python call per row."""
+        return repeat((), len(rows))
     if len(positions) == 1:
         return zip(map(itemgetter(positions[0]), rows))
-    return map(tuple_getter(positions), rows)
+    return map(itemgetter(*positions), rows)
 
 
 def _key_getter(positions: Sequence[int]) -> Callable[[Row], object]:
@@ -285,63 +281,80 @@ class _FoldStep:
 
     The step hashes one input on every variable it shares with the rows
     folded so far and probes with those rows. Each variable sits at a fixed
-    position of a relation's rows, so keys and output tuples are cut by
-    position. An output row is the probe row followed by the ids of the
-    variables the input adds, so ``columns`` is the folded columns followed
-    by those variables.
+    position of a relation's rows, so keys are cut by position. A table
+    maps each key to the ids of the variables the input adds, cut once per
+    build row; an output row is the probe row followed by those ids, so
+    ``columns`` is the folded columns followed by those variables.
+
+    When the keys of a node's input are unique, the table is one
+    ``dict(zip(keys, extras))`` and a probe row meets at most one match.
+    Otherwise each key maps to the list of its ids in build order. A step
+    tries the unique table first; once one node's input repeats a key, the
+    step builds the rest of its tables as lists straight away, so a join
+    whose keys repeat on every node pays for one failed try, not m. Both
+    forms probe to the same rows, so the order nodes run in does not matter.
     """
 
-    __slots__ = ("rel", "copy", "probe_key", "build_key", "pick", "columns",
-                 "_table")
+    __slots__ = ("rel", "copy", "probe_key", "probe_pos", "build_key", "added",
+                 "columns", "repeats", "_table")
 
     def __init__(self, rel: Relation, acc_columns: tuple[Term, ...],
                  copy: tuple[Row, ...] | None = None):
         shared = [v for v in acc_columns if v in rel.schema]
-        added = [i for i, v in enumerate(rel.columns) if v not in shared]
+        self.added = [i for i, v in enumerate(rel.columns) if v not in shared]
         self.rel = rel
         self.copy = copy
-        self.probe_key = _key_getter([acc_columns.index(v) for v in shared])
+        probe_positions = [acc_columns.index(v) for v in shared]
+        self.probe_key = _key_getter(probe_positions)
+        self.probe_pos = probe_positions[0] if len(probe_positions) == 1 else None
         self.build_key = _key_getter([rel.columns.index(v) for v in shared])
-        self.columns = acc_columns + tuple(rel.columns[i] for i in added)
-        # Cut from the probe row followed by the build row; None when the
-        # input adds no variable.
-        width = len(acc_columns)
-        self.pick = (tuple_getter([*range(width), *(width + i for i in added)])
-                     if added else None)
-        self._table: dict[object, list[Row]] | None = None
+        self.columns = acc_columns + tuple(rel.columns[i] for i in self.added)
+        self.repeats = False
+        self._table: tuple[dict, bool] | None = None
 
-    def table(self, j: int) -> dict[object, list[Row]]:
-        """Node ``j``'s share of the input, hashed on the shared variables.
-        A broadcast copy is the same on every node, so its table is built
-        once and reused."""
+    def table(self, j: int) -> tuple[dict, bool]:
+        """Node ``j``'s share of the input, hashed on the shared variables,
+        and whether its keys are unique. A broadcast copy is the same on
+        every node, so its table is built once and reused."""
         if self._table is not None:
             return self._table
-        table: dict[object, list[Row]] = {}
-        key = self.build_key
-        for row in self.rel.chunks[j] if self.copy is None else self.copy:
-            k = key(row)
-            bucket = table.get(k)
-            if bucket is None:
-                table[k] = [row]
-            else:
-                bucket.append(row)
+        rows = self.rel.chunks[j] if self.copy is None else self.copy
+        keys = list(map(self.build_key, rows))
+        unique = not self.repeats
+        if unique:
+            hashed = dict(zip(keys, cut_rows(rows, self.added)))
+            unique = len(hashed) == len(keys)
+            self.repeats = not unique
+        if not unique:
+            hashed = {}
+            lookup = hashed.get
+            for k, extra in zip(keys, cut_rows(rows, self.added)):
+                bucket = lookup(k)
+                if bucket is None:
+                    hashed[k] = [extra]
+                else:
+                    bucket.append(extra)
+        table = (hashed, unique)
         if self.copy is not None:
             self._table = table
         return table
 
-    def probe(self, acc: Sequence[Row], table: dict[object, list[Row]]) -> list[Row]:
-        key, pick, lookup = self.probe_key, self.pick, table.get
-        out: list[Row] = []
-        for row in acc:
-            bucket = lookup(key(row))
-            if bucket is None:
-                continue
-            if pick is None:
-                out.extend([row] * len(bucket))
-            else:
-                for right in bucket:
-                    out.append(pick(row + right))
-        return out
+    def probe(self, acc: Sequence[Row], table: tuple[dict, bool]) -> list[Row]:
+        """Each row of ``acc`` followed by the ids of each of its matches in
+        ``table``, in build order. A one-variable key is read as ``row[p]``,
+        which costs less than a call per row."""
+        hashed, unique = table
+        lookup, p = hashed.get, self.probe_pos
+        if p is None:
+            key = self.probe_key
+            if unique:
+                return [row + e for row in acc if (e := lookup(key(row))) is not None]
+            return [row + e for row in acc
+                    if (bucket := lookup(key(row))) is not None for e in bucket]
+        if unique:
+            return [row + e for row in acc if (e := lookup(row[p])) is not None]
+        return [row + e for row in acc
+                if (bucket := lookup(row[p])) is not None for e in bucket]
 
 
 def local_nary_join(rows: Sequence[Row], steps: Sequence[_FoldStep],

@@ -131,9 +131,8 @@ def make_relation(columns, rows, m: int, *, key=None,
     encoded = encode_rows(columns, rows)
     buckets = [[] for _ in range(m)]
     if key is not None:
-        dest_of = placement(columns, key, m)
-        for row in encoded:
-            buckets[dest_of(row)].append(row)
+        for row, dest in zip(encoded, placement(columns, key, m)(encoded)):
+            buckets[dest].append(row)
     else:
         for i, row in enumerate(encoded):
             buckets[(start + i) % m].append(row)
