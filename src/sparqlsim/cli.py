@@ -16,9 +16,11 @@ or an invalid option such as ``-m 0``, a negative cost weight or
 ``--allow-cross-product`` with ``bench --suite``; a node count, given with
 ``-m`` or in a suite's ``m`` list, must lie in 1..1024, ``MAX_NODE_COUNT``,
 since the store and every relation hold one table or chunk per node); 3
-query uses an unsupported feature; 4 the pattern is a cross product and
-``--allow-cross-product`` was not given; 5 ``bench`` verification
-stopped because the reference evaluation exceeded its row budget (lower
+query uses an unsupported feature (an unsupported keyword anywhere in the
+query, as a bare word and not inside an IRI, literal, comment, variable,
+blank node or prefixed name, exits 3 before any parse error can); 4 the
+pattern is a cross product and ``--allow-cross-product`` was not given; 5
+``bench`` verification stopped because the reference evaluation exceeded its row budget (lower
 ``--verify-limit`` to skip verifying that dataset). Past option parsing,
 which argparse reports after a usage message, a failure prints one
 ``error:`` line to stderr, with any line break from the input escaped.

@@ -194,7 +194,7 @@ def _binding_decoder(columns: Sequence[Term]) -> Callable[[Row], BindingRow]:
     are in sorted variable order."""
     pairs = sorted((v, i) for i, v in enumerate(columns))
     terms = TERMS
-    return lambda row: BindingRow(tuple([(v, terms[row[i]]) for v, i in pairs]))
+    return lambda row: BindingRow([(v, terms[row[i]]) for v, i in pairs])
 
 
 @dataclass(frozen=True, slots=True)

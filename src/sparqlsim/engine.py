@@ -153,8 +153,7 @@ def result_lines(counts: Counter[Row]) -> list[str]:
 
 
 def result_cell(result: RunResult, *, m: int, partitioning: str,
-                shape: ShapeInfo | None = None,
-                include_wall: bool = True) -> dict:
+                shape: ShapeInfo, include_wall: bool = True) -> dict:
     """The per-run metrics record shared by the CLI and the bench reports."""
     totals = result.ledger.totals()
     cell = {
@@ -170,8 +169,7 @@ def result_cell(result: RunResult, *, m: int, partitioning: str,
     }
     if include_wall:
         cell["wall_ms"] = round(result.wall_seconds * 1000.0, 3)
-    if shape is not None:
-        cell["shape"] = shape.shape.value
+    cell["shape"] = shape.shape.value
     if result.plan.shared_scan:
         leaves = plan_leaves(result.plan.root)
         cell["merged_scan_groups"] = [[leaf.label for leaf in leaves]]

@@ -42,8 +42,6 @@ class TraceEntry:
 
     kind: str                       # "selection" | "merged-selection" | "pjoin" | "brjoin"
     inputs: tuple[tuple[int, frozenset[Term]], ...]   # (count, key) pairs
-    output_size: int
-    output_key: frozenset[Term]
     charges: TransferLedger
     on: frozenset[Term] = frozenset()
     target: int | None = None       # brjoin only
@@ -130,9 +128,7 @@ class Executor:
         if node.target is None:
             kind, out = "pjoin", pjoin(node.on, inputs, charges)
         else:
-            # Planners build an empty-key broadcast only for an allowed cross product.
-            kind, out = "brjoin", brjoin(node.on, inputs, node.target, charges,
-                                         allow_empty_on=True)
+            kind, out = "brjoin", brjoin(inputs, node.target, charges)
         self._record(kind, charges, [out], inputs, on=node.on, target=node.target)
         return out
 
@@ -145,11 +141,11 @@ class Executor:
 
     def _record(self, kind: str, charges: TransferLedger, outputs: Sequence[Relation],
                 inputs: Sequence[Relation] = (), **priced) -> None:
-        """Append the entry of an operator that read ``inputs`` and wrote
-        ``outputs``; ``priced`` holds the rest of what the cost model reads."""
+        """Append the entry of an operator that read ``inputs``; ``priced``
+        holds the rest of what the cost model reads. ``outputs`` are only
+        validated."""
         self.trace.entries.append(TraceEntry(
-            kind, tuple((r.count, r.key) for r in inputs),
-            sum(r.count for r in outputs), outputs[0].key, charges, **priced))
+            kind, tuple((r.count, r.key) for r in inputs), charges, **priced))
         if self.validate:
             for rel in outputs:
                 check_placement(rel)

@@ -242,8 +242,6 @@ def _peel_set(patterns: Sequence[TriplePattern], remaining: frozenset[int],
         p = patterns[i]
         if not _entity_positions(center, p):
             continue
-        if center not in pattern_vars(p):
-            continue
         if all(counts[v] == 1 for v in pattern_vars(p) if v != center):
             arm.append(i)
     return frozenset(arm)

@@ -429,25 +429,21 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
     return _join_nodes(staged, 0, {}, m, on)
 
 
-def brjoin(on: frozenset[Term], inputs: Sequence[Relation], target_index: int,
-           ledger: TransferLedger, allow_empty_on: bool = False) -> Relation:
+def brjoin(inputs: Sequence[Relation], target_index: int,
+           ledger: TransferLedger) -> Relation:
     """Broadcast n-ary join: every input except the target is shipped to all
     nodes and the join runs against the target's local chunks, so the
     result inherits the target's key. The broadcast copies
     exist only for this join.
 
-    ``on`` names the join variables; it does not need to be contained in
-    every schema (a whole-query broadcast join uses the union of all join
-    variables). The local join hashes on the variables the inputs actually
-    share, so ``on`` only guards against an unrequested cross product.
+    The local join hashes on the variables the inputs actually share;
+    inputs that share none join as a cross product. Planners decide
+    whether one is allowed (:func:`logical.joinable_components`).
     """
     if len(inputs) < 2:
         raise ValueError("brjoin needs at least two inputs")
     if not 0 <= target_index < len(inputs):
         raise IndexError(f"target index {target_index} out of range for {len(inputs)} inputs")
-    if not on and not allow_empty_on:
-        raise ValueError("brjoin requires a nonempty join variable set "
-                         "(cross products are opt-in)")
 
     m = _node_count(inputs)
     copies = {i: broadcast(rel, ledger)

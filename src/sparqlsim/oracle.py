@@ -113,7 +113,7 @@ def oracle_eval(patterns: Sequence[TriplePattern], triples: Sequence[Triple],
     if not kept:
         return [EMPTY_ROW] * len(rows)
     names = [variables[slot] for slot in kept]
-    return [BindingRow(tuple(zip(names, [row[slot] for slot in kept]))) for row in rows]
+    return [BindingRow(zip(names, [row[slot] for slot in kept])) for row in rows]
 
 
 def as_multiset(rows: Iterable[BindingRow]) -> Counter:

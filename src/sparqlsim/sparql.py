@@ -6,6 +6,12 @@ recognizably SPARQL (FILTER, OPTIONAL, UNION, DISTINCT, ...) raises
 :class:`UnsupportedFeatureError` so the CLI can exit with a dedicated code
 instead of a generic parse failure.
 
+One tokenizer pass decides between the two. An unsupported keyword anywhere
+in the query, as a bare word (not inside an IRI, literal, comment, variable,
+blank node or prefixed name), is reported before any parse error can be:
+a token the grammar does not know fails only once the whole text is read,
+and the parser runs on a text that has none.
+
 Blank nodes in queries are treated as constants that match data labels
 literally; use variables for join positions.
 """
@@ -29,28 +35,13 @@ _UNSUPPORTED = {
     "BASE", "FROM",
 }
 
-# Inside IRIs, literals, and comments keywords are just text; blank those
-# spans (preserving newlines for line numbers) before scanning for features
-# whose syntax our tokenizer cannot even lex, e.g. the comparison in
-# FILTER(?x > 3), so they fail as "unsupported" rather than "unparseable".
-_OPAQUE_RE = re.compile(r'<[^>\s]*>|"(?:[^"\\]|\\.)*"|\#[^\n]*')
-_KEYWORD_RE = re.compile(
-    r"(?<![:\w?$-])(" + "|".join(sorted(_UNSUPPORTED)) + r")(?![\w:-])",
-    re.IGNORECASE)
-
-
-def _find_unsupported(text: str) -> tuple[str, int] | None:
-    cleaned = _OPAQUE_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), text)
-    match = _KEYWORD_RE.search(cleaned)
-    if match is None:
-        return None
-    return match.group(1).upper(), cleaned.count("\n", 0, match.start()) + 1
-
-
 _PNAME = r"[A-Za-z][A-Za-z0-9_-]*"
 # A local name may contain dots but not end with one, so a trailing pattern
 # separator is never swallowed.
 _LOCAL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+# ``other``, tried last, is what no other token takes: an IRI-like or quoted
+# run whole, so a keyword inside a malformed IRI or literal stays text, or
+# else one character.
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -64,6 +55,7 @@ _TOKEN_RE = re.compile(
       | (?P<pname>(?:%(pname)s)?:(?:%(local)s)?)
       | (?P<word>[A-Za-z][A-Za-z0-9_]*)
       | (?P<punct>[{}.;,*()])
+      | (?P<other><[^>\s]*>|"(?:[^"\\]|\\.)*"|\S)
     """ % {"pname": _PNAME, "local": _LOCAL, "blank": BLANK_LABEL,
            "iri": IRI_CHARS, "quoted": QUOTED_STRING, "lang": LANG_TAG},
     re.VERBOSE,
@@ -79,24 +71,26 @@ class _Token:
 
 
 def _tokenize(text: str, source: str | None) -> list[_Token]:
+    """The query's tokens. The first unsupported keyword fails at once;
+    a stray token (an ``other`` match) fails only after the whole text, so
+    an unsupported keyword anywhere wins."""
     tokens: list[_Token] = []
-    pos = 0
+    stray: tuple[int, int] | None = None
     line = 1
-    n = len(text)
-    while pos < n:
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            found = _find_unsupported(text)
-            if found is not None:
-                raise UnsupportedFeatureError(found[0], line=found[1])
-            raise ParseError(f"unrecognized token near: {text[pos:pos + 20]!r}",
-                             line=line, source=source)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         value = match.group()
-        if kind not in ("ws", "comment"):
+        if kind == "word" and value.upper() in _UNSUPPORTED:
+            raise UnsupportedFeatureError(value.upper(), line=line)
+        if kind == "other":
+            stray = stray or (match.start(), line)
+        elif kind not in ("ws", "comment"):
             tokens.append(_Token(kind, value, line, match.group("datatype")))
         line += value.count("\n")
-        pos = match.end()
+    if stray is not None:
+        pos, line = stray
+        raise ParseError(f"unrecognized token near: {text[pos:pos + 20]!r}",
+                         line=line, source=source)
     return tokens
 
 
@@ -148,10 +142,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def check_unsupported(self, tok: _Token) -> None:
-        if tok.kind == "word" and tok.value.upper() in _UNSUPPORTED:
-            raise UnsupportedFeatureError(tok.value.upper(), line=tok.line)
-
     def keyword(self, tok: _Token) -> str:
         return tok.value.upper() if tok.kind == "word" else ""
 
@@ -172,18 +162,15 @@ class _Parser:
                 continue
             break
         tok = self.next("SELECT")
-        self.check_unsupported(tok)
         if self.keyword(tok) != "SELECT":
             raise self.error(f"expected SELECT, got {tok.value!r}", tok)
         select = self.parse_select_list()
         tok = self.next("WHERE")
-        self.check_unsupported(tok)
         if self.keyword(tok) != "WHERE":
             raise self.error(f"expected WHERE, got {tok.value!r}", tok)
         patterns = self.parse_group()
         trailing = self.peek()
         if trailing is not None:
-            self.check_unsupported(trailing)
             raise self.error(f"unexpected trailing input: {trailing.value!r}", trailing)
         try:
             return Query(tuple(select), tuple(patterns))
@@ -213,7 +200,6 @@ class _Parser:
                 continue
             if tok.value == "*":
                 raise UnsupportedFeatureError("SELECT *", line=tok.line)
-            self.check_unsupported(tok)
             break
         if not out:
             raise self.error("SELECT needs at least one variable", self.peek())
@@ -241,7 +227,6 @@ class _Parser:
             if sep is not None and sep.value == ".":
                 self.next()
             elif sep is not None and sep.value not in ("}",):
-                self.check_unsupported(sep)
                 raise self.error(f"expected '.' or '}}' after pattern, got {sep.value!r}", sep)
         if not patterns:
             raise self.error("WHERE group contains no triple patterns")
@@ -249,7 +234,6 @@ class _Parser:
 
     def parse_term(self, role: str) -> Term:
         tok = self.next(f"{role} term")
-        self.check_unsupported(tok)
         if tok.kind == "var":
             return var(tok.value[1:])
         if tok.kind == "iri":

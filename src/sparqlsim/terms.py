@@ -302,45 +302,29 @@ def pattern_label(index: int) -> str:
     return f"t{index + 1}"
 
 
-class BindingRow:
-    """An immutable solution mapping from variables to ground terms.
-
-    Stored as a tuple of (variable, term) pairs sorted by variable order, so
-    rows hash consistently and multisets of rows compare cheaply.
+class BindingRow(tuple):
+    """An immutable solution mapping from variables to ground terms: the
+    tuple of its (variable, term) pairs sorted by variable order, so rows
+    hash consistently and multisets of rows compare cheaply. A row equals
+    the plain tuple of its pairs.
     """
 
-    __slots__ = ("items", "_hash")
-
-    def __init__(self, items: tuple[tuple[Term, Term], ...]):
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_hash", hash(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BindingRow is immutable")
+    __slots__ = ()
 
     @classmethod
     def from_mapping(cls, mapping: dict[Term, Term]) -> "BindingRow":
-        return cls(tuple(sorted(mapping.items())))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, BindingRow):
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return self._hash
+        return cls(sorted(mapping.items()))
 
     def get(self, v: Term) -> Term | None:
         # Rows are narrow; a linear scan beats building a dict per row.
-        for bound, term in self.items:
-            if bound is v or bound == v:
+        # Terms are interned, so a variable is found by identity.
+        for bound, term in self:
+            if bound is v:
                 return term
         return None
 
     def __repr__(self):
-        inner = ", ".join(f"{v.lexical}={t!r}" for v, t in self.items)
+        inner = ", ".join(f"{v.lexical}={t!r}" for v, t in self)
         return "{" + inner + "}"
 
 

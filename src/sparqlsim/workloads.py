@@ -95,7 +95,6 @@ class WorkloadSpec:
 
 @dataclass(frozen=True, slots=True)
 class Workload:
-    spec: WorkloadSpec
     triples: list[Triple]
     query: Query
 
@@ -119,7 +118,7 @@ def _generate_star(spec: WorkloadSpec) -> Workload:
     branches = [var(f"v{j}") for j in range(1, k + 1)]
     patterns = [TriplePattern(x, prop, branch)
                 for prop, branch in zip(props, branches)]
-    return Workload(spec, triples, Query(tuple([x] + branches), tuple(patterns)))
+    return Workload(triples, Query(tuple([x] + branches), tuple(patterns)))
 
 
 def _generate_chain(spec: WorkloadSpec) -> Workload:
@@ -156,7 +155,7 @@ def _generate_chain(spec: WorkloadSpec) -> Workload:
     hops = [var(f"x{i}") for i in range(k + 1)]
     patterns = [TriplePattern(hops[j - 1], links[j - 1], hops[j])
                 for j in range(1, k + 1)]
-    return Workload(spec, triples, Query(tuple(hops), tuple(patterns)))
+    return Workload(triples, Query(tuple(hops), tuple(patterns)))
 
 
 def snowflake_query() -> Query:
@@ -216,7 +215,7 @@ def _generate_snowflake(spec: WorkloadSpec) -> Workload:
         # scan subset a strict subset of the store.
         triples.append(Triple(student, takes, courses[i % COURSE_COUNT]))
     triples.extend(_filler_triples(spec.filler))
-    return Workload(spec, triples, snowflake_query())
+    return Workload(triples, snowflake_query())
 
 
 def generate(spec: WorkloadSpec) -> Workload:

@@ -81,7 +81,7 @@ def encode_rows(columns, rows) -> tuple[tuple, ...]:
     order = tuple(sorted(columns))
     out = []
     for row in rows:
-        if tuple(v for v, _ in row.items) != order:
+        if tuple(v for v, _ in row) != order:
             raise ValueError(f"row {row!r} does not bind schema {list(order)}")
         out.append(tuple(row.get(v).id for v in columns))
     return tuple(out)

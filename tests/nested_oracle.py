@@ -29,7 +29,7 @@ def _match(pattern: TriplePattern, triple: Triple, row: BindingRow) -> BindingRo
             return None
     if not new:
         return row
-    merged = dict(row.items)
+    merged = dict(row)
     merged.update(new)
     return BindingRow(tuple(sorted(merged.items())))
 
@@ -72,7 +72,7 @@ def oracle_eval(patterns: Sequence[TriplePattern], triples: Sequence[Triple],
     select_tuple = tuple(select)
     projected = []
     for row in rows:
-        items = tuple(sorted((v, t) for v, t in row.items if v in select_tuple))
+        items = tuple(sorted((v, t) for v, t in row if v in select_tuple))
         projected.append(BindingRow(items))
     return projected
 

@@ -300,7 +300,7 @@ def test_criterion_4_crossover_law():
                     # execute both algorithms and compare measured transfer
                     led_p, led_b = TransferLedger(), TransferLedger()
                     pjoin(on, [large, small], led_p)
-                    brjoin(on, [large, small], 0, led_b)
+                    brjoin([large, small], 0, led_b)
                     moved_p = led_p.total_transfer
                     moved_b = led_b.total_transfer
                     assert moved_p == gamma1 + gamma2

@@ -393,11 +393,13 @@ def test_exit_2_non_utf8_data(capsys, tmp_path):
      "'strategies' must list strategy names, got ['pjoin', 3]"),
     ('"name": null', "", "'name' must be a string, got None"),
     ('"partitioning": null', "", "'partitioning' must be a string, got None"),
-    ('"m": [2]', ', "name": 7', "workloads[0]: name must be a string, got 7")],
+    ('"m": [2]', ', "name": 7', "workloads[0]: name must be a string, got 7"),
+    ('"workloads": [1]', "", "workloads[0]: expected an object, got int")],
     ids=["unknown-key", "partitioning", "strategy", "m", "empty-m",
          "empty-strategies", "workload-seed", "float-pattern-count",
          "bool-filler", "float-m", "bool-m", "huge-m", "string-strategies",
-         "int-strategy", "null-name", "null-partitioning", "int-workload-name"])
+         "int-strategy", "null-name", "null-partitioning", "int-workload-name",
+         "int-workload"])
 def test_exit_2_bad_suite_settings(capsys, tmp_path, setting, workload_setting,
                                    message):
     suite = tmp_path / "suite.json"

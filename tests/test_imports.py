@@ -6,7 +6,12 @@ re-exports and is skipped.
 
 Every module-level function, class and assignment of the package is read
 somewhere in the package or exported in ``sparqlsim.__all__``, so a helper
-whose last caller is deleted cannot stay behind for the tests alone."""
+whose last caller is deleted cannot stay behind for the tests alone.
+
+Every annotated field of a package class is read as an attribute somewhere
+in ``src/``, ``tests/`` or ``perfbench/``, so a field that is only ever set
+cannot stay behind. NamedTuples are exempt: they are unpacked, not read by
+field name."""
 
 import ast
 
@@ -95,3 +100,49 @@ def test_every_package_definition_is_read_or_exported():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_definitions(sources, set(sparqlsim.__all__)) == []
+
+
+def annotated_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, line) of each annotated field of a class in
+    ``source``, NamedTuples excepted."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or any(
+                isinstance(base, ast.Name) and base.id == "NamedTuple"
+                for base in node.bases):
+            continue
+        fields.extend((node.name, stmt.target.id, stmt.lineno) for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name))
+    return fields
+
+
+def attributes_read(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The annotated fields of the classes in ``sources`` (module name to
+    text) that no text in ``readers`` reads as an attribute."""
+    read = set().union(*map(attributes_read, readers))
+    return [f"{module}: {cls}.{name} (line {line})"
+            for module, source in sources.items()
+            for cls, name, line in annotated_fields(source) if name not in read]
+
+
+def test_the_check_sees_an_unread_field():
+    source = ("from typing import NamedTuple\n"
+              "class C:\n    a: int\n    b: int\n    def f(self):\n"
+              "        self.b = 1\n"
+              "class T(NamedTuple):\n    c: int\n")
+    assert unread_fields({"m": source}, [source, "x.a\n"]) == ["m: C.b (line 4)"]
+
+
+def test_every_package_field_is_read():
+    readers = [path.read_text(encoding="utf-8")
+               for tree in ("src", "tests", "perfbench")
+               for path in sorted((REPO_ROOT / tree).rglob("*.py"))]
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_fields(sources, readers) == []

@@ -5,8 +5,6 @@ places every row by ``node_of`` on its decoded row, keeps source
 node-then-row order in every bucket and counts exactly the rows that change
 node."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,11 +69,8 @@ def pjoin_cases(draw):
 @st.composite
 def brjoin_cases(draw):
     m = draw(st.sampled_from(NODE_COUNTS))
-    inputs = [draw(relations(m, draw(variable_sets)))
-              for _ in range(draw(st.integers(2, 4)))]
-    on = frozenset().union(*(a.schema & b.schema
-                             for a, b in itertools.combinations(inputs, 2)))
-    return on, inputs
+    return [draw(relations(m, draw(variable_sets)))
+            for _ in range(draw(st.integers(2, 4)))]
 
 
 def assert_pjoin_matches(on, inputs):
@@ -83,9 +78,9 @@ def assert_pjoin_matches(on, inputs):
     assert (out.columns, out.chunks) == reference_pjoin(on, inputs)
 
 
-def assert_brjoin_matches(on, inputs):
+def assert_brjoin_matches(inputs):
     for target in range(len(inputs)):
-        out = brjoin(on, inputs, target, TransferLedger(), allow_empty_on=True)
+        out = brjoin(inputs, target, TransferLedger())
         assert (out.columns, out.chunks) == reference_brjoin(inputs, target)
 
 
@@ -97,8 +92,8 @@ def test_pjoin_chunks_equal_the_reference_row_for_row(case):
 
 @settings(max_examples=150, deadline=None)
 @given(brjoin_cases())
-def test_brjoin_chunks_equal_the_reference_row_for_row(case):
-    assert_brjoin_matches(*case)
+def test_brjoin_chunks_equal_the_reference_row_for_row(inputs):
+    assert_brjoin_matches(inputs)
 
 
 def _ids(*indices):
@@ -143,9 +138,7 @@ NAMED = {
 def test_named_join_shapes_equal_the_reference_row_for_row(name):
     m, specs = NAMED[name]
     inputs = [relation(columns, rows, nodes, m) for columns, rows, nodes in specs]
-    on = frozenset().union(*(a.schema & b.schema
-                             for a, b in itertools.combinations(inputs, 2)))
-    assert_brjoin_matches(on, inputs)
+    assert_brjoin_matches(inputs)
     shared = frozenset.intersection(*(rel.schema for rel in inputs))
     if shared:
         assert_pjoin_matches(shared, inputs)

@@ -282,7 +282,7 @@ def test_pjoin_requires_join_vars_in_every_schema():
 def test_brjoin_broadcasts_non_targets_and_keeps_target_state():
     _, (knows, name, _) = _selections()
     charges = TransferLedger()
-    out = brjoin(frozenset({X}), [name, knows], target_index=1, ledger=charges)
+    out = brjoin([name, knows], target_index=1, ledger=charges)
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: B, N: lit("A")}),
         BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
@@ -296,8 +296,7 @@ def test_brjoin_broadcasts_non_targets_and_keeps_target_state():
 
 def test_brjoin_join_vars_need_not_cover_every_schema():
     ledger, (knows, name, age) = _selections()
-    out = brjoin(frozenset({X, Y}), [name, age, knows], target_index=2,
-                 ledger=ledger)
+    out = brjoin([name, age, knows], target_index=2, ledger=ledger)
     assert rows(out) == Counter([
         BindingRow.from_mapping({X: A, Y: C, N: lit("A"), G: lit("7")}),
         BindingRow.from_mapping({X: B, Y: C, N: lit("B"), G: lit("7")}),
@@ -305,11 +304,10 @@ def test_brjoin_join_vars_need_not_cover_every_schema():
 
 
 def test_brjoin_cross_product_is_opt_in():
+    # Planners opt in (logical.joinable_components); brjoin itself joins
+    # inputs that share no variable as their cross product.
     ledger, (_, name, age) = _selections()
-    with pytest.raises(ValueError):
-        brjoin(frozenset(), [name, age], target_index=1, ledger=ledger)
-    out = brjoin(frozenset(), [name, age], target_index=1,
-                 ledger=ledger, allow_empty_on=True)
+    out = brjoin([name, age], target_index=1, ledger=ledger)
     assert out.count == 2 * 1
     assert out.schema == frozenset({X, N, Y, G})
 
@@ -317,7 +315,7 @@ def test_brjoin_cross_product_is_opt_in():
 def test_brjoin_target_index_validated():
     ledger, (knows, name, _) = _selections()
     with pytest.raises(IndexError):
-        brjoin(frozenset({X}), [knows, name], target_index=2, ledger=ledger)
+        brjoin([knows, name], target_index=2, ledger=ledger)
 
 
 def test_joins_reject_inputs_on_different_node_counts():
@@ -338,7 +336,7 @@ def test_joins_reject_inputs_on_different_node_counts():
         pjoin(on, mixed, TransferLedger())
     for target in (0, 1):
         with pytest.raises(ValueError, match="different node counts"):
-            brjoin(on, mixed, target, TransferLedger())
+            brjoin(mixed, target, TransferLedger())
 
 
 _NO_TRANSFER = {"scanned": 0, "shuffled_modeled": 0, "shuffled_actual": 0,
@@ -366,7 +364,7 @@ def test_a_refused_join_charges_no_transfer():
     for target in (0, 1):
         ledger = TransferLedger()
         with pytest.raises(ValueError, match="different node counts"):
-            brjoin(on, mixed, target, ledger)
+            brjoin(mixed, target, ledger)
         assert ledger.totals() == _NO_TRANSFER
 
 
@@ -379,6 +377,8 @@ def test_project_is_bag_semantics_and_tracks_key():
     onto_y = project(knows, [Y])
     assert onto_y.key == frozenset()   # key projected away
     assert onto_y.count == 3
+    with pytest.raises(ValueError, match=r"outside the schema: \?g"):
+        project(knows, [X, G])
 
 
 def test_fold_order_on_q8_mono_brjoin_starts_at_target_and_stays_connected():
@@ -441,8 +441,8 @@ def _join_case(draw, kind):
 def _nested_loop_join(inputs) -> Counter:
     acc = [{}]
     for rel in inputs:
-        acc = [{**left, **dict(right.items)} for left in acc for right in rel.rows()
-               if all(left.get(v, t) == t for v, t in right.items)]
+        acc = [{**left, **dict(right)} for left in acc for right in rel.rows()
+               if all(left.get(v, t) == t for v, t in right)]
     return Counter(BindingRow.from_mapping(d) for d in acc)
 
 
@@ -464,14 +464,13 @@ def test_pjoin_is_the_natural_join_in_any_input_order(case):
 @settings(max_examples=60, deadline=None)
 @given(_join_case("brjoin"))
 def test_brjoin_is_the_natural_join_for_any_target_and_input_order(case):
-    on, inputs, m = case
+    _, inputs, m = case
     expected = _nested_loop_join(inputs)
     for perm in itertools.permutations(inputs):
         sized = [(rel.count, rel.key) for rel in perm]
         for target in range(len(perm)):
             ledger = TransferLedger()
-            out = brjoin(on, list(perm), target, ledger,
-                         allow_empty_on=True)
+            out = brjoin(list(perm), target, ledger)
             check_placement(out)
             assert rows(out) == expected
             assert ledger.broadcast_tuples == brjoin_broadcast_size(sized, target, m)
@@ -485,8 +484,7 @@ def test_brjoin_cross_product_with_an_all_ground_pattern():
     ground = make_relation((), [EMPTY_ROW, EMPTY_ROW], knows.m)
     for inputs, target in (([ground, knows], 1), ([knows, ground], 0),
                            ([knows, ground], 1)):
-        out = brjoin(frozenset(), inputs, target, ledger,
-                     allow_empty_on=True)
+        out = brjoin(inputs, target, ledger)
         check_placement(out)
         assert rows(out) == Counter({row: 2 for row in expected_knows()})
 
@@ -546,7 +544,7 @@ def test_operators_give_the_same_result_under_any_column_order(case, data):
     for target in range(len(inputs)):
         select = select_from(union)
         same(lambda rels, ledger: project(
-            brjoin(on, rels, target, ledger, allow_empty_on=True), select))
+            brjoin(rels, target, ledger), select))
 
 
 def test_check_placement_rejects_repeated_or_misfit_columns():

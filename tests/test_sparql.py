@@ -116,6 +116,8 @@ def test_undeclared_prefix_is_a_parse_error():
     ("SELECT ?x WHERE { ?x <http://e/p> ?y . } LIMIT 10", "LIMIT"),
     ("SELECT ?x WHERE { ?x <http://e/p> ?y . } ORDER BY ?x", "ORDER"),
     ("SELECT * WHERE { ?x <http://e/p> ?y . }", "SELECT *"),
+    # An unsupported word wins over a parse error that comes before it.
+    ("SELECT ?x WHERE LIMIT { ?x <http://e/p> ?y }", "LIMIT"),
 ])
 def test_unsupported_features_are_flagged(text, feature):
     with pytest.raises(UnsupportedFeatureError) as err:
@@ -131,6 +133,10 @@ def test_unsupported_features_are_flagged(text, feature):
     "SELECT ?x WHERE { ?x <http://e/p> }",
     "SELECT ?z WHERE { ?x <http://e/p> ?y . }",   # ?z not bound by any pattern
     *LITERAL_VIOLATION_QUERIES,                   # escapes as in N-Triples
+    # A keyword in a prefixed name's local part, or in a malformed literal,
+    # is text, also when lexing fails elsewhere.
+    "PREFIX ex: <http://e/> SELECT ?x WHERE { ?x ex:a.LIMIT ?y . } %",
+    'SELECT ?x WHERE { ?x <http://e/p> "a\\q LIMIT" . }',
 ])
 def test_malformed_queries_are_parse_errors(text):
     with pytest.raises(ParseError):
@@ -145,6 +151,8 @@ def test_malformed_queries_are_parse_errors(text):
     ("PREFIX ex: ex:foo SELECT ?x WHERE { ?x <http://e/p> ?y . }",
      "q.rq:1: expected an IRI after PREFIX ex:, got 'ex:foo'"),
     ("SELECT ?x", "q.rq:1: unexpected end of query in select list"),
+    ("SELECT ?x WHERE { ?x <http://e/p> ?y .",
+     "q.rq:1: unexpected end of query inside group (missing '}')"),
     ("SELECT ?x WHERE ?x <http://e/p> ?y .",
      "q.rq:1: expected '{' after WHERE, got '?x'"),
     ('SELECT ?x WHERE {\n  "a" <http://e/p> ?x . }',

@@ -147,7 +147,7 @@ def test_binding_row_is_order_insensitive_and_hashable():
     assert a == b and hash(a) == hash(b)
     assert a.get(var("x")) is iri("http://e/1")
     assert a.get(var("missing")) is None
-    assert EMPTY_ROW.items == ()
+    assert EMPTY_ROW == ()
 
 
 @given(st.text(max_size=40))
