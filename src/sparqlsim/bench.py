@@ -115,8 +115,8 @@ def run_bench(cases: Sequence[BenchCase], *, ms: Sequence[int] = (DEFAULT_NODE_C
                             f"reference evaluation ({sum(got.values())} rows vs "
                             f"{sum(expected.values())})")
                     status = "verified"
-                cell = result_cell(result, m=m, partitioning=partitioning,
-                                   shape=shape, include_wall=include_wall)
+                cell = result_cell(result, partitioning=partitioning, shape=shape,
+                                   include_wall=include_wall)
                 cell["dataset"] = case.name
                 cell["query"] = case.query_name
                 cell["status"] = status

@@ -18,7 +18,10 @@ or an invalid option such as ``-m 0``, a negative cost weight or
 since the store and every relation hold one table or chunk per node); 3
 query uses an unsupported feature (an unsupported keyword anywhere in the
 query, as a bare word and not inside an IRI, literal, comment, variable,
-blank node or prefixed name, exits 3 before any parse error can); 4 the
+blank node or prefixed name, exits 3 before any parse error can; an
+expression in the select list, an object or predicate-object list and a
+nested group, which have no keyword, exit 3 where the parser meets them, so
+an earlier parse error still wins; a property path exits 2); 4 the
 pattern is a cross product and ``--allow-cross-product`` was not given; 5
 ``bench`` verification stopped because the reference evaluation exceeded its row budget (lower
 ``--verify-limit`` to skip verifying that dataset). Past option parsing,
@@ -216,8 +219,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     runs = []
     for result in results:
-        cell = result_cell(result, m=cluster.m, partitioning=dataset.base.value,
-                           shape=shape)
+        cell = result_cell(result, partitioning=dataset.base.value, shape=shape)
         cost = trace_cost(result.trace, cluster.m, params)
         cell["transfer_total"] = result.ledger.total_transfer
         cell["cost_access"] = cost.access

@@ -152,13 +152,14 @@ def result_lines(counts: Counter[Row]) -> list[str]:
     return out
 
 
-def result_cell(result: RunResult, *, m: int, partitioning: str,
+def result_cell(result: RunResult, *, partitioning: str,
                 shape: ShapeInfo, include_wall: bool = True) -> dict:
-    """The per-run metrics record shared by the CLI and the bench reports."""
+    """The per-run metrics record shared by the CLI and the bench reports;
+    its node count is the result relation's."""
     totals = result.ledger.totals()
     cell = {
         "strategy": result.strategy,
-        "m": m,
+        "m": result.relation.m,
         "partitioning": partitioning,
         "result_count": result.result_count,
         "scanned": totals["scanned"],

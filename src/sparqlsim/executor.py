@@ -12,12 +12,12 @@ charges; :func:`trace_cost` recomputes it from the priced quantities alone.
 
 One executor is the whole context of a run: the store, the trace and the
 validation switch. A plan built from measured selections (to pick broadcast
-targets, say) is executed from those same selections, passed in by pattern
-index, so nothing is scanned or charged twice.
+targets, say) is executed from those same selections, passed in pattern
+order, so nothing is scanned or charged twice.
 """
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cluster import Dataset, Relation, TransferLedger, check_placement
 from .cost import (
@@ -25,14 +25,14 @@ from .cost import (
     pjoin_shuffle_size,
 )
 from .ops import (
-    SelectionSpec, brjoin, merged_selection, pjoin, project, shared_subset,
+    SelectionSpec, brjoin, merged_selection, pjoin, project, shared_subset_size,
     triple_selection,
 )
 from .physical import JoinNode, PhysicalPlan, PhysNode, plan_leaves
 from .terms import Term
 
-# Measured selections by pattern index: a list in pattern order, or a map.
-Selections = Sequence[Relation] | Mapping[int, Relation]
+# Measured selections, indexed by pattern: one relation per pattern, in order.
+Selections = Sequence[Relation]
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,16 +103,16 @@ class Executor:
         self.validate = validate
 
     def run_selections(self, specs: Sequence[SelectionSpec],
-                       subset: Dataset | None = None) -> list[Relation]:
-        """Selection step: one store scan per pattern, or, given the shared
-        subset S of ``specs``, one shared pass over the store for all of them
-        with every pattern extracted from S."""
+                       subset_size: int | None = None) -> list[Relation]:
+        """Selection step: one store scan per pattern, or, given |S|, the
+        size of the shared subset of ``specs``, one shared pass over the
+        store for all of them."""
         size = self.dataset.size
-        if subset is not None:
+        if subset_size is not None:
             charges = TransferLedger()
-            rels = merged_selection(specs, self.dataset, charges, subset)
+            rels = merged_selection(specs, self.dataset, charges, subset_size)
             self._record("merged-selection", charges, rels, dataset_size=size,
-                         pattern_count=len(specs), subset_size=subset.size)
+                         pattern_count=len(specs), subset_size=subset_size)
         else:
             rels = []
             for spec in specs:
@@ -163,12 +163,13 @@ def execute_plan(plan: PhysicalPlan, executor: Executor,
                  select: Sequence[Term] | None = None,
                  selections: Selections | None = None) -> Relation:
     """Run a whole plan on ``executor`` from its measured ``selections``,
-    indexed by pattern. Without them, the plan's leaves run first, in
-    pattern order, in one shared pass when the plan has ``shared_scan``."""
+    one per pattern, in order. Without them, the plan's leaves, which are
+    every pattern, run first, in one shared pass when the plan has
+    ``shared_scan``."""
     if selections is None:
         leaves = plan_leaves(plan.root)
-        subset = shared_subset(leaves, executor.dataset) if plan.shared_scan else None
-        rels = executor.run_selections(leaves, subset)
-        selections = {leaf.index: rel for leaf, rel in zip(leaves, rels)}
+        subset_size = (shared_subset_size(leaves, executor.dataset)
+                       if plan.shared_scan else None)
+        selections = executor.run_selections(leaves, subset_size)
     result = executor.run_node(plan.root, selections)
     return result if select is None else executor.run_projection(result, select)

@@ -2,8 +2,8 @@
 
 The strategy evaluates all selections first, so every planning decision
 works with exact input sizes rather than estimates. One union pass over the
-store finds S, the triples that match any pattern; the selections then share
-that pass (charged ``size(D) + n*size(S)``) exactly when the cost model's
+store counts S, the triples that match any pattern; the selections then share
+one store pass (charged ``size(D) + n*size(S)``) exactly when the cost model's
 rule says it reads fewer tuples than n independent scans (``n*size(D)``),
 and otherwise scan the store once each. Joins are then chosen greedily, two
 inputs at a time:
@@ -44,7 +44,7 @@ from .cluster import Relation
 from .cost import broadcast_charge, merged_scan_beneficial, shuffle_charge
 from .executor import Executor
 from .logical import joinable_components
-from .ops import SelectionSpec, shared_subset
+from .ops import SelectionSpec, shared_subset_size
 # Not called here: kept importable because perfbench/tracer.py wraps these names.
 from .ops import brjoin, pjoin, project  # noqa: F401
 from .physical import JoinNode, PhysNode, PhysicalPlan
@@ -76,16 +76,13 @@ class HybridRun:
 
 def _price_pair(first: Relation, second: Relation, shared: frozenset[Term],
                 m: int) -> _Choice:
-    """The cheapest of the candidates for joining the ordered pair (first,
-    second) on an m-node cluster, in constant integer work.
-
-    Candidates order by (cost, rank, seq). A partitioned join on ``shared``,
-    offered only when ``shared`` is nonempty, has rank 0; broadcasting the
-    side that is no larger has rank 1, the other side rank 2; seq lists the
-    partitioned join, then broadcasting ``first``, then ``second``. Moving
-    the side that is no larger never copies more, so it is the best
-    broadcast, ``first`` on equal sizes; the partitioned join beats it
-    whenever it moves no more tuples.
+    """The cheapest way to join the ordered pair (first, second) on an
+    m-node cluster, in constant integer work: a partitioned join on
+    ``shared`` (rank 0), offered only when ``shared`` is nonempty, when it
+    moves no more tuples than the best broadcast, and otherwise that
+    broadcast (rank 1). The best broadcast moves the side that is no
+    larger, ``first`` on equal sizes: moving the other side never copies
+    fewer tuples, so it is never returned.
     """
     a, b = first.count, second.count
     if a <= b:
@@ -130,15 +127,15 @@ class _HybridPlanner:
         return node, rel, shared_scan
 
     def select(self) -> tuple[list[Joinable], bool, int]:
-        """Measure every selection. Build the shared subset S once and share
-        its store pass exactly when the merged-scan rule holds; return the
-        leaves, whether the pass was shared, and |S|."""
+        """Measure every selection. Count |S|, the triples matching any
+        pattern, once, and share one store pass exactly when the merged-scan
+        rule holds; return the leaves, whether the pass was shared, and |S|."""
         specs = [SelectionSpec(i, p) for i, p in enumerate(self.patterns)]
         dataset = self.executor.dataset
-        subset = shared_subset(specs, dataset)
-        merged = merged_scan_beneficial(dataset.size, len(specs), subset.size)
-        rels = self.executor.run_selections(specs, subset if merged else None)
-        return list(zip(rels, specs)), merged, subset.size
+        subset_size = shared_subset_size(specs, dataset)
+        merged = merged_scan_beneficial(dataset.size, len(specs), subset_size)
+        rels = self.executor.run_selections(specs, subset_size if merged else None)
+        return list(zip(rels, specs)), merged, subset_size
 
     def _choose(self, first: Relation, second: Relation,
                 shared: frozenset[Term]) -> _Choice:

@@ -5,8 +5,8 @@ Accounting conventions (each operator charges the
 keeps on that operator's trace entry):
 
 * a triple selection scans the whole store once: ``scanned += size(D)``;
-* a merged selection for n patterns builds the union subset S in one pass
-  and extracts each pattern's rows from S, so ``scanned += size(D) + n*size(S)``;
+* a merged selection for n patterns shares one store pass, which finds S,
+  the triples matching any of them: ``scanned += size(D) + n*size(S)``;
 * a partitioned join shuffles every input whose layout is not already keyed
   exactly on the join variables;
 * a broadcast join ships every non-target input to all nodes at ``(m-1)``
@@ -27,12 +27,13 @@ variables in first-position order, a shuffle keeps its input's, a join's
 are the driver's followed by the variables each fold step adds, and a
 projection that drops a variable cuts to the select list's order.
 
-The scan charges are modeled, not the simulator's work: the store and S are
-both kept as per-node predicate groups of two id columns
-(:attr:`Dataset.groups`), so a selection with a ground predicate touches
-only that predicate's columns, and only a variable predicate makes it read
-every group. A selection builds its rows by zipping the columns, and tests
-a ground subject or object on its one column.
+The scan charges are modeled, not the simulator's work: the store is kept
+as per-node predicate groups of two id columns (:attr:`Dataset.groups`), so
+a selection, merged or not, with a ground predicate touches only that
+predicate's columns, and S is counted, never built. Only a variable
+predicate makes a selection read every group. A selection builds its rows
+by zipping the columns, and tests a ground subject or object on its one
+column.
 """
 
 from dataclasses import dataclass, field
@@ -149,9 +150,9 @@ def selection_state(spec: SelectionSpec, dataset: Dataset) -> frozenset[Term]:
 
 
 def _read_groups(spec: SelectionSpec, store: Dataset) -> Relation:
-    """The selection of ``spec`` read from the predicate groups of
-    ``store``, one row chunk per node. A ground predicate reads its own
-    group, with its rows in load order; a variable predicate reads every
+    """The selection of ``spec``, single or merged, read from the predicate
+    groups of ``store``, one row chunk per node. A ground predicate reads its
+    own group, with its rows in load order; a variable predicate reads every
     group, and its rows come out grouped by predicate. Charges nothing."""
     pred = spec.predicate
 
@@ -176,11 +177,10 @@ def triple_selection(spec: SelectionSpec, dataset: Dataset,
     return rel
 
 
-def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset) -> Dataset:
-    """The union pass of a merged scan, charging nothing: S for ``specs``,
-    the triples that match at least one of the patterns, as a store with
-    the layout and base of ``dataset``: each kept group's two columns cut
-    to the matching indices.
+def shared_subset_size(specs: Sequence[SelectionSpec], dataset: Dataset) -> int:
+    """The union pass of a merged scan, charging nothing: the size of S for
+    ``specs``, the stored triples that match at least one of the patterns.
+    Nothing is built.
 
     The pass walks each node's predicate groups: a group is tested against
     the patterns naming its predicate plus the variable-predicate patterns,
@@ -188,49 +188,32 @@ def shared_subset(specs: Sequence[SelectionSpec], dataset: Dataset) -> Dataset:
     """
     if not specs:
         raise ValueError("merged selection needs at least one pattern")
-    # The patterns each predicate group is tested against: those naming the
-    # predicate, then the variable-predicate ones, which every group gets.
     general = [s for s in specs if s.predicate is None]
-    candidates: dict[int, list[SelectionSpec]] = {}
-    for spec in specs:
-        if spec.predicate is not None:
-            candidates.setdefault(spec.predicate, []).append(spec)
-    for group_specs in candidates.values():
-        group_specs.extend(general)
-
-    def union_pass(node: dict[int, IdColumns]) -> dict[int, IdColumns]:
-        kept: dict[int, IdColumns] = {}
+    candidates = {s.predicate: [t for t in specs if t.predicate in (s.predicate, None)]
+                  for s in specs if s.predicate is not None}
+    size = 0
+    for node in dataset.groups:
         for pred, group in node.items():
             tests = candidates.get(pred, general)
             if not tests:
                 continue
             masks = [s.mask(pred, group) for s in tests]
             if any(mask is None for mask in masks):
-                kept[pred] = group
-                continue
-            keep = list(masks[0] if len(masks) == 1 else map(any, zip(*masks)))
-            if any(keep):
-                subjects, objects = group
-                kept[pred] = (tuple(compress(subjects, keep)),
-                              tuple(compress(objects, keep)))
-        return kept
-
-    # A node's S is a dict of predicate groups rather than a chunk of rows,
-    # so it is built outside for_each_node, which returns row chunks.
-    return Dataset(tuple(map(union_pass, dataset.groups)), dataset.base)
+                size += len(group[0])
+            else:
+                size += sum(masks[0] if len(masks) == 1 else map(any, zip(*masks)))
+    return size
 
 
 def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
-                     ledger: TransferLedger, subset: Dataset) -> list[Relation]:
-    """Evaluate several selections with one shared pass over the store.
-
-    ``subset`` is S, the triples matching at least one of ``specs``
-    (:func:`shared_subset`); every pattern is extracted by scanning S.
-    Output rows and keys are identical to independent
-    selections; only the scan accounting differs.
-    """
-    relations = [_read_groups(spec, subset) for spec in specs]
-    ledger.tally(scanned=dataset.size + len(specs) * subset.size)
+                     ledger: TransferLedger, subset_size: int) -> list[Relation]:
+    """Evaluate several selections with one shared pass over the store,
+    charged ``size(D) + n*subset_size`` (:func:`shared_subset_size`). Each
+    pattern is read from the store as :func:`triple_selection` reads it, so
+    rows and keys are identical to independent selections; only the scan
+    accounting differs."""
+    relations = [_read_groups(spec, dataset) for spec in specs]
+    ledger.tally(scanned=dataset.size + len(specs) * subset_size)
     return relations
 
 

@@ -12,6 +12,13 @@ blank node or prefixed name), is reported before any parse error can be:
 a token the grammar does not know fails only once the whole text is read,
 and the parser runs on a text that has none.
 
+SPARQL 1.1 syntax with no keyword (a select-list expression ``(``, an object
+list ``,`` or predicate-object list ``;`` after a pattern, a nested group
+``{`` where a subject is expected) is reported as unsupported where the
+parser meets it, so, unlike a keyword, a parse error earlier in the query
+still wins. A property-path operator (``+``, ``/``) is an unrecognized
+token, a parse error.
+
 Blank nodes in queries are treated as constants that match data labels
 literally; use variables for join positions.
 """
@@ -200,6 +207,8 @@ class _Parser:
                 continue
             if tok.value == "*":
                 raise UnsupportedFeatureError("SELECT *", line=tok.line)
+            if tok.value == "(":
+                raise UnsupportedFeatureError("SELECT expression", line=tok.line)
             break
         if not out:
             raise self.error("SELECT needs at least one variable", self.peek())
@@ -217,6 +226,8 @@ class _Parser:
             if tok.value == "}":
                 self.next()
                 break
+            if tok.value == "{":
+                raise UnsupportedFeatureError("nested group", line=tok.line)
             terms = [self.parse_term("subject"), self.parse_term("predicate"),
                      self.parse_term("object")]
             try:
@@ -226,7 +237,10 @@ class _Parser:
             sep = self.peek()
             if sep is not None and sep.value == ".":
                 self.next()
-            elif sep is not None and sep.value not in ("}",):
+            elif sep is not None and sep.value in (",", ";"):
+                feature = "object list" if sep.value == "," else "predicate-object list"
+                raise UnsupportedFeatureError(feature, line=sep.line)
+            elif sep is not None and sep.value != "}":
                 raise self.error(f"expected '.' or '}}' after pattern, got {sep.value!r}", sep)
         if not patterns:
             raise self.error("WHERE group contains no triple patterns")

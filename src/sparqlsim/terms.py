@@ -311,10 +311,6 @@ class BindingRow(tuple):
 
     __slots__ = ()
 
-    @classmethod
-    def from_mapping(cls, mapping: dict[Term, Term]) -> "BindingRow":
-        return cls(sorted(mapping.items()))
-
     def get(self, v: Term) -> Term | None:
         # Rows are narrow; a linear scan beats building a dict per row.
         # Terms are interned, so a variable is found by identity.

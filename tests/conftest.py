@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sparqlsim import (
-    BasePartition, Cluster, Dataset, Query, Relation, STRATEGIES, as_multiset,
+    BasePartition, BindingRow, Cluster, Dataset, Query, Relation, STRATEGIES, as_multiset,
     iri, lit, load_partitioned, oracle_eval, run_strategy,
     generate, WorkloadSpec,
 )
@@ -70,6 +70,12 @@ def make_dataset(triples, m: int = 4,
                  base: BasePartition = BasePartition.SUBJECT) -> tuple[Dataset, Cluster]:
     cluster = Cluster(m)
     return load_partitioned(triples, cluster, base), cluster
+
+
+def binding_row(mapping) -> BindingRow:
+    """The binding row of a variable-to-term ``mapping``: its pairs in
+    sorted variable order."""
+    return BindingRow(sorted(mapping.items()))
 
 
 def encode_rows(columns, rows) -> tuple[tuple, ...]:

@@ -35,13 +35,14 @@ from sparqlsim import (
 )
 from sparqlsim.hybrid import _price_pair
 from sparqlsim.ops import (
-    SelectionSpec, brjoin, merged_selection, pjoin, shared_subset,
+    SelectionSpec, brjoin, merged_selection, pjoin, shared_subset_size,
     triple_selection,
 )
 from sparqlsim.terms import pattern_vars
 
 from conftest import (
-    ACCEPTANCE_LINES, WORKLOAD_DIR, encode_rows, make_dataset, match_binding,
+    ACCEPTANCE_LINES, WORKLOAD_DIR, binding_row, encode_rows, make_dataset,
+    match_binding,
 )
 
 UNIT = CostParams(1.0, 1.0)
@@ -247,8 +248,8 @@ def _grid_rows(count: int, side: str, value_var) -> tuple[BindingRow, ...]:
     # ledger count rows, not distinct terms, and the two sides stay disjoint
     keys = tuple(iri(f"{_GRID}{side}/x{i}") for i in range(min(count, 256)))
     return tuple(
-        BindingRow.from_mapping({_GX: keys[i % len(keys)],
-                                 value_var: iri(f"{_GRID}{side}/v{i}")})
+        binding_row({_GX: keys[i % len(keys)],
+                     value_var: iri(f"{_GRID}{side}/v{i}")})
         for i in range(count))
 
 
@@ -345,9 +346,9 @@ def test_criterion_5_merged_scan_accounting():
         specs = [SelectionSpec(i, p) for i, p in enumerate(wl.query.patterns)]
 
         merged_ledger = TransferLedger()
-        subset = shared_subset(specs, dataset)
-        merged_rels = merged_selection(specs, dataset, merged_ledger, subset)
-        assert subset.size == 1_000
+        subset_size = shared_subset_size(specs, dataset)
+        merged_rels = merged_selection(specs, dataset, merged_ledger, subset_size)
+        assert subset_size == 1_000
         assert merged_ledger.totals()["scanned"] == 105_000
 
         single_ledger = TransferLedger()

@@ -426,6 +426,14 @@ def test_exit_3_unsupported_feature(capsys, university_nt, tmp_path):
     assert code == 3 and "FILTER" in err
 
 
+def test_exit_3_syntax_with_no_keyword(capsys, university_nt, tmp_path):
+    q = tmp_path / "objects.rq"
+    q.write_text("SELECT ?x WHERE { ?x <http://p> ?y , ?z . }", encoding="utf-8")
+    code, out, err = run_cli(capsys, "query", university_nt, str(q))
+    assert code == 3 and out == ""
+    assert "unsupported SPARQL feature: object list at line 1" in err
+
+
 def test_exit_5_reference_row_budget(capsys, tmp_path):
     # 1,001 x 1,001 star solutions on one subject: the reference evaluator
     # goes over its 1,000,000-row budget while verifying.

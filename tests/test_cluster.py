@@ -21,7 +21,9 @@ from sparqlsim.cluster import (
 from sparqlsim.ops import pjoin
 from sparqlsim.terms import H64, TERMS, blank, id_hash64
 
-from conftest import D0, decode_group, make_dataset, make_relation, node_triples
+from conftest import (
+    D0, binding_row, decode_group, make_dataset, make_relation, node_triples,
+)
 
 A = iri("http://example.org/a")
 ALICE = lit("Alice")
@@ -55,18 +57,18 @@ def test_term_and_key_hashes_are_frozen():
 
 
 def test_node_of_golden_values():
-    row = BindingRow.from_mapping({X: A, Y: ALICE})
+    row = binding_row({X: A, Y: ALICE})
     for (names, m), expected in NODE_GOLDEN.items():
         assert node_of(row, [var(n) for n in names], m) == expected
 
 
 def test_node_of_is_a_function_of_the_key_set():
-    row = BindingRow.from_mapping({X: A, Y: ALICE})
+    row = binding_row({X: A, Y: ALICE})
     assert node_of(row, [X, Y], 8) == node_of(row, [Y, X], 8)
 
 
 def test_node_of_errors():
-    row = BindingRow.from_mapping({X: A})
+    row = binding_row({X: A})
     with pytest.raises(UnboundKeyError):
         node_of(row, [Y], 4)
     with pytest.raises(ValueError):
@@ -92,8 +94,8 @@ def test_cluster_validation():
 
 
 def _rows(count: int) -> list[BindingRow]:
-    return [BindingRow.from_mapping({X: iri(f"http://example.org/e{i}"),
-                                     Y: lit(f"v{i % 7}")})
+    return [binding_row({X: iri(f"http://example.org/e{i}"),
+                         Y: lit(f"v{i % 7}")})
             for i in range(count)]
 
 
@@ -177,10 +179,10 @@ def test_rows_must_bind_the_schema_in_variable_order():
     # encoded, in the relation's column order, only when it binds the
     # schema in variable order, and a row whose width differs from the
     # columns' fails the placement check.
-    row = BindingRow.from_mapping({X: A, Y: ALICE})
+    row = binding_row({X: A, Y: ALICE})
     assert make_relation([Y, X], [row], 1).chunks == (((ALICE.id, A.id),),)
     unsorted = BindingRow(((Y, iri("http://e/1")), (X, iri("http://e/2"))))
-    for bad in (unsorted, BindingRow.from_mapping({X: A})):
+    for bad in (unsorted, binding_row({X: A})):
         with pytest.raises(ValueError, match="does not bind schema"):
             make_relation([X, Y], [bad], 2)
     narrow = Relation((X, Y), (((A.id,),), ()), frozenset())
@@ -327,13 +329,13 @@ def test_predicate_index_partitions_each_chunk_in_chunk_order(parts, m, base):
 @given(st.integers(1, 16), st.integers(0, 200))
 def test_single_variable_key_hashes_like_the_bare_term(m, i):
     term = iri(f"http://example.org/e{i}")
-    row = BindingRow.from_mapping({X: term, Y: lit("pad")})
+    row = binding_row({X: term, Y: lit("pad")})
     assert node_of(row, [X], m) == term_hash64(term) % m
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=60), st.integers(1, 8))
 def test_distribute_keyed_satisfies_check_placement(ids, m):
-    rows = [BindingRow.from_mapping({X: iri(f"http://example.org/e{i}")})
+    rows = [binding_row({X: iri(f"http://example.org/e{i}")})
             for i in ids]
     rel = make_relation([X], rows, m, key=[X])
     check_placement(rel)

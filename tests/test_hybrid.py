@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
-    STRATEGIES, BasePartition, BindingRow, Executor, Triple, TriplePattern,
+    STRATEGIES, BasePartition, Executor, Triple, TriplePattern,
     WorkloadSpec, as_multiset,
     execute_plan, generate, iri, lit, merged_scan_beneficial, oracle_eval,
     parse_query, plan_and_execute_hybrid, render_plan, run_strategy, var,
@@ -16,7 +16,7 @@ from sparqlsim.hybrid import _HybridPlanner
 from sparqlsim.ops import SelectionSpec
 from sparqlsim.workloads import CHAIN_PROFILES, HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
-from conftest import EX, make_dataset, make_relation
+from conftest import EX, binding_row, make_dataset, make_relation
 
 
 def _hybrid(workload, m=4, base=BasePartition.SUBJECT, **kwargs):
@@ -52,7 +52,7 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
     x, w = var("x"), var("w")
 
     def slot(index, v, size, key=None):
-        rows = [BindingRow.from_mapping({v: iri(f"http://example.org/e{i}")})
+        rows = [binding_row({v: iri(f"http://example.org/e{i}")})
                 for i in range(size)]
         rel = make_relation([v], rows, 3, key=key)
         return rel, SelectionSpec(index, TriplePattern(v, iri(EX + "p"), v))

@@ -11,9 +11,14 @@ whose last caller is deleted cannot stay behind for the tests alone.
 Every annotated field of a package class is read as an attribute somewhere
 in ``src/``, ``tests/`` or ``perfbench/``, so a field that is only ever set
 cannot stay behind. NamedTuples are exempt: they are unpacked, not read by
-field name."""
+field name.
+
+Every method and property of a package class, dunders excepted, is read as
+an attribute somewhere in ``src/`` or ``perfbench/``, so a method that only
+the tests call cannot stay in the package."""
 
 import ast
+from typing import Callable
 
 import pytest
 
@@ -122,13 +127,28 @@ def attributes_read(source: str) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
-def unread_fields(sources: dict[str, str], readers: list[str]) -> list[str]:
-    """The annotated fields of the classes in ``sources`` (module name to
-    text) that no text in ``readers`` reads as an attribute."""
+def class_methods(source: str) -> list[tuple[str, str, int]]:
+    """(class, method, line) of each method and property of a class in
+    ``source``, dunders excepted."""
+    methods = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            methods.extend((node.name, stmt.name, stmt.lineno) for stmt in node.body
+                           if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not (stmt.name.startswith("__")
+                                    and stmt.name.endswith("__")))
+    return methods
+
+
+def unread_members(sources: dict[str, str], readers: list[str],
+                   members: Callable[[str], list[tuple[str, str, int]]]) -> list[str]:
+    """The class members of ``sources`` (module name to text) that
+    ``members`` lists, :func:`annotated_fields` or :func:`class_methods`,
+    and that no text in ``readers`` reads as an attribute."""
     read = set().union(*map(attributes_read, readers))
     return [f"{module}: {cls}.{name} (line {line})"
             for module, source in sources.items()
-            for cls, name, line in annotated_fields(source) if name not in read]
+            for cls, name, line in members(source) if name not in read]
 
 
 def test_the_check_sees_an_unread_field():
@@ -136,7 +156,8 @@ def test_the_check_sees_an_unread_field():
               "class C:\n    a: int\n    b: int\n    def f(self):\n"
               "        self.b = 1\n"
               "class T(NamedTuple):\n    c: int\n")
-    assert unread_fields({"m": source}, [source, "x.a\n"]) == ["m: C.b (line 4)"]
+    assert unread_members({"m": source}, [source, "x.a\n"], annotated_fields) \
+        == ["m: C.b (line 4)"]
 
 
 def test_every_package_field_is_read():
@@ -145,4 +166,22 @@ def test_every_package_field_is_read():
                for path in sorted((REPO_ROOT / tree).rglob("*.py"))]
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert unread_fields(sources, readers) == []
+    assert unread_members(sources, readers, annotated_fields) == []
+
+
+def test_the_check_sees_an_unread_method():
+    source = ("class C:\n    def __init__(self):\n        self.f()\n"
+              "    def f(self):\n        pass\n"
+              "    @property\n    def g(self):\n        return 1\n"
+              "    @classmethod\n    def h(cls):\n        pass\n")
+    assert unread_members({"m": source}, [source, "x.g\n"], class_methods) \
+        == ["m: C.h (line 10)"]
+
+
+def test_every_package_method_is_read():
+    readers = [path.read_text(encoding="utf-8")
+               for tree in ("src", "perfbench")
+               for path in sorted((REPO_ROOT / tree).rglob("*.py"))]
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_members(sources, readers, class_methods) == []

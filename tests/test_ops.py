@@ -16,15 +16,15 @@ from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.logical import build_logical
 from sparqlsim.ops import (
     SelectionSpec, brjoin, fold_order, merged_selection, pjoin,
-    project, selection_state, shared_subset, triple_selection,
+    project, selection_state, shared_subset_size, triple_selection,
 )
 from sparqlsim.physical import plan_mono_brjoin
 from sparqlsim.terms import EMPTY_ROW, TERMS, Triple, TriplePattern
 from sparqlsim.workloads import snowflake_query, snowflake_selection_sizes
 
 from conftest import (
-    A, AGE, B, C, D0, EX, KNOWS, NAME, decode_group, encode_group, make_dataset,
-    make_relation, match_binding, node_triples,
+    A, AGE, B, C, D0, EX, KNOWS, NAME, binding_row, encode_group,
+    make_dataset, make_relation, match_binding, node_triples,
 )
 
 X, Y, N, G = var("x"), var("y"), var("n"), var("g")
@@ -47,9 +47,9 @@ def rows(rel) -> Counter:
 
 def expected_knows() -> Counter:
     return Counter([
-        BindingRow.from_mapping({X: A, Y: B}),
-        BindingRow.from_mapping({X: A, Y: C}),
-        BindingRow.from_mapping({X: B, Y: C}),
+        binding_row({X: A, Y: B}),
+        binding_row({X: A, Y: C}),
+        binding_row({X: B, Y: C}),
     ])
 
 
@@ -112,14 +112,7 @@ def test_selection_with_ground_subject():
     dataset, _ = make_dataset(D0, m=4)
     rel = triple_selection(SelectionSpec(0, P_GROUND), dataset,
                            TransferLedger())
-    assert rows(rel) == Counter([BindingRow.from_mapping({Y: B}),
-                                 BindingRow.from_mapping({Y: C})])
-
-
-def _merged(specs, dataset, ledger):
-    """A merged selection of ``specs`` and the shared subset it read."""
-    subset = shared_subset(specs, dataset)
-    return merged_selection(specs, dataset, ledger, subset), subset
+    assert rows(rel) == Counter([binding_row({Y: B}), binding_row({Y: C})])
 
 
 def test_merged_selection_matches_individual_selections():
@@ -129,8 +122,8 @@ def test_merged_selection_matches_individual_selections():
     specs = _specs([P_KNOWS, P_NAME, P_AGE])
 
     merged_ledger = TransferLedger()
-    merged, subset = _merged(specs, dataset, merged_ledger)
-    assert subset.size == 6                 # every D0 triple matches a pattern
+    assert shared_subset_size(specs, dataset) == 6   # every D0 triple matches a pattern
+    merged = merged_selection(specs, dataset, merged_ledger, 6)
     assert merged_ledger.totals()["scanned"] == 10 + 3 * 6
 
     plain_ledger = TransferLedger()
@@ -202,29 +195,25 @@ def test_merged_selection_equals_independent_selections(store, ground, general, 
     dataset, _ = store
     specs = _specs([ground, general] + more)
     ledger = TransferLedger()
-    merged, subset = _merged(specs, dataset, ledger)
+    size = shared_subset_size(specs, dataset)
+    merged = merged_selection(specs, dataset, ledger, size)
     for spec, got in zip(specs, merged):
         want = triple_selection(spec, dataset, TransferLedger())
         assert got.chunks == want.chunks
         assert got.key == want.key
         check_placement(got)
-    # S is a store of the same layout: each node's groups keep the triples
-    # that match at least one pattern, in order, and drop emptied groups.
-    assert subset.base == dataset.base
-    for kept, groups in zip(subset.groups, dataset.groups, strict=True):
-        want = {p: encode_group([t for t in decode_group(p, group)
-                                 if any(match_binding(s.pattern, t) is not None
-                                        for s in specs)])
-                for p, group in groups.items()}
-        assert list(kept.items()) == [(p, g) for p, g in want.items() if g[0]]
-    assert ledger.totals()["scanned"] == dataset.size + len(specs) * subset.size
+    # |S| counts the stored triples that match at least one pattern.
+    assert size == sum(any(match_binding(s.pattern, t) is not None for s in specs)
+                       for node in node_triples(dataset) for t in node)
+    assert ledger.totals()["scanned"] == dataset.size + len(specs) * size
 
 
 def test_merged_selection_single_pattern_degenerates_to_plain_scan():
     dataset, _ = make_dataset(D0, m=2)
     ledger = TransferLedger()
-    merged, subset = _merged(_specs([P_KNOWS]), dataset, ledger)
-    assert subset.size == 3
+    specs = _specs([P_KNOWS])
+    assert shared_subset_size(specs, dataset) == 3
+    merged = merged_selection(specs, dataset, ledger, 3)
     assert ledger.totals()["scanned"] == 6 + 3
     assert rows(merged[0]) == expected_knows()
 
@@ -242,9 +231,9 @@ def test_pjoin_colocated_inputs_move_nothing():
     before = ledger.totals()["scanned"]
     out = pjoin(frozenset({X}), [knows, name], ledger)
     assert rows(out) == Counter([
-        BindingRow.from_mapping({X: A, Y: B, N: lit("A")}),
-        BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
-        BindingRow.from_mapping({X: B, Y: C, N: lit("B")}),
+        binding_row({X: A, Y: B, N: lit("A")}),
+        binding_row({X: A, Y: C, N: lit("A")}),
+        binding_row({X: B, Y: C, N: lit("B")}),
     ])
     assert out.key == frozenset({X})
     check_placement(out)
@@ -258,8 +247,8 @@ def test_pjoin_shuffles_inputs_not_keyed_on_the_join_set():
     charges = TransferLedger()
     out = pjoin(frozenset({Y}), [knows, age], charges)
     assert rows(out) == Counter([
-        BindingRow.from_mapping({X: A, Y: C, G: lit("7")}),
-        BindingRow.from_mapping({X: B, Y: C, G: lit("7")}),
+        binding_row({X: A, Y: C, G: lit("7")}),
+        binding_row({X: B, Y: C, G: lit("7")}),
     ])
     # knows is keyed{x} and reships in full; age has y at its subject, so it
     # is already keyed on the join set and stays put
@@ -284,9 +273,9 @@ def test_brjoin_broadcasts_non_targets_and_keeps_target_state():
     charges = TransferLedger()
     out = brjoin([name, knows], target_index=1, ledger=charges)
     assert rows(out) == Counter([
-        BindingRow.from_mapping({X: A, Y: B, N: lit("A")}),
-        BindingRow.from_mapping({X: A, Y: C, N: lit("A")}),
-        BindingRow.from_mapping({X: B, Y: C, N: lit("B")}),
+        binding_row({X: A, Y: B, N: lit("A")}),
+        binding_row({X: A, Y: C, N: lit("A")}),
+        binding_row({X: B, Y: C, N: lit("B")}),
     ])
     assert out.key == knows.key
     assert charges.broadcast_tuples == (4 - 1) * 2
@@ -298,8 +287,8 @@ def test_brjoin_join_vars_need_not_cover_every_schema():
     ledger, (knows, name, age) = _selections()
     out = brjoin([name, age, knows], target_index=2, ledger=ledger)
     assert rows(out) == Counter([
-        BindingRow.from_mapping({X: A, Y: C, N: lit("A"), G: lit("7")}),
-        BindingRow.from_mapping({X: B, Y: C, N: lit("B"), G: lit("7")}),
+        binding_row({X: A, Y: C, N: lit("A"), G: lit("7")}),
+        binding_row({X: B, Y: C, N: lit("B"), G: lit("7")}),
     ])
 
 
@@ -371,8 +360,8 @@ def test_a_refused_join_charges_no_transfer():
 def test_project_is_bag_semantics_and_tracks_key():
     ledger, (knows, _, _) = _selections()
     onto_x = project(knows, [X])
-    assert rows(onto_x) == Counter([BindingRow.from_mapping({X: A})] * 2
-                                   + [BindingRow.from_mapping({X: B})])
+    assert rows(onto_x) == Counter([binding_row({X: A})] * 2
+                                   + [binding_row({X: B})])
     assert onto_x.key == frozenset({X})    # key survives
     onto_y = project(knows, [Y])
     assert onto_y.key == frozenset()   # key projected away
@@ -443,7 +432,7 @@ def _nested_loop_join(inputs) -> Counter:
     for rel in inputs:
         acc = [{**left, **dict(right)} for left in acc for right in rel.rows()
                if all(left.get(v, t) == t for v, t in right)]
-    return Counter(BindingRow.from_mapping(d) for d in acc)
+    return Counter(binding_row(d) for d in acc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -500,7 +489,7 @@ def _with_columns(rel, columns) -> Relation:
 
 def _by_node(rel) -> list[Counter]:
     """Each node's rows as binding rows, decoded through the columns."""
-    return [Counter(BindingRow.from_mapping(
+    return [Counter(binding_row(
                 {v: TERMS[i] for v, i in zip(rel.columns, row)}) for row in chunk)
             for chunk in rel.chunks]
 
@@ -548,7 +537,7 @@ def test_operators_give_the_same_result_under_any_column_order(case, data):
 
 
 def test_check_placement_rejects_repeated_or_misfit_columns():
-    rel = make_relation([X, Y], [BindingRow.from_mapping({X: A, Y: B})], 2)
+    rel = make_relation([X, Y], [binding_row({X: A, Y: B})], 2)
     check_placement(rel)
     repeated = Relation((X, Y, X), tuple(tuple(row + row[:1] for row in chunk)
                                          for chunk in rel.chunks), frozenset())

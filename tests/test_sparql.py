@@ -118,6 +118,12 @@ def test_undeclared_prefix_is_a_parse_error():
     ("SELECT * WHERE { ?x <http://e/p> ?y . }", "SELECT *"),
     # An unsupported word wins over a parse error that comes before it.
     ("SELECT ?x WHERE LIMIT { ?x <http://e/p> ?y }", "LIMIT"),
+    # SPARQL 1.1 syntax with no keyword.
+    ("SELECT (COUNT(?x) AS ?c) WHERE { ?x <http://e/p> ?y . }", "SELECT expression"),
+    ("SELECT ?x WHERE { ?x <http://e/p> ?y , ?z . }", "object list"),
+    ("SELECT ?x WHERE { ?x <http://e/p> ?y ; <http://e/q> ?z . }",
+     "predicate-object list"),
+    ("SELECT ?x WHERE { { ?x <http://e/p> ?y . } }", "nested group"),
 ])
 def test_unsupported_features_are_flagged(text, feature):
     with pytest.raises(UnsupportedFeatureError) as err:
@@ -137,6 +143,11 @@ def test_unsupported_features_are_flagged(text, feature):
     # is text, also when lexing fails elsewhere.
     "PREFIX ex: <http://e/> SELECT ?x WHERE { ?x ex:a.LIMIT ?y . } %",
     'SELECT ?x WHERE { ?x <http://e/p> "a\\q LIMIT" . }',
+    # A property path is no token of the grammar; syntax with no keyword is
+    # reported where the parser meets it, after an earlier parse error.
+    "SELECT ?x WHERE { ?x <http://e/p>+ ?y . }",
+    "SELECT ?x WHERE { ?x <http://e/p>/<http://e/q> ?y . }",
+    "SELECT ?x WHERE ?x <http://e/p> ?y , ?z .",
 ])
 def test_malformed_queries_are_parse_errors(text):
     with pytest.raises(ParseError):
@@ -210,7 +221,11 @@ def test_bundled_queries_parse():
 
 
 def test_error_line_numbers():
-    text = "SELECT ?x\nWHERE {\n  ?x <http://e/p> ?y ;\n}"
+    text = "SELECT ?x\nWHERE {\n  ?x <http://e/p> ?y ?z\n}"
     with pytest.raises(ParseError) as err:
         parse_query(text, source="q.rq")
     assert err.value.line == 3
+    # A predicate-object list is reported at the line of its ';'.
+    with pytest.raises(UnsupportedFeatureError) as unsupported:
+        parse_query(text.replace("?z", ";"), source="q.rq")
+    assert unsupported.value.line == 3

@@ -7,9 +7,11 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from sparqlsim import BindingRow, Term, TermKind, Triple, TriplePattern, blank, iri, lit, var
+from sparqlsim import Term, TermKind, Triple, TriplePattern, blank, iri, lit, var
 from sparqlsim.ntriples import parse_ntriples
 from sparqlsim.terms import TERMS, EMPTY_ROW, escape_literal_text, literal_token, pattern_vars
+
+from conftest import binding_row
 
 
 def test_interning_returns_identical_objects():
@@ -142,8 +144,8 @@ def test_kind_checks_keep_their_messages():
 
 
 def test_binding_row_is_order_insensitive_and_hashable():
-    a = BindingRow.from_mapping({var("x"): iri("http://e/1"), var("y"): lit("v")})
-    b = BindingRow.from_mapping({var("y"): lit("v"), var("x"): iri("http://e/1")})
+    a = binding_row({var("x"): iri("http://e/1"), var("y"): lit("v")})
+    b = binding_row({var("y"): lit("v"), var("x"): iri("http://e/1")})
     assert a == b and hash(a) == hash(b)
     assert a.get(var("x")) is iri("http://e/1")
     assert a.get(var("missing")) is None
