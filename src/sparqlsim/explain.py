@@ -8,15 +8,15 @@ runs. For the adaptive strategy only the opening step is shown: every later
 decision depends on measured intermediate sizes.
 
 Static plans and their selections come from the engine's
-:func:`~sparqlsim.engine.plan_static`, and the adaptive opening step
-from :func:`~sparqlsim.hybrid.hybrid_opening`, so what is explained is what
-a run executes.
+:func:`~sparqlsim.engine.plan_static`, and the adaptive selections and
+opening steps from the strategy's own :class:`~sparqlsim.hybrid.HybridPlanner`,
+so what is explained is what a run executes.
 """
 
 from .cluster import Cluster, Dataset, Relation, check_loaded_on, render_key
 from .engine import plan_static
 from .executor import Executor
-from .hybrid import hybrid_opening
+from .hybrid import HybridPlanner
 from .logical import classify_shape
 from .ops import SelectionSpec
 from .physical import JoinNode, PhysNode, join_key, render_plan
@@ -94,26 +94,30 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
 
 
 def _explain_hybrid(query: Query, executor: Executor, allow_cross: bool) -> list[str]:
-    opening = hybrid_opening(query.patterns, executor, allow_cross=allow_cross)
-    d, n, s = executor.dataset.size, len(query.patterns), opening.subset_size
+    planner = HybridPlanner(query.patterns, executor, allow_cross=allow_cross)
+    leaves, shared_scan, s = planner.select()
+    d, n = executor.dataset.size, len(query.patterns)
     shared = f"{d} + {n} x {s} = {d + n * s}"
-    if opening.shared_scan:
+    if shared_scan:
         labels = ", ".join(map(pattern_label, range(n)))
         lines = [f"selections (one shared store pass over {labels}: "
                  f"{shared} < {n} x {d} tuples):"]
     else:
         lines = [f"selections (one store scan each: a shared pass would read "
                  f"{shared} >= {n} x {d} tuples):"]
-    lines.extend(_selection_lines(query, opening.selections))
+    lines.extend(_selection_lines(query, [rel for rel, _ in leaves]))
 
-    for node, cost in opening.steps:
-        first, second = (child.label for child in node.children)
+    for members in planner.components:
+        if len(members) < 2:
+            continue
+        first, second, choice = planner.opening([leaves[i] for i in members])
+        node = planner.step_node(first, second, choice)
+        pair = [child.label for child in node.children]
         if node.target is None:
-            detail = f"repartition: {cost} tuples"
+            detail = f"repartition: {choice.cost} tuples"
         else:
-            detail = (f"broadcast: {cost} tuples, "
-                      f"target {node.children[node.target].label}")
-        lines.append(f"opening step: {_join_text(node)} ({first}, {second}) | {detail}")
+            detail = f"broadcast: {choice.cost} tuples, target {pair[node.target]}"
+        lines.append(f"opening step: {_join_text(node)} ({', '.join(pair)}) | {detail}")
     lines.append("remaining steps are chosen at run time from measured "
                  "intermediate sizes.")
     return lines

@@ -63,6 +63,7 @@ class _Choice(NamedTuple):
     cost: int            # modeled transfer tuples
     rank: int            # 0 pjoin, 1 broadcast the side that is no larger
     target: int | None   # brjoin: the index, into (first, second), that stays
+    on: frozenset[Term]  # the pair's shared variables, the join key
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,19 +93,16 @@ def _price_pair(first: Relation, second: Relation, shared: frozenset[Term],
     if shared:
         moved = shuffle_charge(a, first.key, shared) + shuffle_charge(b, second.key, shared)
         if moved <= copies:
-            return _Choice(moved, 0, None)
-    return _Choice(copies, 1, target)
+            return _Choice(moved, 0, None, shared)
+    return _Choice(copies, 1, target, shared)
 
 
-def _step_node(first: Joinable, second: Joinable, choice: _Choice) -> JoinNode:
-    """The join node that executes ``choice`` over (first, second)."""
-    (first_rel, first_node), (second_rel, second_node) = first, second
-    return JoinNode(first_rel.schema & second_rel.schema, (first_node, second_node),
-                    choice.target)
+class HybridPlanner:
+    """The adaptive strategy's decisions; ``executor`` runs every step.
 
-
-class _HybridPlanner:
-    """The adaptive strategy's decisions; ``executor`` runs every step."""
+    :meth:`select` measures the selections and :meth:`opening` picks a
+    component's first join without running it, which is all that
+    ``explain`` shows; :meth:`run` plans and executes the whole query."""
 
     def __init__(self, patterns: Sequence[TriplePattern], executor: Executor, *,
                  allow_cross: bool = False):
@@ -192,36 +190,14 @@ class _HybridPlanner:
             del remaining[k]
         return acc
 
+    @staticmethod
+    def step_node(first: Joinable, second: Joinable, choice: _Choice) -> JoinNode:
+        """The join node that executes ``choice`` over (first, second)."""
+        return JoinNode(choice.on, (first[1], second[1]), choice.target)
+
     def _step(self, first: Joinable, second: Joinable, choice: _Choice) -> Joinable:
-        node = _step_node(first, second, choice)
+        node = self.step_node(first, second, choice)
         return self.executor.run_join(node, [first[0], second[0]]), node
-
-
-@dataclass(frozen=True, slots=True)
-class HybridOpening:
-    """What the adaptive strategy knows before its first join: the measured
-    selections (by pattern index), whether they shared one store pass, the
-    size of the shared subset S, and for each connected component with a join, the
-    opening step and its modeled transfer tuples."""
-
-    selections: list[Relation]
-    shared_scan: bool
-    subset_size: int
-    steps: list[tuple[JoinNode, int]]
-
-
-def hybrid_opening(patterns: Sequence[TriplePattern], executor: Executor, *,
-                   allow_cross: bool = False) -> HybridOpening:
-    """Measure the selections on ``executor`` as the adaptive strategy does
-    and pick each component's opening step, without joining anything."""
-    planner = _HybridPlanner(patterns, executor, allow_cross=allow_cross)
-    leaves, shared_scan, subset_size = planner.select()
-    steps = []
-    for members in planner.components:
-        if len(members) > 1:
-            first, second, choice = planner.opening([leaves[i] for i in members])
-            steps.append((_step_node(first, second, choice), choice.cost))
-    return HybridOpening([rel for rel, _ in leaves], shared_scan, subset_size, steps)
 
 
 def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], executor: Executor, *,
@@ -232,7 +208,7 @@ def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], executor: Executo
     Returns the executed plan (as a replayable :class:`PhysicalPlan`), the
     result relation, and the number of candidate costings performed.
     """
-    planner = _HybridPlanner(patterns, executor, allow_cross=allow_cross)
+    planner = HybridPlanner(patterns, executor, allow_cross=allow_cross)
     root, rel, shared_scan = planner.run()
     if select is not None:
         rel = executor.run_projection(rel, select)

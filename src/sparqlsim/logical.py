@@ -161,14 +161,13 @@ def _entity_positions(term: Term, pattern: TriplePattern) -> list[int]:
 def _star_center(patterns: Sequence[TriplePattern],
                  used: frozenset[Term] = frozenset()) -> Term | None:
     """Center of a star: an unused variable occurring at subject or object in
-    every pattern, with every other variable local to a single pattern."""
-    common = pattern_vars(patterns[0])
-    for p in patterns[1:]:
-        common = common & pattern_vars(p)
+    every pattern, with every other variable local to a single pattern. A
+    single pattern's center is its first entity variable."""
     occurrences: dict[Term, int] = {}
     for p in patterns:
         for v in pattern_vars(p):
             occurrences[v] = occurrences.get(v, 0) + 1
+    common = [v for v, count in occurrences.items() if count == len(patterns)]
     for center in sorted(common):
         if center in used:
             continue
@@ -190,42 +189,23 @@ def _star_orientation(center: Term, patterns: Sequence[TriplePattern]) -> str:
 
 
 def _is_chain(patterns: Sequence[TriplePattern]) -> bool:
-    """Path check: the pattern adjacency graph is a simple path whose links
-    are single distinct variables sitting at subject/object on both sides.
-    The degree sequence implies n >= 2 and n - 1 links, and a link variable
-    in three patterns closes a triangle, which the final walk rejects."""
-    n = len(patterns)
-    var_sets = [pattern_vars(p) for p in patterns]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    links: dict[tuple[int, int], frozenset[Term]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = var_sets[i] & var_sets[j]
-            if shared:
-                adj[i].append(j)
-                adj[j].append(i)
-                links[(i, j)] = shared
-
-    degrees = [len(a) for a in adj]
-    if sorted(degrees) != [1, 1] + [2] * (n - 2):
-        return False
-
-    for (i, j), shared in links.items():
-        if len(shared) != 1:
+    """Path check on the join graph: every join variable links exactly two
+    patterns, at subject or object in both, no pair is linked twice, the
+    degrees are 1, 1, 2, ..., 2 (so n >= 2 with n - 1 links), and the graph
+    is connected, which with those degrees rules out a cycle."""
+    degrees = [0] * len(patterns)
+    linked: set[tuple[int, ...]] = set()
+    for v, idxs in join_variables(patterns).items():
+        pair = tuple(idxs)
+        if len(pair) != 2 or pair in linked:
             return False
-        (v,) = shared
-        if not (_entity_positions(v, patterns[i]) and _entity_positions(v, patterns[j])):
+        if not all(_entity_positions(v, patterns[i]) for i in pair):
             return False
-
-    # The degree sequence rules out cycles only if the graph is connected.
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == n
+        linked.add(pair)
+        for i in pair:
+            degrees[i] += 1
+    return (sorted(degrees) == [1, 1] + [2] * (len(patterns) - 2)
+            and len(connected_components(patterns)) == 1)
 
 
 def _peel_set(patterns: Sequence[TriplePattern], remaining: frozenset[int],
@@ -289,14 +269,6 @@ def classify_shape(patterns: Sequence[TriplePattern]) -> ShapeInfo:
     star, then chain, then snowflake, then complex."""
     if not patterns:
         raise ValueError("cannot classify an empty pattern list")
-
-    if len(patterns) == 1:
-        p = patterns[0]
-        entity_vars = sorted(v for v in pattern_vars(p) if _entity_positions(v, p))
-        if entity_vars:
-            center = entity_vars[0]
-            return ShapeInfo(Shape.STAR, center, _star_orientation(center, patterns))
-        return ShapeInfo(Shape.COMPLEX)
 
     center = _star_center(patterns)
     if center is not None:

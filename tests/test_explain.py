@@ -8,11 +8,12 @@ import pytest
 
 from sparqlsim import (
     BasePartition, CartesianProductError, Cluster, STRATEGIES, explain_text,
-    generate, parse_query, run_strategy, WorkloadSpec,
+    generate, parse_query, run_strategy, serialize_ntriples, WorkloadSpec,
 )
+from sparqlsim.cli import main
 from sparqlsim.executor import Executor
 
-from conftest import make_dataset
+from conftest import QUERY_DIR, REPO_ROOT, make_dataset
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +162,41 @@ def test_cluster_must_match_the_store_before_planning(university, monkeypatch):
             explain_text(query, dataset, Cluster(2), strategy)
         with pytest.raises(ValueError, match=message):
             run_strategy(strategy, query, dataset, Cluster(2))
+
+
+# ------------------------------------------------------ pinned explain output
+
+# Three components: a two-pattern star, a ground singleton, and a
+# two-pattern chain. The adaptive strategy opens each component that has a
+# join, so its explanation prints two opening steps.
+_THREE_COMPONENTS_DATA = "".join(
+    f'<http://e/s{i}> <http://e/p> <http://e/o{i}> .\n'
+    f'<http://e/s{i}> <http://e/q> "v{i}" .\n' for i in range(2)
+) + ("<http://e/a> <http://e/r> <http://e/b> .\n"
+     "<http://e/b> <http://e/t> <http://e/k> .\n")
+_THREE_COMPONENTS_QUERY = (
+    "SELECT ?x ?y ?u WHERE { ?x <http://e/p> ?y . ?x <http://e/q> ?z . "
+    "<http://e/a> <http://e/r> <http://e/b> . ?u <http://e/r> ?w . "
+    "?w <http://e/t> ?k . }")
+
+
+@pytest.mark.parametrize("key", ["subject", "object", "random"])
+@pytest.mark.parametrize("case", ["q8", "three-components"])
+def test_explain_all_strategies_pinned_output(capsys, tmp_path, q8_workload, case, key):
+    """``explain --strategy all`` stdout is exactly
+    ``tests/golden/explain-<case>-<key>.txt``."""
+    data = tmp_path / "data.nt"
+    if case == "q8":
+        data.write_text(serialize_ntriples(q8_workload.triples), encoding="utf-8")
+        query, options = QUERY_DIR / "q8.rq", ["-m", "4"]
+    else:
+        data.write_text(_THREE_COMPONENTS_DATA, encoding="utf-8")
+        query = tmp_path / "query.rq"
+        query.write_text(_THREE_COMPONENTS_QUERY, encoding="utf-8")
+        options = ["-m", "3", "--allow-cross-product"]
+    code = main(["explain", str(data), str(query), "--strategy", "all",
+                 "--partition-key", key, *options])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    golden = REPO_ROOT / "tests" / "golden" / f"explain-{case}-{key}.txt"
+    assert out == golden.read_text(encoding="utf-8")

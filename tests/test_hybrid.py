@@ -12,7 +12,7 @@ from sparqlsim import (
     parse_query, plan_and_execute_hybrid, render_plan, run_strategy, var,
 )
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
-from sparqlsim.hybrid import _HybridPlanner
+from sparqlsim.hybrid import HybridPlanner
 from sparqlsim.ops import SelectionSpec
 from sparqlsim.workloads import CHAIN_PROFILES, HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
@@ -58,7 +58,7 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
         return rel, SelectionSpec(index, TriplePattern(v, iri(EX + "p"), v))
 
     dataset, _ = make_dataset([], m=3)
-    planner = _HybridPlanner([], Executor(dataset))
+    planner = HybridPlanner([], Executor(dataset))
     a, b = slot(0, x, 10, key=[x]), slot(1, x, 20)
     c, d = slot(2, w, 10), slot(3, w, 11)
     first, second, choice = planner.opening([a, b, c, d])
@@ -66,7 +66,7 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
     assert (choice.target, choice.cost) == (None, 20)
     assert planner.evaluations == 2 * 3
     # alone, (c, d) opens with the broadcast of its smaller side c
-    assert planner.opening([c, d])[2] == (20, 1, 1)
+    assert planner.opening([c, d])[2] == (20, 1, 1, frozenset({w}))
 
 
 def _cheapest_candidate(inputs, on, m) -> tuple[int, str, int | None]:

@@ -1,5 +1,7 @@
 """Grouping trees (grouping by join variable) and shape classification."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from sparqlsim import (
     CartesianProductError, Shape, build_logical, classify_shape, iri,
     parse_query, snowflake_query, var,
 )
-from sparqlsim.logical import connected_components, join_variables
+from sparqlsim.logical import _is_chain, connected_components, join_variables
 from sparqlsim.ops import SelectionSpec
 from sparqlsim.physical import JoinNode, plan_leaves, plan_pjoin_strategy
 from sparqlsim.terms import TriplePattern
@@ -164,11 +166,53 @@ def test_snowflake_classification():
 def test_complex_classification():
     triangle = [pat("?a", "p", "?b"), pat("?b", "p", "?c"), pat("?c", "p", "?a")]
     assert classify_shape(triangle).shape is Shape.COMPLEX
+    # peeling ?v3's arm or ?v2's arm first reaches the same search state,
+    # which the snowflake search answers from its memo
+    revisited = [pat("?v4", "p2", "?v3"), pat("?v2", "p1", "?v4"),
+                 pat("?v3", "p1", "?v4"), pat("?v3", "p0", "?v3")]
+    assert classify_shape(revisited).shape is Shape.COMPLEX
 
 
 def test_single_pattern_shapes():
-    assert classify_shape([pat("?s", "p", "o")]).shape is Shape.STAR
+    info = classify_shape([pat("?s", "p", "o")])
+    assert (info.shape, info.center, info.orientation) == (Shape.STAR, var("s"), "subject")
+    info = classify_shape([pat("s", "p", "?o")])
+    assert (info.shape, info.center, info.orientation) == (Shape.STAR, var("o"), "object")
+    info = classify_shape([pat("?x", "p", "?x")])
+    assert (info.shape, info.center, info.orientation) == (Shape.STAR, var("x"), "mixed")
     assert classify_shape([pat("s", "?p", "o")]).shape is Shape.COMPLEX
+    assert classify_shape([pat("s", "p", "o")]).shape is Shape.COMPLEX
+
+
+def _is_chain_by_definition(patterns) -> bool:
+    """Some ordering of at least two patterns has neighbours sharing exactly
+    one variable, at subject or object in both, and non-neighbours sharing
+    none."""
+    def variables(p):
+        return {t for t in p if t.is_variable}
+
+    def linked(a, b):
+        shared = variables(a) & variables(b)
+        return len(shared) == 1 and all(v in (x.s, x.o) for v in shared for x in (a, b))
+
+    def is_path(order):
+        return (all(linked(a, b) for a, b in zip(order, order[1:]))
+                and not any(variables(order[i]) & variables(order[j])
+                            for i in range(len(order)) for j in range(i + 2, len(order))))
+
+    return len(patterns) >= 2 and any(map(is_path, itertools.permutations(patterns)))
+
+
+_CHAIN_TERMS = st.sampled_from(["?a", "?b", "?c", "?d", "?e", "k"])
+_CHAIN_PREDICATES = st.sampled_from(["p", "q"] * 4 + ["?a", "?b"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_CHAIN_TERMS, _CHAIN_PREDICATES, _CHAIN_TERMS),
+                min_size=1, max_size=6))
+def test_chain_check_matches_its_definition(triples):
+    patterns = [pat(*t) for t in triples]
+    assert _is_chain(patterns) == _is_chain_by_definition(patterns)
 
 
 def test_bundled_query_shapes():

@@ -214,6 +214,15 @@ def test_parse_query_file_collects_metadata():
     assert query.select == (var("v0"),)
 
 
+def test_parse_query_file_reads_metadata_past_blank_lines(tmp_path):
+    path = tmp_path / "q.rq"
+    path.write_text("# label: first\n\n   \n# shape: star\nSELECT ?x WHERE { ?x <http://e/p> ?y . }\n"
+                    "# after: the query\n", encoding="utf-8")
+    query, meta = parse_query_file(path)
+    assert meta == {"label": "first", "shape": "star"}
+    assert query.select == (var("x"),)
+
+
 def test_bundled_queries_parse():
     for name in ("q8.rq", "watdiv_s1.rq", "watdiv_f5.rq", "watdiv_c3.rq"):
         query, _ = parse_query_file(QUERY_DIR / name)

@@ -120,6 +120,15 @@ def test_generate_for_query_noise_never_completes_a_match():
     assert len(per_pattern) == 10 + 10
 
 
+def test_generate_for_query_gives_a_ground_pattern_no_noise():
+    query = parse_query("SELECT ?a WHERE { <http://e/s> <http://e/p> <http://e/o> . "
+                        "?a <http://e/q> ?b . }")
+    triples = generate_for_query(query, solutions=3, noise=4)
+    # the ground triple once, three solutions and four dead ends for ?a q ?b
+    assert len(triples) == 1 + 3 + 4
+    assert sum(t.p == iri("http://e/p") for t in triples) == 1
+
+
 def test_generate_for_query_is_deterministic_and_deduplicated():
     a = generate_for_query(TWO_HOP, solutions=9, seed=3, noise=4)
     b = generate_for_query(TWO_HOP, solutions=9, seed=3, noise=4)
