@@ -12,8 +12,9 @@ Subcommands:
 
 Exit codes: 0 success; 2 bad input (missing file, a path that cannot be
 read or written such as a directory, file that is not UTF-8, parse error,
-or an invalid option such as ``-m 0``, a negative cost weight or
-``--allow-cross-product`` with ``bench --suite``; a node count, given with
+or an invalid option such as ``-m 0``, a negative cost weight, a negative
+``bench --verify-limit`` or ``--allow-cross-product`` with ``bench --suite``;
+a node count, given with
 ``-m`` or in a suite's ``m`` list, must lie in 1..1024, ``MAX_NODE_COUNT``,
 since the store and every relation hold one table or chunk per node); 3
 query uses an unsupported feature (an unsupported keyword anywhere in the
@@ -90,6 +91,16 @@ def _weight(text: str) -> float:
     return value
 
 
+def _verify_limit(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _add_cluster_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("-m", "--partitions", type=_node_count, default=DEFAULT_NODE_COUNT,
                    metavar="N",
@@ -163,9 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "with this option)")
     p_bench.add_argument("--validate", action="store_true",
                          help="check partitioning invariants after every operator")
-    p_bench.add_argument("--verify-limit", type=int, default=DEFAULT_VERIFY_LIMIT,
-                         metavar="N", help="verify against the single-node "
-                         "reference when the dataset has at most N triples "
+    p_bench.add_argument("--verify-limit", type=_verify_limit,
+                         default=DEFAULT_VERIFY_LIMIT, metavar="N",
+                         help="verify against the single-node reference when "
+                         "the dataset has at most N triples, N >= 0 "
                          f"(default {DEFAULT_VERIFY_LIMIT})")
     p_bench.add_argument("--report", choices=("json", "csv"), default="json",
                          help="report format (default json)")

@@ -1,11 +1,15 @@
 """Top-level query runs: one strategy, one dataset, full accounting.
 
-Static strategies (``pjoin``, ``mono-br``, ``multi-br``) build the grouping
-tree of plan nodes (:func:`~sparqlsim.logical.build_logical`), which rejects
-a cross product before any scan, evaluate and measure every selection once,
-and build their plan from the tree and the measured sizes, all in
-:func:`plan_static`; they then execute the joins on the measured
-selections. The adaptive strategy plans while executing; see
+A query compiles once, on its first run (:func:`compile_query`): its
+grouping tree of plan nodes (:func:`~sparqlsim.logical.build_logical`),
+one selection spec per pattern and its connected components depend on the
+patterns alone, and every later run reuses them. Compiling precedes a
+run's timer, so ``wall_seconds`` times the same work for every strategy.
+Static strategies (``pjoin``, ``mono-br``, ``multi-br``) reject a cross
+product that is not allowed before any scan, evaluate and measure every
+selection once, and build their plan from the tree and the measured
+sizes, all in :func:`plan_static`; they then execute the joins on the
+measured selections. The adaptive strategy plans while executing; see
 :mod:`sparqlsim.hybrid`. Either way a run builds one
 :class:`~sparqlsim.executor.Executor` and every step runs on it.
 """
@@ -20,14 +24,14 @@ from typing import Sequence
 from .cluster import Cluster, Dataset, Relation, Row, TransferLedger, check_loaded_on
 from .executor import ExecutionTrace, Executor, execute_plan
 from .hybrid import plan_and_execute_hybrid
-from .logical import ShapeInfo, build_logical
+from .logical import CompiledQuery, ShapeInfo, build_logical, check_cross
 from .ops import cut_rows
 from .physical import (
     PhysicalPlan, plan_leaves, plan_mono_brjoin, plan_multi_brjoin,
     plan_pjoin_strategy, render_plan,
 )
 from .sparql import Query
-from .terms import TERMS, Term
+from .terms import TERMS, Term, TriplePattern
 
 STRATEGIES = ("pjoin", "mono-br", "multi-br", "hybrid")
 DEFAULT_STRATEGY = "hybrid"
@@ -52,13 +56,21 @@ class RunResult:
         return self.relation.count
 
 
-def plan_static(strategy: str, query: Query, executor: Executor, *,
+def compile_query(patterns: Sequence[TriplePattern]) -> CompiledQuery:
+    """The planning facts of a pattern list, read from its grouping tree
+    with cross products allowed; :attr:`Query.compiled` calls this once
+    per query."""
+    return CompiledQuery(build_logical(patterns, allow_cross=True))
+
+
+def plan_static(strategy: str, compiled: CompiledQuery, executor: Executor, *,
                 allow_cross: bool = False) -> tuple[PhysicalPlan, list[Relation]]:
     """A static strategy's plan and the selections, run on ``executor``,
-    whose measured sizes it was built from. The grouping tree comes first,
-    so a cross product that is not allowed fails before any scan."""
-    tree = build_logical(query.patterns, allow_cross)
-    rels = executor.run_selections(plan_leaves(tree))
+    whose measured sizes it was built from. A cross product that is not
+    allowed fails before any scan."""
+    check_cross(compiled.components, allow_cross)
+    tree = compiled.tree
+    rels = executor.run_selections(compiled.specs)
     sizes = {i: rel.count for i, rel in enumerate(rels)}
     if strategy == "pjoin":
         plan = plan_pjoin_strategy(tree)
@@ -76,12 +88,12 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
                  validate: bool = False) -> RunResult:
     """Run one strategy on ``query`` over ``dataset``, loaded on ``cluster``.
 
-    The run, from the selections and planning through the projection, runs
-    with Python's cyclic garbage collector paused, and the caller's setting
-    comes back on every exit, a raise included. A run allocates only
-    acyclic containers (id tuples, and lists and dicts of them), which
-    reference counting frees at once, so the collector would only walk
-    them, and the store, in vain. The setting is process-wide: when two
+    The run, from compiling the query (on its first run) through the
+    projection, runs with Python's cyclic garbage collector paused, and
+    the caller's setting comes back on every exit, a raise included. A
+    run allocates only acyclic containers (id tuples, and lists and dicts
+    of them), which reference counting frees at once, so the collector
+    would only walk them, and the store, in vain. The setting is process-wide: when two
     threads run at once, one may see collection resume before its own run
     ends, which is harmless.
     """
@@ -93,14 +105,15 @@ def run_strategy(strategy: str, query: Query, dataset: Dataset, cluster: Cluster
     collecting = gc.isenabled()
     gc.disable()
     try:
+        compiled = query.compiled
         started = time.perf_counter()
         evaluations = None
         if strategy == "hybrid":
-            run = plan_and_execute_hybrid(query.patterns, executor, allow_cross=allow_cross,
+            run = plan_and_execute_hybrid(compiled, executor, allow_cross=allow_cross,
                                           select=query.select)
             plan, relation, evaluations = run.plan, run.relation, run.evaluations
         else:
-            plan, rels = plan_static(strategy, query, executor, allow_cross=allow_cross)
+            plan, rels = plan_static(strategy, compiled, executor, allow_cross=allow_cross)
             relation = execute_plan(plan, executor, query.select, rels)
         wall = time.perf_counter() - started
     finally:

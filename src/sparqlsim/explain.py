@@ -10,7 +10,8 @@ decision depends on measured intermediate sizes.
 Static plans and their selections come from the engine's
 :func:`~sparqlsim.engine.plan_static`, and the adaptive selections and
 opening steps from the strategy's own :class:`~sparqlsim.hybrid.HybridPlanner`,
-so what is explained is what a run executes.
+both reading the query's compiled facts as a run does, so what is explained
+is what a run executes.
 """
 
 from .cluster import Cluster, Dataset, Relation, check_loaded_on, render_key
@@ -82,7 +83,8 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
     if strategy == "hybrid":
         return "\n".join(header + _explain_hybrid(query, executor, allow_cross)) + "\n"
 
-    plan, selections = plan_static(strategy, query, executor, allow_cross=allow_cross)
+    plan, selections = plan_static(strategy, query.compiled, executor,
+                                   allow_cross=allow_cross)
     lines = header
     lines.append(f"plan: {render_plan(plan.root)}")
     lines.append("selections (one store scan each):")
@@ -94,7 +96,7 @@ def explain_text(query: Query, dataset: Dataset, cluster: Cluster,
 
 
 def _explain_hybrid(query: Query, executor: Executor, allow_cross: bool) -> list[str]:
-    planner = HybridPlanner(query.patterns, executor, allow_cross=allow_cross)
+    planner = HybridPlanner(query.compiled, executor, allow_cross=allow_cross)
     leaves, shared_scan, s = planner.select()
     d, n = executor.dataset.size, len(query.patterns)
     shared = f"{d} + {n} x {s} = {d + n * s}"

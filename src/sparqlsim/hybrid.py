@@ -35,6 +35,10 @@ post-order.
 
 The planner only decides; every selection and join step runs through one
 :class:`~sparqlsim.executor.Executor`, the same code that runs static plans.
+It reads the query's compiled facts (:class:`~sparqlsim.logical.CompiledQuery`),
+the selection specs and connected components, which the query derives once
+for all its runs; each run checks whether a cross product may run, counts S
+and decides every step.
 """
 
 from dataclasses import dataclass
@@ -43,12 +47,12 @@ from typing import NamedTuple, Sequence
 from .cluster import Relation
 from .cost import broadcast_charge, merged_scan_beneficial, shuffle_charge
 from .executor import Executor
-from .logical import joinable_components
-from .ops import SelectionSpec, shared_subset_size
+from .logical import CompiledQuery, check_cross
+from .ops import shared_subset_size
 # Not called here: kept importable because perfbench/tracer.py wraps these names.
 from .ops import brjoin, pjoin, project  # noqa: F401
 from .physical import JoinNode, PhysNode, PhysicalPlan
-from .terms import Term, TriplePattern
+from .terms import Term
 
 
 # A joinable intermediate: its data and its plan subtree so far. Only
@@ -104,10 +108,11 @@ class HybridPlanner:
     component's first join without running it, which is all that
     ``explain`` shows; :meth:`run` plans and executes the whole query."""
 
-    def __init__(self, patterns: Sequence[TriplePattern], executor: Executor, *,
+    def __init__(self, compiled: CompiledQuery, executor: Executor, *,
                  allow_cross: bool = False):
-        self.components = joinable_components(patterns, allow_cross)
-        self.patterns = list(patterns)
+        check_cross(compiled.components, allow_cross)
+        self.components = compiled.components
+        self.specs = compiled.specs
         self.executor = executor
         self.m = executor.dataset.m
         self.evaluations = 0
@@ -128,7 +133,7 @@ class HybridPlanner:
         """Measure every selection. Count |S|, the triples matching any
         pattern, once, and share one store pass exactly when the merged-scan
         rule holds; return the leaves, whether the pass was shared, and |S|."""
-        specs = [SelectionSpec(i, p) for i, p in enumerate(self.patterns)]
+        specs = self.specs
         dataset = self.executor.dataset
         subset_size = shared_subset_size(specs, dataset)
         merged = merged_scan_beneficial(dataset.size, len(specs), subset_size)
@@ -200,15 +205,16 @@ class HybridPlanner:
         return self.executor.run_join(node, [first[0], second[0]]), node
 
 
-def plan_and_execute_hybrid(patterns: Sequence[TriplePattern], executor: Executor, *,
+def plan_and_execute_hybrid(compiled: CompiledQuery, executor: Executor, *,
                             allow_cross: bool = False,
                             select: Sequence[Term] | None = None) -> HybridRun:
-    """Run the adaptive strategy end to end on ``executor``.
+    """Run the adaptive strategy for a compiled query end to end on
+    ``executor``.
 
     Returns the executed plan (as a replayable :class:`PhysicalPlan`), the
     result relation, and the number of candidate costings performed.
     """
-    planner = HybridPlanner(patterns, executor, allow_cross=allow_cross)
+    planner = HybridPlanner(compiled, executor, allow_cross=allow_cross)
     root, rel, shared_scan = planner.run()
     if select is not None:
         rel = executor.run_projection(rel, select)

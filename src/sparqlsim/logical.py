@@ -6,6 +6,12 @@ under partitioned :class:`~sparqlsim.physical.JoinNode` steps, which is
 exactly the static partitioned plan. The broadcast strategies regroup or re-target the
 same tree (:mod:`sparqlsim.physical`).
 
+These facts depend on the patterns alone, so a query derives them once: its
+:attr:`~sparqlsim.sparql.Query.compiled` record (:class:`CompiledQuery`)
+holds the tree built with cross products allowed, its selection leaves and
+its connected components, and every run of the query reuses them. Each run
+still decides whether a cross product may run (:func:`check_cross`).
+
 Grouping rule: process each join variable once they are "complete", i.e. in
 ascending order of the last (textual) pattern that mentions them, breaking
 ties by first mention and then by variable order. A variable's join step
@@ -22,13 +28,13 @@ variable sets (always nonempty and containing the grouping variable), so
 partitioned execution can co-locate on every shared variable at once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 from .errors import CartesianProductError
 from .ops import SelectionSpec
-from .physical import JoinNode, PhysNode
+from .physical import JoinNode, PhysNode, plan_leaves
 from .terms import Term, TriplePattern, pattern_vars
 
 
@@ -71,26 +77,21 @@ def connected_components(patterns: Sequence[TriplePattern]) -> list[list[int]]:
     return [groups[root] for root in sorted(groups)]
 
 
-def _grouping_order(patterns: Sequence[TriplePattern]) -> list[tuple[Term, list[int]]]:
-    jvars = join_variables(patterns)
-    return sorted(jvars.items(), key=lambda item: (item[1][-1], item[1][0], item[0]))
-
-
-def _build_component(patterns: Sequence[TriplePattern], members: list[int]) -> PhysNode:
+def _build_component(specs: Sequence[SelectionSpec], members: list[int],
+                     order: list[tuple[Term, list[int]]]) -> PhysNode:
     if len(members) == 1:
-        i = members[0]
-        return SelectionSpec(i, patterns[i])
+        return specs[members[0]]
 
     member_set = set(members)
     pending: list[PhysNode] = []
     unconsumed = set(members)
 
-    for v, mention_idxs in _grouping_order(patterns):
+    for v, mention_idxs in order:
         if mention_idxs[0] not in member_set:
             continue
         children: list[PhysNode] = [t for t in pending if v in t.vars]
         leaf_idxs = [i for i in mention_idxs if i in unconsumed]
-        children.extend(SelectionSpec(i, patterns[i]) for i in leaf_idxs)
+        children.extend(specs[i] for i in leaf_idxs)
         if len(children) < 2:
             # Variable already closed inside a single subtree.
             continue
@@ -107,18 +108,16 @@ def _build_component(patterns: Sequence[TriplePattern], members: list[int]) -> P
     return pending[0]
 
 
-def joinable_components(patterns: Sequence[TriplePattern],
-                        allow_cross: bool = False) -> list[list[int]]:
-    """:func:`connected_components`, raising :class:`CartesianProductError`
-    when there is more than one and cross products are not allowed."""
-    components = connected_components(patterns)
+def check_cross(components: Sequence[Sequence[int]], allow_cross: bool) -> None:
+    """Raise :class:`CartesianProductError` when there is more than one
+    component and cross products are not allowed."""
     if len(components) > 1 and not allow_cross:
         raise CartesianProductError(len(components))
-    return components
 
 
 def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) -> PhysNode:
-    """Build the canonical grouping tree for a pattern list.
+    """Build the canonical grouping tree for a pattern list, over one
+    :class:`~sparqlsim.ops.SelectionSpec` leaf per pattern.
 
     Disconnected pattern sets raise :class:`CartesianProductError` unless
     cross products are allowed, in which case the component trees (ordered by
@@ -127,11 +126,36 @@ def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) 
     """
     if not patterns:
         raise ValueError("cannot plan an empty pattern list")
-    components = joinable_components(patterns, allow_cross)
-    trees = [_build_component(patterns, members) for members in components]
+    components = connected_components(patterns)
+    check_cross(components, allow_cross)
+    specs = [SelectionSpec(i, p) for i, p in enumerate(patterns)]
+    order = sorted(join_variables(patterns).items(),
+                   key=lambda item: (item[1][-1], item[1][0], item[0]))
+    trees = [_build_component(specs, members, order) for members in components]
     if len(trees) == 1:
         return trees[0]
     return JoinNode(frozenset(), tuple(trees), len(trees) - 1)
+
+
+@dataclass(frozen=True, slots=True)
+class CompiledQuery:
+    """A query's planning facts, read from its grouping ``tree`` (cross
+    products allowed): the tree's leaves, one
+    :class:`~sparqlsim.ops.SelectionSpec` per pattern in order, and the
+    connected components, one subtree each under the cross-product join
+    when there are several."""
+
+    tree: PhysNode
+    specs: tuple[SelectionSpec, ...] = field(init=False, repr=False)
+    components: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tree = self.tree
+        # Only the cross-product join has an empty key.
+        roots = tree.children if isinstance(tree, JoinNode) and not tree.on else (tree,)
+        object.__setattr__(self, "specs", tuple(plan_leaves(tree)))
+        object.__setattr__(self, "components", tuple(
+            tuple(leaf.index for leaf in plan_leaves(root)) for root in roots))
 
 
 class Shape(Enum):

@@ -45,7 +45,7 @@ from .cluster import (
     Dataset, IdColumns, Relation, Row, TransferLedger, broadcast, for_each_node,
     shuffle,
 )
-from .terms import Term, TriplePattern, pattern_label, pattern_vars
+from .terms import Term, TriplePattern, pattern_label
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,14 +60,15 @@ class SelectionSpec:
     ground subject's and object's ids, None where the position holds a
     variable; ``same_positions`` holds position pairs that a repeated
     variable forces to be equal; ``columns`` holds the pattern's variables
-    in first-position order (subject, predicate, object), and ``positions``
-    each column's first position.
+    in first-position order (subject, predicate, object), ``positions``
+    each column's first position, and ``vars`` the set of the columns.
     """
 
     index: int
     pattern: TriplePattern
     columns: tuple[Term, ...] = field(init=False, compare=False, repr=False)
     positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    vars: frozenset[Term] = field(init=False, compare=False, repr=False)
     predicate: int | None = field(init=False, compare=False, repr=False)
     subject: int | None = field(init=False, compare=False, repr=False)
     object: int | None = field(init=False, compare=False, repr=False)
@@ -87,6 +88,7 @@ class SelectionSpec:
         s, p, o = (None if t.is_variable else t.id for t in self.pattern)
         for name, value in (("columns", tuple(first_pos)),
                             ("positions", tuple(first_pos.values())),
+                            ("vars", frozenset(first_pos)),
                             ("predicate", p), ("subject", s), ("object", o),
                             ("same_positions", tuple(same))):
             object.__setattr__(self, name, value)
@@ -94,10 +96,6 @@ class SelectionSpec:
     @property
     def label(self) -> str:
         return pattern_label(self.index)
-
-    @property
-    def vars(self) -> frozenset[Term]:
-        return pattern_vars(self.pattern)
 
     def mask(self, p: int, group: IdColumns) -> Iterable[bool] | None:
         """Which triples of predicate ``p``'s ``group`` the pattern matches,
@@ -421,7 +419,7 @@ def brjoin(inputs: Sequence[Relation], target_index: int,
 
     The local join hashes on the variables the inputs actually share;
     inputs that share none join as a cross product. Planners decide
-    whether one is allowed (:func:`logical.joinable_components`).
+    whether one is allowed (:func:`logical.check_cross`).
     """
     if len(inputs) < 2:
         raise ValueError("brjoin needs at least two inputs")

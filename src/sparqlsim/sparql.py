@@ -25,9 +25,11 @@ literally; use variables for join positions.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ParseError, UnsupportedFeatureError
+from .logical import CompiledQuery
 from .ntriples import BLANK_LABEL, LANG_TAG, QUOTED_STRING
 from .terms import (
     IRI_CHARS, Term, TriplePattern, blank, iri, literal_token, pattern_vars, var,
@@ -104,7 +106,12 @@ def _tokenize(text: str, source: str | None) -> list[_Token]:
 @dataclass(frozen=True)
 class Query:
     """A SELECT query over a basic graph pattern (a conjunction of triple
-    patterns with bag semantics)."""
+    patterns with bag semantics).
+
+    Its planning facts, :attr:`compiled`, are derived on first use and kept
+    for the query's lifetime, so every run of the query shares them; each
+    run decides whether a cross product may run, measures the selections
+    and builds its plan."""
 
     select: tuple[Term, ...]
     patterns: tuple[TriplePattern, ...]
@@ -125,6 +132,13 @@ class Query:
         for p in self.patterns:
             out |= pattern_vars(p)
         return frozenset(out)
+
+    @cached_property
+    def compiled(self) -> CompiledQuery:
+        """The planning facts of the patterns
+        (:func:`~sparqlsim.engine.compile_query`), built on first use."""
+        from .engine import compile_query  # the engine imports this module
+        return compile_query(self.patterns)
 
 
 class _Parser:

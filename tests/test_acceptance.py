@@ -319,7 +319,7 @@ def test_criterion_4_crossover_law():
                         ds = load_partitioned(store, Cluster(m),
                                               BasePartition.RANDOM)
                         executor = Executor(ds)
-                        run = plan_and_execute_hybrid(_GRID_QUERY.patterns, executor)
+                        run = plan_and_execute_hybrid(_GRID_QUERY.compiled, executor)
                         root = render_plan(run.plan.root)
                         chose_pjoin = root.startswith("Pjoin")
                         assert chose_pjoin == predicted_pjoin, \

@@ -354,6 +354,37 @@ def test_node_count_bound_is_inclusive_and_documented():
     assert f"`-m` above {MAX_NODE_COUNT}" in readme
 
 
+@pytest.fixture(scope="module")
+def star3_files(tmp_path_factory):
+    wl = generate(WorkloadSpec(name="star-3", shape="star", pattern_count=3,
+                               subject_count=60))
+    folder = tmp_path_factory.mktemp("star3")
+    (folder / "star-3.nt").write_text(serialize_ntriples(wl.triples), encoding="utf-8")
+    (folder / "star-3.rq").write_text(serialize_query(wl.query), encoding="utf-8")
+    return str(folder / "star-3.nt"), str(folder / "star-3.rq")
+
+
+@pytest.mark.parametrize("limit, message", [
+    ("-3", "must be at least 0, got -3"), ("x", "not an integer: 'x'")])
+def test_exit_2_bad_verify_limit(capsys, monkeypatch, star3_files, limit, message):
+    monkeypatch.setattr(cli, "run_bench", _never)
+    data, query = star3_files
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", data, "--query", query, "--verify-limit", limit])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "--verify-limit" in errors[0] and message in errors[0]
+
+
+def test_verify_limit_zero_skips_verification(capsys, star3_files):
+    data, query = star3_files
+    code, out, err = run_cli(capsys, "bench", "--data", data, "--query", query,
+                             "--verify-limit", "0", "--no-wall-time")
+    assert (code, err) == (0, "")
+    assert {cell["status"] for cell in json.loads(out)["cells"]} == {"ok"}
+
+
 @pytest.mark.parametrize("weight", ["-1", "nan", "inf", "x"])
 def test_exit_2_bad_cost_weight(capsys, university_nt, weight):
     for option in ("--theta-acc", "--theta-comm"):

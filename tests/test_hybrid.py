@@ -13,6 +13,7 @@ from sparqlsim import (
 )
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.hybrid import HybridPlanner
+from sparqlsim.logical import CompiledQuery
 from sparqlsim.ops import SelectionSpec
 from sparqlsim.workloads import CHAIN_PROFILES, HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
@@ -23,7 +24,7 @@ def _hybrid(workload, m=4, base=BasePartition.SUBJECT, **kwargs):
     """The adaptive run, its execution trace and the store it ran on."""
     dataset, _ = make_dataset(workload.triples, m=m, base=base)
     executor = Executor(dataset)
-    run = plan_and_execute_hybrid(workload.query.patterns, executor,
+    run = plan_and_execute_hybrid(workload.query.compiled, executor,
                                   select=workload.query.select, **kwargs)
     return run, executor.trace, dataset
 
@@ -58,9 +59,10 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
         return rel, SelectionSpec(index, TriplePattern(v, iri(EX + "p"), v))
 
     dataset, _ = make_dataset([], m=3)
-    planner = HybridPlanner([], Executor(dataset))
     a, b = slot(0, x, 10, key=[x]), slot(1, x, 20)
     c, d = slot(2, w, 10), slot(3, w, 11)
+    # a planner for a one-pattern query, asked to open over hand-made leaves
+    planner = HybridPlanner(CompiledQuery(a[1]), Executor(dataset))
     first, second, choice = planner.opening([a, b, c, d])
     assert first is a and second is b
     assert (choice.target, choice.cost) == (None, 20)
@@ -255,7 +257,7 @@ def test_hybrid_plan_replays_identically(q8_workload):
 def test_trace_records_every_operator(q8_workload):
     dataset, _ = make_dataset(q8_workload.triples, m=4)
     executor = Executor(dataset)
-    plan_and_execute_hybrid(q8_workload.query.patterns, executor)
+    plan_and_execute_hybrid(q8_workload.query.compiled, executor)
     kinds = [e.kind for e in executor.trace.entries]
     assert kinds.count("merged-selection") == 1  # one shared pass, five outputs
     # the plan joins pairwise, and prints the two same-key partitioned

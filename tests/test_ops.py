@@ -293,7 +293,7 @@ def test_brjoin_join_vars_need_not_cover_every_schema():
 
 
 def test_brjoin_cross_product_is_opt_in():
-    # Planners opt in (logical.joinable_components); brjoin itself joins
+    # Planners opt in (logical.check_cross); brjoin itself joins
     # inputs that share no variable as their cross product.
     ledger, (_, name, age) = _selections()
     out = brjoin([name, age], target_index=1, ledger=ledger)
