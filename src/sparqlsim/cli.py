@@ -43,8 +43,8 @@ from .bench import (
     DEFAULT_VERIFY_LIMIT, BenchCase, BenchReport, run_bench, run_suite,
 )
 from .cluster import (
-    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, Cluster, Dataset,
-    load_partitioned, node_count_problem,
+    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, PARTITIONINGS, BasePartition,
+    Cluster, Dataset, load_partitioned, node_count_problem,
 )
 from .cost import DEFAULT_PARAMS, CostParams
 from .engine import (
@@ -65,8 +65,6 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_CROSS_PRODUCT = 4
 EXIT_RESULT_LIMIT = 5
-
-_PARTITION_KEYS = tuple(b.value for b in BasePartition)
 
 
 def _node_count(text: str) -> int:
@@ -105,7 +103,7 @@ def _add_cluster_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("-m", "--partitions", type=_node_count, default=DEFAULT_NODE_COUNT,
                    metavar="N",
                    help=f"number of simulated nodes (default {DEFAULT_NODE_COUNT})")
-    p.add_argument("--partition-key", choices=_PARTITION_KEYS, default=DEFAULT_PARTITIONING,
+    p.add_argument("--partition-key", choices=PARTITIONINGS, default=DEFAULT_PARTITIONING,
                    help="how the triple store is distributed "
                    f"(default {DEFAULT_PARTITIONING})")
 
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("-m", "--partitions", type=_node_count, nargs="+",
                          default=None, metavar="N", help="node-count grid "
                          f"(default: suite setting, else {DEFAULT_NODE_COUNT})")
-    p_bench.add_argument("--partition-key", choices=_PARTITION_KEYS, default=None,
+    p_bench.add_argument("--partition-key", choices=PARTITIONINGS, default=None,
                          help="store distribution (default: suite setting, "
                          f"else {DEFAULT_PARTITIONING})")
     p_bench.add_argument("--strategy", choices=STRATEGIES + ("all",),

@@ -314,18 +314,18 @@ class BasePartition(Enum):
 
     @property
     def position(self) -> int | None:
-        if self is BasePartition.SUBJECT:
-            return 0
-        if self is BasePartition.PREDICATE:
-            return 1
-        if self is BasePartition.OBJECT:
-            return 2
-        return None
+        """The triple position the store is hashed on; None for random."""
+        return _POSITIONS.get(self)
 
 
-# The node count and store partitioning wherever a run names none, and the
-# largest node count a run accepts: the store and every relation hold one
-# table or chunk per node, so an unbounded m is an unbounded allocation.
+_POSITIONS = {BasePartition.SUBJECT: 0, BasePartition.PREDICATE: 1,
+              BasePartition.OBJECT: 2}
+
+# The store partitionings by name, the node count and store partitioning
+# wherever a run names none, and the largest node count a run accepts: the
+# store and every relation hold one table or chunk per node, so an
+# unbounded m is an unbounded allocation.
+PARTITIONINGS = tuple(b.value for b in BasePartition)
 DEFAULT_NODE_COUNT = 4
 MAX_NODE_COUNT = 1024
 DEFAULT_PARTITIONING = BasePartition.SUBJECT.value

@@ -20,6 +20,7 @@ Conventions:
   non-target input R.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,8 +37,9 @@ class CostParams:
     theta_comm: float = 1.0
 
     def __post_init__(self):
-        if self.theta_acc < 0 or self.theta_comm < 0:
-            raise ValueError("cost weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0
+                   for w in (self.theta_acc, self.theta_comm)):
+            raise ValueError("cost weights must be finite and nonnegative")
 
 
 DEFAULT_PARAMS = CostParams()
@@ -54,21 +56,9 @@ class CostEstimate:
     def total(self) -> float:
         return self.access + self.transfer
 
-    def __add__(self, other: "CostEstimate") -> "CostEstimate":
-        if not isinstance(other, CostEstimate):
-            return NotImplemented
-        return CostEstimate(self.access + other.access, self.transfer + other.transfer)
-
 
 def cost_selection(dataset_size: int, params: CostParams = DEFAULT_PARAMS) -> CostEstimate:
     return CostEstimate(access=params.theta_acc * dataset_size)
-
-
-def cost_merged_selection(dataset_size: int, pattern_count: int, subset_size: int,
-                          params: CostParams = DEFAULT_PARAMS) -> CostEstimate:
-    if pattern_count < 1:
-        raise ValueError("merged selection covers at least one pattern")
-    return CostEstimate(access=params.theta_acc * (dataset_size + pattern_count * subset_size))
 
 
 def merged_scan_beneficial(dataset_size: int, pattern_count: int, subset_size: int) -> bool:

@@ -1,7 +1,7 @@
 """Top-level query runs: one strategy, one dataset, full accounting.
 
-A query compiles once, on its first run (:func:`compile_query`): its
-grouping tree of plan nodes (:func:`~sparqlsim.logical.build_logical`),
+A query compiles once, on its first run, through this module's
+:func:`~sparqlsim.logical.build_logical`: its grouping tree of plan nodes,
 one selection spec per pattern and its connected components depend on the
 patterns alone, and every later run reuses them. Compiling precedes a
 run's timer, so ``wall_seconds`` times the same work for every strategy.
@@ -24,14 +24,16 @@ from typing import Sequence
 from .cluster import Cluster, Dataset, Relation, Row, TransferLedger, check_loaded_on
 from .executor import ExecutionTrace, Executor, execute_plan
 from .hybrid import plan_and_execute_hybrid
-from .logical import CompiledQuery, ShapeInfo, build_logical, check_cross
+from .logical import CompiledQuery, ShapeInfo, check_cross
+# Query.compiled calls build_logical through this module.
+from .logical import build_logical  # noqa: F401
 from .ops import cut_rows
 from .physical import (
     PhysicalPlan, plan_leaves, plan_mono_brjoin, plan_multi_brjoin,
     plan_pjoin_strategy, render_plan,
 )
 from .sparql import Query
-from .terms import TERMS, Term, TriplePattern
+from .terms import TERMS, Term
 
 STRATEGIES = ("pjoin", "mono-br", "multi-br", "hybrid")
 DEFAULT_STRATEGY = "hybrid"
@@ -54,13 +56,6 @@ class RunResult:
     @property
     def result_count(self) -> int:
         return self.relation.count
-
-
-def compile_query(patterns: Sequence[TriplePattern]) -> CompiledQuery:
-    """The planning facts of a pattern list, read from its grouping tree
-    with cross products allowed; :attr:`Query.compiled` calls this once
-    per query."""
-    return CompiledQuery(build_logical(patterns, allow_cross=True))
 
 
 def plan_static(strategy: str, compiled: CompiledQuery, executor: Executor, *,

@@ -1,16 +1,15 @@
-"""The grouping tree of a query, and query-shape classification.
+"""The compiled form of a query, and query-shape classification.
 
-:func:`build_logical` fixes the grouping of triple patterns into n-ary joins
-and returns it as a plan tree: selection leaves (:class:`~sparqlsim.ops.SelectionSpec`)
-under partitioned :class:`~sparqlsim.physical.JoinNode` steps, which is
-exactly the static partitioned plan. The broadcast strategies regroup or re-target the
-same tree (:mod:`sparqlsim.physical`).
-
-These facts depend on the patterns alone, so a query derives them once: its
-:attr:`~sparqlsim.sparql.Query.compiled` record (:class:`CompiledQuery`)
-holds the tree built with cross products allowed, its selection leaves and
-its connected components, and every run of the query reuses them. Each run
-still decides whether a cross product may run (:func:`check_cross`).
+:func:`build_logical` compiles a pattern list once into a
+:class:`CompiledQuery`: one selection leaf per pattern
+(:class:`~sparqlsim.ops.SelectionSpec`), the connected components, and
+the grouping of the patterns into n-ary joins as a plan tree of
+partitioned :class:`~sparqlsim.physical.JoinNode` steps over those leaves,
+which is exactly the static partitioned plan. The broadcast strategies
+regroup or re-target the same tree (:mod:`sparqlsim.physical`). A query
+keeps the record (:attr:`~sparqlsim.sparql.Query.compiled`) and every run
+reuses it; each run still decides whether a cross product may run
+(:func:`check_cross`).
 
 Grouping rule: process each join variable once they are "complete", i.e. in
 ascending order of the last (textual) pattern that mentions them, breaking
@@ -28,13 +27,13 @@ variable sets (always nonempty and containing the grouping variable), so
 partitioned execution can co-locate on every shared variable at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .errors import CartesianProductError
 from .ops import SelectionSpec
-from .physical import JoinNode, PhysNode, plan_leaves
+from .physical import JoinNode, PhysNode
 from .terms import Term, TriplePattern, pattern_vars
 
 
@@ -115,47 +114,37 @@ def check_cross(components: Sequence[Sequence[int]], allow_cross: bool) -> None:
         raise CartesianProductError(len(components))
 
 
-def build_logical(patterns: Sequence[TriplePattern], allow_cross: bool = False) -> PhysNode:
-    """Build the canonical grouping tree for a pattern list, over one
-    :class:`~sparqlsim.ops.SelectionSpec` leaf per pattern.
+@dataclass(frozen=True, slots=True)
+class CompiledQuery:
+    """A query's planning facts: its grouping ``tree`` (cross products
+    allowed), the tree's leaves, one :class:`~sparqlsim.ops.SelectionSpec`
+    per pattern in order, and the connected components as pattern
+    indices."""
 
-    Disconnected pattern sets raise :class:`CartesianProductError` unless
-    cross products are allowed, in which case the component trees (ordered by
-    first pattern index) are combined under a single cross-product broadcast
-    join whose target is the last component.
+    tree: PhysNode
+    specs: tuple[SelectionSpec, ...]
+    components: tuple[tuple[int, ...], ...]
+
+
+def build_logical(patterns: Sequence[TriplePattern]) -> CompiledQuery:
+    """Compile a pattern list: one :class:`~sparqlsim.ops.SelectionSpec`
+    leaf per pattern, and the canonical grouping tree over them.
+
+    The tree of a disconnected pattern set combines the component trees
+    (ordered by first pattern index) under a single cross-product broadcast
+    join whose target is the last component; each run decides whether it
+    may run (:func:`check_cross`).
     """
     if not patterns:
         raise ValueError("cannot plan an empty pattern list")
     components = connected_components(patterns)
-    check_cross(components, allow_cross)
-    specs = [SelectionSpec(i, p) for i, p in enumerate(patterns)]
+    specs = tuple(SelectionSpec(i, p) for i, p in enumerate(patterns))
     order = sorted(join_variables(patterns).items(),
                    key=lambda item: (item[1][-1], item[1][0], item[0]))
     trees = [_build_component(specs, members, order) for members in components]
-    if len(trees) == 1:
-        return trees[0]
-    return JoinNode(frozenset(), tuple(trees), len(trees) - 1)
-
-
-@dataclass(frozen=True, slots=True)
-class CompiledQuery:
-    """A query's planning facts, read from its grouping ``tree`` (cross
-    products allowed): the tree's leaves, one
-    :class:`~sparqlsim.ops.SelectionSpec` per pattern in order, and the
-    connected components, one subtree each under the cross-product join
-    when there are several."""
-
-    tree: PhysNode
-    specs: tuple[SelectionSpec, ...] = field(init=False, repr=False)
-    components: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        tree = self.tree
-        # Only the cross-product join has an empty key.
-        roots = tree.children if isinstance(tree, JoinNode) and not tree.on else (tree,)
-        object.__setattr__(self, "specs", tuple(plan_leaves(tree)))
-        object.__setattr__(self, "components", tuple(
-            tuple(leaf.index for leaf in plan_leaves(root)) for root in roots))
+    tree = trees[0] if len(trees) == 1 else JoinNode(
+        frozenset(), tuple(trees), len(trees) - 1)
+    return CompiledQuery(tree, specs, tuple(map(tuple, components)))
 
 
 class Shape(Enum):

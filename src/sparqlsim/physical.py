@@ -4,7 +4,7 @@ A physical plan fixes, for every join, the n-ary grouping, the input order
 and the algorithm: one :class:`JoinNode` is partitioned without a target
 and a broadcast join around the target input that stays in place. Its
 leaves are the compiled selections (:class:`~sparqlsim.ops.SelectionSpec`).
-The grouping tree that :func:`~sparqlsim.logical.build_logical` returns is
+The grouping tree that :func:`~sparqlsim.logical.build_logical` compiles is
 itself a tree of these nodes; the three static strategies are built here
 from it and the measured selection sizes, and the adaptive strategy in
 :mod:`sparqlsim.hybrid` builds its plan, the binary joins it ran, during

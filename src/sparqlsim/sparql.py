@@ -136,9 +136,9 @@ class Query:
     @cached_property
     def compiled(self) -> CompiledQuery:
         """The planning facts of the patterns
-        (:func:`~sparqlsim.engine.compile_query`), built on first use."""
-        from .engine import compile_query  # the engine imports this module
-        return compile_query(self.patterns)
+        (:func:`~sparqlsim.logical.build_logical`), built on first use."""
+        from . import engine  # the engine imports this module
+        return engine.build_logical(self.patterns)
 
 
 class _Parser:

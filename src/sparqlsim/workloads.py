@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .cluster import (
-    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, BasePartition, node_count_problem,
+    DEFAULT_NODE_COUNT, DEFAULT_PARTITIONING, PARTITIONINGS, node_count_problem,
 )
 from .engine import STRATEGIES
 from .errors import ParseError
@@ -171,18 +171,6 @@ def snowflake_query() -> Query:
     return Query((x, y, z), patterns)
 
 
-def snowflake_selection_sizes(subject_count: int) -> dict[int, int]:
-    """Exact selection sizes of the snowflake workload, by pattern index."""
-    s = subject_count
-    return {
-        0: s,
-        1: SNOWFLAKE_DEPARTMENTS,
-        2: s + s // SECOND_MEMBER_EVERY,
-        3: SNOWFLAKE_DEPARTMENTS // SNOWFLAKE_UNIVERSITIES,
-        4: s + s // SECOND_EMAIL_EVERY,
-    }
-
-
 def _generate_snowflake(spec: WorkloadSpec) -> Workload:
     s = spec.subject_count
     type_student = iri(UNIV + "Student")
@@ -246,6 +234,8 @@ def generate_for_query(query: Query, solutions: int, seed: int = 0,
         if len(noise_counts) != len(patterns):
             raise ValueError(f"noise list has {len(noise_counts)} entries "
                              f"for {len(patterns)} patterns")
+    if any(count < 0 for count in noise_counts):
+        raise ValueError("noise counts must be >= 0")
     ns = GEN + f"synth{seed}/"
     all_vars = sorted({v for p in patterns for v in pattern_vars(p)})
 
@@ -345,10 +335,9 @@ def load_suite(path: str | Path) -> Suite:
     problem = node_count_problem(suite.m)
     if problem:
         raise ParseError(f"{path}: node counts in 'm' {problem}")
-    bases = tuple(b.value for b in BasePartition)
-    if suite.partitioning not in bases:
+    if suite.partitioning not in PARTITIONINGS:
         raise ParseError(f"{path}: unknown partitioning {suite.partitioning!r} "
-                         f"(expected one of {', '.join(bases)})")
+                         f"(expected one of {', '.join(PARTITIONINGS)})")
     unknown = [s for s in suite.strategies if s not in STRATEGIES]
     if unknown:
         raise ParseError(f"{path}: unknown strategies: {', '.join(unknown)} "

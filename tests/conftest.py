@@ -7,12 +7,16 @@ from pathlib import Path
 import pytest
 
 from sparqlsim import (
-    BasePartition, BindingRow, Cluster, Dataset, Query, Relation, STRATEGIES, as_multiset,
-    iri, lit, load_partitioned, oracle_eval, run_strategy,
-    generate, WorkloadSpec,
+    BasePartition, Cluster, Dataset, Query, WorkloadSpec, as_multiset,
+    generate, load_partitioned, oracle_eval, run_strategy,
 )
-from sparqlsim.cluster import placement
-from sparqlsim.terms import TERMS, Triple
+from sparqlsim.cluster import Relation, placement
+from sparqlsim.engine import STRATEGIES
+from sparqlsim.terms import BindingRow, TERMS, Triple, iri, lit
+from sparqlsim.workloads import (
+    SECOND_EMAIL_EVERY, SECOND_MEMBER_EVERY, SNOWFLAKE_DEPARTMENTS,
+    SNOWFLAKE_UNIVERSITIES,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 QUERY_DIR = REPO_ROOT / "queries"
@@ -143,6 +147,19 @@ def make_relation(columns, rows, m: int, *, key=None,
         for i, row in enumerate(encoded):
             buckets[(start + i) % m].append(row)
     return Relation(columns, tuple(map(tuple, buckets)), frozenset(key or ()))
+
+
+def snowflake_selection_sizes(subject_count: int) -> dict[int, int]:
+    """Exact selection sizes of the snowflake workload, by pattern index,
+    from the generator's constants."""
+    s = subject_count
+    return {
+        0: s,
+        1: SNOWFLAKE_DEPARTMENTS,
+        2: s + s // SECOND_MEMBER_EVERY,
+        3: SNOWFLAKE_DEPARTMENTS // SNOWFLAKE_UNIVERSITIES,
+        4: s + s // SECOND_EMAIL_EVERY,
+    }
 
 
 @pytest.fixture(scope="session")

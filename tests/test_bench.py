@@ -10,10 +10,12 @@ import sys
 
 import pytest
 
-from sparqlsim import (
-    BenchCase, BenchReport, CSV_COLUMNS, STRATEGIES, Suite, WorkloadSpec,
-    cases_from_suite, generate, load_suite, parse_query, run_bench, run_suite,
+from sparqlsim import BenchCase, WorkloadSpec, generate, parse_query, run_bench
+from sparqlsim.bench import (
+    BenchReport, CSV_COLUMNS, cases_from_suite, run_suite,
 )
+from sparqlsim.engine import STRATEGIES
+from sparqlsim.workloads import Suite, load_suite
 
 from conftest import REPO_ROOT, WORKLOAD_DIR
 

@@ -9,17 +9,16 @@ producing them so that placements stay stable across releases.
 import pytest
 from hypothesis import given, strategies as st
 
-from sparqlsim import (
-    BasePartition, BindingRow, Cluster, PlacementError, Relation, Term,
-    TermKind, TransferLedger, Triple, iri, lit, load_partitioned,
-    node_of, var,
-)
+from sparqlsim import BasePartition, Cluster, TransferLedger, load_partitioned
 from sparqlsim.cluster import (
-    UnboundKeyError, broadcast, check_placement, fnv1a_64, key_hash64,
-    render_key, shuffle, term_hash64,
+    PlacementError, Relation, UnboundKeyError, broadcast, check_placement,
+    fnv1a_64, key_hash64, node_of, render_key, shuffle, term_hash64,
 )
 from sparqlsim.ops import pjoin
-from sparqlsim.terms import H64, TERMS, blank, id_hash64
+from sparqlsim.terms import (
+    BindingRow, H64, TERMS, Term, TermKind, Triple, blank, id_hash64, iri, lit,
+    var,
+)
 
 from conftest import (
     D0, binding_row, decode_group, make_dataset, make_relation, node_triples,

@@ -14,10 +14,11 @@ import gc
 import pytest
 
 from sparqlsim import (
-    BasePartition, CartesianProductError, STRATEGIES, WorkloadSpec, generate,
-    parse_query, run_strategy,
+    BasePartition, WorkloadSpec, generate, parse_query, run_strategy,
 )
 from sparqlsim import engine
+from sparqlsim.engine import STRATEGIES
+from sparqlsim.errors import CartesianProductError
 
 from conftest import D0, make_dataset
 

@@ -8,10 +8,12 @@ from collections import Counter
 import pytest
 
 from sparqlsim import (
-    STRATEGIES, BenchCase, CartesianProductError, WorkloadSpec, generate,
-    parse_query, render_plan, run_bench, run_strategy, serialize_query,
+    BenchCase, WorkloadSpec, generate, parse_query, render_plan, run_bench,
+    run_strategy, serialize_query,
 )
 from sparqlsim import bench, logical
+from sparqlsim.engine import STRATEGIES
+from sparqlsim.errors import CartesianProductError
 from sparqlsim.ops import SelectionSpec
 from sparqlsim.physical import plan_leaves
 

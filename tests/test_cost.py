@@ -1,16 +1,21 @@
 """Analytic cost model: selection, merged selection, join transfer sizes,
 and the repartition-vs-broadcast crossover rule."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import (
-    CostParams, cost_brjoin, cost_merged_selection, cost_pjoin, cost_selection,
-    crossover_prefers_pjoin, merged_scan_beneficial, var,
+    TransferLedger, cost_brjoin, cost_pjoin, cost_selection,
+    crossover_prefers_pjoin, trace_cost,
 )
 from sparqlsim.cost import (
-    DEFAULT_PARAMS, brjoin_broadcast_size, pjoin_shuffle_size,
+    CostParams, DEFAULT_PARAMS, brjoin_broadcast_size, merged_scan_beneficial,
+    pjoin_shuffle_size,
 )
+from sparqlsim.executor import ExecutionTrace, TraceEntry
+from sparqlsim.terms import var
 
 X, Y = var("x"), var("y")
 ON = frozenset({X})
@@ -20,8 +25,10 @@ RANDOM = frozenset()        # the key of a randomly placed input
 def test_cost_params_validation():
     params = CostParams(theta_acc=2.0, theta_comm=0.5)
     assert params.theta_acc == 2.0
-    with pytest.raises(ValueError):
-        CostParams(theta_acc=-1.0)
+    for weights in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                    (-math.inf, 1.0), (math.nan, math.inf)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            CostParams(*weights)
     assert DEFAULT_PARAMS.theta_acc == 1.0 == DEFAULT_PARAMS.theta_comm
 
 
@@ -31,9 +38,14 @@ def test_cost_selection_is_one_store_scan():
 
 
 def test_cost_merged_selection_formula():
-    est = cost_merged_selection(100_000, 5, 1_000)
-    assert est.access == 100_000 + 5 * 1_000
-    assert est.transfer == 0.0
+    # one pass over the store plus one pass over S per pattern: priced as a
+    # selection over a store of size(D) + n * size(S) tuples
+    entry = TraceEntry("merged-selection", (), TransferLedger(),
+                       dataset_size=100_000, pattern_count=5, subset_size=1_000)
+    params = CostParams(theta_acc=2.0, theta_comm=9.0)
+    est = trace_cost(ExecutionTrace([entry]), 4, params)
+    assert est == cost_selection(100_000 + 5 * 1_000, params)
+    assert est.access == 2.0 * 105_000 and est.transfer == 0.0
 
 
 def test_merged_scan_beneficial_rule():
@@ -46,7 +58,7 @@ def test_merged_scan_beneficial_rule():
 @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(0, 10**6))
 def test_merged_scan_beneficial_matches_direct_comparison(d, n, s):
     s = min(s, d)       # the union subset cannot exceed the store
-    direct = cost_merged_selection(d, n, s).total < n * cost_selection(d).total
+    direct = cost_selection(d + n * s).total < n * cost_selection(d).total
     assert merged_scan_beneficial(d, n, s) == (direct and n >= 2)
 
 
@@ -64,11 +76,6 @@ def test_brjoin_broadcast_size_spares_only_the_target():
     est = cost_brjoin(inputs, target_index=1, m=4,
                       params=CostParams(theta_comm=2.0))
     assert est.transfer == 660.0
-
-
-def test_cost_estimate_addition():
-    total = cost_selection(10) + cost_pjoin([(4, RANDOM), (6, RANDOM)], ON)
-    assert total.access == 10.0 and total.transfer == 10.0 and total.total == 20.0
 
 
 def test_crossover_rule_examples():

@@ -7,11 +7,14 @@ import re
 import pytest
 
 from sparqlsim import (
-    BasePartition, CartesianProductError, Cluster, STRATEGIES, explain_text,
-    generate, parse_query, run_strategy, serialize_ntriples, WorkloadSpec,
+    BasePartition, Cluster, WorkloadSpec, generate, parse_query, run_strategy,
+    serialize_ntriples,
 )
 from sparqlsim.cli import main
+from sparqlsim.engine import STRATEGIES
+from sparqlsim.errors import CartesianProductError
 from sparqlsim.executor import Executor
+from sparqlsim.explain import explain_text
 
 from conftest import QUERY_DIR, REPO_ROOT, make_dataset
 

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
-    STRATEGIES, BasePartition, Executor, Triple, TriplePattern,
-    WorkloadSpec, as_multiset,
-    execute_plan, generate, iri, lit, merged_scan_beneficial, oracle_eval,
-    parse_query, plan_and_execute_hybrid, render_plan, run_strategy, var,
+    BasePartition, Executor, WorkloadSpec, as_multiset, execute_plan, generate,
+    oracle_eval, parse_query, render_plan, run_strategy,
 )
-from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
-from sparqlsim.hybrid import HybridPlanner
-from sparqlsim.logical import CompiledQuery
+from sparqlsim.cost import (
+    brjoin_broadcast_size, merged_scan_beneficial, pjoin_shuffle_size,
+)
+from sparqlsim.engine import STRATEGIES
+from sparqlsim.hybrid import HybridPlanner, plan_and_execute_hybrid
+from sparqlsim.logical import build_logical
 from sparqlsim.ops import SelectionSpec
+from sparqlsim.terms import Triple, TriplePattern, iri, lit, var
 from sparqlsim.workloads import CHAIN_PROFILES, HEAD_NOISE, NOISE_FACTOR, PARALLEL
 
 from conftest import EX, binding_row, make_dataset, make_relation
@@ -62,7 +64,7 @@ def test_opening_ties_prefer_the_partitioned_join_over_a_smaller_pair():
     a, b = slot(0, x, 10, key=[x]), slot(1, x, 20)
     c, d = slot(2, w, 10), slot(3, w, 11)
     # a planner for a one-pattern query, asked to open over hand-made leaves
-    planner = HybridPlanner(CompiledQuery(a[1]), Executor(dataset))
+    planner = HybridPlanner(build_logical([a[1].pattern]), Executor(dataset))
     first, second, choice = planner.opening([a, b, c, d])
     assert first is a and second is b
     assert (choice.target, choice.cost) == (None, 20)

@@ -8,10 +8,10 @@ node."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparqlsim import TransferLedger, iri, var
+from sparqlsim import TransferLedger
 from sparqlsim.cluster import Relation, node_of, shuffle
 from sparqlsim.ops import _FoldStep, brjoin, pjoin
-from sparqlsim.terms import TERMS, BindingRow
+from sparqlsim.terms import BindingRow, TERMS, iri, var
 
 from conftest import EX
 from kernel_reference import (

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparqlsim import (
-    CartesianProductError, Shape, build_logical, classify_shape, iri,
-    parse_query, snowflake_query, var,
+from sparqlsim import parse_query
+from sparqlsim.errors import CartesianProductError
+from sparqlsim.logical import (
+    Shape, _is_chain, build_logical, check_cross, classify_shape,
+    connected_components, join_variables,
 )
-from sparqlsim.logical import _is_chain, connected_components, join_variables
 from sparqlsim.ops import SelectionSpec
 from sparqlsim.physical import JoinNode, plan_leaves, plan_pjoin_strategy
-from sparqlsim.terms import TriplePattern
+from sparqlsim.terms import TriplePattern, iri, var
+from sparqlsim.workloads import snowflake_query
 
 E = "http://e/"
 
@@ -43,10 +45,13 @@ def test_connected_components():
 
 def test_build_logical_rejects_cross_products_by_default():
     patterns = [pat("?a", "p", "?b"), pat("?c", "p", "?d")]
+    compiled = build_logical(patterns)
+    assert compiled.components == ((0,), (1,))
     with pytest.raises(CartesianProductError) as err:
-        build_logical(patterns)
+        check_cross(compiled.components, allow_cross=False)
     assert err.value.components == 2
-    root = build_logical(patterns, allow_cross=True)
+    check_cross(compiled.components, allow_cross=True)
+    root = compiled.tree
     assert isinstance(root, JoinNode) and root.target is not None and not root.on
     assert len(root.children) == 2 and root.target == 1
 
@@ -54,7 +59,7 @@ def test_build_logical_rejects_cross_products_by_default():
 def test_build_logical_snowflake_grouping():
     """The department-side variable finishes being mentioned first, so its
     group joins first and the student-side group consumes it."""
-    root = build_logical(snowflake_query().patterns)
+    root = build_logical(snowflake_query().patterns).tree
     assert isinstance(root, JoinNode) and root.target is None
     assert root.on == frozenset({var("x")})
     inner, t1, t5 = root.children
@@ -67,7 +72,7 @@ def test_build_logical_snowflake_grouping():
 def test_build_logical_chain_is_left_deep_from_the_front():
     patterns = [pat("?x1", "p1", "?x2"), pat("?x2", "p2", "?x3"),
                 pat("?x3", "p3", "?x4")]
-    root = build_logical(patterns)
+    root = build_logical(patterns).tree
     # x2 completes first -> join(t1,t2), then x3 joins t3 onto it
     assert isinstance(root, JoinNode) and root.target is None
     assert root.on == frozenset({var("x3")})
@@ -90,12 +95,19 @@ def test_grouping_tree_is_a_pjoin_plan(triples):
     """On any BGP, cross products allowed: the grouping tree holds only plan
     nodes, each pattern is one leaf, a broadcast join appears only as the
     cross-product root, no partitioned join has a child on its own key, and
-    the partitioned plan is the tree itself."""
+    the partitioned plan is the tree itself. The record's specs are the
+    tree's leaves, and each component is one subtree of the root."""
     patterns = [TriplePattern(*t) for t in triples]
-    tree = build_logical(patterns, allow_cross=True)
+    compiled = build_logical(patterns)
+    tree = compiled.tree
     assert sorted(leaf.index for leaf in plan_leaves(tree)) == list(range(len(patterns)))
+    assert all(spec is leaf for spec, leaf in zip(compiled.specs, plan_leaves(tree),
+                                                  strict=True))
     cross = len(connected_components(patterns)) > 1
     assert (isinstance(tree, JoinNode) and tree.target is not None) == cross
+    roots = tree.children if cross else (tree,)
+    assert compiled.components == tuple(
+        tuple(leaf.index for leaf in plan_leaves(root)) for root in roots)
 
     def walk(node, is_root):
         if isinstance(node, SelectionSpec):

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparqlsim import (
-    BasePartition, Query, STRATEGIES, as_multiset, iri, lit, run_strategy,
-    trace_cost, var,
+    BasePartition, Query, as_multiset, run_strategy, trace_cost,
 )
-from sparqlsim.terms import Triple, TriplePattern, pattern_vars
+from sparqlsim.engine import STRATEGIES
+from sparqlsim.terms import Triple, TriplePattern, iri, lit, pattern_vars, var
 
 from conftest import make_dataset, match_binding
 

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sparqlsim import (
-    BasePartition, Cluster, ParseError, WorkloadSpec, generate, iri, lit,
-    load_partitioned, parse_ntriples, serialize_ntriples,
+    BasePartition, Cluster, WorkloadSpec, generate, load_partitioned,
+    parse_ntriples, serialize_ntriples,
 )
-from sparqlsim.terms import Triple, blank, literal_token
+from sparqlsim.errors import ParseError
+from sparqlsim.terms import Triple, blank, iri, lit, literal_token
 
 from conftest import NT_GRAMMAR_VIOLATIONS
 

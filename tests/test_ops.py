@@ -7,10 +7,7 @@ import pytest
 from collections import Counter
 from hypothesis import given, settings, strategies as st
 
-from sparqlsim import (
-    BasePartition, BindingRow, TransferLedger, WorkloadSpec, generate, iri, lit,
-    var,
-)
+from sparqlsim import BasePartition, TransferLedger, WorkloadSpec, generate
 from sparqlsim.cluster import PlacementError, Relation, check_placement, shuffle
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.logical import build_logical
@@ -19,12 +16,15 @@ from sparqlsim.ops import (
     project, selection_state, shared_subset_size, triple_selection,
 )
 from sparqlsim.physical import plan_mono_brjoin
-from sparqlsim.terms import EMPTY_ROW, TERMS, Triple, TriplePattern
-from sparqlsim.workloads import snowflake_query, snowflake_selection_sizes
+from sparqlsim.terms import (
+    BindingRow, EMPTY_ROW, TERMS, Triple, TriplePattern, iri, lit, var,
+)
+from sparqlsim.workloads import snowflake_query
 
 from conftest import (
     A, AGE, B, C, D0, EX, KNOWS, NAME, binding_row, encode_group,
     make_dataset, make_relation, match_binding, node_triples,
+    snowflake_selection_sizes,
 )
 
 X, Y, N, G = var("x"), var("y"), var("n"), var("g")
@@ -375,7 +375,7 @@ def test_fold_order_on_q8_mono_brjoin_starts_at_target_and_stays_connected():
     # plan order would join t1 with t2 as a cross product on every node.
     query = snowflake_query()
     sizes = snowflake_selection_sizes(1500)
-    root = plan_mono_brjoin(build_logical(query.patterns), sizes).root
+    root = plan_mono_brjoin(build_logical(query.patterns).tree, sizes).root
     schemas = [child.vars for child in root.children]
     counts = [sizes[child.index] for child in root.children]
     order = fold_order(schemas, counts, root.target)

@@ -8,9 +8,9 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparqlsim import iri, lit, oracle_eval, var
+from sparqlsim import oracle_eval
 from sparqlsim.errors import ResultSizeLimitError
-from sparqlsim.terms import Triple, TriplePattern, blank
+from sparqlsim.terms import Triple, TriplePattern, blank, iri, lit, var
 
 from conftest import REPO_ROOT
 from nested_oracle import oracle_eval as nested_oracle_eval

@@ -12,7 +12,8 @@ from collections import Counter
 
 import pytest
 
-from sparqlsim import BenchCase, STRATEGIES, WorkloadSpec, generate, run_bench
+from sparqlsim import BenchCase, WorkloadSpec, generate, run_bench
+from sparqlsim.engine import STRATEGIES
 
 from conftest import REPO_ROOT
 

@@ -5,13 +5,11 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sparqlsim import (
-    ParseError, Query, UnsupportedFeatureError, iri, parse_query,
-    parse_query_file, serialize_query, var,
-)
+from sparqlsim import Query, parse_query, serialize_query
 from sparqlsim.cli import main
-from sparqlsim.sparql import RDF_TYPE
-from sparqlsim.terms import TriplePattern, blank, lit
+from sparqlsim.errors import ParseError, UnsupportedFeatureError
+from sparqlsim.sparql import RDF_TYPE, parse_query_file
+from sparqlsim.terms import TriplePattern, blank, iri, lit, var
 
 from conftest import LITERAL_VIOLATION_QUERIES, QUERY_DIR
 

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparqlsim import (
-    BasePartition, CostParams, Executor, STRATEGIES, TransferLedger,
-    WorkloadSpec, as_multiset, generate, oracle_eval, render_plan, run_query,
-    run_strategy, sorted_result_rows, trace_cost, var,
+    BasePartition, Executor, TransferLedger, WorkloadSpec, as_multiset,
+    generate, oracle_eval, parse_query, render_plan, run_query, run_strategy,
+    sorted_result_rows, trace_cost,
 )
-from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
+from sparqlsim.cost import (
+    CostParams, brjoin_broadcast_size, pjoin_shuffle_size,
+)
+from sparqlsim.engine import STRATEGIES
+from sparqlsim.logical import build_logical
 from sparqlsim.ops import SelectionSpec
 from sparqlsim.physical import JoinNode, plan_pjoin_strategy
-from sparqlsim import build_logical, parse_query
+from sparqlsim.terms import var
 
 from conftest import make_dataset, run_all_strategies
 
@@ -170,7 +174,7 @@ def test_pjoin_plan_flattens_same_key_joins():
     star = parse_query(
         "SELECT ?c WHERE { ?c <http://e/p1> ?a . ?c <http://e/p2> ?b . "
         "?c <http://e/p3> ?d . }")
-    plan = plan_pjoin_strategy(build_logical(star.patterns))
+    plan = plan_pjoin_strategy(build_logical(star.patterns).tree)
     root = plan.root
     assert isinstance(root, JoinNode) and root.target is None
     assert len(root.children) == 3
@@ -223,7 +227,7 @@ def test_cross_product_execution_matches_oracle(q8_workload):
         "PREFIX u: <http://example.org/univ#> SELECT ?y ?x WHERE { "
         "?y u:subOrganizationOf <http://example.org/univ/university0> . "
         "?x <http://example.org/gen/none> ?w . }")
-    from sparqlsim import CartesianProductError
+    from sparqlsim.errors import CartesianProductError
     dataset, cluster = make_dataset(q8_workload.triples, m=4)
     with pytest.raises(CartesianProductError):
         run_strategy("pjoin", query, dataset, cluster)

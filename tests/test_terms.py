@@ -7,9 +7,11 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from sparqlsim import Term, TermKind, Triple, TriplePattern, blank, iri, lit, var
 from sparqlsim.ntriples import parse_ntriples
-from sparqlsim.terms import TERMS, EMPTY_ROW, escape_literal_text, literal_token, pattern_vars
+from sparqlsim.terms import (
+    EMPTY_ROW, TERMS, Term, TermKind, Triple, TriplePattern, blank,
+    escape_literal_text, iri, lit, literal_token, pattern_vars, var,
+)
 
 from conftest import binding_row
 

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparqlsim import (
-    Shape,
-    ParseError, Query, TriplePattern, WorkloadSpec, as_multiset,
-    classify_shape, generate, generate_for_query, iri, load_suite, oracle_eval,
-    parse_query, snowflake_query, snowflake_selection_sizes, var,
+    Query, WorkloadSpec, as_multiset, generate, generate_for_query,
+    oracle_eval, parse_query,
 )
-from sparqlsim.workloads import HEAD_NOISE, NOISE_FACTOR, PARALLEL
+from sparqlsim.errors import ParseError
+from sparqlsim.logical import Shape, classify_shape
+from sparqlsim.terms import TriplePattern, iri, var
+from sparqlsim.workloads import (
+    HEAD_NOISE, NOISE_FACTOR, PARALLEL, load_suite, snowflake_query,
+)
 
-from conftest import WORKLOAD_DIR, match_binding
+from conftest import WORKLOAD_DIR, match_binding, snowflake_selection_sizes
 
 
 def _selection_counts(workload):
@@ -155,6 +158,9 @@ def test_generate_for_query_validation():
         generate_for_query(TWO_HOP, solutions=-1)
     with pytest.raises(ValueError, match="noise list"):
         generate_for_query(TWO_HOP, solutions=1, noise=[1, 2, 3])
+    for noise in (-5, [-2, 3], [3, -1]):
+        with pytest.raises(ValueError, match="noise counts must be >= 0"):
+            generate_for_query(TWO_HOP, solutions=1, noise=noise)
 
 
 @settings(max_examples=25, deadline=None)
