@@ -33,7 +33,6 @@ which argparse reports after a usage message, a failure prints one
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from collections import Counter
 from contextlib import nullcontext
@@ -79,14 +78,15 @@ def _node_count(text: str) -> int:
 
 
 def _weight(text: str) -> float:
+    """A cost weight: a number that :class:`CostParams` accepts."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite nonnegative number, got {text!r}")
-    return value
+    try:
+        return CostParams(theta_acc=value).theta_acc
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
 
 
 def _verify_limit(text: str) -> int:

@@ -25,8 +25,8 @@ from .cost import (
     pjoin_shuffle_size,
 )
 from .ops import (
-    SelectionSpec, brjoin, merged_selection, pjoin, project, shared_subset_size,
-    triple_selection,
+    SelectionSpec, brjoin, merged_selection, overlapping_patterns, pjoin, project,
+    read_selection, shared_subset_size, triple_selection,
 )
 from .physical import JoinNode, PhysicalPlan, PhysNode, plan_leaves
 from .terms import Term
@@ -93,8 +93,9 @@ class Executor:
     Each selection or join step stages its operator on a fresh ledger,
     appends its trace entry with those charges and, with ``validate``,
     checks its placement. Static plans run whole through
-    :func:`execute_plan`; the adaptive planner calls :meth:`run_selections`
-    and :meth:`run_join` one step at a time.
+    :func:`execute_plan`; the adaptive planner calls
+    :meth:`read_selections`, :meth:`charge_selections` and :meth:`run_join`
+    one step at a time.
     """
 
     def __init__(self, dataset: Dataset, validate: bool = False):
@@ -102,24 +103,39 @@ class Executor:
         self.trace = ExecutionTrace()
         self.validate = validate
 
-    def run_selections(self, specs: Sequence[SelectionSpec],
-                       subset_size: int | None = None) -> list[Relation]:
-        """Selection step: one store scan per pattern, or, given |S|, the
-        size of the shared subset of ``specs``, one shared pass over the
-        store for all of them."""
+    def run_selections(self, specs: Sequence[SelectionSpec]) -> list[Relation]:
+        """Selection step: one store scan per pattern."""
+        size = self.dataset.size
+        rels = []
+        for spec in specs:
+            charges = TransferLedger()
+            rels.append(triple_selection(spec, self.dataset, charges))
+            self._record("selection", charges, rels[-1:], dataset_size=size)
+        return rels
+
+    def read_selections(self, specs: Sequence[SelectionSpec],
+                        overlapping: Sequence[int]) -> tuple[list[Relation], int]:
+        """Read every pattern of ``specs`` once and count |S| from those
+        reads (:func:`~sparqlsim.ops.shared_subset_size`); nothing is
+        charged or recorded until :meth:`charge_selections`."""
+        rels = [read_selection(spec, self.dataset) for spec in specs]
+        return rels, shared_subset_size(specs, rels, self.dataset, overlapping)
+
+    def charge_selections(self, rels: Sequence[Relation],
+                          subset_size: int | None) -> None:
+        """Record the selections :meth:`read_selections` read as one
+        shared store pass, given |S|, or as one store scan per pattern."""
         size = self.dataset.size
         if subset_size is not None:
             charges = TransferLedger()
-            rels = merged_selection(specs, self.dataset, charges, subset_size)
+            merged_selection(rels, self.dataset, charges, subset_size)
             self._record("merged-selection", charges, rels, dataset_size=size,
-                         pattern_count=len(specs), subset_size=subset_size)
-        else:
-            rels = []
-            for spec in specs:
-                charges = TransferLedger()
-                rels.append(triple_selection(spec, self.dataset, charges))
-                self._record("selection", charges, rels[-1:], dataset_size=size)
-        return rels
+                         pattern_count=len(rels), subset_size=subset_size)
+            return
+        for rel in rels:
+            charges = TransferLedger()
+            charges.tally(scanned=size)
+            self._record("selection", charges, [rel], dataset_size=size)
 
     def run_join(self, node: JoinNode, inputs: Sequence[Relation]) -> Relation:
         """Join step: join ``inputs`` with the key and target of ``node``,
@@ -168,8 +184,11 @@ def execute_plan(plan: PhysicalPlan, executor: Executor,
     ``shared_scan``."""
     if selections is None:
         leaves = plan_leaves(plan.root)
-        subset_size = (shared_subset_size(leaves, executor.dataset)
-                       if plan.shared_scan else None)
-        selections = executor.run_selections(leaves, subset_size)
+        if plan.shared_scan:
+            selections, subset_size = executor.read_selections(
+                leaves, overlapping_patterns(leaves))
+            executor.charge_selections(selections, subset_size)
+        else:
+            selections = executor.run_selections(leaves)
     result = executor.run_node(plan.root, selections)
     return result if select is None else executor.run_projection(result, select)

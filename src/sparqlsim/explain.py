@@ -109,7 +109,7 @@ def _explain_hybrid(query: Query, executor: Executor, allow_cross: bool) -> list
                  f"{shared} >= {n} x {d} tuples):"]
     lines.extend(_selection_lines(query, [rel for rel, _ in leaves]))
 
-    for members in planner.components:
+    for members in query.compiled.components:
         if len(members) < 2:
             continue
         first, second, choice = planner.opening([leaves[i] for i in members])

@@ -1,12 +1,14 @@
 """Adaptive strategy: plan each join step from measured sizes, then run it.
 
 The strategy evaluates all selections first, so every planning decision
-works with exact input sizes rather than estimates. One union pass over the
-store counts S, the triples that match any pattern; the selections then share
-one store pass (charged ``size(D) + n*size(S)``) exactly when the cost model's
-rule says it reads fewer tuples than n independent scans (``n*size(D)``),
-and otherwise scan the store once each. Joins are then chosen greedily, two
-inputs at a time:
+works with exact input sizes rather than estimates. Each pattern is read
+once, and S, the triples that match any pattern, is counted from those
+reads: a pattern disjoint from every other adds its row count, and only
+patterns that can share a triple take a union pass over their groups. The
+selections are then charged one shared store pass (``size(D) + n*size(S)``)
+exactly when the cost model's rule says it reads fewer tuples than n
+independent scans (``n*size(D)``), and otherwise one store scan each.
+Joins are then chosen greedily, two inputs at a time:
 
 * the opening pair is the connected pair with the cheapest join step,
   breaking ties toward the partitioned algorithm, then the smaller combined
@@ -21,11 +23,11 @@ inputs at a time:
   smaller side, then broadcasting the running intermediate.
 
 Each chosen step executes immediately, so its real output size (not an
-estimate) drives the next decision. A pair is priced in a few integer
-operations on the two inputs' stored row counts and keys, and only the
-cheapest candidate becomes a decision. Step costs compare modeled transfer
-tuple counts directly; the communication weight scales all candidates
-equally and cannot change the ranking.
+estimate) drives the next decision. The search loops price each pair inline,
+in a few integer operations on the two inputs' stored row counts and keys,
+and only the cheapest pair becomes a decision (:func:`_price_pair`). Step
+costs compare modeled transfer tuple counts directly; the communication
+weight scales all candidates equally and cannot change the ranking.
 
 The reported plan is the tree of binary joins that ran, one node per step
 (:func:`~sparqlsim.physical.render_plan` prints a run of same-key
@@ -36,9 +38,9 @@ post-order.
 The planner only decides; every selection and join step runs through one
 :class:`~sparqlsim.executor.Executor`, the same code that runs static plans.
 It reads the query's compiled facts (:class:`~sparqlsim.logical.CompiledQuery`),
-the selection specs and connected components, which the query derives once
-for all its runs; each run checks whether a cross product may run, counts S
-and decides every step.
+the selection specs, the connected components and the patterns that can
+share a triple, which the query derives once for all its runs; each run
+checks whether a cross product may run, counts S and decides every step.
 """
 
 from dataclasses import dataclass
@@ -48,7 +50,6 @@ from .cluster import Relation
 from .cost import broadcast_charge, merged_scan_beneficial, shuffle_charge
 from .executor import Executor
 from .logical import CompiledQuery, check_cross
-from .ops import shared_subset_size
 # Not called here: kept importable because perfbench/tracer.py wraps these names.
 from .ops import brjoin, pjoin, project  # noqa: F401
 from .physical import JoinNode, PhysNode, PhysicalPlan
@@ -106,13 +107,14 @@ class HybridPlanner:
 
     :meth:`select` measures the selections and :meth:`opening` picks a
     component's first join without running it, which is all that
-    ``explain`` shows; :meth:`run` plans and executes the whole query."""
+    ``explain`` shows; :meth:`run` plans and executes the whole query.
+    ``evaluations`` counts the (pair, algorithm) pricings performed: three
+    for a pair that shares variables, two for a cross product's pair."""
 
     def __init__(self, compiled: CompiledQuery, executor: Executor, *,
                  allow_cross: bool = False):
         check_cross(compiled.components, allow_cross)
-        self.components = compiled.components
-        self.specs = compiled.specs
+        self.compiled = compiled
         self.executor = executor
         self.m = executor.dataset.m
         self.evaluations = 0
@@ -121,53 +123,58 @@ class HybridPlanner:
         leaves, shared_scan, _ = self.select()
         # Lazily, so each component joins the result as soon as it is built.
         results = (self._greedy_component([leaves[i] for i in members])
-                   for members in self.components)
+                   for members in self.compiled.components)
         final = next(results)
         for nxt in results:
             shared = final[0].schema & nxt[0].schema
-            final = self._step(final, nxt, self._choose(final[0], nxt[0], shared))
+            self.evaluations += 3 if shared else 2
+            final = self._step(final, nxt, _price_pair(final[0], nxt[0], shared, self.m))
         rel, node = final
         return node, rel, shared_scan
 
     def select(self) -> tuple[list[Joinable], bool, int]:
-        """Measure every selection. Count |S|, the triples matching any
-        pattern, once, and share one store pass exactly when the merged-scan
-        rule holds; return the leaves, whether the pass was shared, and |S|."""
-        specs = self.specs
-        dataset = self.executor.dataset
-        subset_size = shared_subset_size(specs, dataset)
-        merged = merged_scan_beneficial(dataset.size, len(specs), subset_size)
-        rels = self.executor.run_selections(specs, subset_size if merged else None)
+        """Measure every selection, reading each pattern once, and count
+        |S|, the triples matching any pattern, from those reads; charge one
+        shared store pass exactly when the merged-scan rule holds. Return
+        the leaves, whether the pass was shared, and |S|."""
+        specs = self.compiled.specs
+        executor = self.executor
+        rels, subset_size = executor.read_selections(specs, self.compiled.overlapping)
+        merged = merged_scan_beneficial(executor.dataset.size, len(specs), subset_size)
+        executor.charge_selections(rels, subset_size if merged else None)
         return list(zip(rels, specs)), merged, subset_size
-
-    def _choose(self, first: Relation, second: Relation,
-                shared: frozenset[Term]) -> _Choice:
-        """Price the pair: three candidates when it shares variables, else
-        the two broadcasts."""
-        self.evaluations += 3 if shared else 2
-        return _price_pair(first, second, shared, self.m)
 
     def opening(self, leaves: list[Joinable]) -> tuple[Joinable, Joinable, _Choice]:
         """The cheapest opening pair over all connected pairs of ``leaves``,
-        which are in pattern order; each pair is priced smaller side first."""
-        best_pair: tuple[tuple, Joinable, Joinable, _Choice] | None = None
+        which are in pattern order, so the first of equally ranked pairs
+        wins the textual tie-break. Each pair is priced inline as
+        :func:`_price_pair` prices it smaller side first, so a broadcast
+        moves the smaller side."""
+        copies_per_row = self.m - 1
+        priced = 0
+        best_rank: tuple[int, int, int] | None = None
         for i, a in enumerate(leaves):
-            a_rel, a_leaf = a
+            a_schema, a_count, a_key = a[0].schema, a[0].count, a[0].key
             for b in leaves[i + 1:]:
-                b_rel, b_leaf = b
-                shared = a_rel.schema & b_rel.schema
+                b_rel = b[0]
+                shared = a_schema & b_rel.schema
                 if not shared:
                     continue
-                # a precedes b, so this is the order of (count, pattern index)
-                first, second = (a, b) if a_rel.count <= b_rel.count else (b, a)
-                choice = self._choose(first[0], second[0], shared)
-                key = (choice.cost, choice.rank, a_rel.count + b_rel.count,
-                       a_leaf.index, b_leaf.index)
-                if best_pair is None or key < best_pair[0]:
-                    best_pair = (key, first, second, choice)
-        if best_pair is None:
+                priced += 1
+                b_count = b_rel.count
+                moved = ((0 if a_key == shared else a_count)
+                         + (0 if b_rel.key == shared else b_count))
+                copies = copies_per_row * (a_count if a_count <= b_count else b_count)
+                rank = ((moved, 0, a_count + b_count) if moved <= copies
+                        else (copies, 1, a_count + b_count))
+                if best_rank is None or rank < best_rank:
+                    best_rank, best_pair, best_shared = rank, (a, b), shared
+        self.evaluations += 3 * priced
+        if best_rank is None:
             raise AssertionError("connected component has no joinable pair")
-        return best_pair[1:]
+        a, b = best_pair
+        first, second = (a, b) if a[0].count <= b[0].count else (b, a)
+        return first, second, _price_pair(first[0], second[0], best_shared, self.m)
 
     def _greedy_component(self, leaves: list[Joinable]) -> Joinable:
         if len(leaves) == 1:
@@ -176,23 +183,31 @@ class HybridPlanner:
         first, second, choice = self.opening(leaves)
         acc = self._step(first, second, choice)
         remaining = [s for s in leaves if s is not first and s is not second]
+        copies_per_row = self.m - 1
 
         while remaining:
             acc_rel = acc[0]
-            best_ext: tuple[tuple, int, _Choice] | None = None
-            for k, (rel, leaf) in enumerate(remaining):
-                shared = acc_rel.schema & rel.schema
+            acc_schema, acc_count, acc_key = acc_rel.schema, acc_rel.count, acc_rel.key
+            priced = 0
+            best_rank: tuple[int, int] | None = None
+            # remaining is in pattern order: the first of equal ranks wins.
+            for k, (rel, _) in enumerate(remaining):
+                shared = acc_schema & rel.schema
                 if not shared:
                     continue
-                choice = self._choose(acc_rel, rel, shared)
-                key = (choice.cost, rel.count, leaf.index)
-                if best_ext is None or key < best_ext[0]:
-                    best_ext = (key, k, choice)
-            if best_ext is None:
+                priced += 1
+                count = rel.count
+                moved = ((0 if acc_key == shared else acc_count)
+                         + (0 if rel.key == shared else count))
+                copies = copies_per_row * (acc_count if acc_count <= count else count)
+                rank = (moved if moved <= copies else copies, count)
+                if best_rank is None or rank < best_rank:
+                    best_rank, best_k, best_shared = rank, k, shared
+            self.evaluations += 3 * priced
+            if best_rank is None:
                 raise AssertionError("connected component stalled mid-join")
-            _, k, choice = best_ext
-            acc = self._step(acc, remaining[k], choice)
-            del remaining[k]
+            nxt = remaining.pop(best_k)
+            acc = self._step(acc, nxt, _price_pair(acc_rel, nxt[0], best_shared, self.m))
         return acc
 
     @staticmethod

@@ -2,10 +2,11 @@
 
 :func:`build_logical` compiles a pattern list once into a
 :class:`CompiledQuery`: one selection leaf per pattern
-(:class:`~sparqlsim.ops.SelectionSpec`), the connected components, and
-the grouping of the patterns into n-ary joins as a plan tree of
-partitioned :class:`~sparqlsim.physical.JoinNode` steps over those leaves,
-which is exactly the static partitioned plan. The broadcast strategies
+(:class:`~sparqlsim.ops.SelectionSpec`), the connected components, the
+patterns that can share a stored triple, and the grouping of the patterns
+into n-ary joins as a plan tree of partitioned
+:class:`~sparqlsim.physical.JoinNode` steps over those leaves, which is
+exactly the static partitioned plan. The broadcast strategies
 regroup or re-target the same tree (:mod:`sparqlsim.physical`). A query
 keeps the record (:attr:`~sparqlsim.sparql.Query.compiled`) and every run
 reuses it; each run still decides whether a cross product may run
@@ -32,7 +33,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import CartesianProductError
-from .ops import SelectionSpec
+from .ops import SelectionSpec, overlapping_patterns
 from .physical import JoinNode, PhysNode
 from .terms import Term, TriplePattern, pattern_vars
 
@@ -118,12 +119,15 @@ def check_cross(components: Sequence[Sequence[int]], allow_cross: bool) -> None:
 class CompiledQuery:
     """A query's planning facts: its grouping ``tree`` (cross products
     allowed), the tree's leaves, one :class:`~sparqlsim.ops.SelectionSpec`
-    per pattern in order, and the connected components as pattern
-    indices."""
+    per pattern in order, the connected components as pattern indices, and
+    the indices of the patterns that can share a stored triple with another
+    (:func:`~sparqlsim.ops.overlapping_patterns`), which a shared store
+    pass counts together."""
 
     tree: PhysNode
     specs: tuple[SelectionSpec, ...]
     components: tuple[tuple[int, ...], ...]
+    overlapping: tuple[int, ...]
 
 
 def build_logical(patterns: Sequence[TriplePattern]) -> CompiledQuery:
@@ -144,7 +148,8 @@ def build_logical(patterns: Sequence[TriplePattern]) -> CompiledQuery:
     trees = [_build_component(specs, members, order) for members in components]
     tree = trees[0] if len(trees) == 1 else JoinNode(
         frozenset(), tuple(trees), len(trees) - 1)
-    return CompiledQuery(tree, specs, tuple(map(tuple, components)))
+    return CompiledQuery(tree, specs, tuple(map(tuple, components)),
+                         overlapping_patterns(specs))
 
 
 class Shape(Enum):

@@ -30,10 +30,13 @@ projection that drops a variable cuts to the select list's order.
 The scan charges are modeled, not the simulator's work: the store is kept
 as per-node predicate groups of two id columns (:attr:`Dataset.groups`), so
 a selection, merged or not, with a ground predicate touches only that
-predicate's columns, and S is counted, never built. Only a variable
-predicate makes a selection read every group. A selection builds its rows
-by zipping the columns, and tests a ground subject or object on its one
-column.
+predicate's columns. Only a variable predicate makes a selection read every
+group. A selection builds its rows by zipping the columns (a pattern
+``?s <p> ?o`` zips its whole group), and tests a ground subject or object
+on its one column. Merged and independent selections read the same rows,
+so each pattern is read once and S is counted from those reads, never
+built: a pattern disjoint from every other adds its row count, and only
+the patterns that can share a triple are tested together in a union pass.
 """
 
 from dataclasses import dataclass, field
@@ -62,6 +65,8 @@ class SelectionSpec:
     variable forces to be equal; ``columns`` holds the pattern's variables
     in first-position order (subject, predicate, object), ``positions``
     each column's first position, and ``vars`` the set of the columns.
+    ``whole_group`` marks the shape ``?s <p> ?o``, a ground predicate and
+    two distinct variables, which matches every triple of its group.
     """
 
     index: int
@@ -74,6 +79,7 @@ class SelectionSpec:
     object: int | None = field(init=False, compare=False, repr=False)
     same_positions: tuple[tuple[int, int], ...] = field(
         init=False, compare=False, repr=False)
+    whole_group: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         first_pos: dict[Term, int] = {}
@@ -90,7 +96,8 @@ class SelectionSpec:
                             ("positions", tuple(first_pos.values())),
                             ("vars", frozenset(first_pos)),
                             ("predicate", p), ("subject", s), ("object", o),
-                            ("same_positions", tuple(same))):
+                            ("same_positions", tuple(same)),
+                            ("whole_group", p is not None and len(first_pos) == 2)):
             object.__setattr__(self, name, value)
 
     @property
@@ -127,7 +134,10 @@ class SelectionSpec:
     def rows_in(self, p: int, group: IdColumns) -> Iterable[Row]:
         """One row per triple of predicate ``p``'s ``group`` the pattern
         matches, in order: the ids at the columns' positions, where the
-        predicate position reads ``p``."""
+        predicate position reads ``p``. A whole-group pattern's rows are the
+        group's (subject, object) pairs."""
+        if self.whole_group:
+            return zip(*group)
         subjects, objects = group
         mask = self.mask(p, group)
         if not self.positions:
@@ -147,7 +157,7 @@ def selection_state(spec: SelectionSpec, dataset: Dataset) -> frozenset[Term]:
     return frozenset()
 
 
-def _read_groups(spec: SelectionSpec, store: Dataset) -> Relation:
+def read_selection(spec: SelectionSpec, store: Dataset) -> Relation:
     """The selection of ``spec``, single or merged, read from the predicate
     groups of ``store``, one row chunk per node. A ground predicate reads its
     own group, with its rows in load order; a variable predicate reads every
@@ -170,22 +180,30 @@ def triple_selection(spec: SelectionSpec, dataset: Dataset,
                      ledger: TransferLedger) -> Relation:
     """Scan the store once and emit one row per matching triple. Purely
     node-local; charges one full scan and no transfer."""
-    rel = _read_groups(spec, dataset)
+    rel = read_selection(spec, dataset)
     ledger.tally(scanned=dataset.size)
     return rel
 
 
-def shared_subset_size(specs: Sequence[SelectionSpec], dataset: Dataset) -> int:
-    """The union pass of a merged scan, charging nothing: the size of S for
-    ``specs``, the stored triples that match at least one of the patterns.
-    Nothing is built.
+def overlapping_patterns(specs: Sequence[SelectionSpec]) -> tuple[int, ...]:
+    """Positions in ``specs`` of the patterns that can share a stored triple
+    with another pattern. Two patterns are disjoint when, at some position,
+    both hold ground terms that differ; a pattern disjoint from every other
+    is left out, and a repeated pattern is kept."""
+    grounds = [(s.subject, s.predicate, s.object) for s in specs]
 
-    The pass walks each node's predicate groups: a group is tested against
+    def disjoint(a: tuple, b: tuple) -> bool:
+        return any(x is not None and y is not None and x != y for x, y in zip(a, b))
+
+    return tuple(i for i, a in enumerate(grounds)
+                 if any(j != i and not disjoint(a, b) for j, b in enumerate(grounds)))
+
+
+def _union_size(specs: Sequence[SelectionSpec], dataset: Dataset) -> int:
+    """The stored triples matching at least one of ``specs``, counted in one
+    union pass over each node's predicate groups: a group is tested against
     the patterns naming its predicate plus the variable-predicate patterns,
-    and skipped when there are none.
-    """
-    if not specs:
-        raise ValueError("merged selection needs at least one pattern")
+    and skipped when there are none."""
     general = [s for s in specs if s.predicate is None]
     candidates = {s.predicate: [t for t in specs if t.predicate in (s.predicate, None)]
                   for s in specs if s.predicate is not None}
@@ -203,16 +221,32 @@ def shared_subset_size(specs: Sequence[SelectionSpec], dataset: Dataset) -> int:
     return size
 
 
-def merged_selection(specs: Sequence[SelectionSpec], dataset: Dataset,
-                     ledger: TransferLedger, subset_size: int) -> list[Relation]:
-    """Evaluate several selections with one shared pass over the store,
-    charged ``size(D) + n*subset_size`` (:func:`shared_subset_size`). Each
-    pattern is read from the store as :func:`triple_selection` reads it, so
-    rows and keys are identical to independent selections; only the scan
-    accounting differs."""
-    relations = [_read_groups(spec, dataset) for spec in specs]
-    ledger.tally(scanned=dataset.size + len(specs) * subset_size)
-    return relations
+def shared_subset_size(specs: Sequence[SelectionSpec], relations: Sequence[Relation],
+                       dataset: Dataset, overlapping: Sequence[int]) -> int:
+    """The size of S for ``specs``, the stored triples that match at least
+    one of the patterns, counted from their selections ``relations`` as
+    :func:`read_selection` reads them, charging nothing; nothing is built.
+
+    ``overlapping`` holds the positions of the patterns that can share a
+    triple (:func:`overlapping_patterns`). Every other pattern's triples
+    match no other pattern, so it adds its selection's row count, and only
+    the patterns in ``overlapping`` are counted together, in a union pass
+    over the groups they name. Pairwise-disjoint patterns make no pass.
+    """
+    if not overlapping:
+        return sum(rel.count for rel in relations)
+    skip = set(overlapping)
+    return (sum(rel.count for i, rel in enumerate(relations) if i not in skip)
+            + _union_size([specs[i] for i in overlapping], dataset))
+
+
+def merged_selection(relations: Sequence[Relation], dataset: Dataset,
+                     ledger: TransferLedger, subset_size: int) -> None:
+    """Charge the selections ``relations`` one shared pass over the store,
+    ``size(D) + n*subset_size`` (:func:`shared_subset_size`). They are read
+    by :func:`read_selection`, as independent selections are, so rows and
+    keys are identical either way; only the scan accounting differs."""
+    ledger.tally(scanned=dataset.size + len(relations) * subset_size)
 
 
 def fold_order(schemas: Sequence[frozenset[Term]], counts: Sequence[int],

@@ -1,14 +1,18 @@
-"""Per-row references for the engine's two row kernels: the node-local hash
-join that ``pjoin`` and ``brjoin`` run on every node, and the shuffle.
+"""Per-row references for the engine's row kernels: the selection reader,
+the node-local hash join that ``pjoin`` and ``brjoin`` run on every node,
+and the shuffle.
 
-Both are the plain loops the kernels in ``sparqlsim.ops`` and
-``sparqlsim.cluster`` are measured against. The join builds each node's
-table row by row, bucketing whole build rows by key, and probes row by row,
-cutting each output row from the probe row followed by the build row. The
-shuffle places each row by :func:`sparqlsim.cluster.node_of` on the decoded
-row. ``tests/test_kernels.py`` requires the engine's chunks to equal these,
-row for row and in order."""
+All are the plain loops the kernels in ``sparqlsim.ops`` and
+``sparqlsim.cluster`` are measured against. The selection tests every
+stored triple against the pattern, one triple at a time, in the store's
+group and load order. The join builds each node's table row by row,
+bucketing whole build rows by key, and probes row by row, cutting each
+output row from the probe row followed by the build row. The shuffle places
+each row by :func:`sparqlsim.cluster.node_of` on the decoded row.
+``tests/test_kernels.py`` requires the engine's chunks to equal these, row
+for row and in order. The same triple test counts |S| by brute force."""
 
+from functools import partial
 from operator import itemgetter
 from typing import Sequence
 
@@ -91,6 +95,41 @@ def reference_join(staged: Sequence[Relation], driver: int,
             acc = _probe(acc, _build(build, build_key), probe_key, pick)
         chunks.append(tuple(acc))
     return columns, tuple(chunks)
+
+
+def reference_match(spec, triple: tuple[int, int, int]):
+    """The row ``spec``'s pattern makes of a stored ``triple`` of ids, its
+    variables' ids in first-position order, or None when it does not
+    match."""
+    bound: dict = {}
+    for term, value in zip(spec.pattern, triple):
+        if not term.is_variable:
+            if term.id != value:
+                return None
+        elif bound.setdefault(term, value) != value:
+            return None
+    return tuple(bound.values())
+
+
+def _stored_triples(node: dict):
+    """A node's triples as id triples, in group and then load order."""
+    for p, (subjects, objects) in node.items():
+        for s, o in zip(subjects, objects):
+            yield s, p, o
+
+
+def reference_selection(spec, dataset) -> tuple[tuple, ...]:
+    """The chunks of ``spec``'s selection: on each node, the row of every
+    stored triple the pattern matches, tested one triple at a time."""
+    match = partial(reference_match, spec)
+    return tuple(tuple(row for row in map(match, _stored_triples(node)) if row is not None)
+                 for node in dataset.groups)
+
+
+def reference_subset_size(specs, dataset) -> int:
+    """|S| by brute force: the stored triples that match any of ``specs``."""
+    return sum(any(reference_match(spec, triple) is not None for spec in specs)
+               for node in dataset.groups for triple in _stored_triples(node))
 
 
 def reference_shuffle(rel: Relation, key: frozenset[Term]) -> tuple[tuple, int]:

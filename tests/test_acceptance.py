@@ -37,8 +37,8 @@ from sparqlsim.engine import STRATEGIES
 from sparqlsim.errors import ResultSizeLimitError
 from sparqlsim.hybrid import _price_pair, plan_and_execute_hybrid
 from sparqlsim.ops import (
-    SelectionSpec, brjoin, merged_selection, pjoin, shared_subset_size,
-    triple_selection,
+    SelectionSpec, brjoin, merged_selection, overlapping_patterns, pjoin,
+    read_selection, shared_subset_size, triple_selection,
 )
 from sparqlsim.terms import (
     BindingRow, Triple, TriplePattern, iri, lit, pattern_vars, var,
@@ -351,8 +351,10 @@ def test_criterion_5_merged_scan_accounting():
         specs = [SelectionSpec(i, p) for i, p in enumerate(wl.query.patterns)]
 
         merged_ledger = TransferLedger()
-        subset_size = shared_subset_size(specs, dataset)
-        merged_rels = merged_selection(specs, dataset, merged_ledger, subset_size)
+        merged_rels = [read_selection(s, dataset) for s in specs]
+        subset_size = shared_subset_size(specs, merged_rels, dataset,
+                                         overlapping_patterns(specs))
+        merged_selection(merged_rels, dataset, merged_ledger, subset_size)
         assert subset_size == 1_000
         assert merged_ledger.totals()["scanned"] == 105_000
 

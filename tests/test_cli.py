@@ -387,11 +387,17 @@ def test_verify_limit_zero_skips_verification(capsys, star3_files):
 
 @pytest.mark.parametrize("weight", ["-1", "nan", "inf", "x"])
 def test_exit_2_bad_cost_weight(capsys, university_nt, weight):
+    """The option parser reads the number and ``CostParams`` judges it."""
+    message = ("not a number" if weight == "x"
+               else "cost weights must be finite and nonnegative")
     for option in ("--theta-acc", "--theta-comm"):
         with pytest.raises(SystemExit) as exc:
             main(["query", university_nt, Q8, option, weight])
         assert exc.value.code == 2
-        assert option in capsys.readouterr().err
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert option in errors[0] and message in errors[0]
 
 
 def test_exit_2_non_utf8_data(capsys, tmp_path):

@@ -144,6 +144,7 @@ def test_cross_product_is_rejected_before_any_scan(university, monkeypatch):
         raise AssertionError("selections ran before the cross-product check")
 
     monkeypatch.setattr(Executor, "run_selections", no_scan)
+    monkeypatch.setattr(Executor, "read_selections", no_scan)
     _, dataset, cluster = university
     query = parse_query("SELECT ?a ?b WHERE { ?a <http://p> ?x . ?b <http://q> ?y . }")
     for strategy in STRATEGIES:
@@ -158,6 +159,7 @@ def test_cluster_must_match_the_store_before_planning(university, monkeypatch):
         raise AssertionError("selections ran before the node-count check")
 
     monkeypatch.setattr(Executor, "run_selections", no_scan)
+    monkeypatch.setattr(Executor, "read_selections", no_scan)
     query, dataset, _ = university
     message = "dataset is distributed over 4 nodes, cluster has 2"
     for strategy in STRATEGIES:

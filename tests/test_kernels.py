@@ -1,21 +1,21 @@
 """The row kernels against their per-row references
-(``tests/kernel_reference.py``): ``pjoin`` and ``brjoin`` give exactly the
-reference local join's chunks, row for row and in order, and ``shuffle``
-places every row by ``node_of`` on its decoded row, keeps source
-node-then-row order in every bucket and counts exactly the rows that change
-node."""
+(``tests/kernel_reference.py``): a selection reads exactly the reference
+matcher's chunks, ``pjoin`` and ``brjoin`` give exactly the reference local
+join's chunks, row for row and in order, and ``shuffle`` places every row
+by ``node_of`` on its decoded row, keeps source node-then-row order in
+every bucket and counts exactly the rows that change node."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparqlsim import TransferLedger
+from sparqlsim import BasePartition, TransferLedger
 from sparqlsim.cluster import Relation, node_of, shuffle
-from sparqlsim.ops import _FoldStep, brjoin, pjoin
-from sparqlsim.terms import BindingRow, TERMS, iri, var
+from sparqlsim.ops import SelectionSpec, _FoldStep, brjoin, pjoin, read_selection
+from sparqlsim.terms import BindingRow, TERMS, Triple, TriplePattern, iri, var
 
-from conftest import EX
+from conftest import EX, make_dataset
 from kernel_reference import (
-    reference_brjoin, reference_pjoin, reference_shuffle,
+    reference_brjoin, reference_pjoin, reference_selection, reference_shuffle,
 )
 
 X, Y, Z, W = var("x"), var("y"), var("z"), var("w")
@@ -190,3 +190,63 @@ def test_shuffle_places_by_node_of_in_source_order(data, m, key_size):
     moved = sum(dest != j for j, to in enumerate(dests) for dest in to)
     assert ledger.totals() == {"scanned": 0, "shuffled_modeled": rel.count,
                                "shuffled_actual": moved, "broadcast": 0}
+
+
+# A store for the selection reader: entities that are also predicates, so a
+# variable repeated at the predicate can match, and a rare predicate that
+# most nodes lack.
+READ_PREDICATES = tuple(iri(EX + f"rp{i}") for i in range(3))
+READ_RARE = iri(EX + "rare")
+READ_ENTITIES = tuple(iri(EX + f"re{i}") for i in range(3)) + READ_PREDICATES[:1]
+READ_TERMS = {"subject": READ_ENTITIES[:2] + READ_PREDICATES[:1],
+              "predicate": READ_PREDICATES[:2] + (READ_RARE, iri(EX + "absent")),
+              "object": READ_ENTITIES[1:]}
+
+
+@st.composite
+def read_stores(draw):
+    triples = [Triple(*t) for t in draw(st.lists(
+        st.tuples(st.sampled_from(READ_ENTITIES), st.sampled_from(READ_PREDICATES),
+                  st.sampled_from(READ_ENTITIES)), max_size=30))]
+    # one triple of the rare predicate: on m > 1 most nodes have no group of it
+    triples.append(Triple(READ_ENTITIES[0], READ_RARE, READ_ENTITIES[1]))
+    return make_dataset(triples, m=draw(st.sampled_from(NODE_COUNTS)),
+                        base=draw(st.sampled_from(list(BasePartition))))[0]
+
+
+@st.composite
+def read_patterns(draw):
+    """Any pattern shape: each position ground or one of two variables, so
+    every mix of ground terms and repeated variables occurs, ``?s <p> ?o``
+    (the whole-group read) among them."""
+    return TriplePattern(*(draw(st.sampled_from((X, Y) + READ_TERMS[pos]))
+                           for pos in ("subject", "predicate", "object")))
+
+
+WHOLE_GROUP = TriplePattern(X, READ_PREDICATES[0], Y)
+READ_SHAPES = [
+    WHOLE_GROUP,
+    TriplePattern(Y, READ_PREDICATES[1], X),                  # whole group, swapped
+    TriplePattern(X, READ_RARE, Y),                           # missing from most nodes
+    TriplePattern(X, READ_PREDICATES[0], X),                  # ?x <p> ?x
+    TriplePattern(READ_ENTITIES[0], READ_PREDICATES[0], Y),   # ground subject
+    TriplePattern(X, READ_PREDICATES[0], READ_ENTITIES[1]),   # ground object
+    TriplePattern(READ_ENTITIES[0], READ_PREDICATES[0], READ_ENTITIES[1]),
+    TriplePattern(X, Y, Z),                                   # variable predicate
+    TriplePattern(X, X, Y),                                   # ?x ?x ?y
+    TriplePattern(X, Y, Y),                                   # ?x ?y ?y
+    TriplePattern(X, Y, X),                                   # ?x ?y ?x
+    TriplePattern(X, X, X),                                   # ?x ?x ?x
+]
+
+
+def test_whole_group_patterns_are_marked_once():
+    assert [SelectionSpec(0, p).whole_group for p in READ_SHAPES] == (
+        [True, True, True] + [False] * (len(READ_SHAPES) - 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(read_stores(), st.one_of(st.sampled_from(READ_SHAPES), read_patterns()))
+def test_selection_chunks_equal_the_reference_row_for_row(dataset, pattern):
+    spec = SelectionSpec(0, pattern)
+    assert read_selection(spec, dataset).chunks == reference_selection(spec, dataset)

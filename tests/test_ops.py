@@ -12,8 +12,9 @@ from sparqlsim.cluster import PlacementError, Relation, check_placement, shuffle
 from sparqlsim.cost import brjoin_broadcast_size, pjoin_shuffle_size
 from sparqlsim.logical import build_logical
 from sparqlsim.ops import (
-    SelectionSpec, brjoin, fold_order, merged_selection, pjoin,
-    project, selection_state, shared_subset_size, triple_selection,
+    SelectionSpec, brjoin, fold_order, merged_selection, overlapping_patterns,
+    pjoin, project, read_selection, selection_state, shared_subset_size,
+    triple_selection,
 )
 from sparqlsim.physical import plan_mono_brjoin
 from sparqlsim.terms import (
@@ -39,6 +40,12 @@ P_SELF = TriplePattern(X, KNOWS, X)
 def _specs(patterns) -> list[SelectionSpec]:
     """The plan leaves of ``patterns``, indexed in list order."""
     return [SelectionSpec(i, p) for i, p in enumerate(patterns)]
+
+
+def _shared_pass(specs, dataset) -> tuple[list, int]:
+    """Each selection of ``specs`` read once, and |S| counted from them."""
+    rels = [read_selection(s, dataset) for s in specs]
+    return rels, shared_subset_size(specs, rels, dataset, overlapping_patterns(specs))
 
 
 def rows(rel) -> Counter:
@@ -122,8 +129,9 @@ def test_merged_selection_matches_individual_selections():
     specs = _specs([P_KNOWS, P_NAME, P_AGE])
 
     merged_ledger = TransferLedger()
-    assert shared_subset_size(specs, dataset) == 6   # every D0 triple matches a pattern
-    merged = merged_selection(specs, dataset, merged_ledger, 6)
+    merged, size = _shared_pass(specs, dataset)
+    assert size == 6   # every D0 triple matches a pattern
+    merged_selection(merged, dataset, merged_ledger, size)
     assert merged_ledger.totals()["scanned"] == 10 + 3 * 6
 
     plain_ledger = TransferLedger()
@@ -195,8 +203,8 @@ def test_merged_selection_equals_independent_selections(store, ground, general, 
     dataset, _ = store
     specs = _specs([ground, general] + more)
     ledger = TransferLedger()
-    size = shared_subset_size(specs, dataset)
-    merged = merged_selection(specs, dataset, ledger, size)
+    merged, size = _shared_pass(specs, dataset)
+    merged_selection(merged, dataset, ledger, size)
     for spec, got in zip(specs, merged):
         want = triple_selection(spec, dataset, TransferLedger())
         assert got.chunks == want.chunks
@@ -212,8 +220,9 @@ def test_merged_selection_single_pattern_degenerates_to_plain_scan():
     dataset, _ = make_dataset(D0, m=2)
     ledger = TransferLedger()
     specs = _specs([P_KNOWS])
-    assert shared_subset_size(specs, dataset) == 3
-    merged = merged_selection(specs, dataset, ledger, 3)
+    merged, size = _shared_pass(specs, dataset)
+    assert size == 3
+    merged_selection(merged, dataset, ledger, size)
     assert ledger.totals()["scanned"] == 6 + 3
     assert rows(merged[0]) == expected_knows()
 
