@@ -2,13 +2,14 @@
 
 Every strategy, static or adaptive, runs its selections and joins through an
 :class:`Executor`. A static plan is walked bottom-up in one call; the
-adaptive planner hands the executor one step at a time. The executor
-appends one entry per operator to its :class:`ExecutionTrace`, the run's
-only record: the selections, then one join entry per plan join node in
-post-order, so a replay of any run's plan records the run entry for entry. An entry holds the operator's charges, a ledger that operator
-alone charged, and the quantities the cost model prices (input sizes,
-layouts, store and shared-subset sizes). The run's ledger is the sum of the
-charges; :func:`trace_cost` recomputes it from the priced quantities alone.
+adaptive planner hands the executor one step or same-key run at a time. The
+executor appends one entry per operator to its :class:`ExecutionTrace`, the
+run's only record: the selections, then one join entry per plan join node in
+post-order, so a replay of any run's plan records the run entry for entry.
+An entry holds the operator's charges, a ledger that operator alone charged,
+and the quantities the cost model prices (input sizes, layouts, store and
+shared-subset sizes). The run's ledger is the sum of the charges;
+:func:`trace_cost` recomputes it from the priced quantities alone.
 
 One executor is the whole context of a run: the store, the trace and the
 validation switch. A plan built from measured selections (to pick broadcast
@@ -94,8 +95,8 @@ class Executor:
     appends its trace entry with those charges and, with ``validate``,
     checks its placement. Static plans run whole through
     :func:`execute_plan`; the adaptive planner calls
-    :meth:`read_selections`, :meth:`charge_selections` and :meth:`run_join`
-    one step at a time.
+    :meth:`read_selections`, :meth:`charge_selections`, :meth:`run_join`
+    and :meth:`run_pjoin_run` one step or run at a time.
     """
 
     def __init__(self, dataset: Dataset, validate: bool = False):
@@ -147,6 +148,29 @@ class Executor:
             kind, out = "brjoin", brjoin(inputs, node.target, charges)
         self._record(kind, charges, [out], inputs, on=node.on, target=node.target)
         return out
+
+    def run_pjoin_run(self, on: frozenset[Term],
+                      inputs: Sequence[Relation]) -> tuple[Relation, int]:
+        """Join ``inputs`` left-deep on ``on`` in one fold, each after the
+        second keyed on ``on``, recording and checking each binary step as
+        :meth:`run_join` would. Stops at the first step with no rows; returns
+        the relation after the last step run and how many steps ran."""
+        charges = TransferLedger()
+        trail = [[()] * self.dataset.m for _ in inputs[1:]]
+        out = pjoin(on, inputs, charges, trail)
+        count, key = inputs[0].count, inputs[0].key
+        for i, chunks in enumerate(trail, 1):
+            self.trace.entries.append(TraceEntry(
+                "pjoin", ((count, key), (inputs[i].count, inputs[i].key)), charges, on=on))
+            charges, key, count = TransferLedger(), on, sum(map(len, chunks))
+            if self.validate or not count:
+                width = len(frozenset().union(*(r.schema for r in inputs[:i + 1])))
+                step = Relation(out.columns[:width], tuple(map(tuple, chunks)), on)
+                if self.validate:
+                    check_placement(step)
+                if not count:
+                    return step, i
+        return out, len(trail)
 
     def run_projection(self, rel: Relation, select: Sequence[Term]) -> Relation:
         """Final projection onto the select list; not a traced operator."""

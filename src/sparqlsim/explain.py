@@ -113,7 +113,7 @@ def _explain_hybrid(query: Query, executor: Executor, allow_cross: bool) -> list
         if len(members) < 2:
             continue
         first, second, choice = planner.opening([leaves[i] for i in members])
-        node = planner.step_node(first, second, choice)
+        node = JoinNode(choice.on, (first[1], second[1]), choice.target)
         pair = [child.label for child in node.children]
         if node.target is None:
             detail = f"repartition: {choice.cost} tuples"

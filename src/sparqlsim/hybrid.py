@@ -23,17 +23,21 @@ Joins are then chosen greedily, two inputs at a time:
   smaller side, then broadcasting the running intermediate.
 
 Each chosen step executes immediately, so its real output size (not an
-estimate) drives the next decision. The search loops price each pair inline,
-in a few integer operations on the two inputs' stored row counts and keys,
-and only the cheapest pair becomes a decision (:func:`_price_pair`). Step
-costs compare modeled transfer tuple counts directly; the communication
-weight scales all candidates equally and cannot change the ranking.
+estimate) drives the next decision. The exception is a run of same-key
+partitioned joins that move nothing: while the intermediate is non-empty
+their picks read only schemas, keys and selection counts, so such a run is
+decided up front and folded once per node (:meth:`HybridPlanner._step`).
+The search loops price each pair inline, in a few integer operations on the
+two inputs' stored row counts and keys, and only the cheapest pair becomes a
+decision (:func:`_price_pair`). Step costs compare modeled transfer tuple
+counts directly; the communication weight scales all candidates equally and
+cannot change the ranking.
 
-The reported plan is the tree of binary joins that ran, one node per step
+The reported plan holds one binary join per decision, a run's steps
+included, and the trace one entry per join, in the plan's post-order, since
+each component joins the result as soon as it is built
 (:func:`~sparqlsim.physical.render_plan` prints a run of same-key
-partitioned joins as one n-ary ``Pjoin``). Each component joins the result
-as soon as it is built, so the trace lists the joins in the plan's
-post-order.
+partitioned joins as one n-ary ``Pjoin``).
 
 The planner only decides; every selection and join step runs through one
 :class:`~sparqlsim.executor.Executor`, the same code that runs static plans.
@@ -181,43 +185,70 @@ class HybridPlanner:
             return leaves[0]
 
         first, second, choice = self.opening(leaves)
-        acc = self._step(first, second, choice)
         remaining = [s for s in leaves if s is not first and s is not second]
-        copies_per_row = self.m - 1
-
+        acc = self._step(first, second, choice, remaining)
         while remaining:
             acc_rel = acc[0]
-            acc_schema, acc_count, acc_key = acc_rel.schema, acc_rel.count, acc_rel.key
-            priced = 0
-            best_rank: tuple[int, int] | None = None
-            # remaining is in pattern order: the first of equal ranks wins.
-            for k, (rel, _) in enumerate(remaining):
-                shared = acc_schema & rel.schema
-                if not shared:
-                    continue
-                priced += 1
-                count = rel.count
-                moved = ((0 if acc_key == shared else acc_count)
-                         + (0 if rel.key == shared else count))
-                copies = copies_per_row * (acc_count if acc_count <= count else count)
-                rank = (moved if moved <= copies else copies, count)
-                if best_rank is None or rank < best_rank:
-                    best_rank, best_k, best_shared = rank, k, shared
-            self.evaluations += 3 * priced
-            if best_rank is None:
-                raise AssertionError("connected component stalled mid-join")
-            nxt = remaining.pop(best_k)
-            acc = self._step(acc, nxt, _price_pair(acc_rel, nxt[0], best_shared, self.m))
+            k, shared = self._extension(acc_rel.schema, acc_rel.count, acc_rel.key, remaining)
+            nxt = remaining.pop(k)
+            acc = self._step(acc, nxt, _price_pair(acc_rel, nxt[0], shared, self.m), remaining)
         return acc
 
-    @staticmethod
-    def step_node(first: Joinable, second: Joinable, choice: _Choice) -> JoinNode:
-        """The join node that executes ``choice`` over (first, second)."""
-        return JoinNode(choice.on, (first[1], second[1]), choice.target)
+    def _extension(self, acc_schema: frozenset[Term], acc_count: int, acc_key: frozenset[Term],
+                   remaining: list[Joinable]) -> tuple[int, frozenset[Term]]:
+        """The position in ``remaining`` of the cheapest leaf to join next to
+        an intermediate of that schema, count and key, and their shared variables."""
+        copies_per_row = self.m - 1
+        priced = 0
+        best_rank: tuple[int, int] | None = None
+        # remaining is in pattern order: the first of equal ranks wins.
+        for k, (rel, _) in enumerate(remaining):
+            shared = acc_schema & rel.schema
+            if not shared:
+                continue
+            priced += 1
+            count = rel.count
+            moved = ((0 if acc_key == shared else acc_count)
+                     + (0 if rel.key == shared else count))
+            copies = copies_per_row * (acc_count if acc_count <= count else count)
+            rank = (moved if moved <= copies else copies, count)
+            if best_rank is None or rank < best_rank:
+                best_rank, best_k, best_shared = rank, k, shared
+        self.evaluations += 3 * priced
+        if best_rank is None:
+            raise AssertionError("connected component stalled mid-join")
+        return best_k, best_shared
 
-    def _step(self, first: Joinable, second: Joinable, choice: _Choice) -> Joinable:
-        node = self.step_node(first, second, choice)
-        return self.executor.run_join(node, [first[0], second[0]]), node
+    def _step(self, first: Joinable, second: Joinable, choice: _Choice,
+              remaining: list[Joinable] | None = None) -> Joinable:
+        """Run ``choice`` over (first, second). A partitioned step on K opens
+        a run: while :meth:`_extension`, for any positive intermediate
+        count, picks a leaf of ``remaining`` keyed on K that shares exactly
+        K, the leaf joins the run. Past the run's first empty step, where a
+        free broadcast can tie, its leaves and their pricings go back."""
+        if choice.target is not None:
+            node = JoinNode(choice.on, (first[1], second[1]), choice.target)
+            return self.executor.run_join(node, [first[0], second[0]]), node
+        on = choice.on
+        run = [first, second]
+        schema = first[0].schema | second[0].schema
+        marks = []  # evaluations before pricing run[i + 2]
+        while remaining:
+            marks.append(self.evaluations)
+            k, shared = self._extension(schema, 1, on, remaining)
+            if shared != on or remaining[k][0].key != on:
+                break
+            run.append(remaining.pop(k))
+            schema |= run[-1][0].schema
+        rel, steps = self.executor.run_pjoin_run(on, [r for r, _ in run])
+        if steps <= len(marks):  # undo the pricings past the last step run
+            self.evaluations = marks[steps - 1]
+            remaining += run[steps + 1:]
+            remaining.sort(key=lambda leaf: leaf[1].index)
+        node = first[1]
+        for _, leaf in run[1:steps + 1]:
+            node = JoinNode(on, (node, leaf))
+        return rel, node
 
 
 def plan_and_execute_hybrid(compiled: CompiledQuery, executor: Executor, *,

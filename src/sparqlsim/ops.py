@@ -373,18 +373,21 @@ class _FoldStep:
 
 
 def local_nary_join(rows: Sequence[Row], steps: Sequence[_FoldStep],
-                    j: int) -> Sequence[Row]:
+                    j: int, trail: list[list[Sequence[Row]]] | None = None) -> Sequence[Row]:
     """Node-local n-ary hash join of node ``j``'s driver ``rows`` with its
-    share of every other input, folded in the order of ``steps``.
+    share of every other input, folded in the order of ``steps``; with
+    ``trail``, the rows after step ``i`` go to ``trail[i][j]``.
 
     With no shared variable a step degenerates to a cross product (the
     planner only requests one when cross products are explicitly allowed).
     """
     acc = rows
-    for step in steps:
+    for i, step in enumerate(steps):
         if not acc:
             return []
         acc = step.probe(acc, step.table(j))
+        if trail is not None:
+            trail[i][j] = acc
     return acc
 
 
@@ -400,16 +403,16 @@ def _node_count(inputs: Sequence[Relation]) -> int:
 
 def _join_nodes(staged: Sequence[Relation], driver: int,
                 copies: dict[int, tuple[Row, ...]], m: int,
-                key: frozenset[Term]) -> Relation:
+                key: frozenset[Term], trail: list | None = None) -> Relation:
     """Run the local join on each of the ``m`` nodes, driven by the chunks
     of ``staged[driver]``; ``copies`` maps an input's index to the broadcast
     copy every node reads in place of its chunk. The fold order and the
     step layouts are planned once, and the output's columns are the last
-    step's."""
+    step's; with ``trail``, the inputs fold in the order given."""
     steps: list[_FoldStep] = []
     columns = staged[driver].columns
-    order = fold_order([rel.schema for rel in staged],
-                       [rel.count for rel in staged], driver)
+    order = (range(len(staged)) if trail is not None else
+             fold_order([rel.schema for rel in staged], [rel.count for rel in staged], driver))
     for i in order[1:]:
         step = _FoldStep(staged[i], columns, copies.get(i))
         steps.append(step)
@@ -417,18 +420,19 @@ def _join_nodes(staged: Sequence[Relation], driver: int,
     driver_chunks = staged[driver].chunks
 
     def join_node(j: int) -> tuple[Row, ...]:
-        return tuple(local_nary_join(driver_chunks[j], steps, j))
+        return tuple(local_nary_join(driver_chunks[j], steps, j, trail))
 
     return Relation(columns, tuple(for_each_node(m, join_node)), key)
 
 
 def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
-          ledger: TransferLedger) -> Relation:
+          ledger: TransferLedger, trail: list | None = None) -> Relation:
     """Partitioned n-ary join on the variable set ``on``.
 
     Every input not already keyed exactly on ``on`` is shuffled first, and
     the local join is driven from the first input. The result is keyed on
-    ``on``.
+    ``on``. With ``trail`` (m slots per input after the first) the inputs
+    fold in the order given, a left-deep run in one fold, row for row.
     """
     if len(inputs) < 2:
         raise ValueError("pjoin needs at least two inputs")
@@ -441,7 +445,7 @@ def pjoin(on: frozenset[Term], inputs: Sequence[Relation],
 
     m = _node_count(inputs)
     staged = [rel if rel.key == on else shuffle(rel, on, ledger) for rel in inputs]
-    return _join_nodes(staged, 0, {}, m, on)
+    return _join_nodes(staged, 0, {}, m, on, trail)
 
 
 def brjoin(inputs: Sequence[Relation], target_index: int,

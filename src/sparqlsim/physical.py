@@ -85,11 +85,12 @@ def render_plan(node: PhysNode) -> str:
 
     A partitioned child on its parent's key prints inline, so a run of
     same-key partitioned joins shows as one n-ary ``Pjoin``: the adaptive
-    strategy joins a star two inputs at a time, ``Pjoin_x(Pjoin_x(t1,t2),t3)``,
-    and it prints as ``Pjoin_x(t1,t2,t3)``, the static partitioned plan. The
-    two forms move exactly the same tuples: the running input is already
-    keyed on the join variables, so only the newcomer is repartitioned,
-    stepwise or not.
+    strategy decides a star's run up front and folds it once per node, but
+    its plan and trace list one binary step per decision,
+    ``Pjoin_x(Pjoin_x(t1,t2),t3)``, which prints as ``Pjoin_x(t1,t2,t3)``, the
+    static partitioned plan. Both move exactly the same tuples: the running
+    input is already keyed on the join variables, so only the newcomer is
+    repartitioned, stepwise or not.
     """
     if isinstance(node, SelectionSpec):
         return node.label
